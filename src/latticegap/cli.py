@@ -30,11 +30,9 @@ from .hardy import (HardyWeight, InequalityConstants, best_hardy_constant,
 from .lattice import BoxDomain, write_field
 from .nonlinearity import PowerNonlinearity, validate_hypotheses
 from .solver import SolverConfig, solve_ground_state
-from .spectral import (assemble_operator, bloch_band_edges,
+from .spectral import (DENSE_EIG_BUDGET, assemble_operator, bloch_band_edges,
                        checkerboard_potential, constant_potential,
                        spectral_split)
-
-_MAX_SITES = 5000
 
 
 @dataclass
@@ -75,9 +73,9 @@ class RunConfig:
         if self.radius < 2:
             raise ConfigError(f"box.radius must be >= 2, got {self.radius}")
         box = BoxDomain(self.dimension, self.radius)
-        if box.site_count > _MAX_SITES:
-            raise ConfigError(
-                f"box has {box.site_count} sites, above the budget of {_MAX_SITES}")
+        if box.site_count > DENSE_EIG_BUDGET:
+            raise ConfigError(f"box has {box.site_count} sites, above the budget "
+                              f"of {DENSE_EIG_BUDGET}")
         return box
 
     def model(self):
@@ -222,15 +220,28 @@ def _certify(cfg: RunConfig, out: Path, write_bands: bool):
     return table, split
 
 
+def _read_artifact(path: Path, keys: tuple[str, ...], rerun: str) -> dict:
+    """Load a JSON artifact holding `keys`; anything else asks for a re-run."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CertificationMissingError(
+            f"unreadable {path.name} ({exc}); re-run {rerun}") from exc
+    if not isinstance(data, dict):
+        raise CertificationMissingError(
+            f"{path.name} does not hold a JSON object; re-run {rerun}")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise CertificationMissingError(
+            f"{path.name} lacks {', '.join(missing)}; re-run {rerun}")
+    return data
+
+
 def _ensure_split(cfg: RunConfig, out: Path):
     """Reuse a matching gap.json or certify inline; stale files are an error."""
     path = out / "gap.json"
     if path.exists():
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise CertificationMissingError(
-                f"unreadable gap.json ({exc}); re-run certify-gap") from exc
+        data = _read_artifact(path, ("sigma_minus", "sigma_plus"), "certify-gap")
         if (data.get("potential") != cfg.potential_fingerprint()
                 or data.get("box_radius") != cfg.radius):
             raise CertificationMissingError(
@@ -248,8 +259,10 @@ def _ensure_constants(cfg: RunConfig, out: Path, split) -> InequalityConstants:
     fingerprint = {"potential": cfg.potential_fingerprint(), "R": cfg.radius,
                    "metric": cfg.hardy_metric}
     if path.exists():
-        data = json.loads(path.read_text(encoding="utf-8"))
-        if data.get("fingerprint") == json.loads(jsonio.dumps(fingerprint)):
+        data = _read_artifact(
+            path, ("fingerprint", "N", "R", "kappa", "rho_plus",
+                   "rho_tilde_plus", "rho_max", "metric"), "constants")
+        if data["fingerprint"] == json.loads(jsonio.dumps(fingerprint)):
             return InequalityConstants(
                 dimension=data["N"], radius=data["R"], kappa=data["kappa"],
                 rho_plus=data["rho_plus"], rho_tilde_plus=data["rho_tilde_plus"],

@@ -7,9 +7,12 @@ iteration on the full gradient polishes the incumbent to the final
 residual.  The inner maximizer is not assumed unique: a sampled
 perturbation certificate replaces the uniqueness assumption.
 
-All solver internals work in eigencoordinates of the split, where the
-equivalent norm is diagonal (||u||^2 = sum |lambda_i| c_i^2) and the
-positive/negative projections are index slices.
+The outer problem and the certificates work in eigencoordinates of the
+split, where the equivalent norm is diagonal (||u||^2 = sum |lambda_i| c_i^2)
+and the positive/negative projections are index slices.  The inner problem
+runs in slab coordinates (t, vm): the scalar along w and the X^-
+eigencoordinates.  With E_+ w computed once per inner solve, each of its
+evaluations touches only the X^- columns of the eigenvector matrix.
 """
 
 from __future__ import annotations
@@ -67,6 +70,15 @@ class SolverConfig:
             raise InvalidInputError("inner_tol must be <= outer_tol")
         if self.multistart < 1:
             raise InvalidInputError("multistart must be >= 1")
+        if self.max_boundary_mass is not None and not 0.0 < self.max_boundary_mass <= 1.0:
+            raise InvalidInputError("max_boundary_mass must be None or in (0, 1]")
+        for name in ("backtrack_shrink", "armijo"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise InvalidInputError(f"{name} must be in (0, 1)")
+        if self.boundary_layers < 1:
+            raise InvalidInputError("boundary_layers must be >= 1")
+        if self.certificate_samples < 0:
+            raise InvalidInputError("certificate_samples must be >= 0")
 
 
 @dataclass
@@ -107,7 +119,13 @@ class GroundStateResult:
 
 
 class _Workspace:
-    """Cached arrays for energy evaluations in eigencoordinates."""
+    """Cached arrays for energy evaluations in eigencoordinates.
+
+    The site-space terms of J (sum F plus the Hardy mass), of J' (f + rho w u)
+    and of the Hessian diagonal (df + rho w) are defined here once; the
+    eigencoordinate gradient and the slab forms add only their quadratic
+    parts.
+    """
 
     def __init__(self, split: SpectralSplit, model: Nonlinearity, rho: float,
                  weight: HardyWeight):
@@ -118,6 +136,11 @@ class _Workspace:
         self.lam = split.eigenvalues
         self.abs_lam = split.abs_eigenvalues
         self.nneg = split.negative_count
+        # column slices of the Fortran-ordered eigenvector matrix are
+        # contiguous views, not copies
+        self.Em = self.E[:, :self.nneg]
+        self.Ep = self.E[:, self.nneg:]
+        self.lam_minus = self.lam[:self.nneg]
         self.sites = split.box.sites
         self.w = weight.on_box(split.box) if rho > 0 else None
 
@@ -130,22 +153,17 @@ class _Workspace:
     def site_values(self, coords: np.ndarray) -> np.ndarray:
         return self.E @ coords
 
-    def value(self, coords: np.ndarray, u: np.ndarray | None = None) -> float:
-        if u is None:
-            u = self.site_values(coords)
-        out = 0.5 * float(np.sum(self.lam * coords ** 2))
-        out -= float(np.sum(self.model.F(u, self.sites)))
+    def site_energy(self, u: np.ndarray) -> float:
+        out = float(np.sum(self.model.F(u, self.sites)))
         if self.rho > 0:
-            out -= 0.5 * self.rho * float(np.sum(self.w * u * u))
+            out += 0.5 * self.rho * float(np.sum(self.w * u * u))
         return out
 
-    def grad(self, coords: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
-        if u is None:
-            u = self.site_values(coords)
+    def site_force(self, u: np.ndarray) -> np.ndarray:
         r = self.model.f(u, self.sites)
         if self.rho > 0:
             r = r + self.rho * self.w * u
-        return self.lam * coords - self.E.T @ r
+        return r
 
     def hess_diag_site(self, u: np.ndarray) -> np.ndarray:
         d = self.model.df(u, self.sites)
@@ -153,9 +171,40 @@ class _Workspace:
             d = d + self.rho * self.w
         return np.asarray(d, dtype=float)
 
-    def hess_mv(self, d_site: np.ndarray, dcoords: np.ndarray) -> np.ndarray:
-        du = self.E @ dcoords
-        return self.lam * dcoords - self.E.T @ (d_site * du)
+    def grad(self, coords: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
+        if u is None:
+            u = self.site_values(coords)
+        return self.lam * coords - self.E.T @ self.site_force(u)
+
+
+class _Slab:
+    """The slab R+ w (+) X^- in coordinates (t, vm).
+
+    The point (t, vm) has eigencoordinates (vm, t wp) and site values
+    t ew + Em vm, with ew = Ep wp precomputed, so an evaluation touches only
+    the X^- columns of the eigenvector matrix.
+    """
+
+    def __init__(self, ws: _Workspace, wp: np.ndarray):
+        self.ws = ws
+        self.wp = wp
+        self.ew = ws.Ep @ wp
+        self.qw = float(np.sum(ws.lam[ws.nneg:] * wp ** 2))
+
+    def site_values(self, t: float, vm: np.ndarray) -> np.ndarray:
+        return t * self.ew + self.ws.Em @ vm
+
+    def value(self, t: float, vm: np.ndarray, u: np.ndarray) -> float:
+        quad = t * t * self.qw + float(np.sum(self.ws.lam_minus * vm ** 2))
+        return 0.5 * quad - self.ws.site_energy(u)
+
+    def restrict(self, t: float, vm: np.ndarray, r: np.ndarray):
+        """Slab components (along w, along X^-) of  Lambda c - E^T r  at c = (vm, t wp)."""
+        return (t * self.qw - float(self.ew @ r),
+                self.ws.lam_minus * vm - self.ws.Em.T @ r)
+
+    def grad(self, t: float, vm: np.ndarray, u: np.ndarray):
+        return self.restrict(t, vm, self.ws.site_force(u))
 
 
 def unit_plus_direction(split: SpectralSplit, seed_field: LatticeField) -> LatticeField:
@@ -180,18 +229,14 @@ def _inner_residual(t, gt, gv):
     return max(along_t, float(np.linalg.norm(gv)))
 
 
-def _inner_core(ws: _Workspace, wp: np.ndarray, t: float, vm: np.ndarray,
-                cfg: SolverConfig):
+def _inner_core(slab: _Slab, t: float, vm: np.ndarray, cfg: SolverConfig):
     """Maximize value over (t >= 0, vm).  Returns (t, vm, value, res, iters, reason)."""
-    nneg = ws.nneg
-    coords = ws.embed(t, wp, vm)
-    u = ws.site_values(coords)
-    val = ws.value(coords, u)
+    ws = slab.ws
+    u = slab.site_values(t, vm)
+    val = slab.value(t, vm, u)
+    gt, gv = slab.grad(t, vm, u)
     alpha = 1.0
     for it in range(cfg.max_inner):
-        g = ws.grad(coords, u)
-        gt = float(g[nneg:] @ wp)
-        gv = g[:nneg]
         res = _inner_residual(t, gt, gv)
         if res <= cfg.inner_tol:
             return t, vm, val, res, it, None
@@ -202,36 +247,33 @@ def _inner_core(ws: _Workspace, wp: np.ndarray, t: float, vm: np.ndarray,
 
         stepped = False
         if res <= cfg.newton_switch:
-            s = _inner_newton_step(ws, wp, coords, u, gt, gv, res)
+            s = _inner_newton_step(slab, u, gt, gv, res)
             if s is not None:
                 st, sv = s
                 for k in range(cfg.max_backtracks):
                     damp = cfg.backtrack_shrink ** k
                     t_try = max(t + damp * st, 0.0)
                     vm_try = vm + damp * sv
-                    c_try = ws.embed(t_try, wp, vm_try)
-                    u_try = ws.site_values(c_try)
-                    g_try = ws.grad(c_try, u_try)
-                    res_try = _inner_residual(
-                        t_try, float(g_try[nneg:] @ wp), g_try[:nneg])
-                    if res_try < res:
-                        t, vm, coords, u = t_try, vm_try, c_try, u_try
-                        val = ws.value(coords, u)
+                    u_try = slab.site_values(t_try, vm_try)
+                    gt_try, gv_try = slab.grad(t_try, vm_try, u_try)
+                    if _inner_residual(t_try, gt_try, gv_try) < res:
+                        t, vm, u, gt, gv = t_try, vm_try, u_try, gt_try, gv_try
+                        val = slab.value(t, vm, u)
                         stepped = True
                         break
         if not stepped:
             # metric-preconditioned ascent with Armijo backtracking
             dt = gt
-            dv = gv / ws.abs_lam[:nneg]
+            dv = gv / ws.abs_lam[:ws.nneg]
             for k in range(cfg.max_backtracks):
                 t_try = max(t + alpha * dt, 0.0)
                 vm_try = vm + alpha * dv
                 pred = gt * (t_try - t) + float(gv @ (vm_try - vm))
-                c_try = ws.embed(t_try, wp, vm_try)
-                u_try = ws.site_values(c_try)
-                val_try = ws.value(c_try, u_try)
+                u_try = slab.site_values(t_try, vm_try)
+                val_try = slab.value(t_try, vm_try, u_try)
                 if val_try >= val + cfg.armijo * pred and pred >= 0.0:
-                    t, vm, coords, u, val = t_try, vm_try, c_try, u_try, val_try
+                    t, vm, u, val = t_try, vm_try, u_try, val_try
+                    gt, gv = slab.grad(t, vm, u)
                     alpha = min(alpha * 1.5, 4.0)
                     stepped = True
                     break
@@ -243,31 +285,30 @@ def _inner_core(ws: _Workspace, wp: np.ndarray, t: float, vm: np.ndarray,
         f"inner maximization exceeded {cfg.max_inner} iterations")
 
 
-def _inner_newton_step(ws, wp, coords, u, gt, gv, res):
+def _inner_newton_step(slab: _Slab, u, gt, gv, res):
     """Inexact Newton step on the reduced gradient via preconditioned CG.
 
     Solves (-H_red) s = r for r = (gt, gv); -H_red is positive definite near
     the maximizer for models with nonnegative df.  Returns None when CG hits
     non-positive curvature immediately.
     """
-    nneg = ws.nneg
+    ws = slab.ws
     d_site = ws.hess_diag_site(u)
 
     def neg_hess(svec):
-        st, sv = svec[0], svec[1:]
-        dcoords = ws.embed(st, wp, sv)
-        hc = ws.hess_mv(d_site, dcoords)
+        st, sv = float(svec[0]), svec[1:]
+        ht, hv = slab.restrict(st, sv, d_site * slab.site_values(st, sv))
         out = np.empty(svec.size)
-        out[0] = hc[nneg:] @ wp
-        out[1:] = hc[:nneg]
-        return -out
+        out[0] = -ht
+        out[1:] = -hv
+        return out
 
-    r = np.empty(1 + nneg)
+    r = np.empty(1 + ws.nneg)
     r[0] = gt
     r[1:] = gv
     precond = np.empty_like(r)
     precond[0] = 1.0
-    precond[1:] = ws.abs_lam[:nneg]
+    precond[1:] = ws.abs_lam[:ws.nneg]
     s = np.zeros_like(r)
     resid = r.copy()
     z = resid / precond
@@ -293,8 +334,9 @@ def _inner_newton_step(ws, wp, coords, u, gt, gv, res):
     return float(s[0]), s[1:]
 
 
-def _certify_inner(ws, wp, t, vm, value, rng, n_samples=50, radius=2.0):
+def _certify_inner(slab: _Slab, t, vm, value, rng, n_samples=50, radius=2.0):
     """Check the maximizer against random (t', v') in a trust box around it."""
+    ws = slab.ws
     worst = 0.0
     for _ in range(n_samples):
         t_try = max(t + rng.uniform(-radius, radius), 0.0)
@@ -302,7 +344,8 @@ def _certify_inner(ws, wp, t, vm, value, rng, n_samples=50, radius=2.0):
         norm = np.sqrt(np.sum(ws.abs_lam[:ws.nneg] * dv ** 2))
         if norm > 0:
             dv *= rng.uniform(0.0, radius) / norm
-        val = ws.value(ws.embed(t_try, wp, vm + dv))
+        vm_try = vm + dv
+        val = slab.value(t_try, vm_try, slab.site_values(t_try, vm_try))
         worst = max(worst, val - value)
     return worst <= 1e-9 * (1.0 + abs(value)), worst
 
@@ -336,7 +379,8 @@ def inner_maximize(split: SpectralSplit, model: Nonlinearity, rho: float,
         t0, v_field = warm
         t0 = max(float(t0), 0.0)
         vm0 = split.to_coords(v_field)[:ws.nneg]
-    t, vm, val, res, iters, reason = _inner_core(ws, wp, t0, vm0, cfg)
+    slab = _Slab(ws, wp)
+    t, vm, val, res, iters, reason = _inner_core(slab, t0, vm0, cfg)
     if reason is None and t <= 1e-12:
         reason = "t collapsed to zero: infeasible direction"
     if reason is not None:
@@ -346,12 +390,12 @@ def inner_maximize(split: SpectralSplit, model: Nonlinearity, rho: float,
             value=0.0, grad_norm=res, iterations=iters,
             degenerate=True, reason=reason, _wp=wp, _vm=np.zeros(ws.nneg))
     state = InnerMaxState(
-        w=w, t=t, v=split.from_coords(ws.embed(0.0, np.zeros_like(wp), vm)),
+        w=w, t=t, v=LatticeField(split.box, ws.Em @ vm),
         value=val, grad_norm=res, iterations=iters,
         degenerate=False, reason=None, _wp=wp, _vm=vm)
     if certify and not state.degenerate:
         rng = np.random.default_rng(cfg.seed + 977)
-        ok, worst = _certify_inner(ws, wp, t, vm, val, rng)
+        ok, worst = _certify_inner(slab, t, vm, val, rng)
         state.certified = ok
         if not ok:
             raise PostConditionError(
@@ -386,7 +430,7 @@ def _outer_single(ws: _Workspace, wp0: np.ndarray, cfg: SolverConfig,
     out = _StartResult(index=index, status="failed")
     try:
         t, vm = warm if warm is not None else (1.0, np.zeros(nneg))
-        t, vm, val, _, its, reason = _inner_core(ws, wp, t, vm, cfg)
+        t, vm, val, _, its, reason = _inner_core(_Slab(ws, wp), t, vm, cfg)
         out.inner_iterations += its
     except ConvergenceError as exc:
         out.reason = str(exc)
@@ -427,7 +471,8 @@ def _outer_single(ws: _Workspace, wp0: np.ndarray, cfg: SolverConfig,
                 continue
             wp_try /= norm
             try:
-                t2, vm2, val2, _, its, reason = _inner_core(ws, wp_try, t, vm.copy(), cfg)
+                t2, vm2, val2, _, its, reason = _inner_core(
+                    _Slab(ws, wp_try), t, vm.copy(), cfg)
                 out.inner_iterations += its
             except ConvergenceError:
                 alpha *= cfg.backtrack_shrink
@@ -643,7 +688,10 @@ def maximality_certificate(split: SpectralSplit, model: Nonlinearity,
     """
     ws = _Workspace(split, model, rho, weight)
     cu = split.to_coords(u)
-    base = ws.value(cu)
+    um = cu[:ws.nneg]
+    # t u + v lies on the slab through u^+ at X^- coordinates t u^- + dv
+    slab = _Slab(ws, cu[ws.nneg:])
+    base = slab.value(1.0, um, u.values)
     unorm = float(np.sqrt(np.sum(ws.abs_lam * cu ** 2)))
     rng = np.random.default_rng(seed)
     worst = -np.inf
@@ -653,9 +701,8 @@ def maximality_certificate(split: SpectralSplit, model: Nonlinearity,
         norm = np.sqrt(np.sum(ws.abs_lam[:ws.nneg] * dv ** 2))
         if norm > 0:
             dv *= rng.uniform(0.0, v_scale * max(unorm, 1.0)) / norm
-        coords = t * cu
-        coords[:ws.nneg] += dv
-        worst = max(worst, ws.value(coords) - base)
+        site = t * u.values + ws.Em @ dv
+        worst = max(worst, slab.value(t, t * um + dv, site) - base)
     return worst <= tol, worst
 
 
@@ -665,15 +712,21 @@ def _sampled_sphere_floor(ws: _Workspace, rng, n_samples: int = 50):
     dirs = rng.standard_normal((n_samples, npos))
     for i in range(n_samples):
         dirs[i] /= _metric_norm_plus(ws, dirs[i])
+    # each direction's site values are computed once; a radius is a rescale
+    slabs = [_Slab(ws, d) for d in dirs]
+    no_minus = np.zeros(ws.nneg)
+
+    def sampled_min(radius):
+        return min(s.value(radius, no_minus, radius * s.ew) for s in slabs)
+
     radius = 1.0
     for _ in range(40):
-        values = [ws.value(ws.embed(radius, d, np.zeros(ws.nneg))) for d in dirs]
-        if min(values) > 0.0:
+        if sampled_min(radius) > 0.0:
             # one extra halving for margin; the sampled min only estimates the inf
             radius *= 0.5
-            values = [ws.value(ws.embed(radius, d, np.zeros(ws.nneg))) for d in dirs]
-            if min(values) > 0.0:
-                return float(min(values))
+            low = sampled_min(radius)
+            if low > 0.0:
+                return float(low)
         radius *= 0.5
     return 0.0
 
@@ -692,6 +745,10 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
     cfg = config or SolverConfig()
     if rho < 0:
         raise InvalidInputError(f"rho must be >= 0, got {rho}")
+    if cfg.boundary_layers >= split.box.radius:
+        raise InvalidInputError(
+            f"boundary_layers = {cfg.boundary_layers} must be below the box "
+            f"radius {split.box.radius}")
     if cfg.validate_model:
         report = validate_hypotheses(model)
         if not report.all_passed:

@@ -134,6 +134,56 @@ class TestConstants:
         assert data["metric"] == "graph"
 
 
+class TestCorruptArtifacts:
+    """Damaged artifacts exit 2 with a re-run message, never a traceback."""
+
+    @staticmethod
+    def _run_constants(tmp_path, capsys, damage, name, rerun):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["constants", "--config", str(cfg), "--out", str(out)]) == 0
+        damage(out / name)
+        capsys.readouterr()
+        assert main(["constants", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"re-run {rerun}" in err
+        assert "Traceback" not in err
+
+    @staticmethod
+    def _truncate(fraction):
+        def damage(path):
+            data = path.read_bytes()
+            path.write_bytes(data[:int(fraction * len(data))])
+        return damage
+
+    @staticmethod
+    def _drop(key):
+        def damage(path):
+            data = json.loads(path.read_text())
+            del data[key]
+            path.write_text(json.dumps(data))
+        return damage
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.5])
+    def test_truncated_constants(self, tmp_path, capsys, fraction):
+        self._run_constants(tmp_path, capsys, self._truncate(fraction),
+                            "constants.json", "constants")
+
+    def test_constants_missing_key(self, tmp_path, capsys):
+        self._run_constants(tmp_path, capsys, self._drop("kappa"),
+                            "constants.json", "constants")
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.5])
+    def test_truncated_gap(self, tmp_path, capsys, fraction):
+        self._run_constants(tmp_path, capsys, self._truncate(fraction),
+                            "gap.json", "certify-gap")
+
+    @pytest.mark.parametrize("key", ["sigma_minus", "sigma_plus"])
+    def test_gap_missing_sigma(self, tmp_path, capsys, key):
+        self._run_constants(tmp_path, capsys, self._drop(key),
+                            "gap.json", "certify-gap")
+
+
 class TestSolve:
     def test_artifacts_written(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -215,3 +215,38 @@ class TestSolveGroundState:
         for record in ground_r2.trace:
             assert set(record) == {"iter", "level", "residual_full",
                                    "residual_minus", "t"}
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("value", [0.0, -0.1, 1.5])
+    def test_max_boundary_mass_range(self, value):
+        with pytest.raises(InvalidInputError, match="max_boundary_mass"):
+            lg.SolverConfig(max_boundary_mass=value)
+
+    def test_max_boundary_mass_edges_accepted(self):
+        assert lg.SolverConfig(max_boundary_mass=None).max_boundary_mass is None
+        assert lg.SolverConfig(max_boundary_mass=1.0).max_boundary_mass == 1.0
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, 2.0])
+    def test_backtrack_shrink_range(self, value):
+        with pytest.raises(InvalidInputError, match="backtrack_shrink"):
+            lg.SolverConfig(backtrack_shrink=value)
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, -1e-4])
+    def test_armijo_range(self, value):
+        with pytest.raises(InvalidInputError, match="armijo"):
+            lg.SolverConfig(armijo=value)
+
+    def test_boundary_layers_positive(self):
+        with pytest.raises(InvalidInputError, match="boundary_layers"):
+            lg.SolverConfig(boundary_layers=0)
+
+    def test_certificate_samples_nonnegative(self):
+        with pytest.raises(InvalidInputError, match="certificate_samples"):
+            lg.SolverConfig(certificate_samples=-1)
+        assert lg.SolverConfig(certificate_samples=0).certificate_samples == 0
+
+    def test_boundary_layers_below_radius(self, split_r2, model):
+        cfg = lg.SolverConfig(seed=1, multistart=2, boundary_layers=2)
+        with pytest.raises(InvalidInputError, match="below the box radius"):
+            lg.solve_ground_state(split_r2, model, 0.0, cfg)

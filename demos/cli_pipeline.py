@@ -1,8 +1,10 @@
 """Drive the full file-based pipeline through the command line interface.
 
 certify-gap -> constants -> solve -> sweep, all from one config file, each
-stage writing plain-text artifacts into the output directory.  Running the
-pipeline twice with the same seed reproduces every byte.
+stage writing its artifacts into the output directory: plain text, apart
+from split.npy, the eigenpairs that certify-gap computes once and the later
+stages load.  Running the pipeline twice with the same seed reproduces
+every byte.
 """
 
 import pathlib

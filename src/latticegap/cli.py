@@ -4,7 +4,15 @@ Subcommands: certify-gap, constants, solve, sweep, validate.  Configuration
 is a flat UTF-8 key-value file with dotted sections ("solver.polish_tol =
 1e-8"); unknown keys are rejected so typos cannot silently change an
 experiment.  All outputs are plain files with floats printed at 17
-significant digits; a fixed seed reproduces them byte for byte.
+significant digits; a fixed seed reproduces them byte for byte.  Every
+artifact is written to a temporary file and renamed into place.
+
+The dense splitting of the box operator is computed once per output
+directory: certify-gap (or the first stage that certifies inline) writes
+the eigenpairs to split.npy and records the file's SHA-256 in gap.json,
+and later stages load the file instead of decomposing again.  A gap.json
+or split.npy that does not match the configuration, or each other, is
+stale and asks for certify-gap to be re-run.
 
 Exit status: 0 on success, 2 when the configured problem violates a
 structural hypothesis (no spectral gap at 0, coupling out of range, model
@@ -15,7 +23,9 @@ hypothesis failure, stale certification) or the configuration is invalid,
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -27,12 +37,15 @@ from .errors import (CertificationMissingError, ConfigError, HypothesisError,
                      InvalidInputError, LatticeGapError)
 from .hardy import (HardyWeight, InequalityConstants, best_hardy_constant,
                     rho_plus)
+from .jsonio import atomic_open
 from .lattice import BoxDomain, write_field
 from .nonlinearity import PowerNonlinearity, validate_hypotheses
 from .solver import SolverConfig, solve_ground_state
 from .spectral import (DENSE_EIG_BUDGET, assemble_operator, bloch_band_edges,
                        checkerboard_potential, constant_potential,
-                       spectral_split)
+                       load_eigenpairs, save_eigenpairs, spectral_split)
+
+SPLIT_FILE = "split.npy"
 
 
 @dataclass
@@ -202,8 +215,17 @@ def _write_json(out: Path, name: str, obj) -> Path:
     return path
 
 
+def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def _certify(cfg: RunConfig, out: Path, write_bands: bool):
-    """Band table + box split; writes gap.json (and bands.csv for certify-gap)."""
+    """Band table + box split; writes split.npy and then gap.json, which
+    holds split.npy's hash (and bands.csv for certify-gap)."""
     table = bloch_band_edges(cfg.potential(), grid=cfg.bloch_grid,
                              threads=cfg.threads)
     box = cfg.box()
@@ -211,11 +233,14 @@ def _certify(cfg: RunConfig, out: Path, write_bands: bool):
     split = spectral_split(box, operator, table.gap)
     if write_bands:
         table.to_csv(out / "bands.csv")
+    save_eigenpairs(split, out / SPLIT_FILE)
     payload = {"potential": cfg.potential_fingerprint(),
                "box_radius": cfg.radius, "grid": cfg.bloch_grid,
                "sigma_minus": table.sigma_minus, "sigma_plus": table.sigma_plus,
                "intrusions": split.intrusions,
-               "smallest_abs_eigenvalue": split.smallest_abs_eigenvalue}
+               "smallest_abs_eigenvalue": split.smallest_abs_eigenvalue,
+               "eigenpairs": {"file": SPLIT_FILE,
+                              "sha256": _sha256(out / SPLIT_FILE)}}
     _write_json(out, "gap.json", payload)
     return table, split
 
@@ -237,19 +262,54 @@ def _read_artifact(path: Path, keys: tuple[str, ...], rerun: str) -> dict:
     return data
 
 
+def _check_types(data: dict, ints: tuple[str, ...], reals: tuple[str, ...],
+                 name: str, rerun: str) -> None:
+    """Integers must be ints and reals finite numbers; bools are neither."""
+    def number(value, kinds):
+        return isinstance(value, kinds) and not isinstance(value, bool)
+
+    wrong = [key for key in ints if not number(data[key], int)]
+    wrong += [key for key in reals
+              if not (number(data[key], (int, float)) and math.isfinite(data[key]))]
+    if wrong:
+        raise CertificationMissingError(
+            f"{name} holds a wrongly typed {', '.join(wrong)}; re-run {rerun}")
+
+
+def _load_split_file(out: Path, recorded):
+    """Eigenpairs from split.npy, once its hash matches the one in gap.json."""
+    path = out / SPLIT_FILE
+    try:
+        digest = _sha256(path)
+    except OSError as exc:
+        raise CertificationMissingError(
+            f"cannot read {SPLIT_FILE} ({exc}); re-run certify-gap") from exc
+    if recorded != {"file": SPLIT_FILE, "sha256": digest}:
+        raise CertificationMissingError(
+            f"{SPLIT_FILE} does not match gap.json; re-run certify-gap")
+    return load_eigenpairs(path)
+
+
 def _ensure_split(cfg: RunConfig, out: Path):
-    """Reuse a matching gap.json or certify inline; stale files are an error."""
+    """Reuse a matching gap.json and split.npy or certify inline; stale
+    files are an error."""
     path = out / "gap.json"
     if path.exists():
-        data = _read_artifact(path, ("sigma_minus", "sigma_plus"), "certify-gap")
+        data = _read_artifact(path, ("sigma_minus", "sigma_plus", "eigenpairs"),
+                              "certify-gap")
         if (data.get("potential") != cfg.potential_fingerprint()
-                or data.get("box_radius") != cfg.radius):
+                or data.get("box_radius") != cfg.radius
+                or data.get("grid") != cfg.bloch_grid):
             raise CertificationMissingError(
                 "gap.json does not match this configuration; re-run certify-gap")
+        _check_types(data, (), ("sigma_minus", "sigma_plus"), "gap.json",
+                     "certify-gap")
         box = cfg.box()
+        eigenpairs = _load_split_file(out, data["eigenpairs"])
         operator = assemble_operator(box, cfg.potential())
         return spectral_split(box, operator,
-                              (data["sigma_minus"], data["sigma_plus"]))
+                              (data["sigma_minus"], data["sigma_plus"]),
+                              eigenpairs)
     _, split = _certify(cfg, out, write_bands=False)
     return split
 
@@ -262,13 +322,20 @@ def _ensure_constants(cfg: RunConfig, out: Path, split) -> InequalityConstants:
         data = _read_artifact(
             path, ("fingerprint", "N", "R", "kappa", "rho_plus",
                    "rho_tilde_plus", "rho_max", "metric"), "constants")
-        if data["fingerprint"] == json.loads(jsonio.dumps(fingerprint)):
+        if data["fingerprint"] != json.loads(jsonio.dumps(fingerprint)):
+            raise CertificationMissingError(
+                "constants.json does not match this configuration; re-run constants")
+        _check_types(data, ("N", "R"),
+                     ("kappa", "rho_plus", "rho_tilde_plus", "rho_max"),
+                     "constants.json", "constants")
+        try:
             return InequalityConstants(
                 dimension=data["N"], radius=data["R"], kappa=data["kappa"],
                 rho_plus=data["rho_plus"], rho_tilde_plus=data["rho_tilde_plus"],
                 rho_max=data["rho_max"], metric=data["metric"])
-        raise CertificationMissingError(
-            "constants.json does not match this configuration; re-run constants")
+        except InvalidInputError as exc:
+            raise CertificationMissingError(
+                f"inconsistent constants.json ({exc}); re-run constants") from exc
     return _compute_constants(cfg, out, split, fingerprint)
 
 
@@ -340,7 +407,7 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
     result = solve_ground_state(split, cfg.model(), rho, cfg.solver,
                                 weight=cfg.weight(), constants=constants)
     write_field(result.u, out / "solution.field")
-    with open(out / "run_log.jsonl", "w", encoding="utf-8") as fh:
+    with atomic_open(out / "run_log.jsonl") as fh:
         for record in result.trace:
             fh.write(_record_line(record) + "\n")
     _write_json(out, "solve_summary.json", {
@@ -357,7 +424,7 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
 
 def _write_sweep_csv(records: list[SweepRecord], dimension: int, path) -> None:
     shift_cols = ",".join(f"shift_x{i + 1}" for i in range(dimension))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         fh.write(f"rho,c_rho,residual,{shift_cols},d_to_baseline,sum_G\n")
         for r in records:
             shift = ",".join(str(int(s)) for s in r.shift)

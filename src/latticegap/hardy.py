@@ -123,14 +123,16 @@ def rho_plus(split: SpectralSplit) -> RhoPlusConstant:
     on the positive eigenbasis B.
     """
     lam, gram, basis = _positive_pencil(split)
-    cond = np.linalg.cond(gram)
+    # cond(G) is a full SVD, so it is computed only for the error messages
     try:
         vals, vecs = sla.eigh(np.diag(lam), gram)
     except sla.LinAlgError as exc:
         raise NumericalError(
-            f"reduced pencil solve failed (cond(G) = {cond:.3e}): {exc}") from exc
+            f"reduced pencil solve failed (cond(G) = {np.linalg.cond(gram):.3e}): "
+            f"{exc}") from exc
     if not np.all(np.isfinite(vals)):
-        raise NumericalError(f"reduced pencil numerically singular, cond(G) = {cond:.3e}")
+        raise NumericalError(
+            f"reduced pencil numerically singular, cond(G) = {np.linalg.cond(gram):.3e}")
     value = float(vals[0])
     vec = basis @ vecs[:, 0]
     vec = vec / np.linalg.norm(vec)

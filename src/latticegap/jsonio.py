@@ -1,4 +1,5 @@
-"""Deterministic JSON output with floats at 17 significant digits.
+"""Deterministic JSON output with floats at 17 significant digits, and
+atomic artifact writes.
 
 The stdlib encoder prints shortest round-trip floats; artifact files pin
 the full 17 significant digits instead so that independently produced
@@ -9,6 +10,29 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import contextmanager
+from pathlib import Path
+
+
+@contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open a temporary file beside `path`; rename it over `path` on success.
+
+    A reader never sees a partly written artifact, and a write that fails
+    leaves the previous file (if any) in place and no temporary behind.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    if "b" not in mode:
+        kwargs.setdefault("encoding", "utf-8")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _render(obj, indent: int, level: int) -> str:
@@ -46,5 +70,5 @@ def dumps(obj, indent: int = 2) -> str:
 
 
 def dump(obj, path, indent: int = 2) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(dumps(obj, indent))

@@ -14,6 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInputError
+from .jsonio import atomic_open
 
 
 @dataclass(frozen=True)
@@ -233,7 +234,7 @@ def translate(u: LatticeField, shift) -> LatticeField:
 
 def write_field(u: LatticeField, path) -> None:
     """Dump one line per site: "x_1 ... x_N value" in enumeration order."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for site, value in zip(u.box.sites, u.values):
             coords = " ".join(str(int(c)) for c in site)
             fh.write(f"{coords} {value:.17g}\n")
@@ -243,12 +244,19 @@ def read_field(path) -> LatticeField:
     """Read a field dump back; box geometry is inferred from the sites."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             parts = line.split()
-            rows.append(([int(t) for t in parts[:-1]], float(parts[-1])))
+            try:
+                if len(parts) < 2:
+                    raise ValueError("no site coordinates")
+                rows.append(([int(t) for t in parts[:-1]], float(parts[-1])))
+            except ValueError as exc:
+                raise InvalidInputError(
+                    f"{path}:{lineno}: expected 'x_1 ... x_N value', "
+                    f"got {line!r}") from exc
     if not rows:
         raise InvalidInputError(f"empty field file: {path}")
     dimension = len(rows[0][0])
@@ -258,7 +266,9 @@ def read_field(path) -> LatticeField:
         raise InvalidInputError(
             f"field file has {len(rows)} sites, expected {box.site_count} "
             f"for a radius-{radius} box in dimension {dimension}")
+    index = [box.index_of(site) for site, _ in rows]
+    if len(set(index)) != len(index):
+        raise InvalidInputError(f"field file {path} lists a site twice")
     values = np.empty(box.site_count)
-    for site, value in rows:
-        values[box.index_of(site)] = value
+    values[index] = [value for _, value in rows]
     return LatticeField(box, values)

@@ -23,9 +23,11 @@ import scipy.sparse as sp
 
 from .errors import (InvalidInputError, NoSpectralGapError, NumericalError,
                      ZeroEigenvalueError)
+from .jsonio import atomic_open
 from .lattice import BoxDomain, LatticeField
 
 DENSE_EIG_BUDGET = 5000  # refuse dense full decompositions above this size
+RESIDUAL_BLOCK = 256     # eigenvector columns per block of the residual check
 
 
 @dataclass(frozen=True)
@@ -165,7 +167,7 @@ class BlochBandTable:
 
     def to_csv(self, path) -> None:
         n = self.potential.dimension
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with atomic_open(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow([f"k{i + 1}" for i in range(n)] + ["band_index", "lambda"])
             for k, lams in zip(self.k_points, self.bands):
@@ -263,18 +265,32 @@ class SpectralSplit:
     X^- and the rest span X^+.  Exposes the spectral projectors, the
     equivalent inner product (|A| u, v)_2 and coordinate transforms used by
     the solver.
+
+    `eigenpairs` = (eigenvalues, eigenvectors) skips the dense `eigh`, for
+    a decomposition computed earlier (see `load_eigenpairs`); the zero
+    eigenvalue and residual checks run on it all the same.
     """
 
     def __init__(self, box: BoxDomain, operator: sp.spmatrix,
-                 gap: tuple[float, float]):
-        if operator.shape != (box.site_count, box.site_count):
+                 gap: tuple[float, float], eigenpairs=None):
+        n = box.site_count
+        if operator.shape != (n, n):
             raise InvalidInputError(
                 f"operator shape {operator.shape} does not match box with "
-                f"{box.site_count} sites")
+                f"{n} sites")
         self.box = box
         self.operator = operator.tocsr()
         self.gap = (float(gap[0]), float(gap[1]))
-        eigenvalues, eigenvectors = sla.eigh(self.operator.toarray())
+        if eigenpairs is None:
+            eigenvalues, eigenvectors = sla.eigh(self.operator.toarray())
+        else:
+            # Fortran order keeps the solver's X^- / X^+ column blocks views
+            eigenvalues = np.asarray(eigenpairs[0], dtype=float)
+            eigenvectors = np.asfortranarray(eigenpairs[1], dtype=float)
+            if eigenvalues.shape != (n,) or eigenvectors.shape != (n, n):
+                raise InvalidInputError(
+                    f"eigenpairs of shapes {eigenvalues.shape} and "
+                    f"{eigenvectors.shape} do not match a box with {n} sites")
         if np.min(np.abs(eigenvalues)) < 1e-10:
             raise ZeroEigenvalueError(
                 "operator has an eigenvalue at 0 (within 1e-10); "
@@ -283,13 +299,19 @@ class SpectralSplit:
         self.eigenvectors = eigenvectors
         self.abs_eigenvalues = np.abs(eigenvalues)
         self.negative_count = int(np.sum(eigenvalues < 0.0))
-        # eigenpair residual check; orthonormality is exact up to LAPACK
-        residual = np.linalg.norm(
-            self.operator @ eigenvectors - eigenvectors * eigenvalues, axis=0)
-        bad = residual > 1e-9 * (1.0 + np.abs(eigenvalues))
-        if np.any(bad):
+        # eigenpair residual check, in column blocks so that its temporaries
+        # stay small.  Orthonormality is exact up to LAPACK and not checked
+        # (an n^3 product): supplied eigenpairs must come from `eigh`, and
+        # the CLI checks the hash of the file it loads them from.
+        bad = 0
+        for lo in range(0, n, RESIDUAL_BLOCK):
+            vecs = eigenvectors[:, lo:lo + RESIDUAL_BLOCK]
+            vals = eigenvalues[lo:lo + RESIDUAL_BLOCK]
+            residual = np.linalg.norm(self.operator @ vecs - vecs * vals, axis=0)
+            bad += int(np.sum(residual > 1e-9 * (1.0 + np.abs(vals))))
+        if bad:
             raise NumericalError(
-                f"{int(bad.sum())} eigenpairs exceed the residual tolerance")
+                f"{bad} eigenpairs exceed the residual tolerance")
         edge = 1e-9 * (1.0 + max(abs(self.gap[0]), abs(self.gap[1])))
         inside = (eigenvalues > self.gap[0] + edge) & (eigenvalues < self.gap[1] - edge)
         self.intrusions = [float(v) for v in eigenvalues[inside]]
@@ -327,13 +349,28 @@ class SpectralSplit:
 
 
 def spectral_split(box: BoxDomain, operator: sp.spmatrix,
-                   gap: tuple[float, float]) -> SpectralSplit:
+                   gap: tuple[float, float], eigenpairs=None) -> SpectralSplit:
     """Dense full eigendecomposition split at 0 (desk scale only)."""
     if box.site_count > DENSE_EIG_BUDGET:
         raise InvalidInputError(
             f"box has {box.site_count} sites, above the dense eigendecomposition "
             f"budget of {DENSE_EIG_BUDGET}; use a smaller radius")
-    return SpectralSplit(box, operator, gap)
+    return SpectralSplit(box, operator, gap, eigenpairs)
+
+
+def save_eigenpairs(split: SpectralSplit, path) -> None:
+    """Write the eigenvalues, then the eigenvector matrix, as two .npy records
+    in one file.  np.save keeps the matrix's Fortran order, and the bytes
+    depend only on the arrays (no timestamps, unlike .npz)."""
+    with atomic_open(path, "wb") as fh:
+        np.save(fh, split.eigenvalues)
+        np.save(fh, split.eigenvectors)
+
+
+def load_eigenpairs(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read back what `save_eigenpairs` wrote: (eigenvalues, eigenvectors)."""
+    with open(path, "rb") as fh:
+        return np.load(fh), np.load(fh)
 
 
 def project(split: SpectralSplit, u: LatticeField, sign: str) -> LatticeField:

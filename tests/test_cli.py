@@ -1,8 +1,10 @@
 import json
+import shutil
 
 import pytest
 
 import latticegap as lg
+from latticegap import jsonio
 from latticegap.cli import main, parse_config
 from latticegap.errors import ConfigError
 
@@ -164,6 +166,14 @@ class TestCorruptArtifacts:
             path.write_text(json.dumps(data))
         return damage
 
+    @staticmethod
+    def _set(key, value):
+        def damage(path):
+            data = json.loads(path.read_text())
+            data[key] = value
+            path.write_text(json.dumps(data))
+        return damage
+
     @pytest.mark.parametrize("fraction", [0.0, 0.5])
     def test_truncated_constants(self, tmp_path, capsys, fraction):
         self._run_constants(tmp_path, capsys, self._truncate(fraction),
@@ -182,6 +192,88 @@ class TestCorruptArtifacts:
     def test_gap_missing_sigma(self, tmp_path, capsys, key):
         self._run_constants(tmp_path, capsys, self._drop(key),
                             "gap.json", "certify-gap")
+
+    @pytest.mark.parametrize("key, value", [
+        ("kappa", "0.5"), ("rho_plus", True), ("rho_tilde_plus", None),
+        ("rho_max", [0.1]), ("kappa", float("inf")), ("rho_max", 123.0),
+        ("N", 3.0), ("R", "2"), ("N", False)])
+    def test_wrongly_typed_constants(self, tmp_path, capsys, key, value):
+        self._run_constants(tmp_path, capsys, self._set(key, value),
+                            "constants.json", "constants")
+
+    @pytest.mark.parametrize("value", ["-1", None, float("nan")])
+    def test_wrongly_typed_sigma(self, tmp_path, capsys, value):
+        self._run_constants(tmp_path, capsys, self._set("sigma_minus", value),
+                            "gap.json", "certify-gap")
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.5, 0.999])
+    def test_truncated_split_file(self, tmp_path, capsys, fraction):
+        self._run_constants(tmp_path, capsys, self._truncate(fraction),
+                            "split.npy", "certify-gap")
+
+    def test_deleted_split_file(self, tmp_path, capsys):
+        self._run_constants(tmp_path, capsys, lambda path: path.unlink(),
+                            "split.npy", "certify-gap")
+
+    def test_split_file_of_another_box(self, tmp_path, capsys):
+        other = tmp_path / "r3"
+        cfg = write_config(tmp_path, name="r3.cfg", **{"box.radius": "3"})
+        assert main(["certify-gap", "--config", str(cfg), "--out", str(other)]) == 0
+        self._run_constants(
+            tmp_path, capsys,
+            lambda path: shutil.copyfile(other / "split.npy", path),
+            "split.npy", "certify-gap")
+
+    def test_gap_without_split_record(self, tmp_path, capsys):
+        self._run_constants(tmp_path, capsys, self._drop("eigenpairs"),
+                            "gap.json", "certify-gap")
+
+    def test_changed_bloch_grid_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["certify-gap", "--config", str(write_config(tmp_path)),
+                     "--out", str(out)]) == 0
+        other = write_config(tmp_path, name="grid10.cfg", **{"bloch.grid": "10"})
+        capsys.readouterr()
+        assert main(["constants", "--config", str(other), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "re-run certify-gap" in err
+        assert "Traceback" not in err
+
+
+class TestPersistedSplit:
+    def test_inline_certify_matches_certify_first(self, tmp_path):
+        cfg = write_config(tmp_path)
+        first, inline = tmp_path / "first", tmp_path / "inline"
+        assert main(["certify-gap", "--config", str(cfg), "--out", str(first)]) == 0
+        assert main(["solve", "--config", str(cfg), "--out", str(first)]) == 0
+        assert main(["solve", "--config", str(cfg), "--out", str(inline)]) == 0
+        for name in ("solve_summary.json", "solution.field", "run_log.jsonl",
+                     "gap.json", "split.npy"):
+            assert (first / name).read_bytes() == (inline / name).read_bytes(), name
+        gap = json.loads((first / "gap.json").read_text())
+        assert gap["eigenpairs"]["file"] == "split.npy"
+
+
+class TestAtomicWrites:
+    def test_full_run_leaves_no_temporary_files(self, tmp_path):
+        cfg = write_config(tmp_path, **{"rho.mode": "fraction",
+                                        "rho.values": "0.2"})
+        out = tmp_path / "out"
+        for command in ("certify-gap", "constants", "solve", "validate"):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "bands.csv", "constants.json", "gap.json", "hypothesis_report.json",
+            "kappa_witness.field", "rho_plus_witness.field", "run_log.jsonl",
+            "solution.field", "solve_summary.json", "split.npy"]
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "a.json"
+        jsonio.dump({"x": 1.0}, path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="non-finite"):
+            jsonio.dump({"x": float("nan")}, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
 
 
 class TestSolve:
@@ -280,6 +372,13 @@ class TestSweep:
         report = json.loads((out / "report.json").read_text())
         assert report["flags"]["level_ordering_ok"]
         assert (out / "baseline.field").exists()
+
+    def test_no_temporary_files(self, sweep_out):
+        _, out = sweep_out
+        assert sorted(p.name for p in out.iterdir()) == [
+            "baseline.field", "constants.json", "gap.json",
+            "kappa_witness.field", "report.json", "rho_plus_witness.field",
+            "split.npy", "sweep.csv"]
 
 
 class TestFloatFormatting:

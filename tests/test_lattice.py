@@ -260,3 +260,24 @@ class TestFieldIO:
         assert len(lines) == small.site_count
         assert lines[0].split()[:2] == ["-1", "-1"]
         assert lines[len(lines) // 2] == "0 0 1"
+
+    @pytest.mark.parametrize("bad", ["0 0 one", "0 0.5 1.0", "1.0"])
+    def test_malformed_line_names_path_and_line(self, tmp_path, bad):
+        small = lg.BoxDomain(2, 1)
+        path = tmp_path / "u.field"
+        lg.write_field(lg.delta_field(small), path)
+        lines = path.read_text().splitlines()
+        lines[3] = bad
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidInputError, match=r"u\.field:4: .*" + bad):
+            lg.read_field(path)
+
+    def test_duplicate_site_rejected(self, tmp_path):
+        small = lg.BoxDomain(2, 1)
+        path = tmp_path / "u.field"
+        lg.write_field(lg.delta_field(small), path)
+        lines = path.read_text().splitlines()
+        lines[3] = lines[2]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidInputError, match="twice"):
+            lg.read_field(path)

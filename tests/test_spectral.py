@@ -4,7 +4,8 @@ import scipy.linalg as sla
 
 import latticegap as lg
 from latticegap.errors import (InvalidInputError, NoSpectralGapError,
-                               ZeroEigenvalueError)
+                               NumericalError, ZeroEigenvalueError)
+from latticegap.spectral import load_eigenpairs, save_eigenpairs
 
 from conftest import random_field
 
@@ -180,6 +181,31 @@ class TestSpectralSplit:
             um = lg.project(split_r2, u, "minus").values
             assert up @ (A @ up) >= pos_floor * (up @ up) - 1e-9
             assert -(um @ (A @ um)) >= neg_floor * (um @ um) - 1e-9
+
+
+class TestPersistedSplit:
+    def test_loaded_split_is_bitwise_equal(self, split_r3, tmp_path):
+        path = tmp_path / "split.npy"
+        save_eigenpairs(split_r3, path)
+        loaded = lg.spectral_split(split_r3.box, split_r3.operator,
+                                   split_r3.gap, load_eigenpairs(path))
+        assert loaded.eigenvalues.tobytes() == split_r3.eigenvalues.tobytes()
+        assert loaded.eigenvectors.tobytes() == split_r3.eigenvectors.tobytes()
+        assert loaded.eigenvectors.flags.f_contiguous
+        assert loaded.negative_count == split_r3.negative_count
+        assert loaded.intrusions == split_r3.intrusions
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["split.npy"]
+
+    def test_eigenpairs_of_another_operator_rejected(self, split_r3):
+        other = lg.assemble_operator(split_r3.box, lg.checkerboard_potential(3, 1.5))
+        with pytest.raises(NumericalError, match="residual"):
+            lg.spectral_split(split_r3.box, other, split_r3.gap,
+                              (split_r3.eigenvalues, split_r3.eigenvectors))
+
+    def test_eigenpairs_of_another_box_rejected(self, split_r2, split_r3):
+        with pytest.raises(InvalidInputError, match="do not match"):
+            lg.spectral_split(split_r3.box, split_r3.operator, split_r3.gap,
+                              (split_r2.eigenvalues, split_r2.eigenvectors))
 
 
 class TestProjectors:

@@ -8,8 +8,8 @@ from .errors import (ConfigError, ConvergenceError, DegenerateProblemError,
                      SingularJacobianError, ZeroEigenvalueError)
 from .lattice import (BoxDomain, LatticeField, carre_du_champ, delta_field,
                       dirichlet_energy, dirichlet_form, inner_l2,
-                      laplacian_apply, lp_norm, read_field, translate,
-                      write_field, zero_field)
+                      laplacian_apply, lp_norm, read_field, recenter,
+                      translate, write_field, zero_field)
 from .spectral import (BlochBandTable, PeriodicPotential, SpectralSplit,
                        assemble_operator, assemble_torus_operator,
                        bloch_band_edges, bloch_matrix, checkerboard_potential,
@@ -30,6 +30,6 @@ from .solver import (GroundStateResult, InnerMaxState, SolverConfig,
                      maximality_certificate, outer_minimize, polish_newton,
                      solve_ground_state, unit_plus_direction)
 from .continuation import (SweepPlan, SweepRecord, convergence_report,
-                           recenter, superquadratic_mass, sweep_rho)
+                           superquadratic_mass, sweep_rho)
 
 __version__ = "0.1.0"

@@ -343,11 +343,9 @@ def _compute_constants(cfg, out, split, fingerprint) -> InequalityConstants:
     weight = cfg.weight()
     hardy = best_hardy_constant(split.box, weight)
     rp = rho_plus(split)
-    tilde = min(rp.value, 1.0)
     constants = InequalityConstants(
         dimension=cfg.dimension, radius=cfg.radius, kappa=hardy.kappa,
-        rho_plus=rp.value, rho_tilde_plus=tilde, rho_max=tilde / hardy.kappa,
-        metric=cfg.hardy_metric)
+        rho_plus=rp.value, metric=cfg.hardy_metric)
     write_field(hardy.witness, out / "kappa_witness.field")
     write_field(rp.witness, out / "rho_plus_witness.field")
     payload = constants.to_dict()

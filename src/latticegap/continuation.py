@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError, LatticeGapError
 from .hardy import EUCLIDEAN_WEIGHT, HardyWeight
-from .lattice import LatticeField, translate
+from .lattice import LatticeField
 from .nonlinearity import Nonlinearity
 from .solver import SolverConfig, solve_ground_state
 from .spectral import SpectralSplit, split_norm
@@ -31,29 +31,11 @@ def superquadratic_mass(model: Nonlinearity, u: LatticeField,
     return float(np.sum(0.5 * model.f(vals, sites) * vals - model.F(vals, sites)))
 
 
-def recenter(u: LatticeField):
-    """Translate u so the maximizer of |u| sits at the origin.
-
-    Ties are broken by the lexicographically smallest maximizing site, which
-    is the first one in enumeration order.  Returns (field, shift) with
-    result(x) = u(x + shift).
-    """
-    magnitudes = np.abs(u.values)
-    peak = float(magnitudes.max())
-    if peak == 0.0:
-        raise InvalidInputError("cannot recenter the zero field")
-    index = int(np.flatnonzero(magnitudes == peak)[0])
-    shift = u.box.sites[index].copy()
-    return translate(u, shift), shift
-
-
 @dataclass(frozen=True)
 class SweepPlan:
-    """Descending coupling list ending at 0, plus warm-start policy."""
+    """Descending coupling list ending at 0."""
 
     rho_values: tuple[float, ...]
-    box_radii: tuple[int, ...] = ()
-    warm_start: bool = True
 
     def __post_init__(self):
         values = tuple(float(r) for r in self.rho_values)
@@ -111,7 +93,7 @@ def sweep_rho(plan: SweepPlan, split: SpectralSplit, model: Nonlinearity,
         try:
             result = solve_ground_state(
                 split, model, rho, config, weight=weight, constants=constants,
-                warm_start=warm if plan.warm_start else None)
+                warm_start=warm)
         except LatticeGapError as exc:
             err = ConvergenceError(f"sweep aborted at rho = {rho}: {exc}")
             err.partial_records = records

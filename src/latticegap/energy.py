@@ -8,7 +8,8 @@ primitive of the nonlinearity,
 where ||.|| is the equivalent norm (|A| u, u)_2.  The Gateaux derivative is
 represented in l2 by  A u - rho w u - f(., u).  A field belongs to the
 Nehari-Pankov set when its gradient vanishes along u itself and along all
-of X^-; ground states minimize J_rho there.
+of X^-; ground states minimize J_rho there.  `SiteTerms` defines the
+site-space parts of J_rho, J' and J'' once, for these functions and the solver.
 """
 
 from __future__ import annotations
@@ -43,6 +44,53 @@ class NehariResidual:
     full: float         # || J'(u) ||_2
 
 
+class SiteTerms:
+    """Site-space terms of J_rho, J' and J'' on site-value arrays.
+
+    With w the Hardy weight (evaluated once, and only for rho > 0):
+    energy = nonlinear + hardy = sum F + 1/2 rho sum w u^2,
+    force = f + rho w u, hess_diag = df + rho w, and
+    gradient = A u - f - rho w u, the l2 representative of J'.
+    """
+
+    def __init__(self, split: SpectralSplit, model: Nonlinearity, rho: float,
+                 weight: HardyWeight = EUCLIDEAN_WEIGHT):
+        self.operator = split.operator
+        self.sites = split.box.sites
+        self.model = model
+        self.rho = float(rho)
+        self.w = weight.on_box(split.box) if rho > 0 else None
+
+    def nonlinear(self, u: np.ndarray) -> float:
+        return float(np.sum(self.model.F(u, self.sites)))
+
+    def hardy(self, u: np.ndarray) -> float:
+        if self.rho > 0:
+            return 0.5 * self.rho * float(np.sum(self.w * u * u))
+        return 0.0
+
+    def energy(self, u: np.ndarray) -> float:
+        return self.nonlinear(u) + self.hardy(u)
+
+    def force(self, u: np.ndarray) -> np.ndarray:
+        r = self.model.f(u, self.sites)
+        if self.rho > 0:
+            r = r + self.rho * self.w * u
+        return r
+
+    def hess_diag(self, u: np.ndarray) -> np.ndarray:
+        d = self.model.df(u, self.sites)
+        if self.rho > 0:
+            d = d + self.rho * self.w
+        return np.asarray(d, dtype=float)
+
+    def gradient(self, u: np.ndarray) -> np.ndarray:
+        r = self.operator @ u - self.model.f(u, self.sites)
+        if self.rho > 0:
+            r = r - self.rho * self.w * u
+        return r
+
+
 def _check(split: SpectralSplit, u: LatticeField, rho: float):
     if u.box != split.box:
         raise InvalidInputError("field box does not match the split's box")
@@ -53,10 +101,11 @@ def _check(split: SpectralSplit, u: LatticeField, rho: float):
 def evaluate_energy(split: SpectralSplit, model: Nonlinearity, u: LatticeField,
                     rho: float, weight: HardyWeight = EUCLIDEAN_WEIGHT) -> EnergyReport:
     _check(split, u, rho)
+    terms = SiteTerms(split, model, rho, weight)
     coords = split.to_coords(u)
     quadratic = 0.5 * float(np.sum(split.eigenvalues * coords ** 2))
-    hardy = 0.5 * weighted_mass(u, rho, weight)
-    nonlinear = float(np.sum(model.F(u.values, split.box.sites)))
+    hardy = terms.hardy(u.values)
+    nonlinear = terms.nonlinear(u.values)
     return EnergyReport(value=quadratic - hardy - nonlinear,
                         quadratic=quadratic, hardy=hardy, nonlinear=nonlinear)
 
@@ -65,10 +114,7 @@ def gradient(split: SpectralSplit, model: Nonlinearity, u: LatticeField,
              rho: float, weight: HardyWeight = EUCLIDEAN_WEIGHT) -> LatticeField:
     """l2 representative of the Gateaux derivative: A u - rho w u - f(., u)."""
     _check(split, u, rho)
-    values = split.operator @ u.values - model.f(u.values, split.box.sites)
-    if rho > 0:
-        values = values - rho * weight.on_box(split.box) * u.values
-    return LatticeField(split.box, values)
+    return LatticeField(split.box, SiteTerms(split, model, rho, weight).gradient(u.values))
 
 
 def nehari_residual(split: SpectralSplit, model: Nonlinearity, u: LatticeField,

@@ -223,16 +223,13 @@ class InequalityConstants:
 
 def admissible_rho_max(constants: InequalityConstants) -> float:
     """Admissible coupling bound min(rho_plus, 1) / kappa."""
-    return min(constants.rho_plus, 1.0) / constants.kappa
+    return constants.rho_max
 
 
 def compute_constants(split: SpectralSplit,
                       weight: HardyWeight = EUCLIDEAN_WEIGHT) -> InequalityConstants:
     """kappa and rho_plus on the split's box, bundled with the derived bound."""
-    kappa = best_hardy_constant(split.box, weight).kappa
-    rp = rho_plus(split).value
-    tilde = min(rp, 1.0)
     return InequalityConstants(
         dimension=split.box.dimension, radius=split.box.radius,
-        kappa=kappa, rho_plus=rp, rho_tilde_plus=tilde,
-        rho_max=tilde / kappa, metric=weight.metric)
+        kappa=best_hardy_constant(split.box, weight).kappa,
+        rho_plus=rho_plus(split).value, metric=weight.metric)

@@ -232,6 +232,22 @@ def translate(u: LatticeField, shift) -> LatticeField:
     return LatticeField(u.box, out.ravel())
 
 
+def recenter(u: LatticeField):
+    """Translate u so the maximizer of |u| sits at the origin.
+
+    Ties are broken by the lexicographically smallest maximizing site, which
+    is the first one in enumeration order.  Returns (field, shift) with
+    result(x) = u(x + shift).
+    """
+    magnitudes = np.abs(u.values)
+    peak = float(magnitudes.max())
+    if peak == 0.0:
+        raise InvalidInputError("cannot recenter the zero field")
+    index = int(np.flatnonzero(magnitudes == peak)[0])
+    shift = u.box.sites[index].copy()
+    return translate(u, shift), shift
+
+
 def write_field(u: LatticeField, path) -> None:
     """Dump one line per site: "x_1 ... x_N value" in enumeration order."""
     with atomic_open(path) as fh:

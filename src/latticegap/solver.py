@@ -13,6 +13,8 @@ and the positive/negative projections are index slices.  The inner problem
 runs in slab coordinates (t, vm): the scalar along w and the X^-
 eigencoordinates.  With E_+ w computed once per inner solve, each of its
 evaluations touches only the X^- columns of the eigenvector matrix.
+The site-space terms of J, J' and J'' come from `energy.SiteTerms`; this
+module adds only the quadratic parts.
 """
 
 from __future__ import annotations
@@ -23,13 +25,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .energy import evaluate_energy, nehari_residual
+from .energy import SiteTerms, evaluate_energy, nehari_residual
 from .errors import (ConvergenceError, DegenerateProblemError,
                      InvalidInputError, ModelHypothesisError,
                      PostConditionError, RhoOutOfRangeError,
                      SingularJacobianError)
 from .hardy import EUCLIDEAN_WEIGHT, HardyWeight, compute_constants
-from .lattice import LatticeField
+from .lattice import LatticeField, recenter
 from .nonlinearity import Nonlinearity, validate_hypotheses
 from .spectral import SpectralSplit
 
@@ -94,8 +96,7 @@ class InnerMaxState:
     degenerate: bool = False
     reason: str | None = None
     certified: bool | None = None
-    # eigencoordinates kept for warm starts
-    _wp: np.ndarray | None = None
+    # X^- eigencoordinates kept for warm starts
     _vm: np.ndarray | None = None
 
 
@@ -119,19 +120,16 @@ class GroundStateResult:
 
 
 class _Workspace:
-    """Cached arrays for energy evaluations in eigencoordinates.
+    """Eigencoordinate views of the split, plus the site terms of J.
 
-    The site-space terms of J (sum F plus the Hardy mass), of J' (f + rho w u)
-    and of the Hessian diagonal (df + rho w) are defined here once; the
-    eigencoordinate gradient and the slab forms add only their quadratic
-    parts.
+    `terms` (an `energy.SiteTerms`) supplies the site-space parts of J, J'
+    and the Hessian diagonal; the eigencoordinate gradient here and the slab
+    forms of `_Slab` add only their quadratic parts.
     """
 
     def __init__(self, split: SpectralSplit, model: Nonlinearity, rho: float,
                  weight: HardyWeight):
-        self.split = split
-        self.model = model
-        self.rho = float(rho)
+        self.terms = SiteTerms(split, model, rho, weight)
         self.E = split.eigenvectors
         self.lam = split.eigenvalues
         self.abs_lam = split.abs_eigenvalues
@@ -141,8 +139,6 @@ class _Workspace:
         self.Em = self.E[:, :self.nneg]
         self.Ep = self.E[:, self.nneg:]
         self.lam_minus = self.lam[:self.nneg]
-        self.sites = split.box.sites
-        self.w = weight.on_box(split.box) if rho > 0 else None
 
     def embed(self, t: float, wp: np.ndarray, vm: np.ndarray) -> np.ndarray:
         coords = np.empty(self.lam.size)
@@ -153,28 +149,10 @@ class _Workspace:
     def site_values(self, coords: np.ndarray) -> np.ndarray:
         return self.E @ coords
 
-    def site_energy(self, u: np.ndarray) -> float:
-        out = float(np.sum(self.model.F(u, self.sites)))
-        if self.rho > 0:
-            out += 0.5 * self.rho * float(np.sum(self.w * u * u))
-        return out
-
-    def site_force(self, u: np.ndarray) -> np.ndarray:
-        r = self.model.f(u, self.sites)
-        if self.rho > 0:
-            r = r + self.rho * self.w * u
-        return r
-
-    def hess_diag_site(self, u: np.ndarray) -> np.ndarray:
-        d = self.model.df(u, self.sites)
-        if self.rho > 0:
-            d = d + self.rho * self.w
-        return np.asarray(d, dtype=float)
-
     def grad(self, coords: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
         if u is None:
             u = self.site_values(coords)
-        return self.lam * coords - self.E.T @ self.site_force(u)
+        return self.lam * coords - self.E.T @ self.terms.force(u)
 
 
 class _Slab:
@@ -196,7 +174,7 @@ class _Slab:
 
     def value(self, t: float, vm: np.ndarray, u: np.ndarray) -> float:
         quad = t * t * self.qw + float(np.sum(self.ws.lam_minus * vm ** 2))
-        return 0.5 * quad - self.ws.site_energy(u)
+        return 0.5 * quad - self.ws.terms.energy(u)
 
     def restrict(self, t: float, vm: np.ndarray, r: np.ndarray):
         """Slab components (along w, along X^-) of  Lambda c - E^T r  at c = (vm, t wp)."""
@@ -204,14 +182,28 @@ class _Slab:
                 self.ws.lam_minus * vm - self.ws.Em.T @ r)
 
     def grad(self, t: float, vm: np.ndarray, u: np.ndarray):
-        return self.restrict(t, vm, self.ws.site_force(u))
+        return self.restrict(t, vm, self.ws.terms.force(u))
+
+
+def _metric_norm(abs_lam: np.ndarray, coords: np.ndarray) -> float:
+    """Equivalent norm sqrt(sum |lambda_i| c_i^2) of eigencoordinates."""
+    return float(np.sqrt(np.sum(abs_lam * coords ** 2)))
+
+
+def _minus_perturbation(ws: _Workspace, rng, radius: float) -> np.ndarray:
+    """Random X^- coordinates with equivalent norm uniform in [0, radius)."""
+    dv = rng.standard_normal(ws.nneg)
+    norm = _metric_norm(ws.abs_lam[:ws.nneg], dv)
+    if norm > 0:
+        dv *= rng.uniform(0.0, radius) / norm
+    return dv
 
 
 def unit_plus_direction(split: SpectralSplit, seed_field: LatticeField) -> LatticeField:
     """Project a field onto X^+ and normalize it in the equivalent norm."""
     coords = split.to_coords(seed_field)
     coords[:split.negative_count] = 0.0
-    norm = np.sqrt(np.sum(split.abs_eigenvalues * coords ** 2))
+    norm = _metric_norm(split.abs_eigenvalues, coords)
     if norm < 1e-14:
         raise InvalidInputError("field has no X^+ component to normalize")
     return split.from_coords(coords / norm)
@@ -293,7 +285,7 @@ def _inner_newton_step(slab: _Slab, u, gt, gv, res):
     non-positive curvature immediately.
     """
     ws = slab.ws
-    d_site = ws.hess_diag_site(u)
+    d_site = ws.terms.hess_diag(u)
 
     def neg_hess(svec):
         st, sv = float(svec[0]), svec[1:]
@@ -340,11 +332,7 @@ def _certify_inner(slab: _Slab, t, vm, value, rng, n_samples=50, radius=2.0):
     worst = 0.0
     for _ in range(n_samples):
         t_try = max(t + rng.uniform(-radius, radius), 0.0)
-        dv = rng.standard_normal(ws.nneg)
-        norm = np.sqrt(np.sum(ws.abs_lam[:ws.nneg] * dv ** 2))
-        if norm > 0:
-            dv *= rng.uniform(0.0, radius) / norm
-        vm_try = vm + dv
+        vm_try = vm + _minus_perturbation(ws, rng, radius)
         val = slab.value(t_try, vm_try, slab.site_values(t_try, vm_try))
         worst = max(worst, val - value)
     return worst <= 1e-9 * (1.0 + abs(value)), worst
@@ -365,7 +353,7 @@ def inner_maximize(split: SpectralSplit, model: Nonlinearity, rho: float,
     ws = _Workspace(split, model, rho, weight)
     wc = split.to_coords(w)
     minus = float(np.linalg.norm(wc[:ws.nneg]))
-    norm = float(np.sqrt(np.sum(ws.abs_lam * wc ** 2)))
+    norm = _metric_norm(ws.abs_lam, wc)
     if minus > 1e-8 * (1.0 + norm):
         raise InvalidInputError(f"w is not in X^+ (minus part {minus:.3e})")
     if abs(norm - 1.0) > 1e-8:
@@ -388,11 +376,11 @@ def inner_maximize(split: SpectralSplit, model: Nonlinearity, rho: float,
         return InnerMaxState(
             w=w, t=0.0, v=split.from_coords(np.zeros(ws.lam.size)),
             value=0.0, grad_norm=res, iterations=iters,
-            degenerate=True, reason=reason, _wp=wp, _vm=np.zeros(ws.nneg))
+            degenerate=True, reason=reason, _vm=np.zeros(ws.nneg))
     state = InnerMaxState(
         w=w, t=t, v=LatticeField(split.box, ws.Em @ vm),
         value=val, grad_norm=res, iterations=iters,
-        degenerate=False, reason=None, _wp=wp, _vm=vm)
+        degenerate=False, reason=None, _vm=vm)
     if certify and not state.degenerate:
         rng = np.random.default_rng(cfg.seed + 977)
         ok, worst = _certify_inner(slab, t, vm, val, rng)
@@ -416,10 +404,6 @@ class _StartResult:
     inner_iterations: int = 0
     trace: list = dataclass_field(default_factory=list)
     reason: str | None = None
-
-
-def _metric_norm_plus(ws, x):
-    return float(np.sqrt(np.sum(ws.abs_lam[ws.nneg:] * x ** 2)))
 
 
 def _outer_single(ws: _Workspace, wp0: np.ndarray, cfg: SolverConfig,
@@ -465,7 +449,7 @@ def _outer_single(ws: _Workspace, wp0: np.ndarray, cfg: SolverConfig,
         accepted = False
         for _ in range(cfg.max_backtracks):
             wp_try = wp - alpha * d
-            norm = _metric_norm_plus(ws, wp_try)
+            norm = _metric_norm(ws.abs_lam[ws.nneg:], wp_try)
             if norm < 1e-14:
                 alpha *= cfg.backtrack_shrink
                 continue
@@ -510,7 +494,7 @@ def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
     if warm_start is not None:
         coords = split.to_coords(warm_start)
         wp = coords[ws.nneg:]
-        t0 = _metric_norm_plus(ws, wp)
+        t0 = _metric_norm(ws.abs_lam[ws.nneg:], wp)
         if t0 < 1e-12:
             raise InvalidInputError("warm start has no X^+ component")
         starts.append((wp / t0, (t0, coords[:ws.nneg].copy())))
@@ -523,11 +507,11 @@ def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
         if cfg.multistart >= 2:
             origin = split.box.index_of(np.zeros(split.box.dimension, dtype=int))
             bump = ws.E[origin, ws.nneg:].copy()
-            starts.append((bump / _metric_norm_plus(ws, bump), None))
+            starts.append((bump / _metric_norm(ws.abs_lam[ws.nneg:], bump), None))
         rng = np.random.default_rng(cfg.seed)
         for _ in range(cfg.multistart - 2):
             wp = rng.standard_normal(npos)
-            starts.append((wp / _metric_norm_plus(ws, wp), None))
+            starts.append((wp / _metric_norm(ws.abs_lam[ws.nneg:], wp), None))
 
     results = [_outer_single(ws, wp, cfg, i, warm)
                for i, (wp, warm) in enumerate(starts)]
@@ -566,7 +550,6 @@ def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
     # (box ground states need not be unique, even up to translation)
     family_gap = 0.0
     if len(usable) > 1:
-        from .continuation import recenter
         centered = [recenter(split.from_coords(ws.embed(r.t, r.wp, r.vm)))[0].values
                     for r in usable
                     if abs(r.value - best.value) <= 1e-6 * max(1.0, abs(best.value))]
@@ -596,18 +579,9 @@ def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
 
 
 def _polish_core(split, model, rho, values, cfg, weight):
-    ws_w = weight.on_box(split.box) if rho > 0 else None
-    sites = split.box.sites
-    A = split.operator
-
-    def grad_site(u):
-        r = A @ u - model.f(u, sites)
-        if rho > 0:
-            r = r - rho * ws_w * u
-        return r
-
+    terms = SiteTerms(split, model, rho, weight)
     u = values.copy()
-    r = grad_site(u)
+    r = terms.gradient(u)
     rn = float(np.linalg.norm(r))
     if rn > cfg.polish_entry * (1.0 + float(np.linalg.norm(u))):
         raise InvalidInputError(
@@ -617,10 +591,7 @@ def _polish_core(split, model, rho, values, cfg, weight):
     for it in range(cfg.max_polish):
         if rn <= cfg.polish_tol * (1.0 + float(np.linalg.norm(u))):
             return u, history, it
-        d = model.df(u, sites)
-        if rho > 0:
-            d = d + rho * ws_w
-        jac = (A - sp.diags(np.asarray(d, dtype=float))).tocsc()
+        jac = (split.operator - sp.diags(terms.hess_diag(u))).tocsc()
         try:
             delta = spla.splu(jac).solve(-r)
         except RuntimeError as exc:
@@ -629,7 +600,7 @@ def _polish_core(split, model, rho, values, cfg, weight):
         for k in range(10):
             s = 0.5 ** k
             u_try = u + s * delta
-            r_try = grad_site(u_try)
+            r_try = terms.gradient(u_try)
             rn_try = float(np.linalg.norm(r_try))
             if best is None or rn_try < best[0]:
                 best = (rn_try, u_try, r_try)
@@ -678,13 +649,12 @@ def polish_newton(split: SpectralSplit, model: Nonlinearity, rho: float,
 def maximality_certificate(split: SpectralSplit, model: Nonlinearity,
                            u: LatticeField, rho: float, n_samples: int = 200,
                            seed: int = 0, tol: float = 1e-6,
-                           t_range: tuple[float, float] = (0.0, 3.0),
-                           v_scale: float = 3.0,
                            weight: HardyWeight = EUCLIDEAN_WEIGHT):
     """Sampled check that J(u) >= J(t u + v) - tol over the slab through u.
 
     Returns (ok, worst_excess).  At a Nehari point the inequality holds for
-    every t >= 0 and v in X^-.
+    every t >= 0 and v in X^-; the samples take t in [0, 3) and v of
+    equivalent norm up to 3 max(||u||, 1).
     """
     ws = _Workspace(split, model, rho, weight)
     cu = split.to_coords(u)
@@ -692,15 +662,12 @@ def maximality_certificate(split: SpectralSplit, model: Nonlinearity,
     # t u + v lies on the slab through u^+ at X^- coordinates t u^- + dv
     slab = _Slab(ws, cu[ws.nneg:])
     base = slab.value(1.0, um, u.values)
-    unorm = float(np.sqrt(np.sum(ws.abs_lam * cu ** 2)))
+    v_radius = 3.0 * max(_metric_norm(ws.abs_lam, cu), 1.0)
     rng = np.random.default_rng(seed)
     worst = -np.inf
     for _ in range(n_samples):
-        t = rng.uniform(*t_range)
-        dv = rng.standard_normal(ws.nneg)
-        norm = np.sqrt(np.sum(ws.abs_lam[:ws.nneg] * dv ** 2))
-        if norm > 0:
-            dv *= rng.uniform(0.0, v_scale * max(unorm, 1.0)) / norm
+        t = rng.uniform(0.0, 3.0)
+        dv = _minus_perturbation(ws, rng, v_radius)
         site = t * u.values + ws.Em @ dv
         worst = max(worst, slab.value(t, t * um + dv, site) - base)
     return worst <= tol, worst
@@ -711,7 +678,7 @@ def _sampled_sphere_floor(ws: _Workspace, rng, n_samples: int = 50):
     npos = ws.lam.size - ws.nneg
     dirs = rng.standard_normal((n_samples, npos))
     for i in range(n_samples):
-        dirs[i] /= _metric_norm_plus(ws, dirs[i])
+        dirs[i] /= _metric_norm(ws.abs_lam[ws.nneg:], dirs[i])
     # each direction's site values are computed once; a radius is a rescale
     slabs = [_Slab(ws, d) for d in dirs]
     no_minus = np.zeros(ws.nneg)
@@ -756,10 +723,7 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
                 "nonlinearity fails hypotheses: " + ", ".join(report.failed_names()))
     if rho > 0:
         if constants is None:
-            constants = split._cache.get(("constants", weight.metric))
-            if constants is None:
-                constants = compute_constants(split, weight)
-                split._cache[("constants", weight.metric)] = constants
+            constants = compute_constants(split, weight)
         cap = 0.9 * constants.rho_max
         if rho > cap * (1.0 + 1e-12):
             raise RhoOutOfRangeError(
@@ -774,7 +738,6 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
     peak = int(np.argmax(np.abs(u.values)))
     peak_site = split.box.sites[peak]
     if np.any(peak_site != 0):
-        from .continuation import recenter
         try:
             moved, shift_arr = recenter(u)
             repolished = polish_newton(split, model, rho, moved, cfg, weight)
@@ -791,7 +754,7 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
     res = nehari_residual(split, model, u, rho, weight)
     res_full, res_along_u, res_minus = res.full, res.along_u, res.along_minus
     l2 = float(np.linalg.norm(u.values))
-    plus_norm = _metric_norm_plus(ws, coords[ws.nneg:])
+    plus_norm = _metric_norm(ws.abs_lam[ws.nneg:], coords[ws.nneg:])
 
     problems = []
     if res_full > cfg.polish_tol * (1.0 + l2):

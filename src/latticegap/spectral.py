@@ -315,7 +315,6 @@ class SpectralSplit:
         edge = 1e-9 * (1.0 + max(abs(self.gap[0]), abs(self.gap[1])))
         inside = (eigenvalues > self.gap[0] + edge) & (eigenvalues < self.gap[1] - edge)
         self.intrusions = [float(v) for v in eigenvalues[inside]]
-        self._cache = {}
 
     @property
     def size(self) -> int:
@@ -336,12 +335,6 @@ class SpectralSplit:
 
     def from_coords(self, coords: np.ndarray) -> LatticeField:
         return LatticeField(self.box, self.eigenvectors @ coords)
-
-    def field(self, values: np.ndarray) -> LatticeField:
-        return LatticeField(self.box, values)
-
-    def random_field(self, rng: np.random.Generator) -> LatticeField:
-        return LatticeField(self.box, rng.standard_normal(self.size))
 
     def gap_report(self) -> dict:
         return {"sigma_minus": self.gap[0], "sigma_plus": self.gap[1],

@@ -4,6 +4,7 @@ import pytest
 import latticegap as lg
 from latticegap.continuation import superquadratic_mass
 from latticegap.errors import InvalidInputError
+from latticegap.solver import _Slab, _Workspace
 
 from conftest import random_field
 
@@ -136,3 +137,23 @@ class TestRhoNormPlus:
         value = lg.rho_norm_plus(split_r2, e, rho)
         assert abs(value - expected) < 1e-12
         assert value > 0
+
+
+class TestSolverAgreement:
+    """evaluate_energy/gradient and the solver's eigencoordinate forms are
+    one functional: they must agree on arbitrary fields."""
+
+    @pytest.mark.parametrize("rho", [0.0, 0.05])
+    def test_energy_and_gradient_match_solver(self, split_r2, model, rho):
+        ws = _Workspace(split_r2, model, rho, lg.EUCLIDEAN_WEIGHT)
+        nneg = split_r2.negative_count
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            u = random_field(split_r2.box, rng)
+            c = split_r2.to_coords(u)
+            value = lg.evaluate_energy(split_r2, model, u, rho).value
+            slab_value = _Slab(ws, c[nneg:]).value(1.0, c[:nneg], u.values)
+            assert abs(value - slab_value) <= 1e-12 * abs(value)
+            g = lg.gradient(split_r2, model, u, rho).values
+            g_solver = split_r2.eigenvectors @ ws.grad(c)
+            assert np.linalg.norm(g - g_solver) <= 1e-12 * np.linalg.norm(g)

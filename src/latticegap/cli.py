@@ -62,7 +62,6 @@ class RunConfig:
     rho_values: tuple[float, ...] = (0.0,)
     bloch_grid: int = 8
     seed: int = 0
-    threads: int = 1
     out_dir: str = "out"
     solver: SolverConfig = None
 
@@ -105,18 +104,25 @@ def _parse_scalar(caster, key, raw):
         raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
 
 
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _parse_float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in raw.replace(",", " ").split())
+    return tuple(_finite_float(tok) for tok in raw.replace(",", " ").split())
 
 
 _KEYS = {
     "dimension": int,
     "box.radius": int,
     "potential.kind": str,
-    "potential.amplitude": float,
-    "potential.shift": float,
+    "potential.amplitude": _finite_float,
+    "potential.shift": _finite_float,
     "nonlinearity.kind": str,
-    "nonlinearity.p": float,
+    "nonlinearity.p": _finite_float,
     "hardy.metric": str,
     "rho.mode": str,
     "rho.values": _parse_float_list,
@@ -124,18 +130,18 @@ _KEYS = {
     "seed": int,
     "threads": int,
     "output.dir": str,
-    "solver.inner_tol": float,
-    "solver.outer_tol": float,
-    "solver.polish_tol": float,
-    "solver.polish_entry": float,
+    "solver.inner_tol": _finite_float,
+    "solver.outer_tol": _finite_float,
+    "solver.polish_tol": _finite_float,
+    "solver.polish_entry": _finite_float,
     "solver.max_inner": int,
     "solver.max_outer": int,
     "solver.max_polish": int,
-    "solver.newton_switch": float,
+    "solver.newton_switch": _finite_float,
     "solver.multistart": int,
     "solver.certificate_samples": int,
-    "solver.certificate_tol": float,
-    "solver.max_boundary_mass": float,
+    "solver.certificate_tol": _finite_float,
+    "solver.max_boundary_mass": _finite_float,
     "solver.boundary_layers": int,
 }
 
@@ -174,7 +180,6 @@ def parse_config(path) -> RunConfig:
     cfg.rho_values = values.get("rho.values", cfg.rho_values)
     cfg.bloch_grid = values.get("bloch.grid", cfg.bloch_grid)
     cfg.seed = values.get("seed", cfg.seed)
-    cfg.threads = values.get("threads", cfg.threads)
     cfg.out_dir = values.get("output.dir", cfg.out_dir)
 
     if cfg.dimension < 1:
@@ -191,8 +196,13 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"unknown hardy.metric {cfg.hardy_metric!r}")
     if cfg.rho_mode not in ("fraction", "absolute"):
         raise ConfigError(f"rho.mode must be fraction or absolute, got {cfg.rho_mode!r}")
-    if cfg.threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {cfg.threads}")
+    if not cfg.rho_values or min(cfg.rho_values) < 0:
+        raise ConfigError(
+            f"rho.values must be a non-empty list of couplings >= 0, "
+            f"got {cfg.rho_values}")
+    # threads is accepted for compatibility and has no effect
+    if values.get("threads", 1) < 1:
+        raise ConfigError(f"threads must be >= 1, got {values['threads']}")
 
     solver_kwargs = {key.split(".", 1)[1]: val for key, val in values.items()
                      if key.startswith("solver.")}
@@ -226,8 +236,7 @@ def _sha256(path: Path) -> str:
 def _certify(cfg: RunConfig, out: Path, write_bands: bool):
     """Band table + box split; writes split.npy and then gap.json, which
     holds split.npy's hash (and bands.csv for certify-gap)."""
-    table = bloch_band_edges(cfg.potential(), grid=cfg.bloch_grid,
-                             threads=cfg.threads)
+    table = bloch_band_edges(cfg.potential(), grid=cfg.bloch_grid)
     box = cfg.box()
     operator = assemble_operator(box, cfg.potential())
     split = spectral_split(box, operator, table.gap)
@@ -356,16 +365,15 @@ def _compute_constants(cfg, out, split, fingerprint) -> InequalityConstants:
     return constants
 
 
-def _resolve_rhos(cfg: RunConfig, constants) -> tuple[float, ...]:
+def _resolve_rhos(cfg: RunConfig, out: Path, split):
+    """(couplings, constants).  Any positive coupling needs rho_max, both
+    for fraction resolution and for the admissibility check."""
+    if not any(r > 0 for r in cfg.rho_values):
+        return cfg.rho_values, None
+    constants = _ensure_constants(cfg, out, split)
     if cfg.rho_mode == "absolute":
-        return cfg.rho_values
-    return tuple(f * constants.rho_max if f > 0 else 0.0 for f in cfg.rho_values)
-
-
-def _needs_constants(cfg: RunConfig) -> bool:
-    # any positive coupling needs rho_max, both for fraction resolution and
-    # for the admissibility check
-    return any(r > 0 for r in cfg.rho_values)
+        return cfg.rho_values, constants
+    return tuple(f * constants.rho_max for f in cfg.rho_values), constants
 
 
 def cmd_certify_gap(cfg: RunConfig, out: Path) -> int:
@@ -397,11 +405,7 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
     if len(cfg.rho_values) != 1:
         raise ConfigError("solve needs exactly one rho value")
     split = _ensure_split(cfg, out)
-    constants = None
-    if _needs_constants(cfg):
-        constants = _ensure_constants(cfg, out, split)
-    rho = _resolve_rhos(cfg, constants)[0] if constants is not None \
-        else cfg.rho_values[0]
+    (rho,), constants = _resolve_rhos(cfg, out, split)
     result = solve_ground_state(split, cfg.model(), rho, cfg.solver,
                                 weight=cfg.weight(), constants=constants)
     write_field(result.u, out / "solution.field")
@@ -432,11 +436,14 @@ def _write_sweep_csv(records: list[SweepRecord], dimension: int, path) -> None:
 
 def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     _hardy_commands_need_n3(cfg)
+    # fractions of rho_max > 0 keep the order and the trailing 0, so the
+    # configured list passes exactly when the resolved one does
+    try:
+        SweepPlan(rho_values=cfg.rho_values)
+    except InvalidInputError as exc:
+        raise ConfigError(f"bad rho.values for sweep: {exc}") from exc
     split = _ensure_split(cfg, out)
-    constants = None
-    if _needs_constants(cfg):
-        constants = _ensure_constants(cfg, out, split)
-    rhos = _resolve_rhos(cfg, constants) if constants is not None else cfg.rho_values
+    rhos, constants = _resolve_rhos(cfg, out, split)
     plan = SweepPlan(rho_values=rhos)
     records = sweep_rho(plan, split, cfg.model(), cfg.solver,
                         weight=cfg.weight(), constants=constants)
@@ -469,10 +476,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config)
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError(f"threads must be >= 1, got {args.threads}")
-            cfg.threads = args.threads
+        if args.threads is not None and args.threads < 1:
+            raise ConfigError(f"threads must be >= 1, got {args.threads}")
         if args.seed is not None:
             cfg.seed = args.seed
             cfg.solver = replace(cfg.solver, seed=args.seed)

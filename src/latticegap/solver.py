@@ -32,7 +32,8 @@ from .errors import (ConvergenceError, DegenerateProblemError,
                      SingularJacobianError)
 from .hardy import EUCLIDEAN_WEIGHT, HardyWeight, compute_constants
 from .lattice import LatticeField, recenter
-from .nonlinearity import Nonlinearity, validate_hypotheses
+from .nonlinearity import (CustomNonlinearity, Nonlinearity,
+                           validate_hypotheses)
 from .spectral import SpectralSplit
 
 
@@ -66,7 +67,7 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("inner_tol", "outer_tol", "polish_tol"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise InvalidInputError(f"{name} must be > 0")
         if self.inner_tol > self.outer_tol:
             raise InvalidInputError("inner_tol must be <= outer_tol")
@@ -710,8 +711,13 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
     (by default) the sampled maximality certificate.
     """
     cfg = config or SolverConfig()
-    if rho < 0:
+    if not rho >= 0:
         raise InvalidInputError(f"rho must be >= 0, got {rho}")
+    if isinstance(model, CustomNonlinearity) and model.F_fn is None:
+        # the quadrature fallback costs 20,001 f evaluations per site per call
+        raise InvalidInputError(
+            "CustomNonlinearity without F_fn: the solver needs the primitive "
+            "F in closed form")
     if cfg.boundary_layers >= split.box.radius:
         raise InvalidInputError(
             f"boundary_layers = {cfg.boundary_layers} must be below the box "
@@ -732,37 +738,35 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
     candidate = outer_minimize(split, model, rho, cfg, weight, warm_start)
     polished = polish_newton(split, model, rho, candidate.u, cfg, weight)
 
-    u, shift = polished.u, (0,) * split.box.dimension
+    # the polish that is kept has already evaluated its level and residuals
+    kept, shift = polished, (0,) * split.box.dimension
     polish_iters = polished.polish_iterations
     history = polished.polish_residuals
-    peak = int(np.argmax(np.abs(u.values)))
+    peak = int(np.argmax(np.abs(polished.u.values)))
     peak_site = split.box.sites[peak]
     if np.any(peak_site != 0):
         try:
-            moved, shift_arr = recenter(u)
-            repolished = polish_newton(split, model, rho, moved, cfg, weight)
-            u = repolished.u
+            moved, shift_arr = recenter(polished.u)
+            kept = polish_newton(split, model, rho, moved, cfg, weight)
             shift = tuple(int(s) for s in shift_arr)
-            polish_iters += repolished.polish_iterations
-            history = history + repolished.polish_residuals
+            polish_iters += kept.polish_iterations
+            history = history + kept.polish_residuals
         except (InvalidInputError, ConvergenceError, SingularJacobianError):
-            u, shift = polished.u, (0,) * split.box.dimension
+            pass
 
+    u, level = kept.u, kept.c_rho
     ws = _Workspace(split, model, rho, weight)
     coords = split.to_coords(u)
-    level = evaluate_energy(split, model, u, rho, weight).value
-    res = nehari_residual(split, model, u, rho, weight)
-    res_full, res_along_u, res_minus = res.full, res.along_u, res.along_minus
     l2 = float(np.linalg.norm(u.values))
     plus_norm = _metric_norm(ws.abs_lam[ws.nneg:], coords[ws.nneg:])
 
     problems = []
-    if res_full > cfg.polish_tol * (1.0 + l2):
-        problems.append(f"full residual {res_full:.3e}")
-    if abs(res_along_u) > cfg.polish_tol * (1.0 + l2 ** 2):
-        problems.append(f"residual along u {res_along_u:.3e}")
-    if res_minus > cfg.polish_tol:
-        problems.append(f"residual along X^- {res_minus:.3e}")
+    if kept.residual_full > cfg.polish_tol * (1.0 + l2):
+        problems.append(f"full residual {kept.residual_full:.3e}")
+    if abs(kept.residual_along_u) > cfg.polish_tol * (1.0 + l2 ** 2):
+        problems.append(f"residual along u {kept.residual_along_u:.3e}")
+    if kept.residual_along_minus > cfg.polish_tol:
+        problems.append(f"residual along X^- {kept.residual_along_minus:.3e}")
     if plus_norm <= 1e-8:
         problems.append("u has no X^+ component")
     if not level > 0.0:
@@ -789,8 +793,9 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
     diagnostics["certified"] = certified
     diagnostics["boundary_mass"] = bmass
     return GroundStateResult(
-        u=u, c_rho=level, residual_full=res_full,
-        residual_along_u=res_along_u, residual_along_minus=res_minus,
+        u=u, c_rho=level, residual_full=kept.residual_full,
+        residual_along_u=kept.residual_along_u,
+        residual_along_minus=kept.residual_along_minus,
         outer_iterations=candidate.outer_iterations,
         inner_iterations=candidate.inner_iterations,
         polish_iterations=polish_iters, start_index=candidate.start_index,

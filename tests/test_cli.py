@@ -340,6 +340,53 @@ class TestSolve:
             == (out2 / "solution.field").read_bytes()
 
 
+class TestBadSettings:
+    """Non-finite settings and bad coupling lists exit 2 before any work."""
+
+    @staticmethod
+    def _refused(tmp_path, capsys, command, **overrides):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, **overrides)
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert not (out / "solve_summary.json").exists()
+        assert not (out / "split.npy").exists()
+        return err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_rho_rejected(self, tmp_path, capsys, value):
+        err = self._refused(tmp_path, capsys, "solve", **{"rho.values": value})
+        assert "rho.values" in err
+
+    @pytest.mark.parametrize("key", ["solver.inner_tol", "potential.amplitude",
+                                     "potential.shift"])
+    def test_non_finite_float_key_rejected(self, tmp_path, capsys, key):
+        err = self._refused(tmp_path, capsys, "solve", **{key: "nan"})
+        assert key in err
+
+    def test_negative_rho_rejected(self, tmp_path, capsys):
+        err = self._refused(tmp_path, capsys, "solve",
+                            **{"rho.values": "-0.1"})
+        assert "rho.values" in err
+
+    @pytest.mark.parametrize("values", ["", "0.4, 0.2", "0.2, 0.4, 0.0"])
+    def test_bad_sweep_list_rejected_before_certifying(self, tmp_path, capsys,
+                                                        values):
+        err = self._refused(tmp_path, capsys, "sweep",
+                            **{"rho.mode": "fraction", "rho.values": values})
+        assert "rho" in err
+        assert not (tmp_path / "out" / "gap.json").exists()
+
+    def test_threads_key_accepted(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path, threads="4"))
+        assert not hasattr(cfg, "threads")
+        with pytest.raises(ConfigError, match="threads"):
+            parse_config(write_config(tmp_path, threads="0"))
+        assert main(["certify-gap", "--config", str(write_config(tmp_path)),
+                     "--out", str(tmp_path / "out"), "--threads", "0"]) == 2
+
+
 @pytest.fixture(scope="module")
 def sweep_out(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("sweep")

@@ -4,6 +4,7 @@ import pytest
 import latticegap as lg
 from latticegap.errors import (DegenerateProblemError, InvalidInputError,
                                RhoOutOfRangeError)
+from latticegap.nonlinearity import CustomNonlinearity
 
 from conftest import random_field
 from oracle_newton import critical_levels
@@ -197,6 +198,21 @@ class TestSolveGroundState:
             lg.solve_ground_state(split_r2, lg.ZeroNonlinearity(), 0.0,
                                   lg.SolverConfig(seed=1, multistart=2))
 
+    def test_custom_model_without_primitive_rejected(self, split_r2):
+        # passes validate_hypotheses, whose checks may integrate f; the
+        # solver's many F calls may not
+        model = CustomNonlinearity(
+            f_fn=lambda u: u ** 3, df_fn=lambda u: 3.0 * u ** 2,
+            growth_a=1.0, growth_p=4.0, gap_b=0.25, gap_q=4.0)
+        with pytest.raises(InvalidInputError, match="F_fn"):
+            lg.solve_ground_state(split_r2, model, 0.0,
+                                  lg.SolverConfig(seed=1, multistart=1))
+
+    @pytest.mark.parametrize("rho", [float("nan"), -0.1])
+    def test_bad_rho_rejected(self, split_r2, model, rho):
+        with pytest.raises(InvalidInputError, match="rho"):
+            lg.solve_ground_state(split_r2, model, rho)
+
     def test_rho_above_cap_rejected(self, split_r3, model):
         constants = lg.compute_constants(split_r3)
         with pytest.raises(RhoOutOfRangeError):
@@ -240,6 +256,11 @@ class TestSolverConfig:
     def test_boundary_layers_positive(self):
         with pytest.raises(InvalidInputError, match="boundary_layers"):
             lg.SolverConfig(boundary_layers=0)
+
+    @pytest.mark.parametrize("name", ["inner_tol", "outer_tol", "polish_tol"])
+    def test_nan_tolerance_rejected(self, name):
+        with pytest.raises(InvalidInputError, match=name):
+            lg.SolverConfig(**{name: float("nan")})
 
     def test_certificate_samples_nonnegative(self):
         with pytest.raises(InvalidInputError, match="certificate_samples"):

@@ -8,6 +8,7 @@ from latticegap.errors import (InvalidInputError, NoSpectralGapError,
 from latticegap.spectral import load_eigenpairs, save_eigenpairs
 
 from conftest import random_field
+from oracle_bloch import bloch_matrix as oracle_bloch_matrix
 
 
 def checkerboard_band_oracle(k, c=1.0, n=3):
@@ -133,6 +134,52 @@ class TestBlochBands:
         lines = path.read_text().splitlines()
         assert lines[0] == "k1,k2,k3,band_index,lambda"
         assert len(lines) == 1 + 8 ** 3 * 8
+
+
+def _grid8(dimension):
+    ticks = 2.0 * np.pi * np.arange(8) / 8
+    mesh = np.meshgrid(*[ticks] * dimension, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def _oracle_potentials():
+    rng = np.random.default_rng(12)
+    return [lg.checkerboard_potential(3, 1.0), lg.constant_potential(3, -10.0),
+            lg.PeriodicPotential((2, 3, 2), rng.normal(size=(2, 3, 2))),
+            lg.PeriodicPotential((3, 3, 3), rng.normal(size=(3, 3, 3))),
+            lg.PeriodicPotential((1, 2, 5), rng.normal(size=(1, 2, 5))),
+            lg.checkerboard_potential(4, 1.0)]
+
+
+class TestBatchedBloch:
+    """The stacked build against the one-k-at-a-time loop it replaced."""
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_stack_bitwise_equal_to_oracle(self, index):
+        pot = _oracle_potentials()[index]
+        k_points = _grid8(pot.dimension)
+        stack = lg.bloch_matrix(pot, k_points)
+        reference = np.stack([oracle_bloch_matrix(pot, k) for k in k_points])
+        assert stack.shape == reference.shape
+        assert stack.tobytes() == reference.tobytes()
+
+    def test_single_k_gives_one_matrix(self):
+        pot = _oracle_potentials()[2]
+        k = np.array([0.3, 1.7, 5.9])
+        mat = lg.bloch_matrix(pot, k)
+        assert mat.shape == (pot.cell_size, pot.cell_size)
+        assert mat.tobytes() == oracle_bloch_matrix(pot, k).tobytes()
+
+    def test_bands_bitwise_equal_to_per_matrix_eigvalsh(self, potential,
+                                                        band_table):
+        reference = np.stack([sla.eigvalsh(oracle_bloch_matrix(potential, k))
+                              for k in band_table.k_points])
+        assert band_table.bands.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("shape", [(2,), (4,), (5, 2), ()])
+    def test_wrong_last_axis_rejected(self, potential, shape):
+        with pytest.raises(InvalidInputError, match="k has shape"):
+            lg.bloch_matrix(potential, np.zeros(shape))
 
 
 class TestSpectralSplit:

@@ -17,16 +17,15 @@ from .spectral import (BlochBandTable, PeriodicPotential, SpectralSplit,
                        projector_l1_norm, spectral_split, split_inner,
                        split_norm)
 from .hardy import (EUCLIDEAN_WEIGHT, GRAPH_WEIGHT, HardyWeight,
-                    InequalityConstants, admissible_rho_max,
-                    best_hardy_constant, compute_constants, rho_plus,
-                    rho_plus_descent, weighted_mass)
+                    InequalityConstants, best_hardy_constant,
+                    compute_constants, rho_plus, rho_plus_descent,
+                    weighted_mass)
 from .nonlinearity import (CustomNonlinearity, HypothesisReport, Nonlinearity,
                            PowerNonlinearity, ZeroNonlinearity, evaluate,
                            validate_hypotheses)
 from .energy import (EnergyReport, NehariResidual, evaluate_energy, gradient,
                      nehari_residual, rho_norm_plus)
-from .solver import (GroundStateResult, InnerMaxState, SolverConfig,
-                     boundary_mass_fraction, inner_maximize,
+from .solver import (GroundStateResult, SolverConfig, boundary_mass_fraction,
                      maximality_certificate, outer_minimize, polish_newton,
                      solve_ground_state, unit_plus_direction)
 from .continuation import (SweepPlan, SweepRecord, convergence_report,

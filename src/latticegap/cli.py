@@ -200,6 +200,8 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(
             f"rho.values must be a non-empty list of couplings >= 0, "
             f"got {cfg.rho_values}")
+    # -0 passes the check above; written as is it would read "rho": -0
+    cfg.rho_values = tuple(0.0 if r == 0 else r for r in cfg.rho_values)
     # threads is accepted for compatibility and has no effect
     if values.get("threads", 1) < 1:
         raise ConfigError(f"threads must be >= 1, got {values['threads']}")

@@ -124,7 +124,7 @@ def nehari_residual(split: SpectralSplit, model: Nonlinearity, u: LatticeField,
     coords = split.to_coords(grad)
     return NehariResidual(
         along_u=float(grad.values @ u.values),
-        along_minus=float(np.linalg.norm(coords[:split.negative_count])),
+        along_minus=float(np.linalg.norm(coords[split.minus])),
         full=float(np.linalg.norm(grad.values)))
 
 
@@ -139,7 +139,7 @@ def rho_norm_plus(split: SpectralSplit, u_plus: LatticeField, rho: float,
     """
     _check(split, u_plus, rho)
     coords = split.to_coords(u_plus)
-    minus_part = float(np.linalg.norm(coords[:split.negative_count]))
+    minus_part = float(np.linalg.norm(coords[split.minus]))
     if minus_part > 1e-10 * (1.0 + float(np.linalg.norm(u_plus.values))):
         raise InvalidInputError(
             f"input is not in X^+ (projection residual {minus_part:.3e})")

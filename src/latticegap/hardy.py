@@ -109,11 +109,10 @@ class RhoPlusConstant:
 
 
 def _positive_pencil(split: SpectralSplit):
-    basis = split.eigenvectors[:, split.negative_count:]
-    lam = split.eigenvalues[split.negative_count:]
+    basis = split.plus_vectors
     gram = basis.T @ (laplacian_matrix(split.box) @ basis)
     gram = 0.5 * (gram + gram.T)
-    return lam, gram, basis
+    return split.plus_eigenvalues, gram, basis
 
 
 def rho_plus(split: SpectralSplit) -> RhoPlusConstant:
@@ -219,11 +218,6 @@ class InequalityConstants:
         return {"N": self.dimension, "R": self.radius, "kappa": self.kappa,
                 "rho_plus": self.rho_plus, "rho_tilde_plus": self.rho_tilde_plus,
                 "rho_max": self.rho_max, "metric": self.metric}
-
-
-def admissible_rho_max(constants: InequalityConstants) -> float:
-    """Admissible coupling bound min(rho_plus, 1) / kappa."""
-    return constants.rho_max
 
 
 def compute_constants(split: SpectralSplit,

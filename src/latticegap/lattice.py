@@ -16,6 +16,8 @@ import numpy as np
 from .errors import InvalidInputError
 from .jsonio import atomic_open
 
+MAX_DIMENSION = 32  # site arrays have one axis per dimension; numpy 1.x allows 32
+
 
 @dataclass(frozen=True)
 class BoxDomain:
@@ -25,8 +27,9 @@ class BoxDomain:
     radius: int
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise InvalidInputError(f"dimension must be >= 1, got {self.dimension}")
+        if not 1 <= self.dimension <= MAX_DIMENSION:
+            raise InvalidInputError(
+                f"dimension must be in [1, {MAX_DIMENSION}], got {self.dimension}")
         if self.radius < 0:
             raise InvalidInputError(f"radius must be >= 0, got {self.radius}")
 
@@ -259,20 +262,23 @@ def write_field(u: LatticeField, path) -> None:
 def read_field(path) -> LatticeField:
     """Read a field dump back; box geometry is inferred from the sites."""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            try:
-                if len(parts) < 2:
-                    raise ValueError("no site coordinates")
-                rows.append(([int(t) for t in parts[:-1]], float(parts[-1])))
-            except ValueError as exc:
-                raise InvalidInputError(
-                    f"{path}:{lineno}: expected 'x_1 ... x_N value', "
-                    f"got {line!r}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                parts = line.split()
+                try:
+                    if len(parts) < 2:
+                        raise ValueError("no site coordinates")
+                    rows.append(([int(t) for t in parts[:-1]], float(parts[-1])))
+                except ValueError as exc:
+                    raise InvalidInputError(
+                        f"{path}:{lineno}: expected 'x_1 ... x_N value', "
+                        f"got {line!r}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"field file {path} is not UTF-8 text: {exc}") from exc
     if not rows:
         raise InvalidInputError(f"empty field file: {path}")
     dimension = len(rows[0][0])

@@ -9,10 +9,11 @@ perturbation certificate replaces the uniqueness assumption.
 
 The outer problem and the certificates work in eigencoordinates of the
 split, where the equivalent norm is diagonal (||u||^2 = sum |lambda_i| c_i^2)
-and the positive/negative projections are index slices.  The inner problem
-runs in slab coordinates (t, vm): the scalar along w and the X^-
-eigencoordinates.  With E_+ w computed once per inner solve, each of its
-evaluations touches only the X^- columns of the eigenvector matrix.
+and the positive/negative projections are the split's index slices
+`minus` and `plus`.  The inner problem runs in slab coordinates (t, vm):
+the scalar along w and the X^- eigencoordinates.  With E_+ w computed once
+per inner solve, each of its evaluations touches only the split's X^-
+block `minus_vectors`.
 The site-space terms of J, J' and J'' come from `energy.SiteTerms`; this
 module adds only the quadratic parts.
 """
@@ -85,23 +86,6 @@ class SolverConfig:
 
 
 @dataclass
-class InnerMaxState:
-    """Maximizer of the energy over R+ w (+) X^- for a unit w in X^+."""
-
-    w: LatticeField
-    t: float
-    v: LatticeField
-    value: float
-    grad_norm: float
-    iterations: int
-    degenerate: bool = False
-    reason: str | None = None
-    certified: bool | None = None
-    # X^- eigencoordinates kept for warm starts
-    _vm: np.ndarray | None = None
-
-
-@dataclass
 class GroundStateResult:
     """Converged ground state with its level and exit diagnostics."""
 
@@ -121,7 +105,7 @@ class GroundStateResult:
 
 
 class _Workspace:
-    """Eigencoordinate views of the split, plus the site terms of J.
+    """The split, plus the site terms of J.
 
     `terms` (an `energy.SiteTerms`) supplies the site-space parts of J, J'
     and the Hessian diagonal; the eigencoordinate gradient here and the slab
@@ -130,57 +114,49 @@ class _Workspace:
 
     def __init__(self, split: SpectralSplit, model: Nonlinearity, rho: float,
                  weight: HardyWeight):
+        self.split = split
         self.terms = SiteTerms(split, model, rho, weight)
-        self.E = split.eigenvectors
-        self.lam = split.eigenvalues
-        self.abs_lam = split.abs_eigenvalues
-        self.nneg = split.negative_count
-        # column slices of the Fortran-ordered eigenvector matrix are
-        # contiguous views, not copies
-        self.Em = self.E[:, :self.nneg]
-        self.Ep = self.E[:, self.nneg:]
-        self.lam_minus = self.lam[:self.nneg]
-
-    def embed(self, t: float, wp: np.ndarray, vm: np.ndarray) -> np.ndarray:
-        coords = np.empty(self.lam.size)
-        coords[:self.nneg] = vm
-        coords[self.nneg:] = t * wp
-        return coords
-
-    def site_values(self, coords: np.ndarray) -> np.ndarray:
-        return self.E @ coords
 
     def grad(self, coords: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
         if u is None:
-            u = self.site_values(coords)
-        return self.lam * coords - self.E.T @ self.terms.force(u)
+            u = self.split.values_of(coords)
+        return self.split.eigenvalues * coords - self.split.coords_of(self.terms.force(u))
+
+
+def _embed(split: SpectralSplit, t: float, wp: np.ndarray, vm: np.ndarray) -> np.ndarray:
+    """Eigencoordinates of the slab point (t, vm) over the X^+ direction wp."""
+    coords = np.empty(split.size)
+    coords[split.minus] = vm
+    coords[split.plus] = t * wp
+    return coords
 
 
 class _Slab:
     """The slab R+ w (+) X^- in coordinates (t, vm).
 
     The point (t, vm) has eigencoordinates (vm, t wp) and site values
-    t ew + Em vm, with ew = Ep wp precomputed, so an evaluation touches only
-    the X^- columns of the eigenvector matrix.
+    t ew + E_- vm, with ew = E_+ wp precomputed, so an evaluation touches
+    only the split's X^- block.
     """
 
     def __init__(self, ws: _Workspace, wp: np.ndarray):
         self.ws = ws
+        self.split = ws.split
         self.wp = wp
-        self.ew = ws.Ep @ wp
-        self.qw = float(np.sum(ws.lam[ws.nneg:] * wp ** 2))
+        self.ew = self.split.plus_vectors @ wp
+        self.qw = float(np.sum(self.split.plus_eigenvalues * wp ** 2))
 
     def site_values(self, t: float, vm: np.ndarray) -> np.ndarray:
-        return t * self.ew + self.ws.Em @ vm
+        return t * self.ew + self.split.minus_vectors @ vm
 
     def value(self, t: float, vm: np.ndarray, u: np.ndarray) -> float:
-        quad = t * t * self.qw + float(np.sum(self.ws.lam_minus * vm ** 2))
+        quad = t * t * self.qw + float(np.sum(self.split.minus_eigenvalues * vm ** 2))
         return 0.5 * quad - self.ws.terms.energy(u)
 
     def restrict(self, t: float, vm: np.ndarray, r: np.ndarray):
         """Slab components (along w, along X^-) of  Lambda c - E^T r  at c = (vm, t wp)."""
         return (t * self.qw - float(self.ew @ r),
-                self.ws.lam_minus * vm - self.ws.Em.T @ r)
+                self.split.minus_eigenvalues * vm - self.split.minus_vectors.T @ r)
 
     def grad(self, t: float, vm: np.ndarray, u: np.ndarray):
         return self.restrict(t, vm, self.ws.terms.force(u))
@@ -191,10 +167,10 @@ def _metric_norm(abs_lam: np.ndarray, coords: np.ndarray) -> float:
     return float(np.sqrt(np.sum(abs_lam * coords ** 2)))
 
 
-def _minus_perturbation(ws: _Workspace, rng, radius: float) -> np.ndarray:
+def _minus_perturbation(split: SpectralSplit, rng, radius: float) -> np.ndarray:
     """Random X^- coordinates with equivalent norm uniform in [0, radius)."""
-    dv = rng.standard_normal(ws.nneg)
-    norm = _metric_norm(ws.abs_lam[:ws.nneg], dv)
+    dv = rng.standard_normal(split.negative_count)
+    norm = _metric_norm(split.abs_minus_eigenvalues, dv)
     if norm > 0:
         dv *= rng.uniform(0.0, radius) / norm
     return dv
@@ -203,7 +179,7 @@ def _minus_perturbation(ws: _Workspace, rng, radius: float) -> np.ndarray:
 def unit_plus_direction(split: SpectralSplit, seed_field: LatticeField) -> LatticeField:
     """Project a field onto X^+ and normalize it in the equivalent norm."""
     coords = split.to_coords(seed_field)
-    coords[:split.negative_count] = 0.0
+    coords[split.minus] = 0.0
     norm = _metric_norm(split.abs_eigenvalues, coords)
     if norm < 1e-14:
         raise InvalidInputError("field has no X^+ component to normalize")
@@ -224,7 +200,6 @@ def _inner_residual(t, gt, gv):
 
 def _inner_core(slab: _Slab, t: float, vm: np.ndarray, cfg: SolverConfig):
     """Maximize value over (t >= 0, vm).  Returns (t, vm, value, res, iters, reason)."""
-    ws = slab.ws
     u = slab.site_values(t, vm)
     val = slab.value(t, vm, u)
     gt, gv = slab.grad(t, vm, u)
@@ -257,7 +232,7 @@ def _inner_core(slab: _Slab, t: float, vm: np.ndarray, cfg: SolverConfig):
         if not stepped:
             # metric-preconditioned ascent with Armijo backtracking
             dt = gt
-            dv = gv / ws.abs_lam[:ws.nneg]
+            dv = gv / slab.split.abs_minus_eigenvalues
             for k in range(cfg.max_backtracks):
                 t_try = max(t + alpha * dt, 0.0)
                 vm_try = vm + alpha * dv
@@ -285,8 +260,7 @@ def _inner_newton_step(slab: _Slab, u, gt, gv, res):
     the maximizer for models with nonnegative df.  Returns None when CG hits
     non-positive curvature immediately.
     """
-    ws = slab.ws
-    d_site = ws.terms.hess_diag(u)
+    d_site = slab.ws.terms.hess_diag(u)
 
     def neg_hess(svec):
         st, sv = float(svec[0]), svec[1:]
@@ -296,12 +270,12 @@ def _inner_newton_step(slab: _Slab, u, gt, gv, res):
         out[1:] = -hv
         return out
 
-    r = np.empty(1 + ws.nneg)
+    r = np.empty(1 + slab.split.negative_count)
     r[0] = gt
     r[1:] = gv
     precond = np.empty_like(r)
     precond[0] = 1.0
-    precond[1:] = ws.abs_lam[:ws.nneg]
+    precond[1:] = slab.split.abs_minus_eigenvalues
     s = np.zeros_like(r)
     resid = r.copy()
     z = resid / precond
@@ -327,71 +301,6 @@ def _inner_newton_step(slab: _Slab, u, gt, gv, res):
     return float(s[0]), s[1:]
 
 
-def _certify_inner(slab: _Slab, t, vm, value, rng, n_samples=50, radius=2.0):
-    """Check the maximizer against random (t', v') in a trust box around it."""
-    ws = slab.ws
-    worst = 0.0
-    for _ in range(n_samples):
-        t_try = max(t + rng.uniform(-radius, radius), 0.0)
-        vm_try = vm + _minus_perturbation(ws, rng, radius)
-        val = slab.value(t_try, vm_try, slab.site_values(t_try, vm_try))
-        worst = max(worst, val - value)
-    return worst <= 1e-9 * (1.0 + abs(value)), worst
-
-
-def inner_maximize(split: SpectralSplit, model: Nonlinearity, rho: float,
-                   w: LatticeField, warm: InnerMaxState | None = None,
-                   config: SolverConfig | None = None,
-                   weight: HardyWeight = EUCLIDEAN_WEIGHT,
-                   certify: bool = False) -> InnerMaxState:
-    """Maximize the energy over the slab R+ w (+) X^-.
-
-    `w` must be a unit X^+ field in the equivalent norm.  A degenerate
-    direction (scalar part collapsing to 0, or no superquadratic confinement)
-    is reported through the state's `degenerate` flag, not raised.
-    """
-    cfg = config or SolverConfig()
-    ws = _Workspace(split, model, rho, weight)
-    wc = split.to_coords(w)
-    minus = float(np.linalg.norm(wc[:ws.nneg]))
-    norm = _metric_norm(ws.abs_lam, wc)
-    if minus > 1e-8 * (1.0 + norm):
-        raise InvalidInputError(f"w is not in X^+ (minus part {minus:.3e})")
-    if abs(norm - 1.0) > 1e-8:
-        raise InvalidInputError(f"w must be unit in the equivalent norm, got {norm!r}")
-    wp = wc[ws.nneg:]
-    if warm is None:
-        t0, vm0 = 1.0, np.zeros(ws.nneg)
-    elif isinstance(warm, InnerMaxState):
-        t0, vm0 = max(float(warm.t), 0.0), warm._vm.copy()
-    else:
-        t0, v_field = warm
-        t0 = max(float(t0), 0.0)
-        vm0 = split.to_coords(v_field)[:ws.nneg]
-    slab = _Slab(ws, wp)
-    t, vm, val, res, iters, reason = _inner_core(slab, t0, vm0, cfg)
-    if reason is None and t <= 1e-12:
-        reason = "t collapsed to zero: infeasible direction"
-    if reason is not None:
-        # degenerate direction: no interior maximizer; report the origin
-        return InnerMaxState(
-            w=w, t=0.0, v=split.from_coords(np.zeros(ws.lam.size)),
-            value=0.0, grad_norm=res, iterations=iters,
-            degenerate=True, reason=reason, _vm=np.zeros(ws.nneg))
-    state = InnerMaxState(
-        w=w, t=t, v=LatticeField(split.box, ws.Em @ vm),
-        value=val, grad_norm=res, iterations=iters,
-        degenerate=False, reason=None, _vm=vm)
-    if certify and not state.degenerate:
-        rng = np.random.default_rng(cfg.seed + 977)
-        ok, worst = _certify_inner(slab, t, vm, val, rng)
-        state.certified = ok
-        if not ok:
-            raise PostConditionError(
-                f"inner maximizer failed its perturbation certificate by {worst:.3e}")
-    return state
-
-
 @dataclass
 class _StartResult:
     index: int
@@ -409,12 +318,12 @@ class _StartResult:
 
 def _outer_single(ws: _Workspace, wp0: np.ndarray, cfg: SolverConfig,
                   index: int, warm=None) -> _StartResult:
-    nneg = ws.nneg
-    lam_pos = ws.lam[nneg:]
+    split = ws.split
+    lam_pos = split.plus_eigenvalues
     wp = wp0.copy()
     out = _StartResult(index=index, status="failed")
     try:
-        t, vm = warm if warm is not None else (1.0, np.zeros(nneg))
+        t, vm = warm if warm is not None else (1.0, np.zeros(split.negative_count))
         t, vm, val, _, its, reason = _inner_core(_Slab(ws, wp), t, vm, cfg)
         out.inner_iterations += its
     except ConvergenceError as exc:
@@ -426,11 +335,11 @@ def _outer_single(ws: _Workspace, wp0: np.ndarray, cfg: SolverConfig,
 
     alpha = 1.0
     for it in range(cfg.max_outer):
-        coords = ws.embed(t, wp, vm)
-        u = ws.site_values(coords)
+        coords = _embed(split, t, wp, vm)
+        u = split.values_of(coords)
         g = ws.grad(coords, u)
         res_full = float(np.linalg.norm(g))
-        res_minus = float(np.linalg.norm(g[:nneg]))
+        res_minus = float(np.linalg.norm(g[split.minus]))
         out.trace.append({"iter": it, "level": val, "residual_full": res_full,
                           "residual_minus": res_minus, "t": t})
         out.outer_iterations = it
@@ -440,7 +349,7 @@ def _outer_single(ws: _Workspace, wp0: np.ndarray, cfg: SolverConfig,
             return out
 
         # Riemannian gradient of the reduced value on the X^+ unit sphere
-        d = t * g[nneg:] / lam_pos
+        d = t * g[split.plus] / lam_pos
         d -= float(np.sum(lam_pos * d * wp)) * wp
         dnorm2 = float(np.sum(lam_pos * d ** 2))
         if dnorm2 <= (1e-14 * max(1.0, abs(val))) ** 2:
@@ -450,7 +359,7 @@ def _outer_single(ws: _Workspace, wp0: np.ndarray, cfg: SolverConfig,
         accepted = False
         for _ in range(cfg.max_backtracks):
             wp_try = wp - alpha * d
-            norm = _metric_norm(ws.abs_lam[ws.nneg:], wp_try)
+            norm = split.plus_norm(wp_try)
             if norm < 1e-14:
                 alpha *= cfg.backtrack_shrink
                 continue
@@ -494,25 +403,25 @@ def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
     starts: list[tuple[np.ndarray, tuple | None]] = []
     if warm_start is not None:
         coords = split.to_coords(warm_start)
-        wp = coords[ws.nneg:]
-        t0 = _metric_norm(ws.abs_lam[ws.nneg:], wp)
+        wp = coords[split.plus]
+        t0 = split.plus_norm(wp)
         if t0 < 1e-12:
             raise InvalidInputError("warm start has no X^+ component")
-        starts.append((wp / t0, (t0, coords[:ws.nneg].copy())))
+        starts.append((wp / t0, (t0, coords[split.minus].copy())))
     else:
         # deterministic starts: lowest positive eigenvector, and the X^+
         # part of a centered bump (biases one basin toward interior states)
         lowest = np.zeros(npos)
-        lowest[0] = 1.0 / np.sqrt(ws.abs_lam[ws.nneg])
+        lowest[0] = 1.0 / np.sqrt(split.plus_eigenvalues[0])
         starts.append((lowest, None))
         if cfg.multistart >= 2:
             origin = split.box.index_of(np.zeros(split.box.dimension, dtype=int))
-            bump = ws.E[origin, ws.nneg:].copy()
-            starts.append((bump / _metric_norm(ws.abs_lam[ws.nneg:], bump), None))
+            bump = split.plus_vectors[origin].copy()
+            starts.append((bump / split.plus_norm(bump), None))
         rng = np.random.default_rng(cfg.seed)
         for _ in range(cfg.multistart - 2):
             wp = rng.standard_normal(npos)
-            starts.append((wp / _metric_norm(ws.abs_lam[ws.nneg:], wp), None))
+            starts.append((wp / split.plus_norm(wp), None))
 
     results = [_outer_single(ws, wp, cfg, i, warm)
                for i, (wp, warm) in enumerate(starts)]
@@ -520,7 +429,7 @@ def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
     boundary = {}
     if cfg.max_boundary_mass is not None:
         for r in usable:
-            values = ws.site_values(ws.embed(r.t, r.wp, r.vm))
+            values = split.values_of(_embed(split, r.t, r.wp, r.vm))
             boundary[r.index] = boundary_mass_fraction(
                 split.box, values, cfg.boundary_layers)
         interior = [r for r in usable if boundary[r.index] <= cfg.max_boundary_mass]
@@ -537,10 +446,10 @@ def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
             "no start converged: " + "; ".join(r.reason or r.status for r in results))
 
     def l2_of(r):
-        return float(np.linalg.norm(ws.embed(r.t, r.wp, r.vm)))
+        return float(np.linalg.norm(_embed(split, r.t, r.wp, r.vm)))
 
     best = min(usable, key=lambda r: (round(r.value / 1e-10), l2_of(r)))
-    coords = ws.embed(best.t, best.wp, best.vm)
+    coords = _embed(split, best.t, best.wp, best.vm)
     u = split.from_coords(coords)
     g = ws.grad(coords)
     levels = sorted(r.value for r in usable)
@@ -551,7 +460,7 @@ def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
     # (box ground states need not be unique, even up to translation)
     family_gap = 0.0
     if len(usable) > 1:
-        centered = [recenter(split.from_coords(ws.embed(r.t, r.wp, r.vm)))[0].values
+        centered = [recenter(split.from_coords(_embed(split, r.t, r.wp, r.vm)))[0].values
                     for r in usable
                     if abs(r.value - best.value) <= 1e-6 * max(1.0, abs(best.value))]
         for i in range(len(centered)):
@@ -562,7 +471,7 @@ def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
         u=u, c_rho=best.value,
         residual_full=float(np.linalg.norm(g)),
         residual_along_u=float(g @ coords),
-        residual_along_minus=float(np.linalg.norm(g[:ws.nneg])),
+        residual_along_minus=float(np.linalg.norm(g[split.minus])),
         outer_iterations=best.outer_iterations,
         inner_iterations=best.inner_iterations,
         polish_iterations=0, start_index=best.index,
@@ -659,30 +568,30 @@ def maximality_certificate(split: SpectralSplit, model: Nonlinearity,
     """
     ws = _Workspace(split, model, rho, weight)
     cu = split.to_coords(u)
-    um = cu[:ws.nneg]
+    um = cu[split.minus]
     # t u + v lies on the slab through u^+ at X^- coordinates t u^- + dv
-    slab = _Slab(ws, cu[ws.nneg:])
+    slab = _Slab(ws, cu[split.plus])
     base = slab.value(1.0, um, u.values)
-    v_radius = 3.0 * max(_metric_norm(ws.abs_lam, cu), 1.0)
+    v_radius = 3.0 * max(_metric_norm(split.abs_eigenvalues, cu), 1.0)
     rng = np.random.default_rng(seed)
     worst = -np.inf
     for _ in range(n_samples):
         t = rng.uniform(0.0, 3.0)
-        dv = _minus_perturbation(ws, rng, v_radius)
-        site = t * u.values + ws.Em @ dv
+        dv = _minus_perturbation(split, rng, v_radius)
+        site = t * u.values + split.minus_vectors @ dv
         worst = max(worst, slab.value(t, t * um + dv, site) - base)
     return worst <= tol, worst
 
 
 def _sampled_sphere_floor(ws: _Workspace, rng, n_samples: int = 50):
     """Rough positive lower level on a small X^+ sphere (sanity floor)."""
-    npos = ws.lam.size - ws.nneg
-    dirs = rng.standard_normal((n_samples, npos))
+    split = ws.split
+    dirs = rng.standard_normal((n_samples, split.positive_count))
     for i in range(n_samples):
-        dirs[i] /= _metric_norm(ws.abs_lam[ws.nneg:], dirs[i])
+        dirs[i] /= split.plus_norm(dirs[i])
     # each direction's site values are computed once; a radius is a rescale
     slabs = [_Slab(ws, d) for d in dirs]
-    no_minus = np.zeros(ws.nneg)
+    no_minus = np.zeros(split.negative_count)
 
     def sampled_min(radius):
         return min(s.value(radius, no_minus, radius * s.ew) for s in slabs)
@@ -758,7 +667,7 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
     ws = _Workspace(split, model, rho, weight)
     coords = split.to_coords(u)
     l2 = float(np.linalg.norm(u.values))
-    plus_norm = _metric_norm(ws.abs_lam[ws.nneg:], coords[ws.nneg:])
+    plus_norm = split.plus_norm(coords[split.plus])
 
     problems = []
     if kept.residual_full > cfg.polish_tol * (1.0 + l2):

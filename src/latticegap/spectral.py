@@ -208,12 +208,11 @@ def bloch_matrix(potential: PeriodicPotential, k) -> np.ndarray:
     return mats
 
 
-def bloch_band_edges(potential: PeriodicPotential, grid: int = 8,
-                     threads: int = 1) -> BlochBandTable:
+def bloch_band_edges(potential: PeriodicPotential, grid: int = 8) -> BlochBandTable:
     """Sample the Bloch bands on a uniform k-grid and certify the gap at 0.
 
     All grid^N cell matrices are built as one stack and solved by one
-    batched `eigvalsh`.  `threads` is accepted and ignored.
+    batched `eigvalsh`.
 
     Raises NoSpectralGapError when a band interval crosses (or touches) 0,
     or when the sampled spectrum does not straddle 0 at all.
@@ -251,9 +250,11 @@ class SpectralSplit:
     """Full eigendecomposition of the box operator, split at 0.
 
     Eigenvalues are ascending, so the first `negative_count` eigenpairs span
-    X^- and the rest span X^+.  Exposes the spectral projectors, the
-    equivalent inner product (|A| u, v)_2 and coordinate transforms used by
-    the solver.
+    X^- and the rest span X^+.  This class is the only owner of that
+    layout: eigencoordinates are indexed by the slices `minus` and `plus`,
+    and the X^-/X^+ blocks of the eigenvector matrix and of the eigenvalues
+    are views built once here.  Module functions add the spectral
+    projectors and the equivalent inner product (|A| u, v)_2.
 
     `eigenpairs` = (eigenvalues, eigenvectors) skips the dense `eigh`, for
     a decomposition computed earlier (see `load_eigenpairs`); the zero
@@ -288,6 +289,14 @@ class SpectralSplit:
         self.eigenvectors = eigenvectors
         self.abs_eigenvalues = np.abs(eigenvalues)
         self.negative_count = int(np.sum(eigenvalues < 0.0))
+        self.minus = slice(0, self.negative_count)
+        self.plus = slice(self.negative_count, n)
+        # column blocks of a Fortran-ordered matrix are contiguous views
+        self.minus_vectors = eigenvectors[:, self.minus]
+        self.plus_vectors = eigenvectors[:, self.plus]
+        self.minus_eigenvalues = eigenvalues[self.minus]
+        self.plus_eigenvalues = eigenvalues[self.plus]  # = |lambda| on X^+
+        self.abs_minus_eigenvalues = self.abs_eigenvalues[self.minus]
         # eigenpair residual check, in column blocks so that its temporaries
         # stay small.  Orthonormality is exact up to LAPACK and not checked
         # (an n^3 product): supplied eigenpairs must come from `eigh`, and
@@ -317,13 +326,25 @@ class SpectralSplit:
     def smallest_abs_eigenvalue(self) -> float:
         return float(self.abs_eigenvalues.min())
 
+    def coords_of(self, values: np.ndarray) -> np.ndarray:
+        """Eigencoordinates E^T v of an array of site values."""
+        return self.eigenvectors.T @ values
+
+    def values_of(self, coords: np.ndarray) -> np.ndarray:
+        """Site values E c of an array of eigencoordinates."""
+        return self.eigenvectors @ coords
+
     def to_coords(self, u: LatticeField) -> np.ndarray:
         if u.box != self.box:
             raise InvalidInputError("field box does not match the split's box")
-        return self.eigenvectors.T @ u.values
+        return self.coords_of(u.values)
 
     def from_coords(self, coords: np.ndarray) -> LatticeField:
-        return LatticeField(self.box, self.eigenvectors @ coords)
+        return LatticeField(self.box, self.values_of(coords))
+
+    def plus_norm(self, plus_coords: np.ndarray) -> float:
+        """Equivalent norm sqrt(sum lambda_i c_i^2) of X^+ eigencoordinates."""
+        return float(np.sqrt(np.sum(self.plus_eigenvalues * plus_coords ** 2)))
 
     def gap_report(self) -> dict:
         return {"sigma_minus": self.gap[0], "sigma_plus": self.gap[1],
@@ -360,10 +381,7 @@ def project(split: SpectralSplit, u: LatticeField, sign: str) -> LatticeField:
     if sign not in ("plus", "minus"):
         raise InvalidInputError(f'sign must be "plus" or "minus", got {sign!r}')
     coords = split.to_coords(u)
-    if sign == "minus":
-        coords[split.negative_count:] = 0.0
-    else:
-        coords[:split.negative_count] = 0.0
+    coords[split.plus if sign == "minus" else split.minus] = 0.0
     return split.from_coords(coords)
 
 
@@ -377,16 +395,9 @@ def split_norm(split: SpectralSplit, u: LatticeField) -> float:
     return float(np.sqrt(max(split_inner(split, u, u), 0.0)))
 
 
-def projector_matrix(split: SpectralSplit, sign: str) -> np.ndarray:
-    if sign not in ("plus", "minus"):
-        raise InvalidInputError(f'sign must be "plus" or "minus", got {sign!r}')
-    if sign == "minus":
-        basis = split.eigenvectors[:, :split.negative_count]
-    else:
-        basis = split.eigenvectors[:, split.negative_count:]
-    return basis @ basis.T
-
-
 def projector_l1_norm(split: SpectralSplit, sign: str) -> float:
     """Operator norm l1 -> l1 of a spectral projector (max column sum)."""
-    return float(np.abs(projector_matrix(split, sign)).sum(axis=0).max())
+    if sign not in ("plus", "minus"):
+        raise InvalidInputError(f'sign must be "plus" or "minus", got {sign!r}')
+    basis = split.minus_vectors if sign == "minus" else split.plus_vectors
+    return float(np.abs(basis @ basis.T).sum(axis=0).max())

@@ -293,6 +293,18 @@ class TestSolve:
             assert set(record) == {"iter", "level", "residual_full",
                                    "residual_minus", "t"}
 
+    @pytest.mark.parametrize("mode", ["absolute", "fraction"])
+    def test_negative_zero_rho_written_as_zero(self, tmp_path, mode):
+        summaries = []
+        for value in ("0", "-0"):
+            cfg = write_config(tmp_path, name=f"{value}.cfg",
+                               **{"rho.mode": mode, "rho.values": value})
+            out = tmp_path / f"out{value}"
+            assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+            summaries.append((out / "solve_summary.json").read_bytes())
+        assert b'"rho": 0' in summaries[0]
+        assert summaries[1] == summaries[0]
+
     def test_no_gap_message(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **{"potential.kind": "constant",
                                         "potential.shift": "0.0"},

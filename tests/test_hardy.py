@@ -167,10 +167,10 @@ class TestInequalityConstants:
     def test_arithmetic_examples(self):
         c = lg.InequalityConstants(dimension=3, radius=4, kappa=0.5, rho_plus=2.0)
         assert c.rho_tilde_plus == 1.0
-        assert lg.admissible_rho_max(c) == 2.0
+        assert c.rho_max == 2.0
         c = lg.InequalityConstants(dimension=3, radius=4, kappa=0.2, rho_plus=0.3)
         assert c.rho_tilde_plus == 0.3
-        assert abs(lg.admissible_rho_max(c) - 1.5) < 1e-15
+        assert abs(c.rho_max - 1.5) < 1e-15
 
     def test_inconsistent_fields_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -41,14 +41,16 @@ def test_slab_inner_matches_oracle(problems, model, radius, fraction):
     rng = np.random.default_rng(100 * radius + int(10 * fraction))
     for _ in range(3):
         w = lg.unit_plus_direction(split, random_field(split.box, rng))
-        wp = split.to_coords(w)[split.negative_count:]
-        state = lg.inner_maximize(split, model, rho, w, config=CONFIG)
+        wp = split.to_coords(w)[split.plus]
+        slab = solver._Slab(solver._Workspace(split, model, rho, lg.EUCLIDEAN_WEIGHT), wp)
+        t_slab, vm_slab, value_slab, _, _, reason_slab = solver._inner_core(
+            slab, 1.0, np.zeros(split.negative_count), CONFIG)
         t, vm, value, _, _, reason = oracle.maximize(
             wp, 1.0, np.zeros(split.negative_count), CONFIG)
-        assert reason is None and not state.degenerate
-        assert _close(state.t, t)
-        assert np.linalg.norm(state._vm - vm) <= REL * np.linalg.norm(vm)
-        assert _close(state.value, value)
+        assert reason is None and reason_slab is None and t_slab > 1e-12
+        assert _close(t_slab, t)
+        assert np.linalg.norm(vm_slab - vm) <= REL * np.linalg.norm(vm)
+        assert _close(value_slab, value)
 
 
 @pytest.mark.parametrize("radius", [3, 4])

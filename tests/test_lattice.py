@@ -9,6 +9,9 @@ from latticegap.errors import InvalidInputError
 from conftest import random_field
 
 
+FIELD_FILE = b"-1 0.5\n0 1.0\n1 0.25\n"
+
+
 @pytest.fixture
 def box():
     return lg.BoxDomain(3, 2)
@@ -40,6 +43,8 @@ class TestBoxDomain:
             lg.BoxDomain(0, 2)
         with pytest.raises(InvalidInputError):
             lg.BoxDomain(3, -1)
+        with pytest.raises(InvalidInputError):
+            lg.BoxDomain(33, 0)
 
 
 class TestLatticeField:
@@ -281,3 +286,26 @@ class TestFieldIO:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(InvalidInputError, match="twice"):
             lg.read_field(path)
+
+    def test_non_utf8_file_names_path(self, tmp_path):
+        path = tmp_path / "u.field"
+        path.write_bytes(b"\xff\xfe 0 1.0\n")
+        with pytest.raises(InvalidInputError, match=r"u\.field"):
+            lg.read_field(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.one_of(
+        st.binary(max_size=64),
+        # near-valid files: tokens of a field file, some of them not UTF-8
+        st.lists(st.sampled_from([b"0", b"1", b"-1", b"0.5", b"nan", b"1e999",
+                                  b" ", b"\n", b"\xff", b"\xc3"]),
+                 max_size=24).map(b"".join),
+        st.builds(lambda i, junk: FIELD_FILE[:i] + junk + FIELD_FILE[i:],
+                  st.integers(0, len(FIELD_FILE)), st.binary(max_size=4))))
+    def test_arbitrary_bytes_read_or_rejected(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "arbitrary.field"
+        path.write_bytes(data)
+        try:
+            assert isinstance(lg.read_field(path), lg.LatticeField)
+        except InvalidInputError:
+            pass

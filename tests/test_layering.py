@@ -1,6 +1,7 @@
 """Module layering of the package: the graph of imports between its modules
 has no cycle, and every such import sits at module level, where the graph
-is visible, never inside a function body."""
+is visible, never inside a function body.  The X^-/X^+ layout of the
+eigenvector matrix is known only to `spectral`: no other module reads it."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,8 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "latticegap"
 MODULES = {path.stem: path for path in sorted(PACKAGE.glob("*.py"))}
+TREES = {name: ast.parse(path.read_text(encoding="utf-8"))
+         for name, path in MODULES.items()}
 
 
 def _sibling_imports(node: ast.AST) -> list[str]:
@@ -32,7 +35,7 @@ def _sibling_imports(node: ast.AST) -> list[str]:
             for alias in node.names]
 
 
-def _imports(path: Path):
+def _imports(tree: ast.AST):
     """(imported module, line, enclosing function or None) for every import."""
     found = []
 
@@ -45,11 +48,11 @@ def _imports(path: Path):
                 found.append((target, child.lineno, function))
             visit(child, inner)
 
-    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    visit(tree, None)
     return found
 
 
-GRAPH = {name: _imports(path) for name, path in MODULES.items()}
+GRAPH = {name: _imports(tree) for name, tree in TREES.items()}
 
 
 def test_package_modules_found():
@@ -84,3 +87,10 @@ def test_import_graph_is_acyclic():
     for name in sorted(edges):
         if name not in state:
             visit(name)
+
+
+@pytest.mark.parametrize("module", sorted(set(MODULES) - {"spectral"}))
+def test_eigenvectors_read_only_in_spectral(module):
+    lines = [node.lineno for node in ast.walk(TREES[module])
+             if isinstance(node, ast.Attribute) and node.attr == "eigenvectors"]
+    assert not lines, f"{module}.py reads .eigenvectors at lines {lines}"

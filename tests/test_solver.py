@@ -5,6 +5,7 @@ import latticegap as lg
 from latticegap.errors import (DegenerateProblemError, InvalidInputError,
                                RhoOutOfRangeError)
 from latticegap.nonlinearity import CustomNonlinearity
+from latticegap.solver import _inner_core, _Slab, _Workspace
 
 from conftest import random_field
 from oracle_newton import critical_levels
@@ -34,14 +35,23 @@ def lowest_plus_direction(split):
         split, lg.LatticeField(split.box, split.eigenvectors[:, i]))
 
 
+def inner_max(split, model, w, cfg, t=1.0, vm=None):
+    """`_inner_core` on the slab over the unit X^+ field w, started at
+    (t, vm); returns (t, vm, value, residual, iterations, reason)."""
+    ws = _Workspace(split, model, 0.0, lg.EUCLIDEAN_WEIGHT)
+    if vm is None:
+        vm = np.zeros(split.negative_count)
+    return _inner_core(_Slab(ws, split.to_coords(w)[split.plus]), t, vm, cfg)
+
+
 class TestInnerMaximize:
     def test_converges_with_positive_t(self, split_r2, model, quick_config):
         w = lowest_plus_direction(split_r2)
-        state = lg.inner_maximize(split_r2, model, 0.0, w, config=quick_config)
-        assert not state.degenerate
-        assert state.t > 0
-        assert state.grad_norm <= quick_config.inner_tol
-        assert state.value > 0
+        t, _, value, res, _, reason = inner_max(split_r2, model, w, quick_config)
+        assert reason is None
+        assert t > 0
+        assert res <= quick_config.inner_tol
+        assert value > 0
 
     def test_value_dominates_scalar_reduction(self, split_r2, model, quick_config):
         # the slab contains the ray {t w}, so the inner max dominates the
@@ -49,50 +59,38 @@ class TestInnerMaximize:
         w = lowest_plus_direction(split_r2)
         t_scalar = 1.0 / np.sqrt(np.sum(w.values ** 4))
         scalar_max = 0.25 * t_scalar ** 2
-        state = lg.inner_maximize(split_r2, model, 0.0, w, config=quick_config)
-        assert state.value >= scalar_max - 1e-10
+        value = inner_max(split_r2, model, w, quick_config)[2]
+        assert value >= scalar_max - 1e-10
 
     def test_warm_restart_is_fixed_point(self, split_r2, model, quick_config):
         w = lowest_plus_direction(split_r2)
-        cold = lg.inner_maximize(split_r2, model, 0.0, w, config=quick_config)
-        warm = lg.inner_maximize(split_r2, model, 0.0, w, warm=cold,
-                                 config=quick_config)
-        assert warm.iterations <= 2
-        assert abs(warm.t - cold.t) <= 1e-10
-        assert np.linalg.norm(warm.v.values - cold.v.values) <= 1e-10
+        t, vm, *_ = inner_max(split_r2, model, w, quick_config)
+        t2, vm2, _, _, iterations, _ = inner_max(split_r2, model, w, quick_config,
+                                                 t, vm.copy())
+        em = split_r2.minus_vectors
+        assert iterations <= 2
+        assert abs(t2 - t) <= 1e-10
+        assert np.linalg.norm(em @ vm2 - em @ vm) <= 1e-10
 
     def test_multistart_ascent_agrees(self, split_r2, model, quick_config):
         # different warm starts land on the same maximizer
         w = lowest_plus_direction(split_r2)
-        reference = lg.inner_maximize(split_r2, model, 0.0, w, config=quick_config)
+        em = split_r2.minus_vectors
+        t_ref, vm_ref, *_ = inner_max(split_r2, model, w, quick_config)
         rng = np.random.default_rng(5)
         for _ in range(3):
             v0 = lg.project(split_r2, random_field(split_r2.box, rng), "minus")
             t0 = rng.uniform(0.5, 3.0)
-            state = lg.inner_maximize(split_r2, model, 0.0, w, warm=(t0, v0),
-                                      config=quick_config)
-            assert abs(state.t - reference.t) <= 1e-8
-            assert np.linalg.norm(state.v.values - reference.v.values) <= 1e-8
-
-    def test_perturbation_certificate(self, split_r2, model, quick_config):
-        w = lowest_plus_direction(split_r2)
-        state = lg.inner_maximize(split_r2, model, 0.0, w, config=quick_config,
-                                  certify=True)
-        assert state.certified is True
+            t, vm, *_ = inner_max(split_r2, model, w, quick_config, t0,
+                                  split_r2.to_coords(v0)[split_r2.minus])
+            assert abs(t - t_ref) <= 1e-8
+            assert np.linalg.norm(em @ vm - em @ vm_ref) <= 1e-8
 
     def test_zero_nonlinearity_degenerate(self, split_r2, quick_config):
         # indefinite quadratic alone admits no interior maximizer
         w = lowest_plus_direction(split_r2)
-        state = lg.inner_maximize(split_r2, lg.ZeroNonlinearity(), 0.0, w,
-                                  config=quick_config)
-        assert state.degenerate
-        assert state.t == 0.0 and state.value == 0.0
-        assert np.all(state.v.values == 0.0)
-
-    def test_rejects_bad_direction(self, split_r2, model, quick_config):
-        u = random_field(split_r2.box, np.random.default_rng(0))
-        with pytest.raises(InvalidInputError):
-            lg.inner_maximize(split_r2, model, 0.0, u, config=quick_config)
+        reason = inner_max(split_r2, lg.ZeroNonlinearity(), w, quick_config)[5]
+        assert reason is not None
 
 
 class TestOuterMinimize:

@@ -124,10 +124,6 @@ class TestBlochBands:
         for lam in torus_eigs:
             assert np.min(np.abs(band_values - lam)) < 1e-8
 
-    def test_threads_give_identical_bands(self, potential, band_table):
-        threaded = lg.bloch_band_edges(potential, grid=8, threads=3)
-        np.testing.assert_array_equal(threaded.bands, band_table.bands)
-
     def test_csv_export(self, band_table, tmp_path):
         path = tmp_path / "bands.csv"
         band_table.to_csv(path)
@@ -253,6 +249,35 @@ class TestPersistedSplit:
         with pytest.raises(InvalidInputError, match="do not match"):
             lg.spectral_split(split_r3.box, split_r3.operator, split_r3.gap,
                               (split_r2.eigenvalues, split_r2.eigenvectors))
+
+
+class TestSplitBlocks:
+    def test_blocks_are_views_of_the_layout(self, split_r3, tmp_path):
+        # a copied X^+ block at R = 7 would add about 46 MB
+        path = tmp_path / "split.npy"
+        save_eigenpairs(split_r3, path)
+        loaded = lg.spectral_split(split_r3.box, split_r3.operator,
+                                   split_r3.gap, load_eigenpairs(path))
+        for split in (split_r3, loaded):
+            n = split.negative_count
+            blocks = ((split.minus_vectors, split.eigenvectors[:, :n]),
+                      (split.plus_vectors, split.eigenvectors[:, n:]),
+                      (split.minus_eigenvalues, split.eigenvalues[:n]),
+                      (split.plus_eigenvalues, split.eigenvalues[n:]),
+                      (split.abs_minus_eigenvalues, split.abs_eigenvalues[:n]))
+            for block, expected in blocks:
+                assert np.shares_memory(block, expected)
+                np.testing.assert_array_equal(block, expected)
+            assert split.minus_vectors.flags.f_contiguous
+            assert split.plus_vectors.flags.f_contiguous
+            assert np.all(split.minus_eigenvalues < 0)
+            assert np.all(split.plus_eigenvalues > 0)
+
+    def test_plus_norm_is_equivalent_norm(self, split_r2):
+        u = lg.project(split_r2, random_field(split_r2.box, np.random.default_rng(4)),
+                       "plus")
+        norm = split_r2.plus_norm(split_r2.to_coords(u)[split_r2.plus])
+        assert abs(norm - lg.split_norm(split_r2, u)) <= 1e-12 * norm
 
 
 class TestProjectors:

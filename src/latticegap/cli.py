@@ -128,7 +128,6 @@ _KEYS = {
     "rho.values": _parse_float_list,
     "bloch.grid": int,
     "seed": int,
-    "threads": int,
     "output.dir": str,
     "solver.inner_tol": _finite_float,
     "solver.outer_tol": _finite_float,
@@ -202,9 +201,6 @@ def parse_config(path) -> RunConfig:
             f"got {cfg.rho_values}")
     # -0 passes the check above; written as is it would read "rho": -0
     cfg.rho_values = tuple(0.0 if r == 0 else r for r in cfg.rho_values)
-    # threads is accepted for compatibility and has no effect
-    if values.get("threads", 1) < 1:
-        raise ConfigError(f"threads must be >= 1, got {values['threads']}")
 
     solver_kwargs = {key.split(".", 1)[1]: val for key, val in values.items()
                      if key.startswith("solver.")}

@@ -23,10 +23,15 @@ from .solver import SolverConfig, solve_ground_state
 from .spectral import SpectralSplit, split_norm
 
 
-def superquadratic_mass(model: Nonlinearity, u: LatticeField,
-                        sites: np.ndarray | None = None) -> float:
+# Decision thresholds of `convergence_report`, written to report.json as is.
+REPORT_THRESHOLDS = {"gap_floor": 1e-12, "slope_flag": 0.5,
+                     "final_gap_frac": 0.02, "final_dist_frac": 0.05,
+                     "ordering_tol": 1e-8}
+
+
+def superquadratic_mass(model: Nonlinearity, u: LatticeField) -> float:
     """sum_x G(x, u) with G = 1/2 f u - F; equals J_rho(u) - 1/2 <J'(u), u>."""
-    sites = u.box.sites if sites is None else sites
+    sites = u.box.sites
     vals = u.values
     return float(np.sum(0.5 * model.f(vals, sites) * vals - model.F(vals, sites)))
 
@@ -41,8 +46,8 @@ class SweepPlan:
         values = tuple(float(r) for r in self.rho_values)
         if len(values) < 1:
             raise InvalidInputError("sweep plan needs at least one coupling")
-        if any(r < 0 for r in values):
-            raise InvalidInputError("couplings must be >= 0")
+        if not all(0 <= r < np.inf for r in values):
+            raise InvalidInputError("couplings must be finite and >= 0")
         if values[-1] != 0.0:
             raise InvalidInputError("sweep plan must end at rho = 0")
         if any(a <= b for a, b in zip(values, values[1:])):
@@ -116,18 +121,18 @@ def sweep_rho(plan: SweepPlan, split: SpectralSplit, model: Nonlinearity,
     return records
 
 
-def convergence_report(records: list[SweepRecord], baseline: SweepRecord,
-                       gap_floor: float = 1e-12, slope_flag: float = 0.5,
-                       final_gap_frac: float = 0.02,
-                       final_dist_frac: float = 0.05,
-                       ordering_tol: float = 1e-8) -> dict:
+def convergence_report(records: list[SweepRecord], baseline: SweepRecord) -> dict:
     """Tabulate the sweep against the baseline and fit the level-gap decay.
 
-    The least-squares slope of log|c_rho - c_0| against log rho is reported
-    (not asserted); slopes below `slope_flag` are flipped to suspicious.
-    Gaps at or below `gap_floor` are excluded from the fit; if fewer than two
-    points survive the slope is "indeterminate".
+    Thresholds come from REPORT_THRESHOLDS.  The least-squares slope of
+    log|c_rho - c_0| against log rho is reported (not asserted); slopes below
+    slope_flag = 0.5 are flipped to suspicious.  Gaps at or below gap_floor =
+    1e-12 are excluded from the fit; if fewer than two points survive the
+    slope is "indeterminate".  Levels and gap increments are compared up to
+    ordering_tol = 1e-8; the last positive coupling must come within
+    final_gap_frac = 0.02 of c_0 and final_dist_frac = 0.05 of ||u_0||.
     """
+    th = REPORT_THRESHOLDS
     positive = sorted((r for r in records if r.rho > 0), key=lambda r: -r.rho)
     if len(positive) < 3:
         raise InvalidInputError(
@@ -137,20 +142,20 @@ def convergence_report(records: list[SweepRecord], baseline: SweepRecord,
     c0 = baseline.c_rho
     gaps = [abs(r.c_rho - c0) for r in positive]
     usable = [(np.log(r.rho), np.log(g))
-              for r, g in zip(positive, gaps) if g > gap_floor]
+              for r, g in zip(positive, gaps) if g > th["gap_floor"]]
     if len(usable) >= 2:
         xs, ys = np.array([p[0] for p in usable]), np.array([p[1] for p in usable])
         slope = float(np.polyfit(xs, ys, 1)[0])
         slope_out: float | str = slope
-        suspicious = slope < slope_flag
+        suspicious = slope < th["slope_flag"]
     else:
         slope_out = "indeterminate"
         suspicious = False
-    ordering_ok = all(r.c_rho <= c0 + ordering_tol for r in positive)
+    ordering_ok = all(r.c_rho <= c0 + th["ordering_tol"] for r in positive)
     diffs = np.diff(gaps)
-    gaps_non_increasing = bool(np.all(diffs <= ordering_tol))
-    final_gap_ok = gaps[-1] <= final_gap_frac * c0
-    final_dist_ok = positive[-1].d_to_baseline <= final_dist_frac * baseline.u_norm
+    gaps_non_increasing = bool(np.all(diffs <= th["ordering_tol"]))
+    final_gap_ok = gaps[-1] <= th["final_gap_frac"] * c0
+    final_dist_ok = positive[-1].d_to_baseline <= th["final_dist_frac"] * baseline.u_norm
     return {
         "c0": c0,
         "records": [r.to_dict() for r in positive] + [baseline.to_dict()],
@@ -163,9 +168,5 @@ def convergence_report(records: list[SweepRecord], baseline: SweepRecord,
             "final_distance_ok": bool(final_dist_ok),
             "slope_suspicious": bool(suspicious),
         },
-        "thresholds": {
-            "gap_floor": gap_floor, "slope_flag": slope_flag,
-            "final_gap_frac": final_gap_frac, "final_dist_frac": final_dist_frac,
-            "ordering_tol": ordering_tol,
-        },
+        "thresholds": dict(REPORT_THRESHOLDS),
     }

@@ -94,7 +94,7 @@ class SiteTerms:
 def _check(split: SpectralSplit, u: LatticeField, rho: float):
     if u.box != split.box:
         raise InvalidInputError("field box does not match the split's box")
-    if rho < 0:
+    if not rho >= 0:
         raise InvalidInputError(f"rho must be >= 0, got {rho}")
 
 

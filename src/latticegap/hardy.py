@@ -55,7 +55,7 @@ GRAPH_WEIGHT = HardyWeight("graph")
 def weighted_mass(u: LatticeField, rho: float,
                   weight: HardyWeight = EUCLIDEAN_WEIGHT) -> float:
     """rho * sum_x w(x) u(x)^2."""
-    if rho < 0:
+    if not rho >= 0:
         raise InvalidInputError(f"rho must be >= 0, got {rho}")
     return float(rho * np.sum(weight.on_box(u.box) * u.values ** 2))
 
@@ -202,7 +202,7 @@ class InequalityConstants:
 
     def __post_init__(self):
         for name in ("kappa", "rho_plus"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise InvalidInputError(f"{name} must be > 0, got {getattr(self, name)}")
         tilde = min(self.rho_plus, 1.0)
         if self.rho_tilde_plus is None:

@@ -1,5 +1,5 @@
-"""Deterministic JSON output with floats at 17 significant digits, and
-atomic artifact writes.
+"""Deterministic JSON output (sorted keys, two-space indent, floats at 17
+significant digits), and atomic artifact writes.
 
 The stdlib encoder prints shortest round-trip floats; artifact files pin
 the full 17 significant digits instead so that independently produced
@@ -35,9 +35,9 @@ def atomic_open(path, mode: str = "w", **kwargs):
         raise
 
 
-def _render(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
+def _render(obj, level: int) -> str:
+    pad = "  " * level
+    inner = "  " * (level + 1)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -45,12 +45,12 @@ def _render(obj, indent: int, level: int) -> str:
         for key in sorted(obj):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            items.append(f"{inner}{json.dumps(key)}: {_render(obj[key], indent, level + 1)}")
+            items.append(f"{inner}{json.dumps(key)}: {_render(obj[key], level + 1)}")
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [f"{inner}{_render(v, indent, level + 1)}" for v in obj]
+        items = [f"{inner}{_render(v, level + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
@@ -65,10 +65,10 @@ def _render(obj, indent: int, level: int) -> str:
     raise TypeError(f"unsupported JSON value: {type(obj).__name__}")
 
 
-def dumps(obj, indent: int = 2) -> str:
-    return _render(obj, indent, 0) + "\n"
+def dumps(obj) -> str:
+    return _render(obj, 0) + "\n"
 
 
-def dump(obj, path, indent: int = 2) -> None:
+def dump(obj, path) -> None:
     with atomic_open(path) as fh:
-        fh.write(dumps(obj, indent))
+        fh.write(dumps(obj))

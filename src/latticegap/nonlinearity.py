@@ -195,27 +195,25 @@ class HypothesisReport:
                 "checks": {name: c.to_dict() for name, c in sorted(self.checks.items())}}
 
 
-def _sample_grid(u_max: float, n_points: int) -> np.ndarray:
-    half = n_points // 2
-    pos = np.geomspace(1e-8, u_max, half)
-    return np.concatenate([-pos[::-1], [0.0], pos])
+# sample grid and thresholds of `validate_hypotheses`
+U_MAX = 10.0
+N_POINTS = 2000
+SLOPE_TOL = 1e-3
+SMALL_U = 1e-3
+GROWTH_THRESHOLD = 10.0
 
 
-def validate_hypotheses(model: Nonlinearity, u_max: float = 10.0,
-                        n_points: int = 2000, slope_tol: float = 1e-3,
-                        small_u: float = 1e-3,
-                        growth_threshold: float = 10.0) -> HypothesisReport:
+def validate_hypotheses(model: Nonlinearity) -> HypothesisReport:
     """Sampled hypothesis check; returns a per-check pass/fail report.
 
+    N_POINTS = 2000 geometric samples span [-U_MAX, U_MAX], U_MAX = 10.
     Thresholds for the asymptotic conditions are finite-sample heuristics:
-    near-zero slope is tested as |f(u)/u| <= slope_tol for |u| <= small_u,
-    and superquadratic growth as F(u)/u^2 >= growth_threshold at |u| = u_max.
+    near-zero slope is tested as |f(u)/u| <= SLOPE_TOL = 1e-3 for |u| <=
+    SMALL_U = 1e-3, and superquadratic growth as F(u)/u^2 >= GROWTH_THRESHOLD
+    = 10 at |u| = U_MAX.
     """
-    if u_max < 10.0:
-        raise InvalidInputError(f"sample grid must span at least [-10, 10], got {u_max}")
-    if n_points < 1000:
-        raise InvalidInputError(f"need at least 1000 sample points, got {n_points}")
-    us = _sample_grid(u_max, n_points)
+    pos = np.geomspace(1e-8, U_MAX, N_POINTS // 2)
+    us = np.concatenate([-pos[::-1], [0.0], pos])
     fs = model.f(us)
     Fs = model.F(us)
     report = HypothesisReport()
@@ -252,19 +250,19 @@ def validate_hypotheses(model: Nonlinearity, u_max: float = 10.0,
         report.checks["growth_envelope"] = CheckResult(
             "growth_envelope", False, -np.inf, np.nan, "model declares no growth constants")
 
-    small = (np.abs(us) <= small_u) & (us != 0.0)
+    small = (np.abs(us) <= SMALL_U) & (us != 0.0)
     ratios = np.abs(fs[small] / us[small])
     report.checks["vanishing_at_zero"] = CheckResult(
-        "vanishing_at_zero", bool(np.max(ratios) <= slope_tol),
-        float(slope_tol - np.max(ratios)), float(us[small][int(np.argmax(ratios))]),
-        f"|f(u)/u| <= {slope_tol} for |u| <= {small_u}")
+        "vanishing_at_zero", bool(np.max(ratios) <= SLOPE_TOL),
+        float(SLOPE_TOL - np.max(ratios)), float(us[small][int(np.argmax(ratios))]),
+        f"|f(u)/u| <= {SLOPE_TOL} for |u| <= {SMALL_U}")
 
-    edge = np.abs(np.abs(us) - u_max) < 1e-9 * u_max
+    edge = np.abs(np.abs(us) - U_MAX) < 1e-9 * U_MAX
     growth = Fs[edge] / us[edge] ** 2
     report.checks["superquadratic_growth"] = CheckResult(
-        "superquadratic_growth", bool(np.min(growth) >= growth_threshold),
-        float(np.min(growth) - growth_threshold), float(u_max),
-        f"F(u)/u^2 >= {growth_threshold} at |u| = {u_max}")
+        "superquadratic_growth", bool(np.min(growth) >= GROWTH_THRESHOLD),
+        float(np.min(growth) - GROWTH_THRESHOLD), U_MAX,
+        f"F(u)/u^2 >= {GROWTH_THRESHOLD} at |u| = {U_MAX}")
 
     slopes = fs[us != 0.0] / np.abs(us[us != 0.0])
     nz = us[us != 0.0]

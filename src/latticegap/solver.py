@@ -21,6 +21,7 @@ module adds only the quadratic parts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,21 +51,21 @@ class SolverConfig:
     max_outer: int = 400
     max_polish: int = 60
     newton_switch: float = 1e-3   # inner residual at which Newton acceleration starts
-    armijo: float = 1e-4
-    backtrack_shrink: float = 0.5
-    max_backtracks: int = 50
     multistart: int = 5
     seed: int = 0
-    certify: bool = True
     certificate_samples: int = 200
     certificate_tol: float = 1e-6
     validate_model: bool = True
-    t_cap: float = 1e6            # scalar growth beyond this flags a degenerate direction
     # Dirichlet walls support boundary-pinned critical points below the bulk
     # soliton level; a threshold on the squared-mass fraction in the outer
     # layers restricts the search to interior states (None = box-global).
     max_boundary_mass: float | None = None
     boundary_layers: int = 1
+    # step-control constants of the inner and outer searches; not settable
+    armijo: ClassVar[float] = 1e-4
+    backtrack_shrink: ClassVar[float] = 0.5
+    max_backtracks: ClassVar[int] = 50
+    t_cap: ClassVar[float] = 1e6  # scalar growth beyond this flags a degenerate direction
 
     def __post_init__(self):
         for name in ("inner_tol", "outer_tol", "polish_tol"):
@@ -76,9 +77,9 @@ class SolverConfig:
             raise InvalidInputError("multistart must be >= 1")
         if self.max_boundary_mass is not None and not 0.0 < self.max_boundary_mass <= 1.0:
             raise InvalidInputError("max_boundary_mass must be None or in (0, 1]")
-        for name in ("backtrack_shrink", "armijo"):
-            if not 0.0 < getattr(self, name) < 1.0:
-                raise InvalidInputError(f"{name} must be in (0, 1)")
+        for name in ("max_inner", "max_outer", "max_polish"):
+            if getattr(self, name) < 1:
+                raise InvalidInputError(f"{name} must be >= 1")
         if self.boundary_layers < 1:
             raise InvalidInputError("boundary_layers must be >= 1")
         if self.certificate_samples < 0:
@@ -583,12 +584,12 @@ def maximality_certificate(split: SpectralSplit, model: Nonlinearity,
     return worst <= tol, worst
 
 
-def _sampled_sphere_floor(ws: _Workspace, rng, n_samples: int = 50):
-    """Rough positive lower level on a small X^+ sphere (sanity floor)."""
+def _sampled_sphere_floor(ws: _Workspace, rng):
+    """Rough positive lower level on a small X^+ sphere (sanity floor), 50 directions."""
     split = ws.split
-    dirs = rng.standard_normal((n_samples, split.positive_count))
-    for i in range(n_samples):
-        dirs[i] /= split.plus_norm(dirs[i])
+    dirs = rng.standard_normal((50, split.positive_count))
+    for d in dirs:
+        d /= split.plus_norm(d)
     # each direction's site values are computed once; a radius is a rescale
     slabs = [_Slab(ws, d) for d in dirs]
     no_minus = np.zeros(split.negative_count)
@@ -617,7 +618,7 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
 
     Post-conditions enforced on the returned state: both Nehari residuals at
     the polish tolerance, positive level above the sampled sphere floor, and
-    (by default) the sampled maximality certificate.
+    the sampled maximality certificate.
     """
     cfg = config or SolverConfig()
     if not rho >= 0:
@@ -687,13 +688,11 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
     floor = _sampled_sphere_floor(ws, np.random.default_rng(cfg.seed + 1259))
     if level < 0.5 * floor:
         problems.append(f"level {level:.6e} below half the sphere floor {floor:.6e}")
-    certified = None
-    if cfg.certify:
-        certified, worst = maximality_certificate(
-            split, model, u, rho, n_samples=cfg.certificate_samples,
-            seed=cfg.seed + 3571, tol=cfg.certificate_tol, weight=weight)
-        if not certified:
-            problems.append(f"maximality certificate violated by {worst:.3e}")
+    certified, worst = maximality_certificate(
+        split, model, u, rho, n_samples=cfg.certificate_samples,
+        seed=cfg.seed + 3571, tol=cfg.certificate_tol, weight=weight)
+    if not certified:
+        problems.append(f"maximality certificate violated by {worst:.3e}")
     if problems:
         raise PostConditionError("not a Nehari point: " + "; ".join(problems))
 

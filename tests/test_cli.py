@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import shutil
 
 import pytest
 
 import latticegap as lg
-from latticegap import jsonio
+from latticegap import cli, jsonio
 from latticegap.cli import main, parse_config
 from latticegap.errors import ConfigError
 
@@ -55,6 +56,18 @@ class TestParseConfig:
     def test_bad_value_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="bad value"):
             parse_config(write_config(tmp_path, **{"box.radius": "huge"}))
+
+    def test_solver_keys_cover_solver_config(self, tmp_path):
+        # every SolverConfig field is a solver.* key, except the seed (the
+        # top-level key) and validate_model (library only)
+        defaults = {f.name: f.default for f in dataclasses.fields(lg.SolverConfig)}
+        keys = {k.split(".", 1)[1] for k in cli._KEYS if k.startswith("solver.")}
+        assert set(defaults) == keys | {"seed", "validate_model"}
+        # None (box-global search) has no config spelling; it is the default
+        settings = {f"solver.{k}": repr(defaults[k]) for k in sorted(keys)
+                    if defaults[k] is not None}
+        cfg = parse_config(write_config(tmp_path, **settings))
+        assert cfg.solver == lg.SolverConfig(seed=cfg.seed)
 
     def test_rho_list_parsing(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, **{"rho.values": "0.4, 0.2, 0.0"}))
@@ -390,13 +403,19 @@ class TestBadSettings:
         assert "rho" in err
         assert not (tmp_path / "out" / "gap.json").exists()
 
-    def test_threads_key_accepted(self, tmp_path):
-        cfg = parse_config(write_config(tmp_path, threads="4"))
-        assert not hasattr(cfg, "threads")
-        with pytest.raises(ConfigError, match="threads"):
-            parse_config(write_config(tmp_path, threads="0"))
+    def test_threads_key_rejected(self, tmp_path):
+        # the key had no effect and is gone; the --threads flag is still
+        # accepted (and ignored) but must be >= 1
+        with pytest.raises(ConfigError, match="unknown config key 'threads'"):
+            parse_config(write_config(tmp_path, threads="4"))
         assert main(["certify-gap", "--config", str(write_config(tmp_path)),
                      "--out", str(tmp_path / "out"), "--threads", "0"]) == 2
+
+    @pytest.mark.parametrize("key", ["solver.max_inner", "solver.max_outer",
+                                     "solver.max_polish"])
+    def test_zero_iteration_cap_rejected(self, tmp_path, capsys, key):
+        err = self._refused(tmp_path, capsys, "solve", **{key: "0"})
+        assert key.split(".")[1] in err
 
 
 @pytest.fixture(scope="module")

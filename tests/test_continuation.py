@@ -57,6 +57,7 @@ class TestSweepPlan:
         (0.2, 0.2, 0.0),      # not distinct
         (0.4, 0.2),           # does not end at 0
         (0.4, -0.1, 0.0),     # negative
+        (float("nan"), 0.0),  # not a number
     ])
     def test_invalid_plans_rejected(self, values):
         with pytest.raises(InvalidInputError):

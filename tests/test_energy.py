@@ -48,6 +48,14 @@ class TestEvaluateEnergy:
         with pytest.raises(InvalidInputError):
             lg.evaluate_energy(split_r2, model, lg.delta_field(lg.BoxDomain(3, 1)), 0.0)
 
+    @pytest.mark.parametrize("rho", [float("nan"), -0.1])
+    def test_bad_rho_rejected(self, split_r2, model, rho):
+        # a NaN coupling must not be read as rho = 0 (no Hardy term)
+        u = random_field(split_r2.box, np.random.default_rng(5))
+        for fn in (lg.evaluate_energy, lg.gradient, lg.nehari_residual):
+            with pytest.raises(InvalidInputError, match="rho"):
+                fn(split_r2, model, u, rho)
+
 
 class TestGradient:
     def test_zero_field(self, split_r2, model):

@@ -43,8 +43,9 @@ class TestWeightedMass:
 
     def test_negative_rho_rejected(self):
         box = lg.BoxDomain(3, 1)
-        with pytest.raises(InvalidInputError):
-            lg.weighted_mass(lg.delta_field(box), -0.5)
+        for rho in (-0.5, float("nan")):
+            with pytest.raises(InvalidInputError):
+                lg.weighted_mass(lg.delta_field(box), rho)
 
     def test_translation_decay(self):
         # mass of a compactly supported bump decays once the shift clears its
@@ -176,6 +177,13 @@ class TestInequalityConstants:
         with pytest.raises(InvalidInputError):
             lg.InequalityConstants(dimension=3, radius=4, kappa=0.5, rho_plus=2.0,
                                    rho_tilde_plus=2.0, rho_max=4.0)
+
+    @pytest.mark.parametrize("name", ["kappa", "rho_plus"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    def test_non_positive_constant_rejected(self, name, value):
+        args = {"kappa": 0.5, "rho_plus": 2.0, name: value}
+        with pytest.raises(InvalidInputError, match=name):
+            lg.InequalityConstants(dimension=3, radius=4, **args)
 
     def test_compute_constants_bundle(self, split_r3):
         c = lg.compute_constants(split_r3)

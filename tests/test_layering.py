@@ -1,14 +1,17 @@
 """Module layering of the package: the graph of imports between its modules
 has no cycle, and every such import sits at module level, where the graph
 is visible, never inside a function body.  The X^-/X^+ layout of the
-eigenvector matrix is known only to `spectral`: no other module reads it."""
+eigenvector matrix is known only to `spectral`: no other module reads it.
+Every function the benchmark tracer wraps exists under its wrapped name."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "latticegap"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "latticegap"
 MODULES = {path.stem: path for path in sorted(PACKAGE.glob("*.py"))}
 TREES = {name: ast.parse(path.read_text(encoding="utf-8"))
          for name, path in MODULES.items()}
@@ -94,3 +97,14 @@ def test_eigenvectors_read_only_in_spectral(module):
     lines = [node.lineno for node in ast.walk(TREES[module])
              if isinstance(node, ast.Attribute) and node.attr == "eigenvectors"]
     assert not lines, f"{module}.py reads .eigenvectors at lines {lines}"
+
+
+def test_tracer_wraps_resolve():
+    # loading the tracer only defines its tables; install() is never called
+    spec = importlib.util.spec_from_file_location(
+        "latticegap_tracer", ROOT / "benchmarks" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{owner.__name__}.{attr}"
+               for owner, attr, _ in tracer.WRAPS if not hasattr(owner, attr)]
+    assert tracer.WRAPS and not missing, f"tracer wraps missing names: {missing}"

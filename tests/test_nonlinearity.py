@@ -3,7 +3,8 @@ import pytest
 
 import latticegap as lg
 from latticegap.errors import InvalidInputError
-from latticegap.nonlinearity import CustomNonlinearity, check_primitive
+from latticegap.nonlinearity import (N_POINTS, U_MAX, CustomNonlinearity,
+                                     check_primitive)
 
 
 @pytest.fixture
@@ -105,9 +106,12 @@ class TestValidator:
         assert not report.all_passed
 
     def test_grid_preconditions(self, power4):
-        with pytest.raises(InvalidInputError):
+        # the grid is fixed: it spans [-10, 10] with 2000 points and cannot
+        # be narrowed or thinned by the caller
+        assert U_MAX >= 10.0 and N_POINTS >= 1000
+        with pytest.raises(TypeError):
             lg.validate_hypotheses(power4, u_max=5.0)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(TypeError):
             lg.validate_hypotheses(power4, n_points=100)
 
     def test_report_serializable(self, power4):

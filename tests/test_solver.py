@@ -241,15 +241,25 @@ class TestSolverConfig:
         assert lg.SolverConfig(max_boundary_mass=None).max_boundary_mass is None
         assert lg.SolverConfig(max_boundary_mass=1.0).max_boundary_mass == 1.0
 
+    # the line-search constants lie in (0, 1) and are not settable
     @pytest.mark.parametrize("value", [0.0, 1.0, 2.0])
     def test_backtrack_shrink_range(self, value):
-        with pytest.raises(InvalidInputError, match="backtrack_shrink"):
+        assert 0.0 < lg.SolverConfig().backtrack_shrink == 0.5 < 1.0
+        with pytest.raises(TypeError, match="backtrack_shrink"):
             lg.SolverConfig(backtrack_shrink=value)
 
     @pytest.mark.parametrize("value", [0.0, 1.0, -1e-4])
     def test_armijo_range(self, value):
-        with pytest.raises(InvalidInputError, match="armijo"):
+        assert 0.0 < lg.SolverConfig().armijo == 1e-4 < 1.0
+        with pytest.raises(TypeError, match="armijo"):
             lg.SolverConfig(armijo=value)
+
+    @pytest.mark.parametrize("name", ["max_inner", "max_outer", "max_polish"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_iteration_caps_positive(self, name, value):
+        with pytest.raises(InvalidInputError, match=name):
+            lg.SolverConfig(**{name: value})
+        assert getattr(lg.SolverConfig(**{name: 1}), name) == 1
 
     def test_boundary_layers_positive(self):
         with pytest.raises(InvalidInputError, match="boundary_layers"):

@@ -16,10 +16,19 @@ per inner solve, each of its evaluations touches only the split's X^-
 block `minus_vectors`.
 The site-space terms of J, J' and J'' come from `energy.SiteTerms`; this
 module adds only the quadratic parts.
+
+The multistart's starts are independent and read only shared, unchanging
+inputs (the split, the site terms, the model and the config), so they run
+on a thread pool: numpy releases the interpreter lock inside its dense
+products.  The pool gets the cores that BLAS leaves idle (`_start_workers`),
+and the results are read back in start order, so the answer does not depend
+on the worker count.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from typing import ClassVar
 
@@ -36,7 +45,7 @@ from .hardy import EUCLIDEAN_WEIGHT, HardyWeight, compute_constants
 from .lattice import LatticeField, recenter
 from .nonlinearity import (CustomNonlinearity, Nonlinearity,
                            validate_hypotheses)
-from .spectral import SpectralSplit
+from .spectral import RESIDUAL_BLOCK, SpectralSplit
 
 
 @dataclass(frozen=True)
@@ -388,6 +397,33 @@ def _outer_single(ws: _Workspace, wp0: np.ndarray, cfg: SolverConfig,
     return out
 
 
+# OpenBLAS takes its thread count from the first of these that holds a
+# positive integer, and otherwise uses every core
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _start_workers(n_starts: int) -> int:
+    """Threads for the multistart: min(n_starts, cores // BLAS threads), >= 1.
+
+    Each start's dense products already run on the BLAS threads, so only the
+    cores BLAS leaves idle take extra starts; more would oversubscribe them.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    blas_threads = cores
+    for name in _BLAS_THREAD_VARIABLES:
+        try:
+            value = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if value > 0:
+            blas_threads = value
+            break
+    return max(1, min(n_starts, cores // blas_threads))
+
+
 def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
                    config: SolverConfig | None = None,
                    weight: HardyWeight = EUCLIDEAN_WEIGHT,
@@ -397,6 +433,11 @@ def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
     Returns the least-level candidate before Newton polishing.  Ties within
     1e-10 are broken by the smaller l2 norm.  Raises DegenerateProblemError
     when every start collapses.
+
+    The starts (one for a warm start) run concurrently on `_start_workers`
+    threads.  Their results, and the first exception a start raises, are
+    taken in start order, so the candidate, its trace and the diagnostics
+    are those of running the starts one after another.
     """
     cfg = config or SolverConfig()
     ws = _Workspace(split, model, rho, weight)
@@ -424,8 +465,14 @@ def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
             wp = rng.standard_normal(npos)
             starts.append((wp / split.plus_norm(wp), None))
 
-    results = [_outer_single(ws, wp, cfg, i, warm)
-               for i, (wp, warm) in enumerate(starts)]
+    pool = ThreadPoolExecutor(max_workers=_start_workers(len(starts)))
+    try:
+        futures = [pool.submit(_outer_single, ws, wp, cfg, i, warm)
+                   for i, (wp, warm) in enumerate(starts)]
+        results = [future.result() for future in futures]
+    finally:
+        # after a failure the starts not yet begun are dropped, as in a loop
+        pool.shutdown(cancel_futures=True)
     usable = [r for r in results if r.status in ("converged", "stalled")]
     boundary = {}
     if cfg.max_boundary_mass is not None:
@@ -575,12 +622,18 @@ def maximality_certificate(split: SpectralSplit, model: Nonlinearity,
     base = slab.value(1.0, um, u.values)
     v_radius = 3.0 * max(_metric_norm(split.abs_eigenvalues, cu), 1.0)
     rng = np.random.default_rng(seed)
+    ts = np.empty(n_samples)
+    dvs = np.empty((n_samples, split.negative_count))
+    for k in range(n_samples):
+        ts[k] = rng.uniform(0.0, 3.0)
+        dvs[k] = _minus_perturbation(split, rng, v_radius)
     worst = -np.inf
-    for _ in range(n_samples):
-        t = rng.uniform(0.0, 3.0)
-        dv = _minus_perturbation(split, rng, v_radius)
-        site = t * u.values + split.minus_vectors @ dv
-        worst = max(worst, slab.value(t, t * um + dv, site) - base)
+    # site values of RESIDUAL_BLOCK samples at a time, as one matrix product
+    for lo in range(0, n_samples, RESIDUAL_BLOCK):
+        block = slice(lo, lo + RESIDUAL_BLOCK)
+        sites = ts[block, None] * u.values + dvs[block] @ split.minus_vectors.T
+        for t, dv, site in zip(ts[block].tolist(), dvs[block], sites):
+            worst = max(worst, slab.value(t, t * um + dv, site) - base)
     return worst <= tol, worst
 
 
@@ -590,12 +643,14 @@ def _sampled_sphere_floor(ws: _Workspace, rng):
     dirs = rng.standard_normal((50, split.positive_count))
     for d in dirs:
         d /= split.plus_norm(d)
-    # each direction's site values are computed once; a radius is a rescale
-    slabs = [_Slab(ws, d) for d in dirs]
-    no_minus = np.zeros(split.negative_count)
+    # the directions' site values come from one matrix product; a radius is
+    # a rescale.  At t d the quadratic part of J is t^2 ||d||^2 / 2.
+    site_dirs = dirs @ split.plus_vectors.T
+    quads = [float(np.sum(split.plus_eigenvalues * d ** 2)) for d in dirs]
 
     def sampled_min(radius):
-        return min(s.value(radius, no_minus, radius * s.ew) for s in slabs)
+        return min(0.5 * (radius * radius * q) - ws.terms.energy(radius * e)
+                   for q, e in zip(quads, site_dirs))
 
     radius = 1.0
     for _ in range(40):

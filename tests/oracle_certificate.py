@@ -1,0 +1,65 @@
+"""Reference per-sample loops of the solver's sampled certificates.
+
+`maximality_certificate` and `_sampled_sphere_floor` form the site values of
+all their samples with one matrix product.  These loops draw the same random
+numbers in the same order and form the site values with one matrix-vector
+product per sample, as the solver once did, so the two agree to rounding.
+Only the site terms of J come from the package."""
+
+import numpy as np
+
+from latticegap.energy import SiteTerms
+
+
+def _metric_norm(abs_lam, coords):
+    return float(np.sqrt(np.sum(abs_lam * coords ** 2)))
+
+
+def maximality_certificate(split, model, u, rho, n_samples, seed, tol, weight):
+    """(ok, worst excess of J(t u + v) over J(u)) from per-sample products."""
+    terms = SiteTerms(split, model, rho, weight)
+    cu = split.to_coords(u)
+    um = cu[split.minus]
+    qw = float(np.sum(split.plus_eigenvalues * cu[split.plus] ** 2))
+
+    def value(t, vm, site):
+        quad = t * t * qw + float(np.sum(split.minus_eigenvalues * vm ** 2))
+        return 0.5 * quad - terms.energy(site)
+
+    base = value(1.0, um, u.values)
+    v_radius = 3.0 * max(_metric_norm(split.abs_eigenvalues, cu), 1.0)
+    rng = np.random.default_rng(seed)
+    worst = -np.inf
+    for _ in range(n_samples):
+        t = rng.uniform(0.0, 3.0)
+        dv = rng.standard_normal(split.negative_count)
+        norm = _metric_norm(split.abs_minus_eigenvalues, dv)
+        if norm > 0:
+            dv *= rng.uniform(0.0, v_radius) / norm
+        site = t * u.values + split.minus_vectors @ dv
+        worst = max(worst, value(t, t * um + dv, site) - base)
+    return worst <= tol, worst
+
+
+def sampled_sphere_floor(split, model, rho, weight, rng):
+    """The sphere floor from one matrix-vector product per direction."""
+    terms = SiteTerms(split, model, rho, weight)
+    dirs = rng.standard_normal((50, split.positive_count))
+    for d in dirs:
+        d /= split.plus_norm(d)
+    slabs = [(split.plus_vectors @ d, float(np.sum(split.plus_eigenvalues * d ** 2)))
+             for d in dirs]
+
+    def sampled_min(radius):
+        return min(0.5 * (radius * radius * q) - terms.energy(radius * e)
+                   for e, q in slabs)
+
+    radius = 1.0
+    for _ in range(40):
+        if sampled_min(radius) > 0.0:
+            radius *= 0.5
+            low = sampled_min(radius)
+            if low > 0.0:
+                return float(low)
+        radius *= 0.5
+    return 0.0

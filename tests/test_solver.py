@@ -1,12 +1,17 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 import latticegap as lg
+from latticegap import solver
 from latticegap.errors import (DegenerateProblemError, InvalidInputError,
-                               RhoOutOfRangeError)
+                               NumericalError, RhoOutOfRangeError)
 from latticegap.nonlinearity import CustomNonlinearity
 from latticegap.solver import _inner_core, _Slab, _Workspace
 
+import oracle_certificate
 from conftest import random_field
 from oracle_newton import critical_levels
 
@@ -279,3 +284,155 @@ class TestSolverConfig:
         cfg = lg.SolverConfig(seed=1, multistart=2, boundary_layers=2)
         with pytest.raises(InvalidInputError, match="below the box radius"):
             lg.solve_ground_state(split_r2, model, 0.0, cfg)
+
+
+@pytest.fixture(scope="module")
+def constants_r3(split_r3):
+    return lg.compute_constants(split_r3)
+
+
+def _interior_config(seed):
+    return lg.SolverConfig(seed=seed, multistart=5, max_boundary_mass=0.25)
+
+
+@pytest.fixture(scope="module")
+def ground_r3(split_r3, model, constants_r3):
+    """Interior ground states at R = 3 by coupling fraction of rho_max."""
+    return {frac: lg.solve_ground_state(split_r3, model, frac * constants_r3.rho_max,
+                                        _interior_config(7), constants=constants_r3)
+            for frac in (0.0, 0.4)}
+
+
+def _fields(result):
+    """Every field of a GroundStateResult, the field u as its bytes."""
+    return dict(vars(result), u=result.u.values.tobytes())
+
+
+class TestConcurrentStarts:
+    """Starts run on a thread pool; the worker count must not change the answer.
+
+    Runs under the suite's BLAS threads, so concurrent starts may call into a
+    multi-threaded BLAS at once."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("frac", [0.0, 0.4])
+    def test_result_independent_of_workers(self, monkeypatch, split_r3, model,
+                                           constants_r3, frac, seed):
+        rho = frac * constants_r3.rho_max
+        cfg = _interior_config(seed)
+        runs = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more thread switches inside the starts
+        try:
+            for workers in (1, 3):
+                monkeypatch.setattr(solver, "_start_workers", lambda n, w=workers: w)
+                outer = lg.outer_minimize(split_r3, model, rho, cfg)
+                full = lg.solve_ground_state(split_r3, model, rho, cfg,
+                                             constants=constants_r3)
+                runs[workers] = (_fields(outer), _fields(full))
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[1] == runs[3]
+
+    def test_first_failure_in_start_order(self, monkeypatch, split_r3, model):
+        # start 3 fails first in time; start 1 fails only after it, yet
+        # start 1's error is the one raised, as in a loop over the starts
+        original = solver._outer_single
+        start3_failed = threading.Event()
+
+        def failing(ws, wp, cfg, index, warm=None):
+            if index == 3:
+                start3_failed.set()
+                raise NumericalError("start 3 failed")
+            if index == 1:
+                start3_failed.wait(timeout=60.0)
+                raise NumericalError("start 1 failed")
+            return original(ws, wp, cfg, index, warm)
+
+        monkeypatch.setattr(solver, "_outer_single", failing)
+        monkeypatch.setattr(solver, "_start_workers", lambda n: 3)
+        before = threading.active_count()
+        with pytest.raises(NumericalError, match="start 1 failed"):
+            lg.outer_minimize(split_r3, model, 0.0, _interior_config(7))
+        assert start3_failed.is_set()
+        assert threading.active_count() == before
+
+
+class TestStartWorkers:
+    """min(starts, cores // BLAS threads), at least 1; no thread is started."""
+
+    VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+    @pytest.fixture
+    def cores(self, monkeypatch):
+        for name in self.VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+
+        def set_cores(n):
+            monkeypatch.setattr(solver.os, "sched_getaffinity",
+                                lambda pid: set(range(n)))
+        return set_cores
+
+    @pytest.mark.parametrize("starts", [1, 3, 5])
+    def test_one_blas_thread_uses_every_core(self, monkeypatch, cores, starts):
+        cores(4)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert solver._start_workers(starts) == min(starts, 4)
+
+    def test_goto_before_omp(self, monkeypatch, cores):
+        cores(4)
+        monkeypatch.setenv("GOTO_NUM_THREADS", "2")
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        assert solver._start_workers(5) == 2
+
+    def test_unset_means_blas_on_every_core(self, cores):
+        cores(4)
+        assert solver._start_workers(5) == 1
+
+    def test_more_blas_threads_than_cores(self, monkeypatch, cores):
+        cores(2)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        assert solver._start_workers(5) == 1
+
+    @pytest.mark.parametrize("value", ["0", "-2", "abc"])
+    def test_invalid_value_is_unset(self, monkeypatch, cores, value):
+        cores(4)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
+        assert solver._start_workers(5) == 1
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        assert solver._start_workers(5) == 4
+
+    def test_cpu_count_without_affinity(self, monkeypatch, cores):
+        monkeypatch.delattr(solver.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(solver.os, "cpu_count", lambda: 3)
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        assert solver._start_workers(5) == 3
+
+
+class TestCertificateOracle:
+    """The batched certificates against the per-sample loops of
+    `oracle_certificate`: `ok` equal, levels to 1e-12 relative."""
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    @pytest.mark.parametrize("frac", [0.0, 0.4])
+    def test_maximality_certificate(self, split_r3, model, constants_r3,
+                                    ground_r3, frac, scale):
+        # at the ground state the certificate holds; at half of it, t = 2 wins
+        rho = frac * constants_r3.rho_max
+        u = lg.LatticeField(split_r3.box, scale * ground_r3[frac].u.values)
+        ok, worst = lg.maximality_certificate(split_r3, model, u, rho,
+                                              n_samples=200, seed=3578)
+        ref_ok, ref_worst = oracle_certificate.maximality_certificate(
+            split_r3, model, u, rho, 200, 3578, 1e-6, lg.EUCLIDEAN_WEIGHT)
+        assert ok == ref_ok == (scale == 1.0)
+        assert abs(worst - ref_worst) <= 1e-12 * abs(ref_worst)
+
+    @pytest.mark.parametrize("frac", [0.0, 0.4])
+    def test_sphere_floor(self, split_r3, model, constants_r3, frac):
+        rho = frac * constants_r3.rho_max
+        ws = _Workspace(split_r3, model, rho, lg.EUCLIDEAN_WEIGHT)
+        floor = solver._sampled_sphere_floor(ws, np.random.default_rng(1266))
+        ref = oracle_certificate.sampled_sphere_floor(
+            split_r3, model, rho, lg.EUCLIDEAN_WEIGHT, np.random.default_rng(1266))
+        assert ref > 0.0
+        assert abs(floor - ref) <= 1e-12 * ref

@@ -204,7 +204,7 @@ def lp_norm(u: LatticeField, p: float) -> float:
     """Counting-measure l^p norm; p = inf gives the max of |u|."""
     if p == np.inf:
         return float(np.max(np.abs(u.values))) if u.values.size else 0.0
-    if p < 1:
+    if not p >= 1:  # also refuses NaN
         raise InvalidInputError(f"p must satisfy p >= 1 or p = inf, got {p}")
     return float(np.sum(np.abs(u.values) ** p) ** (1.0 / p))
 

@@ -77,11 +77,16 @@ class SolverConfig:
     t_cap: ClassVar[float] = 1e6  # scalar growth beyond this flags a degenerate direction
 
     def __post_init__(self):
-        for name in ("inner_tol", "outer_tol", "polish_tol"):
+        for name in ("inner_tol", "outer_tol", "polish_tol", "polish_entry"):
             if not getattr(self, name) > 0:
                 raise InvalidInputError(f"{name} must be > 0")
         if self.inner_tol > self.outer_tol:
             raise InvalidInputError("inner_tol must be <= outer_tol")
+        # a negative certificate_tol asks for a margin the certificate cannot
+        # give, and a negative newton_switch would turn Newton off silently
+        for name in ("certificate_tol", "newton_switch"):
+            if not getattr(self, name) >= 0:
+                raise InvalidInputError(f"{name} must be >= 0")
         if self.multistart < 1:
             raise InvalidInputError("multistart must be >= 1")
         if self.max_boundary_mass is not None and not 0.0 < self.max_boundary_mass <= 1.0:

@@ -11,11 +11,23 @@ The box operator is then fully diagonalized (dense, desk scale) and split
 at 0 into X^- (negative eigenvalues) and X^+ (positive ones).  Dirichlet
 truncation can park boundary eigenvalues inside the infinite-lattice gap;
 these are reported as "gap intrusions", never silently dropped.
+
+The diagonalization uses the box's reflections x_i -> -x_i.  Along each
+axis where the operator equals its reflected copy exactly (every axis for
+the checkerboard and constant potentials), the sites pair up into the
+orthonormal basis e_0, (e_x + e_-x)/sqrt 2 and (e_x - e_-x)/sqrt 2, and the
+operator has no entries between states of different parity.  So it splits
+into 2^k parity sectors of about n / 2^k sites each (k symmetric axes),
+and each sector is diagonalized on its own (a symmetry-adapted basis in the
+sense of Fassler & Stiefel, Group Theoretical Methods and Their
+Applications, 1992).  Only the linear algebra is blocked: the eigenvectors
+span the whole box, and the solution is not restricted to a sector.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,6 +258,119 @@ def bloch_band_edges(potential: PeriodicPotential, grid: int = 8) -> BlochBandTa
         sigma_minus=float(negative.max()), sigma_plus=float(positive.min()))
 
 
+def reflection_axes(box: BoxDomain, operator: sp.spmatrix) -> tuple[int, ...]:
+    """Axes i along which the operator equals its copy under x_i -> -x_i
+    exactly, entry for entry."""
+    index = np.arange(box.site_count).reshape(box.shape)
+    axes = []
+    for axis in range(box.dimension):
+        mirror = np.flip(index, axis=axis).ravel()
+        if (operator[mirror][:, mirror] != operator).nnz == 0:
+            axes.append(axis)
+    return tuple(axes)
+
+
+@dataclass(frozen=True)
+class ParitySector:
+    """The columns of the parity-adapted basis Q that span one sector.
+
+    Every site lies in at most one column of a sector: column `cols[j]` has
+    the entry `coef[j]` at site `rows[j]`, and the sector has `size`
+    columns.  The sites in `rows` are ascending.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    coef: np.ndarray
+    size: int
+
+    def basis(self, site_count: int) -> sp.csr_matrix:
+        """Q_s as a sparse (site_count, size) matrix."""
+        return sp.csr_matrix((self.coef, (self.rows, self.cols)),
+                             shape=(site_count, self.size))
+
+    def lift(self, coords: np.ndarray, site_count: int) -> np.ndarray:
+        """Site values Q_s c of sector coordinates, one column per column of
+        `coords`.  A gather, not a sum, so with Q_s = I the result holds the
+        bytes of `coords`."""
+        out = np.zeros((site_count, coords.shape[1]))
+        out[self.rows] = self.coef[:, None] * coords[self.cols]
+        return out
+
+
+def parity_sectors(box: BoxDomain, axes: tuple[int, ...]) -> list[ParitySector]:
+    """The sectors of the orthonormal basis that is e_0, (e_x + e_-x)/sqrt 2
+    (even) and (e_x - e_-x)/sqrt 2 (odd) along each axis in `axes`, and the
+    identity along the others.
+
+    There is one sector per choice of parity on each axis in `axes`, in the
+    order of `itertools.product` with even before odd; the odd sectors of a
+    radius-0 box are empty and left out.  Without symmetric axes the one
+    sector is the identity.  A column is a multi-index over the axes (|x_i|
+    for even, |x_i| - 1 for odd, x_i + R for the others) in row-major
+    order.  Its entry at a site is the product of x_i's signs over the odd
+    axes, divided by sqrt(2^m), m the number of axes in `axes` with
+    x_i != 0.
+    """
+    n, r = box.site_count, box.radius
+    sectors = []
+    for parities in itertools.product((0, 1), repeat=len(axes)):
+        odd = dict(zip(axes, parities))
+        inside = np.ones(n, dtype=bool)
+        col = np.zeros(n, dtype=int)
+        sign = np.ones(n)
+        paired = np.zeros(n, dtype=int)
+        size = 1
+        for axis in range(box.dimension):
+            x = box.sites[:, axis]
+            if axis not in odd:
+                col, size = col * box.side + x + r, size * box.side
+                continue
+            count = r + 1 - odd[axis]
+            col, size = col * count + np.abs(x) - odd[axis], size * count
+            paired += x != 0
+            if odd[axis]:
+                inside &= x != 0
+                sign *= np.sign(x)
+        if size == 0:
+            continue
+        rows = np.flatnonzero(inside)
+        sectors.append(ParitySector(
+            rows=rows, cols=col[rows],
+            coef=sign[rows] / np.sqrt(2.0 ** paired[rows]), size=size))
+    return sectors
+
+
+def sector_eigh(box: BoxDomain, operator: sp.spmatrix) -> tuple[np.ndarray, np.ndarray]:
+    """All eigenpairs of the symmetric box operator, one parity sector at a
+    time.
+
+    Each sector block Q_s^T A Q_s goes to `scipy.linalg.eigh`; the blocks
+    between sectors vanish in exact arithmetic and are never formed.  The
+    eigenvalues come back ascending, in the stable order of the sectors'
+    concatenation, and the eigenvectors Q_s V_s as the columns of one
+    Fortran-ordered matrix.  Without a symmetric axis this is exactly
+    `scipy.linalg.eigh(operator.toarray())`.
+    """
+    n = box.site_count
+    sectors = parity_sectors(box, reflection_axes(box, operator))
+    pairs = []
+    for sector in sectors:
+        q = sector.basis(n)
+        pairs.append(sla.eigh((q.T @ operator @ q).toarray()))
+    eigenvalues = np.concatenate([values for values, _ in pairs])
+    order = np.argsort(eigenvalues, kind="stable")
+    position = np.empty(n, dtype=np.intp)
+    position[order] = np.arange(n)
+    eigenvectors = np.empty((n, n), order="F")
+    start = 0
+    for sector, (_, vectors) in zip(sectors, pairs):
+        columns = position[start:start + sector.size]
+        eigenvectors[:, columns] = sector.lift(vectors, n)
+        start += sector.size
+    return eigenvalues[order], eigenvectors
+
+
 class SpectralSplit:
     """Full eigendecomposition of the box operator, split at 0.
 
@@ -256,9 +381,11 @@ class SpectralSplit:
     are views built once here.  Module functions add the spectral
     projectors and the equivalent inner product (|A| u, v)_2.
 
-    `eigenpairs` = (eigenvalues, eigenvectors) skips the dense `eigh`, for
-    a decomposition computed earlier (see `load_eigenpairs`); the zero
-    eigenvalue and residual checks run on it all the same.
+    Without `eigenpairs` the decomposition comes from `sector_eigh`, one
+    reflection-parity sector at a time.  `eigenpairs` = (eigenvalues,
+    eigenvectors) skips it, for a decomposition computed earlier (see
+    `load_eigenpairs`); the zero eigenvalue and residual checks run on it
+    all the same.
     """
 
     def __init__(self, box: BoxDomain, operator: sp.spmatrix,
@@ -272,7 +399,7 @@ class SpectralSplit:
         self.operator = operator.tocsr()
         self.gap = (float(gap[0]), float(gap[1]))
         if eigenpairs is None:
-            eigenvalues, eigenvectors = sla.eigh(self.operator.toarray())
+            eigenvalues, eigenvectors = sector_eigh(box, self.operator)
         else:
             # Fortran order keeps the solver's X^- / X^+ column blocks views
             eigenvalues = np.asarray(eigenpairs[0], dtype=float)
@@ -299,8 +426,9 @@ class SpectralSplit:
         self.abs_minus_eigenvalues = self.abs_eigenvalues[self.minus]
         # eigenpair residual check, in column blocks so that its temporaries
         # stay small.  Orthonormality is exact up to LAPACK and not checked
-        # (an n^3 product): supplied eigenpairs must come from `eigh`, and
-        # the CLI checks the hash of the file it loads them from.
+        # (an n^3 product): supplied eigenpairs must come from
+        # `sector_eigh`, and the CLI checks the hash of the file it loads
+        # them from.
         bad = 0
         for lo in range(0, n, RESIDUAL_BLOCK):
             vecs = eigenvectors[:, lo:lo + RESIDUAL_BLOCK]

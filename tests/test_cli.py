@@ -417,6 +417,14 @@ class TestBadSettings:
         err = self._refused(tmp_path, capsys, "solve", **{key: "0"})
         assert key.split(".")[1] in err
 
+    @pytest.mark.parametrize("key", ["solver.certificate_tol",
+                                     "solver.newton_switch",
+                                     "solver.polish_entry"])
+    def test_negative_step_tolerance_rejected(self, tmp_path, capsys, key):
+        err = self._refused(tmp_path, capsys, "solve", **{key: "-1"})
+        assert key.split(".")[1] in err
+        assert not (tmp_path / "out" / "gap.json").exists()
+
 
 @pytest.fixture(scope="module")
 def sweep_out(tmp_path_factory):

@@ -194,6 +194,10 @@ class TestLpNorm:
         with pytest.raises(InvalidInputError):
             lg.lp_norm(lg.delta_field(box), 0.5)
 
+    def test_rejects_nan_p(self, box):
+        with pytest.raises(InvalidInputError):
+            lg.lp_norm(lg.delta_field(box), float("nan"))
+
     @pytest.mark.parametrize("p,q", [(2, 4), (2, 6), (4, 8)])
     def test_interpolation_inequality(self, box, p, q):
         # ||u||_q^q <= ||u||_p^p ||u||_inf^(q-p) on 100 random fields

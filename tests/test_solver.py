@@ -275,6 +275,19 @@ class TestSolverConfig:
         with pytest.raises(InvalidInputError, match=name):
             lg.SolverConfig(**{name: float("nan")})
 
+    @pytest.mark.parametrize("name,zero_ok", [("certificate_tol", True),
+                                              ("newton_switch", True),
+                                              ("polish_entry", False)])
+    @pytest.mark.parametrize("value", [float("nan"), -1.0])
+    def test_meaningless_step_tolerance_rejected(self, name, zero_ok, value):
+        with pytest.raises(InvalidInputError, match=name):
+            lg.SolverConfig(**{name: value})
+        if zero_ok:
+            assert getattr(lg.SolverConfig(**{name: 0.0}), name) == 0.0
+        else:
+            with pytest.raises(InvalidInputError, match=name):
+                lg.SolverConfig(**{name: 0.0})
+
     def test_certificate_samples_nonnegative(self):
         with pytest.raises(InvalidInputError, match="certificate_samples"):
             lg.SolverConfig(certificate_samples=-1)

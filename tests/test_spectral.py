@@ -5,7 +5,8 @@ import scipy.linalg as sla
 import latticegap as lg
 from latticegap.errors import (InvalidInputError, NoSpectralGapError,
                                NumericalError, ZeroEigenvalueError)
-from latticegap.spectral import load_eigenpairs, save_eigenpairs
+from latticegap.spectral import (load_eigenpairs, parity_sectors,
+                                 reflection_axes, save_eigenpairs)
 
 from conftest import random_field
 from oracle_bloch import bloch_matrix as oracle_bloch_matrix
@@ -224,6 +225,112 @@ class TestSpectralSplit:
             um = lg.project(split_r2, u, "minus").values
             assert up @ (A @ up) >= pos_floor * (up @ up) - 1e-9
             assert -(um @ (A @ um)) >= neg_floor * (um @ um) - 1e-9
+
+
+def _sector_oracle_case(dimension, radius, potential):
+    box = lg.BoxDomain(dimension, radius)
+    operator = lg.assemble_operator(box, potential)
+    return box, operator, lg.spectral_split(box, operator, (-0.1, 0.1))
+
+
+def _assert_matches_dense_oracle(split, operator):
+    """The sector split against one dense `eigh` of the whole operator."""
+    values, vectors = sla.eigh(operator.toarray())
+    assert np.max(np.abs(split.eigenvalues - values)) <= 1e-12
+    n = split.negative_count
+    assert n == int(np.sum(values < 0))
+    # degenerate eigenspaces have other bases: compare the X^- projectors
+    oracle_projector = vectors[:, :n] @ vectors[:, :n].T
+    projector = split.minus_vectors @ split.minus_vectors.T
+    assert np.max(np.abs(projector - oracle_projector)) <= 1e-10
+    E = split.eigenvectors
+    assert np.max(np.abs(E.T @ E - np.eye(split.size))) <= 1e-12
+    assert E.flags.f_contiguous
+
+
+def _assert_parity_definite(split, axes):
+    """Every eigenvector is even or odd under each reflection in `axes`."""
+    grid = split.eigenvectors.reshape(split.box.shape + (split.size,))
+    for axis in axes:
+        mirrored = np.flip(grid, axis=axis).reshape(split.size, split.size)
+        even = np.max(np.abs(mirrored - split.eigenvectors), axis=0)
+        odd = np.max(np.abs(mirrored + split.eigenvectors), axis=0)
+        assert np.all(np.minimum(even, odd) <= 1e-12)
+
+
+class TestSectorSplit:
+    """The split diagonalizes one reflection-parity sector at a time; a
+    dense `eigh` of the whole operator is its oracle."""
+
+    # every (N, R) with N, R in 1..4 that the dense budget admits; the
+    # 2,401-site N = 4, R = 3 box takes 5 s and runs for one potential only
+    SHAPES = [(n, r) for n in range(1, 5) for r in range(1, 5)
+              if (2 * r + 1) ** n <= lg.spectral.DENSE_EIG_BUDGET]
+    SMALL_SHAPES = [(n, r) for n, r in SHAPES if (2 * r + 1) ** n <= 1000]
+
+    @pytest.mark.parametrize(
+        "dimension,radius,amplitude,shift",
+        [(n, r, 1.0, None) for n, r in SHAPES]
+        + [(n, r, 0.5, 0.25) for n, r in SMALL_SHAPES])
+    def test_checkerboard_against_dense_eigh(self, dimension, radius,
+                                             amplitude, shift):
+        # shift 0.25 above -2N keeps every |lambda| >= 0.25
+        if shift is not None:
+            shift = -2.0 * dimension + shift
+        box, operator, split = _sector_oracle_case(
+            dimension, radius,
+            lg.checkerboard_potential(dimension, amplitude, shift))
+        assert reflection_axes(box, operator) == tuple(range(dimension))
+        _assert_matches_dense_oracle(split, operator)
+        _assert_parity_definite(split, range(dimension))
+
+    @pytest.mark.parametrize("dimension,radius", SMALL_SHAPES)
+    def test_constant_potential_against_dense_eigh(self, dimension, radius):
+        # -Delta on the box has no eigenvalue within 1e-3 of 2N - 0.3 here
+        box, operator, split = _sector_oracle_case(
+            dimension, radius, lg.constant_potential(dimension, 0.3 - 2 * dimension))
+        assert split.smallest_abs_eigenvalue > 1e-3
+        _assert_matches_dense_oracle(split, operator)
+        _assert_parity_definite(split, range(dimension))
+
+    def test_no_symmetric_axis_is_one_dense_eigh(self):
+        rng = np.random.default_rng(11)
+        potential = lg.PeriodicPotential((3, 3), rng.uniform(-5.0, 1.0, (3, 3)))
+        box = lg.BoxDomain(2, 4)
+        operator = lg.assemble_operator(box, potential)
+        assert reflection_axes(box, operator) == ()
+        assert len(parity_sectors(box, ())) == 1
+        split = lg.spectral_split(box, operator, (-0.1, 0.1))
+        values, vectors = sla.eigh(operator.toarray())
+        assert split.eigenvalues.tobytes() == values.tobytes()
+        assert split.eigenvectors.tobytes() == vectors.tobytes()
+
+    def test_partly_symmetric_cell(self):
+        # period 2 is even under x -> -x, period 3 is not
+        rng = np.random.default_rng(12)
+        potential = lg.PeriodicPotential((2, 3, 2), rng.uniform(-7.0, -5.0, (2, 3, 2)))
+        box = lg.BoxDomain(3, 3)
+        operator = lg.assemble_operator(box, potential)
+        assert reflection_axes(box, operator) == (0, 2)
+        sectors = parity_sectors(box, (0, 2))
+        assert [s.size for s in sectors] == [112, 84, 84, 63]
+        split = lg.spectral_split(box, operator, (-0.1, 0.1))
+        _assert_matches_dense_oracle(split, operator)
+        _assert_parity_definite(split, (0, 2))
+
+    def test_sector_bases_are_orthonormal_and_complete(self):
+        box = lg.BoxDomain(3, 2)
+        q = np.hstack([s.basis(box.site_count).toarray()
+                       for s in parity_sectors(box, (0, 1, 2))])
+        np.testing.assert_allclose(q.T @ q, np.eye(box.site_count), atol=1e-15)
+
+    def test_reruns_are_bytewise_identical(self, potential, band_table):
+        box = lg.BoxDomain(3, 3)
+        operator = lg.assemble_operator(box, potential)
+        first = lg.spectral_split(box, operator, band_table.gap)
+        second = lg.spectral_split(box, operator, band_table.gap)
+        assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
+        assert first.eigenvectors.tobytes() == second.eigenvectors.tobytes()
 
 
 class TestPersistedSplit:

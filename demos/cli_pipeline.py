@@ -26,19 +26,20 @@ solver.multistart = 3
 solver.max_boundary_mass = 0.25
 """
 
-workdir = pathlib.Path(tempfile.mkdtemp(prefix="latticegap_demo_"))
-config = workdir / "run.cfg"
-config.write_text(CONFIG)
-out = workdir / "out"
+with tempfile.TemporaryDirectory(prefix="latticegap_demo_") as tmp:
+    workdir = pathlib.Path(tmp)
+    config = workdir / "run.cfg"
+    config.write_text(CONFIG)
+    out = workdir / "out"
 
-for command in ("certify-gap", "constants", "validate", "sweep"):
-    status = main([command, "--config", str(config), "--out", str(out)])
-    print(f"$ latticegap {command} --config run.cfg --out out   -> exit {status}")
-    assert status == 0
+    for command in ("certify-gap", "constants", "validate", "sweep"):
+        status = main([command, "--config", str(config), "--out", str(out)])
+        print(f"$ latticegap {command} --config run.cfg --out out   -> exit {status}")
+        assert status == 0
 
-print(f"\nartifacts in {out}:")
-for path in sorted(out.iterdir()):
-    print(f"  {path.name:24s} {path.stat().st_size:7d} bytes")
+    print(f"\nartifacts in {out}:")
+    for path in sorted(out.iterdir()):
+        print(f"  {path.name:24s} {path.stat().st_size:7d} bytes")
 
-print("\nsweep.csv:")
-print((out / "sweep.csv").read_text())
+    print("\nsweep.csv:")
+    print((out / "sweep.csv").read_text())

@@ -18,8 +18,7 @@ from .spectral import (BlochBandTable, PeriodicPotential, SpectralSplit,
                        split_norm)
 from .hardy import (EUCLIDEAN_WEIGHT, GRAPH_WEIGHT, HardyWeight,
                     InequalityConstants, best_hardy_constant,
-                    compute_constants, rho_plus, rho_plus_descent,
-                    weighted_mass)
+                    compute_constants, rho_plus, weighted_mass)
 from .nonlinearity import (CustomNonlinearity, HypothesisReport, Nonlinearity,
                            PowerNonlinearity, ZeroNonlinearity, evaluate,
                            validate_hypotheses)

@@ -7,7 +7,9 @@ sum w |u|^2 <= kappa * dirichlet_energy(u) on the box, and rho_plus, the
 largest M with (A u, u)_2 >= M * dirichlet_energy(u) on X^+.  Couplings up
 to min(rho_plus, 1) / kappa keep the positive part of the quadratic form
 coercive.  Both constants are computed per box; no infinite-lattice value
-is claimed.
+is claimed.  Both are generalized eigenproblems, solved one reflection-
+parity sector at a time (`spectral.parity_sectors`): kappa on the all-even
+sector, rho_plus on each sector that holds X^+ eigenvectors.
 """
 
 from __future__ import annotations
@@ -16,13 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse.linalg as spla
+import scipy.sparse as sp
 
 from .errors import InvalidInputError, NumericalError
 from .lattice import BoxDomain, LatticeField, dirichlet_energy
-from .spectral import SpectralSplit, laplacian_matrix
-
-_DENSE_PENCIL_LIMIT = 1200
+from .spectral import (DENSE_EIG_BUDGET, RESIDUAL_BLOCK, SpectralSplit,
+                       laplacian_matrix, mirror_index, parity_sectors,
+                       reflection_axes)
 
 
 @dataclass(frozen=True)
@@ -70,29 +72,25 @@ def best_hardy_constant(box: BoxDomain,
                         weight: HardyWeight = EUCLIDEAN_WEIGHT) -> HardyConstant:
     """Best constant of  sum w |u|^2 <= kappa * dirichlet_energy(u)  on the box.
 
-    kappa is the largest generalized eigenvalue of (W, L) with W the diagonal
-    weight and L the Dirichlet Laplacian; small boxes use a dense pencil
-    solve, large ones Lanczos iteration on W^(1/2) L^(-1) W^(1/2).
+    kappa is the largest generalized eigenvalue of (W, L), W the diagonal
+    weight and L the Dirichlet Laplacian: the top eigenvalue of the entrywise
+    positive W^(1/2) L^(-1) W^(1/2).  By Perron-Frobenius its eigenvector is
+    simple and positive, so even under every reflection x_i -> -x_i, and the
+    dense pencil is solved on the all-even sector: (R + 1)^N sites.
     """
     if box.dimension < 3:
         raise InvalidInputError("Hardy requires N >= 3")
+    even = parity_sectors(box, tuple(range(box.dimension)))[0]
+    if even.size > DENSE_EIG_BUDGET:
+        raise InvalidInputError(
+            f"the even sector has {even.size} sites, above the dense pencil "
+            f"budget of {DENSE_EIG_BUDGET}; use a smaller radius")
     w = weight.on_box(box)
-    lap = laplacian_matrix(box)
-    if box.site_count <= _DENSE_PENCIL_LIMIT:
-        vals, vecs = sla.eigh(np.diag(w), lap.toarray())
-        kappa = float(vals[-1])
-        vec = vecs[:, -1]
-    else:
-        sqrt_w = np.sqrt(w)
-        lu = spla.splu(lap.tocsc())
-        op = spla.LinearOperator(
-            (box.site_count, box.site_count),
-            matvec=lambda z: sqrt_w * lu.solve(sqrt_w * z))
-        v0 = sqrt_w / np.linalg.norm(sqrt_w)
-        vals, zs = spla.eigsh(op, k=1, which="LA", v0=v0, tol=0,
-                              maxiter=10000, ncv=min(box.site_count, 60))
-        kappa = float(vals[0])
-        vec = lu.solve(sqrt_w * zs[:, 0])
+    q = even.basis(box.site_count)
+    vals, vecs = sla.eigh((q.T @ sp.diags(w) @ q).toarray(),
+                          (q.T @ laplacian_matrix(box) @ q).toarray())
+    kappa = float(vals[-1])
+    vec = even.lift(vecs[:, -1:], box.site_count)[:, 0]
     vec = vec / np.linalg.norm(vec)
     witness = LatticeField(box, vec)
     ratio = float(np.sum(w * vec ** 2)) / dirichlet_energy(witness)
@@ -108,32 +106,63 @@ class RhoPlusConstant:
     witness: LatticeField
 
 
-def _positive_pencil(split: SpectralSplit):
-    basis = split.plus_vectors
-    gram = basis.T @ (laplacian_matrix(split.box) @ basis)
-    gram = 0.5 * (gram + gram.T)
-    return split.plus_eigenvalues, gram, basis
+def _plus_blocks(split: SpectralSplit):
+    """Yield each parity sector that holds X^+ columns, with their indices.
+
+    A column's parity along a symmetric axis is sum_x v(x) v(mirror x), +1
+    or -1 for a parity-definite unit vector.  If a column is not within
+    1e-10 of that, all of X^+ is one block with Q = I.
+    """
+    box, plus = split.box, split.plus_vectors
+    axes = reflection_axes(box, split.operator)
+    mirrors = [mirror_index(box, axis) for axis in axes]
+    parity = np.empty((len(axes), plus.shape[1]))
+    for lo in range(0, plus.shape[1], RESIDUAL_BLOCK):
+        block = plus[:, lo:lo + RESIDUAL_BLOCK]
+        for row, mirror in enumerate(mirrors):
+            parity[row, lo:lo + RESIDUAL_BLOCK] = np.einsum(
+                "ij,ij->j", block[mirror], block)
+    if np.any(np.abs(np.abs(parity) - 1.0) > 1e-10):
+        axes, parity = (), parity[:0]
+    odd = (parity < 0.0).T
+    for sector in parity_sectors(box, axes):
+        columns = np.flatnonzero(np.all(odd == sector.parity, axis=1))
+        if columns.size:
+            yield sector, columns
 
 
 def rho_plus(split: SpectralSplit) -> RhoPlusConstant:
     """Largest M with (A u, u)_2 >= M * dirichlet_energy(u) for all u in X^+.
 
     Computed as the smallest eigenvalue of the pencil (diag(lambda^+), B^T L B)
-    on the positive eigenbasis B.
+    on the positive eigenbasis B.  L commutes with the reflections, so
+    B^T L B has no entries between columns of different parity: the columns
+    B_s = Q_s C_s of each sector s get the pencil (diag(lambda_s),
+    C_s^T (Q_s^T L Q_s) C_s), and the first smallest value over them wins.
     """
-    lam, gram, basis = _positive_pencil(split)
-    # cond(G) is a full SVD, so it is computed only for the error messages
-    try:
-        vals, vecs = sla.eigh(np.diag(lam), gram)
-    except sla.LinAlgError as exc:
-        raise NumericalError(
-            f"reduced pencil solve failed (cond(G) = {np.linalg.cond(gram):.3e}): "
-            f"{exc}") from exc
-    if not np.all(np.isfinite(vals)):
-        raise NumericalError(
-            f"reduced pencil numerically singular, cond(G) = {np.linalg.cond(gram):.3e}")
-    value = float(vals[0])
-    vec = basis @ vecs[:, 0]
+    if split.positive_count == 0:
+        raise InvalidInputError(
+            "rho_plus needs a nonempty X^+, but the operator has no positive "
+            "eigenvalue on this box")
+    n, lap, best = split.size, laplacian_matrix(split.box), None
+    for sector, columns in _plus_blocks(split):
+        coords = sector.gather(split.plus_vectors, columns)
+        q = sector.basis(n)
+        gram = coords.T @ ((q.T @ lap @ q) @ coords)
+        gram = 0.5 * (gram + gram.T)
+        # cond(G) is a full SVD, so it is computed only for the error messages
+        try:
+            vals, vecs = sla.eigh(np.diag(split.plus_eigenvalues[columns]), gram)
+        except sla.LinAlgError as exc:
+            raise NumericalError(
+                f"reduced pencil solve failed (cond(G) = {np.linalg.cond(gram):.3e}): "
+                f"{exc}") from exc
+        if not np.all(np.isfinite(vals)):
+            raise NumericalError(
+                f"reduced pencil numerically singular, cond(G) = {np.linalg.cond(gram):.3e}")
+        if best is None or vals[0] < best[0]:
+            best = (float(vals[0]), sector.lift(coords @ vecs[:, :1], n)[:, 0])
+    value, vec = best
     vec = vec / np.linalg.norm(vec)
     witness = LatticeField(split.box, vec)
     quotient = float(vec @ (split.operator @ vec)) / dirichlet_energy(witness)
@@ -141,47 +170,6 @@ def rho_plus(split: SpectralSplit) -> RhoPlusConstant:
         raise NumericalError(
             f"rho_plus witness not tight: quotient {quotient!r} vs value {value!r}")
     return RhoPlusConstant(value=value, witness=witness)
-
-
-def rho_plus_descent(split: SpectralSplit, n_starts: int = 10, seed: int = 0,
-                     max_iter: int = 20000, tol: float = 1e-14) -> float:
-    """Independent cross-check of rho_plus: minimize the Rayleigh quotient
-    (A u, u)_2 / dirichlet_energy(u) over X^+ by projected gradient descent
-    with Barzilai-Borwein steps, from several random starts."""
-    lam, gram, _ = _positive_pencil(split)
-    rng = np.random.default_rng(seed)
-    best = np.inf
-    for _ in range(n_starts):
-        c = rng.standard_normal(lam.size)
-        c /= np.linalg.norm(c)
-        gc = gram @ c
-        denom = float(c @ gc)
-        q = float(c @ (lam * c)) / denom
-        grad = 2.0 * (lam * c - q * gc) / denom
-        step = 1.0 / max(np.abs(grad).max(), 1e-12)
-        prev_c, prev_grad = None, None
-        for _ in range(max_iter):
-            if prev_grad is not None:
-                dc = c - prev_c
-                dg = grad - prev_grad
-                denom_bb = float(dc @ dg)
-                if abs(denom_bb) > 1e-300:
-                    step = abs(float(dc @ dc) / denom_bb)
-            prev_c, prev_grad, q_old = c, grad, q
-            c = c - step * grad
-            norm = np.linalg.norm(c)
-            if norm == 0.0:
-                c = prev_c
-                break
-            c = c / norm
-            gc = gram @ c
-            denom = float(c @ gc)
-            q = float(c @ (lam * c)) / denom
-            grad = 2.0 * (lam * c - q * gc) / denom
-            if abs(q_old - q) <= tol * max(1.0, abs(q)):
-                break
-        best = min(best, q)
-    return float(best)
 
 
 @dataclass(frozen=True)

@@ -258,13 +258,18 @@ def bloch_band_edges(potential: PeriodicPotential, grid: int = 8) -> BlochBandTa
         sigma_minus=float(negative.max()), sigma_plus=float(positive.min()))
 
 
+def mirror_index(box: BoxDomain, axis: int) -> np.ndarray:
+    """Site permutation of the reflection x_axis -> -x_axis."""
+    index = np.arange(box.site_count).reshape(box.shape)
+    return np.flip(index, axis=axis).ravel()
+
+
 def reflection_axes(box: BoxDomain, operator: sp.spmatrix) -> tuple[int, ...]:
     """Axes i along which the operator equals its copy under x_i -> -x_i
     exactly, entry for entry."""
-    index = np.arange(box.site_count).reshape(box.shape)
     axes = []
     for axis in range(box.dimension):
-        mirror = np.flip(index, axis=axis).ravel()
+        mirror = mirror_index(box, axis)
         if (operator[mirror][:, mirror] != operator).nnz == 0:
             axes.append(axis)
     return tuple(axes)
@@ -276,13 +281,15 @@ class ParitySector:
 
     Every site lies in at most one column of a sector: column `cols[j]` has
     the entry `coef[j]` at site `rows[j]`, and the sector has `size`
-    columns.  The sites in `rows` are ascending.
+    columns.  The sites in `rows` are ascending.  `parity` is 0 (even) or 1
+    (odd) per symmetric axis.
     """
 
     rows: np.ndarray
     cols: np.ndarray
     coef: np.ndarray
     size: int
+    parity: tuple[int, ...]
 
     def basis(self, site_count: int) -> sp.csr_matrix:
         """Q_s as a sparse (site_count, size) matrix."""
@@ -296,6 +303,11 @@ class ParitySector:
         out = np.zeros((site_count, coords.shape[1]))
         out[self.rows] = self.coef[:, None] * coords[self.cols]
         return out
+
+    def gather(self, vectors: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        """C with Q_s C = vectors[:, columns], read at one site per column."""
+        _, first = np.unique(self.cols, return_index=True)
+        return vectors[np.ix_(self.rows[first], columns)] / self.coef[first, None]
 
 
 def parity_sectors(box: BoxDomain, axes: tuple[int, ...]) -> list[ParitySector]:
@@ -337,7 +349,8 @@ def parity_sectors(box: BoxDomain, axes: tuple[int, ...]) -> list[ParitySector]:
         rows = np.flatnonzero(inside)
         sectors.append(ParitySector(
             rows=rows, cols=col[rows],
-            coef=sign[rows] / np.sqrt(2.0 ** paired[rows]), size=size))
+            coef=sign[rows] / np.sqrt(2.0 ** paired[rows]), size=size,
+            parity=parities))
     return sectors
 
 

@@ -16,6 +16,7 @@ import latticegap as lg
 from latticegap.cli import main
 
 from conftest import TIMINGS, random_field
+from oracle_constants import rho_plus_descent
 from oracle_newton import critical_levels
 from test_cli import write_config
 
@@ -88,7 +89,7 @@ def test_criterion_3_constants(split_r3):
               for r in (2, 4, 6, 8)]
     assert all(b >= a - 1e-10 for a, b in zip(kappas, kappas[1:]))
     pencil = lg.rho_plus(split_r3).value
-    descent = lg.rho_plus_descent(split_r3, n_starts=10, seed=0)
+    descent = rho_plus_descent(split_r3, n_starts=10, seed=0)
     assert pencil > 0
     assert abs(pencil - descent) <= 1e-6 * max(1.0, pencil)
     report(3, 300.0, ["split_r3"], started,

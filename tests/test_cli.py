@@ -467,6 +467,27 @@ class TestSweep:
             "split.npy", "sweep.csv"]
 
 
+class TestRepeatedPipeline:
+    def test_two_passes_in_one_process_are_byte_identical(self, tmp_path):
+        # the benchmark's traced sweep run drives these stages through
+        # cli.main in one process, each pass into a fresh directory, and
+        # requires every artifact of a later pass to repeat the first's
+        cfg = write_config(tmp_path, **{
+            "box.radius": "3", "rho.mode": "fraction",
+            "rho.values": "0.4, 0.2, 0.1, 0.05, 0.025, 0.0",
+            "solver.multistart": "5", "solver.max_boundary_mass": "0.25"})
+        outs = [tmp_path / "pass1", tmp_path / "pass2"]
+        for out in outs:
+            for command in ("certify-gap", "constants", "sweep"):
+                assert main([command, "--config", str(cfg), "--out", str(out),
+                             "--seed", "7", "--threads", "1"]) == 0
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        assert "constants.json" in names and "report.json" in names
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 class TestFloatFormatting:
     def test_seventeen_digit_round_trip(self, tmp_path):
         from latticegap import jsonio

@@ -1,7 +1,8 @@
 """Smoke test of the demo scripts: each runs to completion in a scratch
 working directory, exits 0 with no traceback, and writes nothing into the
 repository (its relative output paths and its temporary directory both
-resolve inside the scratch directory)."""
+resolve inside the scratch directory).  No temporary directory of a demo
+outlives it."""
 
 import os
 import subprocess
@@ -44,3 +45,4 @@ def test_demo_runs(script, tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.stdout
     assert _repo_files() == before
+    assert not list(tmp_path.glob("latticegap_demo_*"))

@@ -5,6 +5,7 @@ import latticegap as lg
 from latticegap.errors import InvalidInputError, RhoOutOfRangeError
 
 from conftest import random_field
+from oracle_constants import kappa_lanczos, rho_plus_descent
 
 
 class TestHardyWeight:
@@ -100,12 +101,11 @@ class TestBestHardyConstant:
             / lg.dirichlet_energy(result.witness)
         assert abs(ratio - result.kappa) <= 1e-9 * result.kappa
 
-    def test_dense_and_lanczos_paths_agree(self, monkeypatch):
-        import latticegap.hardy as hardy_mod
-        box = lg.BoxDomain(3, 3)  # 343 sites, both paths feasible
+    def test_dense_and_lanczos_paths_agree(self):
+        # the dense even-sector pencil against Lanczos on the whole box
+        box = lg.BoxDomain(3, 3)
         dense = lg.best_hardy_constant(box).kappa
-        monkeypatch.setattr(hardy_mod, "_DENSE_PENCIL_LIMIT", 10)
-        sparse = lg.best_hardy_constant(box).kappa
+        sparse = kappa_lanczos(box, lg.EUCLIDEAN_WEIGHT)
         assert abs(dense - sparse) < 1e-9 * dense
 
     def test_hardy_inequality_on_random_fields(self):
@@ -143,7 +143,7 @@ class TestRhoPlus:
 
     def test_two_methods_agree(self, split_r3):
         pencil = lg.rho_plus(split_r3).value
-        descent = lg.rho_plus_descent(split_r3, n_starts=10, seed=0)
+        descent = rho_plus_descent(split_r3, n_starts=10, seed=0)
         assert abs(pencil - descent) <= 1e-6 * max(1.0, pencil)
 
     def test_scaling_homogeneity(self, split_r2, band_table):

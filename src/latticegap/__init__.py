@@ -14,8 +14,7 @@ from .spectral import (BlochBandTable, PeriodicPotential, SpectralSplit,
                        assemble_operator, assemble_torus_operator,
                        bloch_band_edges, bloch_matrix, checkerboard_potential,
                        constant_potential, laplacian_matrix, project,
-                       projector_l1_norm, spectral_split, split_inner,
-                       split_norm)
+                       spectral_split, split_inner, split_norm)
 from .hardy import (EUCLIDEAN_WEIGHT, GRAPH_WEIGHT, HardyWeight,
                     InequalityConstants, best_hardy_constant,
                     compute_constants, rho_plus, weighted_mass)

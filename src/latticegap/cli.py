@@ -7,12 +7,13 @@ experiment.  All outputs are plain files with floats printed at 17
 significant digits; a fixed seed reproduces them byte for byte.  Every
 artifact is written to a temporary file and renamed into place.
 
-The dense splitting of the box operator is computed once per output
-directory: certify-gap (or the first stage that certifies inline) writes
-the eigenpairs to split.npy and records the file's SHA-256 in gap.json,
-and later stages load the file instead of decomposing again.  A gap.json
-or split.npy that does not match the configuration, or each other, is
-stale and asks for certify-gap to be re-run.
+The splitting of the box operator is computed once per output directory:
+certify-gap (or the first stage that certifies inline) writes the
+eigenpairs of each parity sector to split.npy and records the file's
+layout and SHA-256 in gap.json, and later stages load the file instead of
+decomposing again.  A gap.json or split.npy that does not match the
+configuration, or each other, is stale and asks for certify-gap to be
+re-run.
 
 Exit status: 0 on success, 2 when the configured problem violates a
 structural hypothesis (no spectral gap at 0, coupling out of range, model
@@ -46,6 +47,8 @@ from .spectral import (DENSE_EIG_BUDGET, assemble_operator, bloch_band_edges,
                        load_eigenpairs, save_eigenpairs, spectral_split)
 
 SPLIT_FILE = "split.npy"
+# the split.npy layout: per parity sector, eigenvalues then eigenvectors
+SPLIT_LAYOUT = "parity-sectors"
 
 
 @dataclass
@@ -246,7 +249,7 @@ def _certify(cfg: RunConfig, out: Path, write_bands: bool):
                "sigma_minus": table.sigma_minus, "sigma_plus": table.sigma_plus,
                "intrusions": split.intrusions,
                "smallest_abs_eigenvalue": split.smallest_abs_eigenvalue,
-               "eigenpairs": {"file": SPLIT_FILE,
+               "eigenpairs": {"file": SPLIT_FILE, "layout": SPLIT_LAYOUT,
                               "sha256": _sha256(out / SPLIT_FILE)}}
     _write_json(out, "gap.json", payload)
     return table, split
@@ -284,17 +287,22 @@ def _check_types(data: dict, ints: tuple[str, ...], reals: tuple[str, ...],
 
 
 def _load_split_file(out: Path, recorded):
-    """Eigenpairs from split.npy, once its hash matches the one in gap.json."""
+    """Sector eigenpairs from split.npy, once its layout and hash match the
+    record in gap.json."""
     path = out / SPLIT_FILE
     try:
         digest = _sha256(path)
     except OSError as exc:
         raise CertificationMissingError(
             f"cannot read {SPLIT_FILE} ({exc}); re-run certify-gap") from exc
-    if recorded != {"file": SPLIT_FILE, "sha256": digest}:
+    if recorded != {"file": SPLIT_FILE, "layout": SPLIT_LAYOUT, "sha256": digest}:
         raise CertificationMissingError(
             f"{SPLIT_FILE} does not match gap.json; re-run certify-gap")
-    return load_eigenpairs(path)
+    try:
+        return load_eigenpairs(path)
+    except (OSError, EOFError, ValueError) as exc:
+        raise CertificationMissingError(
+            f"unreadable {SPLIT_FILE} ({exc}); re-run certify-gap") from exc
 
 
 def _ensure_split(cfg: RunConfig, out: Path):
@@ -314,9 +322,14 @@ def _ensure_split(cfg: RunConfig, out: Path):
         box = cfg.box()
         eigenpairs = _load_split_file(out, data["eigenpairs"])
         operator = assemble_operator(box, cfg.potential())
-        return spectral_split(box, operator,
-                              (data["sigma_minus"], data["sigma_plus"]),
-                              eigenpairs)
+        try:
+            return spectral_split(box, operator,
+                                  (data["sigma_minus"], data["sigma_plus"]),
+                                  eigenpairs)
+        except InvalidInputError as exc:
+            raise CertificationMissingError(
+                f"{SPLIT_FILE} does not fit this box ({exc}); "
+                "re-run certify-gap") from exc
     _, split = _certify(cfg, out, write_bands=False)
     return split
 

@@ -9,7 +9,7 @@ to min(rho_plus, 1) / kappa keep the positive part of the quadratic form
 coercive.  Both constants are computed per box; no infinite-lattice value
 is claimed.  Both are generalized eigenproblems, solved one reflection-
 parity sector at a time (`spectral.parity_sectors`): kappa on the all-even
-sector, rho_plus on each sector that holds X^+ eigenvectors.
+sector, rho_plus on each sector of the split that holds X^+ eigenvectors.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ import scipy.sparse as sp
 
 from .errors import InvalidInputError, NumericalError
 from .lattice import BoxDomain, LatticeField, dirichlet_energy
-from .spectral import (DENSE_EIG_BUDGET, RESIDUAL_BLOCK, SpectralSplit,
-                       laplacian_matrix, mirror_index, parity_sectors,
-                       reflection_axes)
+from .spectral import (DENSE_EIG_BUDGET, SpectralSplit, laplacian_matrix,
+                       parity_sectors)
 
 
 @dataclass(frozen=True)
@@ -106,53 +105,28 @@ class RhoPlusConstant:
     witness: LatticeField
 
 
-def _plus_blocks(split: SpectralSplit):
-    """Yield each parity sector that holds X^+ columns, with their indices.
-
-    A column's parity along a symmetric axis is sum_x v(x) v(mirror x), +1
-    or -1 for a parity-definite unit vector.  If a column is not within
-    1e-10 of that, all of X^+ is one block with Q = I.
-    """
-    box, plus = split.box, split.plus_vectors
-    axes = reflection_axes(box, split.operator)
-    mirrors = [mirror_index(box, axis) for axis in axes]
-    parity = np.empty((len(axes), plus.shape[1]))
-    for lo in range(0, plus.shape[1], RESIDUAL_BLOCK):
-        block = plus[:, lo:lo + RESIDUAL_BLOCK]
-        for row, mirror in enumerate(mirrors):
-            parity[row, lo:lo + RESIDUAL_BLOCK] = np.einsum(
-                "ij,ij->j", block[mirror], block)
-    if np.any(np.abs(np.abs(parity) - 1.0) > 1e-10):
-        axes, parity = (), parity[:0]
-    odd = (parity < 0.0).T
-    for sector in parity_sectors(box, axes):
-        columns = np.flatnonzero(np.all(odd == sector.parity, axis=1))
-        if columns.size:
-            yield sector, columns
-
-
 def rho_plus(split: SpectralSplit) -> RhoPlusConstant:
     """Largest M with (A u, u)_2 >= M * dirichlet_energy(u) for all u in X^+.
 
     Computed as the smallest eigenvalue of the pencil (diag(lambda^+), B^T L B)
     on the positive eigenbasis B.  L commutes with the reflections, so
-    B^T L B has no entries between columns of different parity: the columns
-    B_s = Q_s C_s of each sector s get the pencil (diag(lambda_s),
-    C_s^T (Q_s^T L Q_s) C_s), and the first smallest value over them wins.
+    B^T L B has no entries between columns of different parity: the X^+
+    columns B_s = Q_s C_s of each sector s, taken from the split's blocks,
+    get the pencil (diag(lambda_s), C_s^T (Q_s^T L Q_s) C_s), and the first
+    smallest value over them wins.
     """
     if split.positive_count == 0:
         raise InvalidInputError(
             "rho_plus needs a nonempty X^+, but the operator has no positive "
             "eigenvalue on this box")
     n, lap, best = split.size, laplacian_matrix(split.box), None
-    for sector, columns in _plus_blocks(split):
-        coords = sector.gather(split.plus_vectors, columns)
+    for sector, lam, coords in split.plus_sectors():
         q = sector.basis(n)
         gram = coords.T @ ((q.T @ lap @ q) @ coords)
         gram = 0.5 * (gram + gram.T)
         # cond(G) is a full SVD, so it is computed only for the error messages
         try:
-            vals, vecs = sla.eigh(np.diag(split.plus_eigenvalues[columns]), gram)
+            vals, vecs = sla.eigh(np.diag(lam), gram)
         except sla.LinAlgError as exc:
             raise NumericalError(
                 f"reduced pencil solve failed (cond(G) = {np.linalg.cond(gram):.3e}): "

@@ -12,23 +12,15 @@ split, where the equivalent norm is diagonal (||u||^2 = sum |lambda_i| c_i^2)
 and the positive/negative projections are the split's index slices
 `minus` and `plus`.  The inner problem runs in slab coordinates (t, vm):
 the scalar along w and the X^- eigencoordinates.  With E_+ w computed once
-per inner solve, each of its evaluations touches only the split's X^-
-block `minus_vectors`.
+per inner solve, each of its evaluations multiplies by the X^- columns
+only, one parity sector at a time (`SpectralSplit.values_of`).
 The site-space terms of J, J' and J'' come from `energy.SiteTerms`; this
-module adds only the quadratic parts.
-
-The multistart's starts are independent and read only shared, unchanging
-inputs (the split, the site terms, the model and the config), so they run
-on a thread pool: numpy releases the interpreter lock inside its dense
-products.  The pool gets the cores that BLAS leaves idle (`_start_workers`),
-and the results are read back in start order, so the answer does not depend
-on the worker count.
+module adds only the quadratic parts.  The multistart runs its starts one
+after another, in start order.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from typing import ClassVar
 
@@ -150,19 +142,19 @@ class _Slab:
     """The slab R+ w (+) X^- in coordinates (t, vm).
 
     The point (t, vm) has eigencoordinates (vm, t wp) and site values
-    t ew + E_- vm, with ew = E_+ wp precomputed, so an evaluation touches
-    only the split's X^- block.
+    t ew + E_- vm, with ew = E_+ wp precomputed, so an evaluation multiplies
+    by the split's X^- columns only.
     """
 
     def __init__(self, ws: _Workspace, wp: np.ndarray):
         self.ws = ws
         self.split = ws.split
         self.wp = wp
-        self.ew = self.split.plus_vectors @ wp
+        self.ew = self.split.values_of(wp, "plus")
         self.qw = float(np.sum(self.split.plus_eigenvalues * wp ** 2))
 
     def site_values(self, t: float, vm: np.ndarray) -> np.ndarray:
-        return t * self.ew + self.split.minus_vectors @ vm
+        return t * self.ew + self.split.values_of(vm, "minus")
 
     def value(self, t: float, vm: np.ndarray, u: np.ndarray) -> float:
         quad = t * t * self.qw + float(np.sum(self.split.minus_eigenvalues * vm ** 2))
@@ -171,7 +163,7 @@ class _Slab:
     def restrict(self, t: float, vm: np.ndarray, r: np.ndarray):
         """Slab components (along w, along X^-) of  Lambda c - E^T r  at c = (vm, t wp)."""
         return (t * self.qw - float(self.ew @ r),
-                self.split.minus_eigenvalues * vm - self.split.minus_vectors.T @ r)
+                self.split.minus_eigenvalues * vm - self.split.coords_of(r, "minus"))
 
     def grad(self, t: float, vm: np.ndarray, u: np.ndarray):
         return self.restrict(t, vm, self.ws.terms.force(u))
@@ -402,33 +394,6 @@ def _outer_single(ws: _Workspace, wp0: np.ndarray, cfg: SolverConfig,
     return out
 
 
-# OpenBLAS takes its thread count from the first of these that holds a
-# positive integer, and otherwise uses every core
-_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def _start_workers(n_starts: int) -> int:
-    """Threads for the multistart: min(n_starts, cores // BLAS threads), >= 1.
-
-    Each start's dense products already run on the BLAS threads, so only the
-    cores BLAS leaves idle take extra starts; more would oversubscribe them.
-    """
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    blas_threads = cores
-    for name in _BLAS_THREAD_VARIABLES:
-        try:
-            value = int(os.environ.get(name, ""))
-        except ValueError:
-            continue
-        if value > 0:
-            blas_threads = value
-            break
-    return max(1, min(n_starts, cores // blas_threads))
-
-
 def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
                    config: SolverConfig | None = None,
                    weight: HardyWeight = EUCLIDEAN_WEIGHT,
@@ -439,10 +404,8 @@ def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
     1e-10 are broken by the smaller l2 norm.  Raises DegenerateProblemError
     when every start collapses.
 
-    The starts (one for a warm start) run concurrently on `_start_workers`
-    threads.  Their results, and the first exception a start raises, are
-    taken in start order, so the candidate, its trace and the diagnostics
-    are those of running the starts one after another.
+    The starts (one for a warm start) run one after another; the first
+    exception a start raises ends the multistart.
     """
     cfg = config or SolverConfig()
     ws = _Workspace(split, model, rho, weight)
@@ -462,22 +425,17 @@ def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
         lowest[0] = 1.0 / np.sqrt(split.plus_eigenvalues[0])
         starts.append((lowest, None))
         if cfg.multistart >= 2:
-            origin = split.box.index_of(np.zeros(split.box.dimension, dtype=int))
-            bump = split.plus_vectors[origin].copy()
-            starts.append((bump / split.plus_norm(bump), None))
+            bump = np.zeros(split.size)
+            bump[split.box.index_of(np.zeros(split.box.dimension, dtype=int))] = 1.0
+            wp = split.coords_of(bump, "plus")
+            starts.append((wp / split.plus_norm(wp), None))
         rng = np.random.default_rng(cfg.seed)
         for _ in range(cfg.multistart - 2):
             wp = rng.standard_normal(npos)
             starts.append((wp / split.plus_norm(wp), None))
 
-    pool = ThreadPoolExecutor(max_workers=_start_workers(len(starts)))
-    try:
-        futures = [pool.submit(_outer_single, ws, wp, cfg, i, warm)
-                   for i, (wp, warm) in enumerate(starts)]
-        results = [future.result() for future in futures]
-    finally:
-        # after a failure the starts not yet begun are dropped, as in a loop
-        pool.shutdown(cancel_futures=True)
+    results = [_outer_single(ws, wp, cfg, i, warm)
+               for i, (wp, warm) in enumerate(starts)]
     usable = [r for r in results if r.status in ("converged", "stalled")]
     boundary = {}
     if cfg.max_boundary_mass is not None:
@@ -636,7 +594,7 @@ def maximality_certificate(split: SpectralSplit, model: Nonlinearity,
     # site values of RESIDUAL_BLOCK samples at a time, as one matrix product
     for lo in range(0, n_samples, RESIDUAL_BLOCK):
         block = slice(lo, lo + RESIDUAL_BLOCK)
-        sites = ts[block, None] * u.values + dvs[block] @ split.minus_vectors.T
+        sites = ts[block, None] * u.values + split.values_of(dvs[block].T, "minus").T
         for t, dv, site in zip(ts[block].tolist(), dvs[block], sites):
             worst = max(worst, slab.value(t, t * um + dv, site) - base)
     return worst <= tol, worst
@@ -650,7 +608,7 @@ def _sampled_sphere_floor(ws: _Workspace, rng):
         d /= split.plus_norm(d)
     # the directions' site values come from one matrix product; a radius is
     # a rescale.  At t d the quadratic part of J is t^2 ||d||^2 / 2.
-    site_dirs = dirs @ split.plus_vectors.T
+    site_dirs = split.values_of(dirs.T, "plus").T
     quads = [float(np.sum(split.plus_eigenvalues * d ** 2)) for d in dirs]
 
     def sampled_min(radius):

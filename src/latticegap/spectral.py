@@ -7,10 +7,11 @@ Hermitian matrix with hopping phases exp(i k_i T_i) across the cell
 boundary, and the union of its eigenvalue bands over k is the spectrum.
 The matrices of the whole k-grid are built as one (n_k, cell, cell) stack
 and solved by one batched `eigvalsh`.
-The box operator is then fully diagonalized (dense, desk scale) and split
-at 0 into X^- (negative eigenvalues) and X^+ (positive ones).  Dirichlet
-truncation can park boundary eigenvalues inside the infinite-lattice gap;
-these are reported as "gap intrusions", never silently dropped.
+The box operator is then fully diagonalized (dense per sector, desk
+scale) and split at 0 into X^- (negative eigenvalues) and X^+ (positive
+ones).  Dirichlet truncation can park boundary eigenvalues inside the
+infinite-lattice gap; these are reported as "gap intrusions", never
+silently dropped.
 
 The diagonalization uses the box's reflections x_i -> -x_i.  Along each
 axis where the operator equals its reflected copy exactly (every axis for
@@ -20,8 +21,10 @@ operator has no entries between states of different parity.  So it splits
 into 2^k parity sectors of about n / 2^k sites each (k symmetric axes),
 and each sector is diagonalized on its own (a symmetry-adapted basis in the
 sense of Fassler & Stiefel, Group Theoretical Methods and Their
-Applications, 1992).  Only the linear algebra is blocked: the eigenvectors
-span the whole box, and the solution is not restricted to a sector.
+Applications, 1992).  The split keeps the eigenvectors in these blocks,
+and its products with eigencoordinates run sector by sector.  Only the
+linear algebra is blocked: the eigenvectors together span the whole box,
+and the solution is not restricted to a sector.
 """
 
 from __future__ import annotations
@@ -258,18 +261,13 @@ def bloch_band_edges(potential: PeriodicPotential, grid: int = 8) -> BlochBandTa
         sigma_minus=float(negative.max()), sigma_plus=float(positive.min()))
 
 
-def mirror_index(box: BoxDomain, axis: int) -> np.ndarray:
-    """Site permutation of the reflection x_axis -> -x_axis."""
-    index = np.arange(box.site_count).reshape(box.shape)
-    return np.flip(index, axis=axis).ravel()
-
-
 def reflection_axes(box: BoxDomain, operator: sp.spmatrix) -> tuple[int, ...]:
     """Axes i along which the operator equals its copy under x_i -> -x_i
     exactly, entry for entry."""
+    index = np.arange(box.site_count).reshape(box.shape)
     axes = []
     for axis in range(box.dimension):
-        mirror = mirror_index(box, axis)
+        mirror = np.flip(index, axis=axis).ravel()
         if (operator[mirror][:, mirror] != operator).nnz == 0:
             axes.append(axis)
     return tuple(axes)
@@ -281,15 +279,13 @@ class ParitySector:
 
     Every site lies in at most one column of a sector: column `cols[j]` has
     the entry `coef[j]` at site `rows[j]`, and the sector has `size`
-    columns.  The sites in `rows` are ascending.  `parity` is 0 (even) or 1
-    (odd) per symmetric axis.
+    columns.  The sites in `rows` are ascending.
     """
 
     rows: np.ndarray
     cols: np.ndarray
     coef: np.ndarray
     size: int
-    parity: tuple[int, ...]
 
     def basis(self, site_count: int) -> sp.csr_matrix:
         """Q_s as a sparse (site_count, size) matrix."""
@@ -303,11 +299,6 @@ class ParitySector:
         out = np.zeros((site_count, coords.shape[1]))
         out[self.rows] = self.coef[:, None] * coords[self.cols]
         return out
-
-    def gather(self, vectors: np.ndarray, columns: np.ndarray) -> np.ndarray:
-        """C with Q_s C = vectors[:, columns], read at one site per column."""
-        _, first = np.unique(self.cols, return_index=True)
-        return vectors[np.ix_(self.rows[first], columns)] / self.coef[first, None]
 
 
 def parity_sectors(box: BoxDomain, axes: tuple[int, ...]) -> list[ParitySector]:
@@ -349,56 +340,37 @@ def parity_sectors(box: BoxDomain, axes: tuple[int, ...]) -> list[ParitySector]:
         rows = np.flatnonzero(inside)
         sectors.append(ParitySector(
             rows=rows, cols=col[rows],
-            coef=sign[rows] / np.sqrt(2.0 ** paired[rows]), size=size,
-            parity=parities))
+            coef=sign[rows] / np.sqrt(2.0 ** paired[rows]), size=size))
     return sectors
 
 
-def sector_eigh(box: BoxDomain, operator: sp.spmatrix) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenpairs of the symmetric box operator, one parity sector at a
-    time.
-
-    Each sector block Q_s^T A Q_s goes to `scipy.linalg.eigh`; the blocks
-    between sectors vanish in exact arithmetic and are never formed.  The
-    eigenvalues come back ascending, in the stable order of the sectors'
-    concatenation, and the eigenvectors Q_s V_s as the columns of one
-    Fortran-ordered matrix.  Without a symmetric axis this is exactly
-    `scipy.linalg.eigh(operator.toarray())`.
-    """
-    n = box.site_count
-    sectors = parity_sectors(box, reflection_axes(box, operator))
-    pairs = []
-    for sector in sectors:
-        q = sector.basis(n)
-        pairs.append(sla.eigh((q.T @ operator @ q).toarray()))
-    eigenvalues = np.concatenate([values for values, _ in pairs])
-    order = np.argsort(eigenvalues, kind="stable")
-    position = np.empty(n, dtype=np.intp)
-    position[order] = np.arange(n)
-    eigenvectors = np.empty((n, n), order="F")
-    start = 0
-    for sector, (_, vectors) in zip(sectors, pairs):
-        columns = position[start:start + sector.size]
-        eigenvectors[:, columns] = sector.lift(vectors, n)
-        start += sector.size
-    return eigenvalues[order], eigenvectors
-
-
 class SpectralSplit:
-    """Full eigendecomposition of the box operator, split at 0.
+    """Full eigendecomposition of the box operator, split at 0 and kept one
+    reflection-parity sector at a time.
 
-    Eigenvalues are ascending, so the first `negative_count` eigenpairs span
-    X^- and the rest span X^+.  This class is the only owner of that
-    layout: eigencoordinates are indexed by the slices `minus` and `plus`,
-    and the X^-/X^+ blocks of the eigenvector matrix and of the eigenvalues
-    are views built once here.  Module functions add the spectral
-    projectors and the equivalent inner product (|A| u, v)_2.
+    Each sector s of `parity_sectors`, over the axes where the operator
+    equals its mirror image, holds the eigenpairs of its block Q_s^T A Q_s:
+    ascending eigenvalues and the eigenvectors V_s in the sector basis, so
+    the box eigenvectors are the columns of Q_s V_s.  The blocks between
+    sectors vanish in exact arithmetic and are never formed, and neither is
+    an n x n eigenvector matrix.  Without a symmetric axis there is one
+    sector with Q = I, and V is exactly
+    `scipy.linalg.eigh(operator.toarray())`.
 
-    Without `eigenpairs` the decomposition comes from `sector_eigh`, one
-    reflection-parity sector at a time.  `eigenpairs` = (eigenvalues,
-    eigenvectors) skips it, for a decomposition computed earlier (see
-    `load_eigenpairs`); the zero eigenvalue and residual checks run on it
-    all the same.
+    Eigencoordinate i belongs to the i-th eigenvalue in the stable ascending
+    order of the sectors' concatenated eigenvalues, so the first
+    `negative_count` coordinates span X^- (the slice `minus`) and the rest
+    X^+ (the slice `plus`); in each sector the X^- columns are the leading
+    ones.  This class is the only owner of that layout: `values_of` and
+    `coords_of` map between eigencoordinates and site values sector by
+    sector, for all coordinates or for the X^- or X^+ ones alone.  Module
+    functions add the spectral projectors and the equivalent inner product
+    (|A| u, v)_2.
+
+    `eigenpairs`, one (eigenvalues, eigenvectors) pair per sector in
+    `parity_sectors` order, skips the diagonalization for a decomposition
+    computed earlier (see `load_eigenpairs`); the zero eigenvalue and
+    residual checks run on it all the same.
     """
 
     def __init__(self, box: BoxDomain, operator: sp.spmatrix,
@@ -411,49 +383,75 @@ class SpectralSplit:
         self.box = box
         self.operator = operator.tocsr()
         self.gap = (float(gap[0]), float(gap[1]))
+        sectors = parity_sectors(box, reflection_axes(box, self.operator))
+        bases = [sector.basis(n) for sector in sectors]
+        blocks = [q.T @ self.operator @ q for q in bases]
         if eigenpairs is None:
-            eigenvalues, eigenvectors = sector_eigh(box, self.operator)
+            eigenpairs = [sla.eigh(block.toarray()) for block in blocks]
         else:
-            # Fortran order keeps the solver's X^- / X^+ column blocks views
-            eigenvalues = np.asarray(eigenpairs[0], dtype=float)
-            eigenvectors = np.asfortranarray(eigenpairs[1], dtype=float)
-            if eigenvalues.shape != (n,) or eigenvectors.shape != (n, n):
+            # Fortran order keeps each sector's X^- / X^+ columns contiguous
+            shapes = [tuple(np.shape(a) for a in pair) for pair in eigenpairs]
+            if shapes != [((s.size,), (s.size, s.size)) for s in sectors]:
                 raise InvalidInputError(
-                    f"eigenpairs of shapes {eigenvalues.shape} and "
-                    f"{eigenvectors.shape} do not match a box with {n} sites")
+                    f"eigenpairs do not match the {len(sectors)} parity "
+                    f"sectors of a box with {n} sites")
+            eigenpairs = [(np.asarray(values, dtype=float),
+                           np.asfortranarray(vectors, dtype=float))
+                          for values, vectors in eigenpairs]
+            if any(np.any(np.diff(values) < 0) for values, _ in eigenpairs):
+                raise InvalidInputError("sector eigenvalues are not ascending")
+        eigenvalues = np.concatenate([values for values, _ in eigenpairs])
         if np.min(np.abs(eigenvalues)) < 1e-10:
             raise ZeroEigenvalueError(
                 "operator has an eigenvalue at 0 (within 1e-10); "
                 "positive/negative splitting is undefined")
-        self.eigenvalues = eigenvalues
-        self.eigenvectors = eigenvectors
-        self.abs_eigenvalues = np.abs(eigenvalues)
-        self.negative_count = int(np.sum(eigenvalues < 0.0))
-        self.minus = slice(0, self.negative_count)
-        self.plus = slice(self.negative_count, n)
-        # column blocks of a Fortran-ordered matrix are contiguous views
-        self.minus_vectors = eigenvectors[:, self.minus]
-        self.plus_vectors = eigenvectors[:, self.plus]
-        self.minus_eigenvalues = eigenvalues[self.minus]
-        self.plus_eigenvalues = eigenvalues[self.plus]  # = |lambda| on X^+
+        order = np.argsort(eigenvalues, kind="stable")
+        index = np.empty(n, dtype=np.intp)  # coordinate of each sector column
+        index[order] = np.arange(n)
+        self.eigenvalues = eigenvalues[order]
+        self.abs_eigenvalues = np.abs(self.eigenvalues)
+        self.negative_count = nneg = int(np.sum(eigenvalues < 0.0))
+        self.minus = slice(0, nneg)
+        self.plus = slice(nneg, n)
+        self.minus_eigenvalues = self.eigenvalues[self.minus]
+        self.plus_eigenvalues = self.eigenvalues[self.plus]  # = |lambda| on X^+
         self.abs_minus_eigenvalues = self.abs_eigenvalues[self.minus]
-        # eigenpair residual check, in column blocks so that its temporaries
-        # stay small.  Orthonormality is exact up to LAPACK and not checked
-        # (an n^3 product): supplied eigenpairs must come from
-        # `sector_eigh`, and the CLI checks the hash of the file it loads
-        # them from.
+        # eigenpair residual check per sector block, in column blocks so that
+        # its temporaries stay small.  Orthonormality is exact up to LAPACK
+        # and not checked: supplied eigenpairs must come from this class,
+        # and the CLI checks the hash of the file it loads them from.
         bad = 0
-        for lo in range(0, n, RESIDUAL_BLOCK):
-            vecs = eigenvectors[:, lo:lo + RESIDUAL_BLOCK]
-            vals = eigenvalues[lo:lo + RESIDUAL_BLOCK]
-            residual = np.linalg.norm(self.operator @ vecs - vecs * vals, axis=0)
-            bad += int(np.sum(residual > 1e-9 * (1.0 + np.abs(vals))))
+        for block, (values, vectors) in zip(blocks, eigenpairs):
+            for lo in range(0, values.size, RESIDUAL_BLOCK):
+                vecs = vectors[:, lo:lo + RESIDUAL_BLOCK]
+                vals = values[lo:lo + RESIDUAL_BLOCK]
+                residual = np.linalg.norm(block @ vecs - vecs * vals, axis=0)
+                bad += int(np.sum(residual > 1e-9 * (1.0 + np.abs(vals))))
         if bad:
             raise NumericalError(
                 f"{bad} eigenpairs exceed the residual tolerance")
         edge = 1e-9 * (1.0 + max(abs(self.gap[0]), abs(self.gap[1])))
-        inside = (eigenvalues > self.gap[0] + edge) & (eigenvalues < self.gap[1] - edge)
-        self.intrusions = [float(v) for v in eigenvalues[inside]]
+        inside = (self.eigenvalues > self.gap[0] + edge) \
+            & (self.eigenvalues < self.gap[1] - edge)
+        self.intrusions = [float(v) for v in self.eigenvalues[inside]]
+        # Q, one column block per sector, and for each part of the
+        # coordinates its nonempty sectors as (sector, their columns of Q,
+        # V_s columns, the coordinates of those within the part)
+        self._basis = sp.hstack(bases, format="csr")
+        self._basis_t = self._basis.T.tocsr()
+        self._blocks = {"all": [], "minus": [], "plus": []}
+        lo = 0
+        for sector, (values, vectors) in zip(sectors, eigenpairs):
+            rows = slice(lo, lo + sector.size)
+            coords, k = index[rows], int(np.sum(values < 0.0))
+            lo += sector.size
+            for part, columns, offset in (("all", slice(None), 0),
+                                          ("minus", slice(0, k), 0),
+                                          ("plus", slice(k, None), nneg)):
+                if coords[columns].size:
+                    self._blocks[part].append(
+                        (sector, rows, vectors[:, columns],
+                         coords[columns] - offset))
 
     @property
     def size(self) -> int:
@@ -467,13 +465,33 @@ class SpectralSplit:
     def smallest_abs_eigenvalue(self) -> float:
         return float(self.abs_eigenvalues.min())
 
-    def coords_of(self, values: np.ndarray) -> np.ndarray:
-        """Eigencoordinates E^T v of an array of site values."""
-        return self.eigenvectors.T @ values
+    def values_of(self, coords: np.ndarray, part: str = "all") -> np.ndarray:
+        """Site values E c of eigencoordinates, one column per column of a
+        2-D `coords`.  With part "minus" or "plus", `coords` holds X^- or X^+
+        coordinates only, and the result is E_- c or E_+ c."""
+        z = np.zeros((self.size,) + coords.shape[1:])
+        for _, rows, vectors, index in self._blocks[part]:
+            z[rows] = vectors @ coords[index]
+        return self._basis @ z
 
-    def values_of(self, coords: np.ndarray) -> np.ndarray:
-        """Site values E c of an array of eigencoordinates."""
-        return self.eigenvectors @ coords
+    def coords_of(self, values: np.ndarray, part: str = "all") -> np.ndarray:
+        """Eigencoordinates E^T v of site values, one column per column of a
+        2-D `values`.  With part "minus" or "plus", only the X^- or X^+
+        coordinates: E_-^T v or E_+^T v."""
+        count = {"all": self.size, "minus": self.negative_count,
+                 "plus": self.positive_count}[part]
+        w = self._basis_t @ values
+        out = np.empty((count,) + values.shape[1:])
+        for _, rows, vectors, index in self._blocks[part]:
+            out[index] = vectors.T @ w[rows]
+        return out
+
+    def plus_sectors(self):
+        """(sector, X^+ eigenvalues, X^+ eigenvectors C_s in the sector
+        basis) for each sector that holds X^+ columns; Q_s C_s are those
+        columns of E_+, in coordinate order."""
+        for sector, _, vectors, index in self._blocks["plus"]:
+            yield sector, self.plus_eigenvalues[index], vectors
 
     def to_coords(self, u: LatticeField) -> np.ndarray:
         if u.box != self.box:
@@ -494,7 +512,8 @@ class SpectralSplit:
 
 def spectral_split(box: BoxDomain, operator: sp.spmatrix,
                    gap: tuple[float, float], eigenpairs=None) -> SpectralSplit:
-    """Dense full eigendecomposition split at 0 (desk scale only)."""
+    """Full eigendecomposition split at 0, dense per parity sector (desk
+    scale only)."""
     if box.site_count > DENSE_EIG_BUDGET:
         raise InvalidInputError(
             f"box has {box.site_count} sites, above the dense eigendecomposition "
@@ -503,18 +522,28 @@ def spectral_split(box: BoxDomain, operator: sp.spmatrix,
 
 
 def save_eigenpairs(split: SpectralSplit, path) -> None:
-    """Write the eigenvalues, then the eigenvector matrix, as two .npy records
-    in one file.  np.save keeps the matrix's Fortran order, and the bytes
-    depend only on the arrays (no timestamps, unlike .npz)."""
+    """Write each parity sector's eigenvalues, then its eigenvectors in the
+    sector basis, as .npy records in one file, sectors in `parity_sectors`
+    order.  np.save keeps the matrices' Fortran order, and the bytes depend
+    only on the arrays (no timestamps, unlike .npz)."""
     with atomic_open(path, "wb") as fh:
-        np.save(fh, split.eigenvalues)
-        np.save(fh, split.eigenvectors)
+        for _, _, vectors, index in split._blocks["all"]:
+            np.save(fh, split.eigenvalues[index])
+            np.save(fh, vectors)
 
 
-def load_eigenpairs(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read back what `save_eigenpairs` wrote: (eigenvalues, eigenvectors)."""
+def load_eigenpairs(path) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Read back what `save_eigenpairs` wrote: one (eigenvalues,
+    eigenvectors) pair per sector.  Whether they fit a box is checked by
+    `SpectralSplit`."""
+    records = []
     with open(path, "rb") as fh:
-        return np.load(fh), np.load(fh)
+        while fh.peek(1):
+            records.append(np.load(fh))
+    if len(records) % 2:
+        raise InvalidInputError(
+            f"{len(records)} records: a sector's eigenvectors are missing")
+    return list(zip(records[::2], records[1::2]))
 
 
 def project(split: SpectralSplit, u: LatticeField, sign: str) -> LatticeField:
@@ -534,11 +563,3 @@ def split_inner(split: SpectralSplit, u: LatticeField, v: LatticeField) -> float
 
 def split_norm(split: SpectralSplit, u: LatticeField) -> float:
     return float(np.sqrt(max(split_inner(split, u, u), 0.0)))
-
-
-def projector_l1_norm(split: SpectralSplit, sign: str) -> float:
-    """Operator norm l1 -> l1 of a spectral projector (max column sum)."""
-    if sign not in ("plus", "minus"):
-        raise InvalidInputError(f'sign must be "plus" or "minus", got {sign!r}')
-    basis = split.minus_vectors if sign == "minus" else split.plus_vectors
-    return float(np.abs(basis @ basis.T).sum(axis=0).max())

@@ -7,6 +7,7 @@ tests can account for shared setup against their runtime budgets.
 
 import time
 
+import numpy as np
 import pytest
 
 import latticegap as lg
@@ -94,3 +95,10 @@ def sweep_r6(split_r6, model, ground_config, constants_r6):
 
 def random_field(box, rng):
     return lg.LatticeField(box, rng.standard_normal(box.site_count))
+
+
+def eigenvector_matrix(split):
+    """The dense n x n eigenvector matrix E, column i for eigencoordinate i.
+    The split keeps only its parity-sector blocks, so tests that read E form
+    it here."""
+    return split.values_of(np.eye(split.size))

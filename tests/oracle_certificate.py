@@ -10,6 +10,8 @@ import numpy as np
 
 from latticegap.energy import SiteTerms
 
+from conftest import eigenvector_matrix
+
 
 def _metric_norm(abs_lam, coords):
     return float(np.sqrt(np.sum(abs_lam * coords ** 2)))
@@ -26,6 +28,7 @@ def maximality_certificate(split, model, u, rho, n_samples, seed, tol, weight):
         quad = t * t * qw + float(np.sum(split.minus_eigenvalues * vm ** 2))
         return 0.5 * quad - terms.energy(site)
 
+    em = eigenvector_matrix(split)[:, split.minus]
     base = value(1.0, um, u.values)
     v_radius = 3.0 * max(_metric_norm(split.abs_eigenvalues, cu), 1.0)
     rng = np.random.default_rng(seed)
@@ -36,7 +39,7 @@ def maximality_certificate(split, model, u, rho, n_samples, seed, tol, weight):
         norm = _metric_norm(split.abs_minus_eigenvalues, dv)
         if norm > 0:
             dv *= rng.uniform(0.0, v_radius) / norm
-        site = t * u.values + split.minus_vectors @ dv
+        site = t * u.values + em @ dv
         worst = max(worst, value(t, t * um + dv, site) - base)
     return worst <= tol, worst
 
@@ -47,7 +50,8 @@ def sampled_sphere_floor(split, model, rho, weight, rng):
     dirs = rng.standard_normal((50, split.positive_count))
     for d in dirs:
         d /= split.plus_norm(d)
-    slabs = [(split.plus_vectors @ d, float(np.sum(split.plus_eigenvalues * d ** 2)))
+    ep = eigenvector_matrix(split)[:, split.plus]
+    slabs = [(ep @ d, float(np.sum(split.plus_eigenvalues * d ** 2)))
              for d in dirs]
 
     def sampled_min(radius):

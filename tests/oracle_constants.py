@@ -15,6 +15,8 @@ import scipy.sparse.linalg as spla
 from latticegap.lattice import LatticeField, dirichlet_energy
 from latticegap.spectral import laplacian_matrix
 
+from conftest import eigenvector_matrix
+
 
 def kappa_dense(box, weight):
     """kappa from the dense full-box pencil (W, L)."""
@@ -44,7 +46,7 @@ def hardy_ratio(box, weight, vec):
 
 def positive_pencil(split):
     """(lambda^+, B^T L B) on the whole positive eigenbasis B."""
-    basis = split.plus_vectors
+    basis = eigenvector_matrix(split)[:, split.plus]
     gram = basis.T @ (laplacian_matrix(split.box) @ basis)
     return split.plus_eigenvalues, 0.5 * (gram + gram.T)
 

@@ -9,12 +9,14 @@ solver."""
 
 import numpy as np
 
+from conftest import eigenvector_matrix
+
 
 class FullCoordinateInner:
     """J, J' and the Hessian action in eigencoordinates for one problem."""
 
     def __init__(self, split, model, rho, site_weight):
-        self.E = split.eigenvectors
+        self.E = eigenvector_matrix(split)
         self.lam = split.eigenvalues
         self.abs_lam = split.abs_eigenvalues
         self.nneg = split.negative_count

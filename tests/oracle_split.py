@@ -1,0 +1,40 @@
+"""Reference dense forms of the parity-sector split.
+
+`SpectralSplit` keeps each sector's eigenvectors V_s in the sector basis and
+multiplies by them sector by sector.  `dense_lift` builds the n x n
+eigenvector matrix the way the split once stored it: each Q_s V_s written
+into one matrix, columns in the stable ascending order of the sectors'
+concatenated eigenvalues.  `projector_l1_norm` needs the whole matrix and
+so lives here too.  Only the sector bases come from the package."""
+
+import numpy as np
+import scipy.linalg as sla
+
+from latticegap.spectral import parity_sectors, reflection_axes
+
+from conftest import eigenvector_matrix
+
+
+def dense_lift(box, operator):
+    """(eigenvalues, E): one `eigh` per sector block Q_s^T A Q_s, lifted."""
+    n = box.site_count
+    bases = [sector.basis(n)
+             for sector in parity_sectors(box, reflection_axes(box, operator))]
+    pairs = [sla.eigh((q.T @ operator @ q).toarray()) for q in bases]
+    values = np.concatenate([lam for lam, _ in pairs])
+    order = np.argsort(values, kind="stable")
+    position = np.empty(n, dtype=np.intp)
+    position[order] = np.arange(n)
+    vectors = np.empty((n, n))
+    start = 0
+    for q, (lam, v) in zip(bases, pairs):
+        vectors[:, position[start:start + lam.size]] = q @ v
+        start += lam.size
+    return values[order], vectors
+
+
+def projector_l1_norm(split, sign):
+    """Operator norm l1 -> l1 of a spectral projector (max column sum);
+    sign is "plus" or "minus"."""
+    basis = eigenvector_matrix(split)[:, split.minus if sign == "minus" else split.plus]
+    return float(np.abs(basis @ basis.T).sum(axis=0).max())

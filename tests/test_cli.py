@@ -1,7 +1,9 @@
 import dataclasses
+import hashlib
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 import latticegap as lg
@@ -241,6 +243,52 @@ class TestCorruptArtifacts:
         self._run_constants(tmp_path, capsys, self._drop("eigenpairs"),
                             "gap.json", "certify-gap")
 
+    @staticmethod
+    def _replace_split(data, layout):
+        """Write `data` as split.npy and record its hash in gap.json, with
+        the layout tag `layout` (None: no tag)."""
+        def damage(gap_path):
+            (gap_path.parent / "split.npy").write_bytes(data(gap_path.parent))
+            gap = json.loads(gap_path.read_text())
+            gap["eigenpairs"]["sha256"] = hashlib.sha256(
+                (gap_path.parent / "split.npy").read_bytes()).hexdigest()
+            if layout is None:
+                del gap["eigenpairs"]["layout"]
+            else:
+                gap["eigenpairs"]["layout"] = layout
+            gap_path.write_text(json.dumps(gap))
+        return damage
+
+    @pytest.mark.parametrize("layout", [None, "parity-sectors"])
+    def test_dense_split_file_rejected(self, tmp_path, capsys, layout):
+        # the layout written before the sector blocks: eigenvalues, then one
+        # n x n eigenvector matrix.  An output directory certified that way
+        # has no layout tag; under the tag the records do not fit the sectors
+        def dense(out):
+            box = lg.BoxDomain(3, 2)
+            operator = lg.assemble_operator(box, lg.checkerboard_potential(3, 1.0))
+            values, vectors = np.linalg.eigh(operator.toarray())
+            path = out / "dense.npy"
+            with open(path, "wb") as fh:
+                np.save(fh, values)
+                np.save(fh, np.asfortranarray(vectors))
+            return path.read_bytes()
+        self._run_constants(tmp_path, capsys, self._replace_split(dense, layout),
+                            "gap.json", "certify-gap")
+
+    @pytest.mark.parametrize("records", [1, 2, 15])
+    def test_split_file_cut_at_record_boundary(self, tmp_path, capsys, records):
+        # 8 sectors, 16 records; the hash in gap.json is that of the cut file
+        def cut(out):
+            data = (out / "split.npy").read_bytes()
+            with open(out / "split.npy", "rb") as fh:
+                for _ in range(records):
+                    np.load(fh)
+                return data[:fh.tell()]
+        self._run_constants(tmp_path, capsys,
+                            self._replace_split(cut, "parity-sectors"),
+                            "gap.json", "certify-gap")
+
     def test_changed_bloch_grid_rejected(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["certify-gap", "--config", str(write_config(tmp_path)),
@@ -265,6 +313,7 @@ class TestPersistedSplit:
             assert (first / name).read_bytes() == (inline / name).read_bytes(), name
         gap = json.loads((first / "gap.json").read_text())
         assert gap["eigenpairs"]["file"] == "split.npy"
+        assert gap["eigenpairs"]["layout"] == "parity-sectors"
 
 
 class TestAtomicWrites:

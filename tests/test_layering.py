@@ -1,7 +1,7 @@
 """Module layering of the package: the graph of imports between its modules
 has no cycle, and every such import sits at module level, where the graph
-is visible, never inside a function body.  The X^-/X^+ layout of the
-eigenvector matrix is known only to `spectral`: no other module reads it.
+is visible, never inside a function body.  The parity-sector blocks of the
+eigenbasis are known only to `spectral`: no other module reads them.
 Every function the benchmark tracer wraps exists under its wrapped name."""
 
 import ast
@@ -95,8 +95,8 @@ def test_import_graph_is_acyclic():
 @pytest.mark.parametrize("module", sorted(set(MODULES) - {"spectral"}))
 def test_eigenvectors_read_only_in_spectral(module):
     lines = [node.lineno for node in ast.walk(TREES[module])
-             if isinstance(node, ast.Attribute) and node.attr == "eigenvectors"]
-    assert not lines, f"{module}.py reads .eigenvectors at lines {lines}"
+             if isinstance(node, ast.Attribute) and node.attr in ("_blocks", "_basis")]
+    assert not lines, f"{module}.py reads the split's blocks at lines {lines}"
 
 
 def test_tracer_wraps_resolve():

@@ -1,6 +1,3 @@
-import sys
-import threading
-
 import numpy as np
 import pytest
 
@@ -12,7 +9,7 @@ from latticegap.nonlinearity import CustomNonlinearity
 from latticegap.solver import _inner_core, _Slab, _Workspace
 
 import oracle_certificate
-from conftest import random_field
+from conftest import eigenvector_matrix, random_field
 from oracle_newton import critical_levels
 
 
@@ -37,7 +34,7 @@ def ground_r2(split_r2, model):
 def lowest_plus_direction(split):
     i = split.negative_count
     return lg.unit_plus_direction(
-        split, lg.LatticeField(split.box, split.eigenvectors[:, i]))
+        split, lg.LatticeField(split.box, eigenvector_matrix(split)[:, i]))
 
 
 def inner_max(split, model, w, cfg, t=1.0, vm=None):
@@ -72,7 +69,7 @@ class TestInnerMaximize:
         t, vm, *_ = inner_max(split_r2, model, w, quick_config)
         t2, vm2, _, _, iterations, _ = inner_max(split_r2, model, w, quick_config,
                                                  t, vm.copy())
-        em = split_r2.minus_vectors
+        em = eigenvector_matrix(split_r2)[:, split_r2.minus]
         assert iterations <= 2
         assert abs(t2 - t) <= 1e-10
         assert np.linalg.norm(em @ vm2 - em @ vm) <= 1e-10
@@ -80,7 +77,7 @@ class TestInnerMaximize:
     def test_multistart_ascent_agrees(self, split_r2, model, quick_config):
         # different warm starts land on the same maximizer
         w = lowest_plus_direction(split_r2)
-        em = split_r2.minus_vectors
+        em = eigenvector_matrix(split_r2)[:, split_r2.minus]
         t_ref, vm_ref, *_ = inner_max(split_r2, model, w, quick_config)
         rng = np.random.default_rng(5)
         for _ in range(3):
@@ -316,110 +313,23 @@ def ground_r3(split_r3, model, constants_r3):
             for frac in (0.0, 0.4)}
 
 
-def _fields(result):
-    """Every field of a GroundStateResult, the field u as its bytes."""
-    return dict(vars(result), u=result.u.values.tobytes())
-
-
-class TestConcurrentStarts:
-    """Starts run on a thread pool; the worker count must not change the answer.
-
-    Runs under the suite's BLAS threads, so concurrent starts may call into a
-    multi-threaded BLAS at once."""
-
-    @pytest.mark.parametrize("seed", [0, 7])
-    @pytest.mark.parametrize("frac", [0.0, 0.4])
-    def test_result_independent_of_workers(self, monkeypatch, split_r3, model,
-                                           constants_r3, frac, seed):
-        rho = frac * constants_r3.rho_max
-        cfg = _interior_config(seed)
-        runs = {}
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # more thread switches inside the starts
-        try:
-            for workers in (1, 3):
-                monkeypatch.setattr(solver, "_start_workers", lambda n, w=workers: w)
-                outer = lg.outer_minimize(split_r3, model, rho, cfg)
-                full = lg.solve_ground_state(split_r3, model, rho, cfg,
-                                             constants=constants_r3)
-                runs[workers] = (_fields(outer), _fields(full))
-        finally:
-            sys.setswitchinterval(interval)
-        assert runs[1] == runs[3]
-
+class TestStartLoop:
     def test_first_failure_in_start_order(self, monkeypatch, split_r3, model):
-        # start 3 fails first in time; start 1 fails only after it, yet
-        # start 1's error is the one raised, as in a loop over the starts
+        # the starts run one after another: start 1's error is raised, and
+        # the starts after it never run
         original = solver._outer_single
-        start3_failed = threading.Event()
+        called = []
 
         def failing(ws, wp, cfg, index, warm=None):
-            if index == 3:
-                start3_failed.set()
-                raise NumericalError("start 3 failed")
+            called.append(index)
             if index == 1:
-                start3_failed.wait(timeout=60.0)
                 raise NumericalError("start 1 failed")
             return original(ws, wp, cfg, index, warm)
 
         monkeypatch.setattr(solver, "_outer_single", failing)
-        monkeypatch.setattr(solver, "_start_workers", lambda n: 3)
-        before = threading.active_count()
         with pytest.raises(NumericalError, match="start 1 failed"):
             lg.outer_minimize(split_r3, model, 0.0, _interior_config(7))
-        assert start3_failed.is_set()
-        assert threading.active_count() == before
-
-
-class TestStartWorkers:
-    """min(starts, cores // BLAS threads), at least 1; no thread is started."""
-
-    VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-    @pytest.fixture
-    def cores(self, monkeypatch):
-        for name in self.VARIABLES:
-            monkeypatch.delenv(name, raising=False)
-
-        def set_cores(n):
-            monkeypatch.setattr(solver.os, "sched_getaffinity",
-                                lambda pid: set(range(n)))
-        return set_cores
-
-    @pytest.mark.parametrize("starts", [1, 3, 5])
-    def test_one_blas_thread_uses_every_core(self, monkeypatch, cores, starts):
-        cores(4)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        assert solver._start_workers(starts) == min(starts, 4)
-
-    def test_goto_before_omp(self, monkeypatch, cores):
-        cores(4)
-        monkeypatch.setenv("GOTO_NUM_THREADS", "2")
-        monkeypatch.setenv("OMP_NUM_THREADS", "1")
-        assert solver._start_workers(5) == 2
-
-    def test_unset_means_blas_on_every_core(self, cores):
-        cores(4)
-        assert solver._start_workers(5) == 1
-
-    def test_more_blas_threads_than_cores(self, monkeypatch, cores):
-        cores(2)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
-        assert solver._start_workers(5) == 1
-
-    @pytest.mark.parametrize("value", ["0", "-2", "abc"])
-    def test_invalid_value_is_unset(self, monkeypatch, cores, value):
-        cores(4)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
-        assert solver._start_workers(5) == 1
-        monkeypatch.setenv("OMP_NUM_THREADS", "1")
-        assert solver._start_workers(5) == 4
-
-    def test_cpu_count_without_affinity(self, monkeypatch, cores):
-        monkeypatch.delattr(solver.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(solver.os, "cpu_count", lambda: 3)
-        monkeypatch.setenv("OMP_NUM_THREADS", "1")
-        assert solver._start_workers(5) == 3
+        assert called == [0, 1]
 
 
 class TestCertificateOracle:

@@ -8,8 +8,9 @@ from latticegap.errors import (InvalidInputError, NoSpectralGapError,
 from latticegap.spectral import (load_eigenpairs, parity_sectors,
                                  reflection_axes, save_eigenpairs)
 
-from conftest import random_field
+from conftest import eigenvector_matrix, random_field
 from oracle_bloch import bloch_matrix as oracle_bloch_matrix
+from oracle_split import dense_lift, projector_l1_norm
 
 
 def checkerboard_band_oracle(k, c=1.0, n=3):
@@ -189,15 +190,15 @@ class TestSpectralSplit:
         assert abs(split_r4.negative_count - split_r4.size / 2) < 0.05 * split_r4.size
 
     def test_eigen_residuals(self, split_r4):
-        A = split_r4.operator
+        A, E = split_r4.operator, eigenvector_matrix(split_r4)
         for i in range(0, split_r4.size, 97):
-            e = split_r4.eigenvectors[:, i]
+            e = E[:, i]
             lam = split_r4.eigenvalues[i]
             res = np.linalg.norm(A @ e - lam * e)
             assert res <= 1e-9 * (1 + abs(lam))
 
     def test_orthonormal_eigenvectors(self, split_r2):
-        E = split_r2.eigenvectors
+        E = eigenvector_matrix(split_r2)
         gram = E.T @ E
         assert np.max(np.abs(gram - np.eye(split_r2.size))) < 1e-10
 
@@ -241,20 +242,20 @@ def _assert_matches_dense_oracle(split, operator):
     assert n == int(np.sum(values < 0))
     # degenerate eigenspaces have other bases: compare the X^- projectors
     oracle_projector = vectors[:, :n] @ vectors[:, :n].T
-    projector = split.minus_vectors @ split.minus_vectors.T
+    E = eigenvector_matrix(split)
+    projector = E[:, :n] @ E[:, :n].T
     assert np.max(np.abs(projector - oracle_projector)) <= 1e-10
-    E = split.eigenvectors
     assert np.max(np.abs(E.T @ E - np.eye(split.size))) <= 1e-12
-    assert E.flags.f_contiguous
 
 
 def _assert_parity_definite(split, axes):
     """Every eigenvector is even or odd under each reflection in `axes`."""
-    grid = split.eigenvectors.reshape(split.box.shape + (split.size,))
+    E = eigenvector_matrix(split)
+    grid = E.reshape(split.box.shape + (split.size,))
     for axis in axes:
         mirrored = np.flip(grid, axis=axis).reshape(split.size, split.size)
-        even = np.max(np.abs(mirrored - split.eigenvectors), axis=0)
-        odd = np.max(np.abs(mirrored + split.eigenvectors), axis=0)
+        even = np.max(np.abs(mirrored - E), axis=0)
+        odd = np.max(np.abs(mirrored + E), axis=0)
         assert np.all(np.minimum(even, odd) <= 1e-12)
 
 
@@ -303,7 +304,7 @@ class TestSectorSplit:
         split = lg.spectral_split(box, operator, (-0.1, 0.1))
         values, vectors = sla.eigh(operator.toarray())
         assert split.eigenvalues.tobytes() == values.tobytes()
-        assert split.eigenvectors.tobytes() == vectors.tobytes()
+        assert eigenvector_matrix(split).tobytes() == vectors.tobytes()
 
     def test_partly_symmetric_cell(self):
         # period 2 is even under x -> -x, period 3 is not
@@ -330,53 +331,85 @@ class TestSectorSplit:
         first = lg.spectral_split(box, operator, band_table.gap)
         second = lg.spectral_split(box, operator, band_table.gap)
         assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
-        assert first.eigenvectors.tobytes() == second.eigenvectors.tobytes()
+        assert (eigenvector_matrix(first).tobytes()
+                == eigenvector_matrix(second).tobytes())
+
+
+def _saved_and_loaded(split, tmp_path):
+    path = tmp_path / "split.npy"
+    save_eigenpairs(split, path)
+    return path, load_eigenpairs(path)
 
 
 class TestPersistedSplit:
     def test_loaded_split_is_bitwise_equal(self, split_r3, tmp_path):
-        path = tmp_path / "split.npy"
-        save_eigenpairs(split_r3, path)
+        path, eigenpairs = _saved_and_loaded(split_r3, tmp_path)
         loaded = lg.spectral_split(split_r3.box, split_r3.operator,
-                                   split_r3.gap, load_eigenpairs(path))
+                                   split_r3.gap, eigenpairs)
         assert loaded.eigenvalues.tobytes() == split_r3.eigenvalues.tobytes()
-        assert loaded.eigenvectors.tobytes() == split_r3.eigenvectors.tobytes()
-        assert loaded.eigenvectors.flags.f_contiguous
+        assert (eigenvector_matrix(loaded).tobytes()
+                == eigenvector_matrix(split_r3).tobytes())
         assert loaded.negative_count == split_r3.negative_count
         assert loaded.intrusions == split_r3.intrusions
         assert sorted(p.name for p in tmp_path.iterdir()) == ["split.npy"]
+        again = tmp_path / "again.npy"
+        save_eigenpairs(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
 
-    def test_eigenpairs_of_another_operator_rejected(self, split_r3):
+    def test_file_holds_one_pair_per_sector(self, split_r3, tmp_path):
+        # about n^2 / 8 doubles instead of n^2
+        path, eigenpairs = _saved_and_loaded(split_r3, tmp_path)
+        sizes = [s.size for s in parity_sectors(split_r3.box, (0, 1, 2))]
+        assert [v.shape for _, v in eigenpairs] == [(m, m) for m in sizes]
+        assert all(v.flags.f_contiguous for _, v in eigenpairs)
+        assert path.stat().st_size < 8 * (sum(m * m for m in sizes) + 2 * split_r3.size)
+
+    def test_eigenpairs_of_another_operator_rejected(self, split_r3, tmp_path):
         other = lg.assemble_operator(split_r3.box, lg.checkerboard_potential(3, 1.5))
         with pytest.raises(NumericalError, match="residual"):
             lg.spectral_split(split_r3.box, other, split_r3.gap,
-                              (split_r3.eigenvalues, split_r3.eigenvectors))
+                              _saved_and_loaded(split_r3, tmp_path)[1])
 
-    def test_eigenpairs_of_another_box_rejected(self, split_r2, split_r3):
+    def test_eigenpairs_of_another_box_rejected(self, split_r2, split_r3, tmp_path):
         with pytest.raises(InvalidInputError, match="do not match"):
             lg.spectral_split(split_r3.box, split_r3.operator, split_r3.gap,
-                              (split_r2.eigenvalues, split_r2.eigenvectors))
+                              _saved_and_loaded(split_r2, tmp_path)[1])
+
+    def test_dense_eigenpairs_rejected(self, split_r2):
+        # the layout before the sector blocks: eigenvalues and one n x n matrix
+        with pytest.raises(InvalidInputError, match="do not match"):
+            lg.spectral_split(split_r2.box, split_r2.operator, split_r2.gap,
+                              (split_r2.eigenvalues, eigenvector_matrix(split_r2)))
+
+    def test_unsorted_sector_rejected(self, split_r2, tmp_path):
+        eigenpairs = _saved_and_loaded(split_r2, tmp_path)[1]
+        values, vectors = eigenpairs[0]
+        eigenpairs[0] = (values[::-1], vectors[:, ::-1])
+        with pytest.raises(InvalidInputError, match="ascending"):
+            lg.spectral_split(split_r2.box, split_r2.operator, split_r2.gap,
+                              eigenpairs)
 
 
 class TestSplitBlocks:
     def test_blocks_are_views_of_the_layout(self, split_r3, tmp_path):
-        # a copied X^+ block at R = 7 would add about 46 MB
-        path = tmp_path / "split.npy"
-        save_eigenpairs(split_r3, path)
-        loaded = lg.spectral_split(split_r3.box, split_r3.operator,
-                                   split_r3.gap, load_eigenpairs(path))
+        # a copied X^+ block would double the memory of the eigenvectors
+        loaded = lg.spectral_split(split_r3.box, split_r3.operator, split_r3.gap,
+                                   _saved_and_loaded(split_r3, tmp_path)[1])
         for split in (split_r3, loaded):
             n = split.negative_count
-            blocks = ((split.minus_vectors, split.eigenvectors[:, :n]),
-                      (split.plus_vectors, split.eigenvectors[:, n:]),
-                      (split.minus_eigenvalues, split.eigenvalues[:n]),
+            blocks = ((split.minus_eigenvalues, split.eigenvalues[:n]),
                       (split.plus_eigenvalues, split.eigenvalues[n:]),
                       (split.abs_minus_eigenvalues, split.abs_eigenvalues[:n]))
             for block, expected in blocks:
                 assert np.shares_memory(block, expected)
                 np.testing.assert_array_equal(block, expected)
-            assert split.minus_vectors.flags.f_contiguous
-            assert split.plus_vectors.flags.f_contiguous
+            # each sector's X^- / X^+ columns are views of its eigenvectors
+            sectors = split._blocks["all"]
+            for part in ("minus", "plus"):
+                for sector, _, vectors, _ in split._blocks[part]:
+                    whole = next(v for s, _, v, _ in sectors if s is sector)
+                    assert np.shares_memory(vectors, whole)
+                    assert vectors.flags.f_contiguous
             assert np.all(split.minus_eigenvalues < 0)
             assert np.all(split.plus_eigenvalues > 0)
 
@@ -407,14 +440,14 @@ class TestProjectors:
 
     def test_eigenvector_fixed(self, split_r2):
         i = split_r2.negative_count  # smallest positive eigenpair
-        e = lg.LatticeField(split_r2.box, split_r2.eigenvectors[:, i])
+        e = lg.LatticeField(split_r2.box, eigenvector_matrix(split_r2)[:, i])
         assert np.linalg.norm(lg.project(split_r2, e, "plus").values - e.values) < 1e-10
         assert np.linalg.norm(lg.project(split_r2, e, "minus").values) < 1e-10
 
     def test_l1_norm_stays_within_factor_two(self, potential, band_table,
                                              split_r2, split_r3, split_r4):
         # desk-scale proxy for l^p-boundedness of the spectral projector
-        norms = [lg.projector_l1_norm(s, "minus")
+        norms = [projector_l1_norm(s, "minus")
                  for s in (split_r2, split_r3, split_r4)]
         assert max(norms) / min(norms) < 2.0
 
@@ -422,7 +455,7 @@ class TestProjectors:
 class TestSplitInner:
     def test_eigenvector_norm_is_abs_eigenvalue(self, split_r2):
         for i in (0, split_r2.negative_count, split_r2.size - 1):
-            e = lg.LatticeField(split_r2.box, split_r2.eigenvectors[:, i])
+            e = lg.LatticeField(split_r2.box, eigenvector_matrix(split_r2)[:, i])
             assert abs(lg.split_inner(split_r2, e, e)
                        - abs(split_r2.eigenvalues[i])) < 1e-10
 
@@ -449,3 +482,66 @@ class TestSplitInner:
     def test_gap_report_schema(self, split_r2):
         report = split_r2.gap_report()
         assert set(report) == {"sigma_minus", "sigma_plus", "intrusions"}
+
+
+def _blocked_product_cases():
+    cases = [pytest.param(3, r, lg.checkerboard_potential(3, a), id=f"checkerboard-{a}-R{r}")
+             for a in (1.0, 0.5) for r in range(5)]
+    cases.append(pytest.param(3, 2, lg.constant_potential(3, 0.3 - 6.0), id="constant"))
+    return cases
+
+
+def _products(split, coords, values):
+    """Every product of the split, with coordinates and site values as
+    given: all, X^- and X^+ coordinates to site values and back."""
+    n = split.negative_count
+    return [split.values_of(coords), split.coords_of(values),
+            split.values_of(coords[:n], "minus"), split.coords_of(values, "minus"),
+            split.values_of(coords[n:], "plus"), split.coords_of(values, "plus")]
+
+
+def _dense_products(vectors, n, coords, values):
+    """The same products with a dense eigenvector matrix."""
+    return [vectors @ coords, vectors.T @ values,
+            vectors[:, :n] @ coords[:n], vectors[:, :n].T @ values,
+            vectors[:, n:] @ coords[n:], vectors[:, n:].T @ values]
+
+
+class TestBlockedProducts:
+    """`values_of` and `coords_of` multiply sector by sector; the dense lift
+    Q_s V_s of `oracle_split` is their oracle, for 1-D and 2-D inputs."""
+
+    @pytest.mark.parametrize("columns", [None, 3], ids=["1d", "2d"])
+    @pytest.mark.parametrize("dimension,radius,potential", _blocked_product_cases())
+    def test_against_dense_lift(self, dimension, radius, potential, columns):
+        box = lg.BoxDomain(dimension, radius)
+        operator = lg.assemble_operator(box, potential)
+        split = lg.spectral_split(box, operator, (-0.1, 0.1))
+        values, vectors = dense_lift(box, operator)
+        assert split.eigenvalues.tobytes() == values.tobytes()
+        rng = np.random.default_rng(radius)
+        shape = (box.site_count,) if columns is None else (box.site_count, columns)
+        coords, sites = rng.standard_normal(shape), rng.standard_normal(shape)
+        for got, want in zip(_products(split, coords, sites),
+                             _dense_products(vectors, split.negative_count,
+                                             coords, sites)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("columns", [None, 3], ids=["1d", "2d"])
+    def test_no_symmetric_axis_is_the_plain_eigh_product(self, columns):
+        # a period-3 cell: one block with Q = I, bytes of the plain products
+        rng = np.random.default_rng(13)
+        potential = lg.PeriodicPotential((3, 3, 3), rng.uniform(-1.0, 1.0, (3, 3, 3)) - 6.0)
+        box = lg.BoxDomain(3, 2)
+        operator = lg.assemble_operator(box, potential)
+        assert reflection_axes(box, operator) == ()
+        split = lg.spectral_split(box, operator, (-0.1, 0.1))
+        values, vectors = sla.eigh(operator.toarray())
+        assert split.eigenvalues.tobytes() == values.tobytes()
+        shape = (box.site_count,) if columns is None else (box.site_count, columns)
+        coords, sites = rng.standard_normal(shape), rng.standard_normal(shape)
+        for got, want in zip(_products(split, coords, sites),
+                             _dense_products(vectors, split.negative_count,
+                                             coords, sites)):
+            assert got.tobytes() == want.tobytes()

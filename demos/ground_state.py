@@ -40,8 +40,7 @@ for x in range(0, box.radius + 1):
     print(f"  u({x},0,0) = {result.u.at((x, 0, 0)):+.6f}")
 
 # certificate: u maximizes the energy over its own slab R+ u (+) X^-
-ok, worst = lg.maximality_certificate(split, model, result.u, 0.0,
-                                      n_samples=200, seed=1)
+ok, worst = lg.maximality_certificate(split, model, result.u, 0.0, seed=1)
 print(f"\nmaximality certificate over 200 sampled (t, v): "
       f"{'holds' if ok else f'violated by {worst:.2e}'}")
 

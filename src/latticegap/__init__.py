@@ -18,11 +18,10 @@ from .spectral import (BlochBandTable, PeriodicPotential, SpectralSplit,
 from .hardy import (EUCLIDEAN_WEIGHT, GRAPH_WEIGHT, HardyWeight,
                     InequalityConstants, best_hardy_constant,
                     compute_constants, rho_plus, weighted_mass)
-from .nonlinearity import (CustomNonlinearity, HypothesisReport, Nonlinearity,
-                           PowerNonlinearity, ZeroNonlinearity, evaluate,
-                           validate_hypotheses)
-from .energy import (EnergyReport, NehariResidual, evaluate_energy, gradient,
-                     nehari_residual, rho_norm_plus)
+from .nonlinearity import (CustomNonlinearity, Nonlinearity, PowerNonlinearity,
+                           ZeroNonlinearity, evaluate, validate_hypotheses)
+from .energy import (NehariResidual, evaluate_energy, gradient, nehari_residual,
+                     rho_norm_plus)
 from .solver import (GroundStateResult, SolverConfig, boundary_mass_fraction,
                      maximality_certificate, outer_minimize, polish_newton,
                      solve_ground_state, unit_plus_direction)

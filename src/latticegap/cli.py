@@ -1,8 +1,8 @@
 """Configuration-driven command line front end.
 
 Subcommands: certify-gap, constants, solve, sweep, validate.  Configuration
-is a flat UTF-8 key-value file with dotted sections ("solver.polish_tol =
-1e-8"); unknown keys are rejected so typos cannot silently change an
+is a flat UTF-8 key-value file with dotted sections ("solver.multistart =
+5"); unknown keys are rejected so typos cannot silently change an
 experiment.  All outputs are plain files with floats printed at 17
 significant digits; a fixed seed reproduces them byte for byte.  Every
 artifact is written to a temporary file and renamed into place.
@@ -64,7 +64,6 @@ class RunConfig:
     rho_mode: str = "fraction"
     rho_values: tuple[float, ...] = (0.0,)
     bloch_grid: int = 8
-    seed: int = 0
     out_dir: str = "out"
     solver: SolverConfig = None
 
@@ -132,19 +131,8 @@ _KEYS = {
     "bloch.grid": int,
     "seed": int,
     "output.dir": str,
-    "solver.inner_tol": _finite_float,
-    "solver.outer_tol": _finite_float,
-    "solver.polish_tol": _finite_float,
-    "solver.polish_entry": _finite_float,
-    "solver.max_inner": int,
-    "solver.max_outer": int,
-    "solver.max_polish": int,
-    "solver.newton_switch": _finite_float,
     "solver.multistart": int,
-    "solver.certificate_samples": int,
-    "solver.certificate_tol": _finite_float,
     "solver.max_boundary_mass": _finite_float,
-    "solver.boundary_layers": int,
 }
 
 
@@ -181,7 +169,6 @@ def parse_config(path) -> RunConfig:
     cfg.rho_mode = values.get("rho.mode", cfg.rho_mode)
     cfg.rho_values = values.get("rho.values", cfg.rho_values)
     cfg.bloch_grid = values.get("bloch.grid", cfg.bloch_grid)
-    cfg.seed = values.get("seed", cfg.seed)
     cfg.out_dir = values.get("output.dir", cfg.out_dir)
 
     if cfg.dimension < 1:
@@ -205,10 +192,11 @@ def parse_config(path) -> RunConfig:
     # -0 passes the check above; written as is it would read "rho": -0
     cfg.rho_values = tuple(0.0 if r == 0 else r for r in cfg.rho_values)
 
-    solver_kwargs = {key.split(".", 1)[1]: val for key, val in values.items()
-                     if key.startswith("solver.")}
+    # the seed key and the solver.* keys are the SolverConfig fields
+    solver_kwargs = {key.split(".", 1)[-1]: val for key, val in values.items()
+                     if key == "seed" or key.startswith("solver.")}
     try:
-        cfg.solver = SolverConfig(seed=cfg.seed, **solver_kwargs)
+        cfg.solver = SolverConfig(**solver_kwargs)
     except InvalidInputError as exc:
         raise ConfigError(f"bad solver settings: {exc}") from exc
     return cfg
@@ -236,9 +224,10 @@ def _sha256(path: Path) -> str:
 
 def _certify(cfg: RunConfig, out: Path, write_bands: bool):
     """Band table + box split; writes split.npy and then gap.json, which
-    holds split.npy's hash (and bands.csv for certify-gap)."""
-    table = bloch_band_edges(cfg.potential(), grid=cfg.bloch_grid)
+    holds split.npy's hash (and bands.csv for certify-gap).  The box, and
+    with it the site budget, is checked before any Bloch work."""
     box = cfg.box()
+    table = bloch_band_edges(cfg.potential(), grid=cfg.bloch_grid)
     operator = assemble_operator(box, cfg.potential())
     split = spectral_split(box, operator, table.gap)
     if write_bands:
@@ -490,7 +479,6 @@ def main(argv=None) -> int:
         if args.threads is not None and args.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {args.threads}")
         if args.seed is not None:
-            cfg.seed = args.seed
             cfg.solver = replace(cfg.solver, seed=args.seed)
         out = Path(args.out if args.out is not None else cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -16,7 +16,10 @@ per inner solve, each of its evaluations multiplies by the X^- columns
 only, one parity sector at a time (`SpectralSplit.values_of`).
 The site-space terms of J, J' and J'' come from `energy.SiteTerms`; this
 module adds only the quadratic parts.  The multistart runs its starts one
-after another, in start order.
+after another, in start order.  `SolverConfig` holds only the study's
+parameters (seed, multistart, interior filter); the tolerances, iteration
+caps and certificate settings are its class constants, and the model
+hypotheses are always validated.
 """
 
 from __future__ import annotations
@@ -42,26 +45,28 @@ from .spectral import RESIDUAL_BLOCK, SpectralSplit
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances, iteration caps and multistart policy."""
+    """The study's parameters: the seed, the multistart and the interior filter.
 
-    inner_tol: float = 1e-10      # projected gradient norm of the inner problem
-    outer_tol: float = 1e-5       # full gradient norm before polishing
-    polish_tol: float = 1e-8      # final ||J'(u)||_2 <= polish_tol (1 + ||u||_2)
-    polish_entry: float = 1e-2    # largest residual accepted by the polisher
-    max_inner: int = 2000
-    max_outer: int = 400
-    max_polish: int = 60
-    newton_switch: float = 1e-3   # inner residual at which Newton acceleration starts
-    multistart: int = 5
+    Tolerances, iteration caps and certificate settings are class constants.
+    """
+
     seed: int = 0
-    certificate_samples: int = 200
-    certificate_tol: float = 1e-6
-    validate_model: bool = True
+    multistart: int = 5
     # Dirichlet walls support boundary-pinned critical points below the bulk
     # soliton level; a threshold on the squared-mass fraction in the outer
     # layers restricts the search to interior states (None = box-global).
     max_boundary_mass: float | None = None
-    boundary_layers: int = 1
+    inner_tol: ClassVar[float] = 1e-10      # projected gradient norm of the inner problem
+    outer_tol: ClassVar[float] = 1e-5       # full gradient norm before polishing
+    polish_tol: ClassVar[float] = 1e-8      # final ||J'(u)||_2 <= polish_tol (1 + ||u||_2)
+    polish_entry: ClassVar[float] = 1e-2    # largest residual accepted by the polisher
+    max_inner: ClassVar[int] = 2000
+    max_outer: ClassVar[int] = 400
+    max_polish: ClassVar[int] = 60
+    newton_switch: ClassVar[float] = 1e-3   # inner residual at which Newton acceleration starts
+    certificate_samples: ClassVar[int] = 200
+    certificate_tol: ClassVar[float] = 1e-6
+    boundary_layers: ClassVar[int] = 1      # the outer layers of max_boundary_mass
     # step-control constants of the inner and outer searches; not settable
     armijo: ClassVar[float] = 1e-4
     backtrack_shrink: ClassVar[float] = 0.5
@@ -69,27 +74,10 @@ class SolverConfig:
     t_cap: ClassVar[float] = 1e6  # scalar growth beyond this flags a degenerate direction
 
     def __post_init__(self):
-        for name in ("inner_tol", "outer_tol", "polish_tol", "polish_entry"):
-            if not getattr(self, name) > 0:
-                raise InvalidInputError(f"{name} must be > 0")
-        if self.inner_tol > self.outer_tol:
-            raise InvalidInputError("inner_tol must be <= outer_tol")
-        # a negative certificate_tol asks for a margin the certificate cannot
-        # give, and a negative newton_switch would turn Newton off silently
-        for name in ("certificate_tol", "newton_switch"):
-            if not getattr(self, name) >= 0:
-                raise InvalidInputError(f"{name} must be >= 0")
         if self.multistart < 1:
             raise InvalidInputError("multistart must be >= 1")
         if self.max_boundary_mass is not None and not 0.0 < self.max_boundary_mass <= 1.0:
             raise InvalidInputError("max_boundary_mass must be None or in (0, 1]")
-        for name in ("max_inner", "max_outer", "max_polish"):
-            if getattr(self, name) < 1:
-                raise InvalidInputError(f"{name} must be >= 1")
-        if self.boundary_layers < 1:
-            raise InvalidInputError("boundary_layers must be >= 1")
-        if self.certificate_samples < 0:
-            raise InvalidInputError("certificate_samples must be >= 0")
 
 
 @dataclass
@@ -193,9 +181,10 @@ def unit_plus_direction(split: SpectralSplit, seed_field: LatticeField) -> Latti
     return split.from_coords(coords / norm)
 
 
-def boundary_mass_fraction(box, values: np.ndarray, layers: int = 1) -> float:
-    """Fraction of the squared mass sitting within `layers` of the box walls."""
-    outer = np.max(np.abs(box.sites), axis=1) > box.radius - layers
+def boundary_mass_fraction(box, values: np.ndarray) -> float:
+    """Fraction of the squared mass sitting within `SolverConfig.boundary_layers`
+    of the box walls."""
+    outer = np.max(np.abs(box.sites), axis=1) > box.radius - SolverConfig.boundary_layers
     total = float(np.sum(values ** 2))
     return float(np.sum(values[outer] ** 2)) / total if total > 0 else 0.0
 
@@ -441,8 +430,7 @@ def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
     if cfg.max_boundary_mass is not None:
         for r in usable:
             values = split.values_of(_embed(split, r.t, r.wp, r.vm))
-            boundary[r.index] = boundary_mass_fraction(
-                split.box, values, cfg.boundary_layers)
+            boundary[r.index] = boundary_mass_fraction(split.box, values)
         interior = [r for r in usable if boundary[r.index] <= cfg.max_boundary_mass]
         if not interior:
             raise ConvergenceError(
@@ -568,15 +556,16 @@ def polish_newton(split: SpectralSplit, model: Nonlinearity, rho: float,
 
 
 def maximality_certificate(split: SpectralSplit, model: Nonlinearity,
-                           u: LatticeField, rho: float, n_samples: int = 200,
-                           seed: int = 0, tol: float = 1e-6,
+                           u: LatticeField, rho: float, seed: int = 0,
                            weight: HardyWeight = EUCLIDEAN_WEIGHT):
     """Sampled check that J(u) >= J(t u + v) - tol over the slab through u.
 
     Returns (ok, worst_excess).  At a Nehari point the inequality holds for
-    every t >= 0 and v in X^-; the samples take t in [0, 3) and v of
-    equivalent norm up to 3 max(||u||, 1).
+    every t >= 0 and v in X^-; the `SolverConfig.certificate_samples` samples
+    take t in [0, 3) and v of equivalent norm up to 3 max(||u||, 1), and tol
+    is `SolverConfig.certificate_tol`.
     """
+    n_samples = SolverConfig.certificate_samples
     ws = _Workspace(split, model, rho, weight)
     cu = split.to_coords(u)
     um = cu[split.minus]
@@ -597,7 +586,7 @@ def maximality_certificate(split: SpectralSplit, model: Nonlinearity,
         sites = ts[block, None] * u.values + split.values_of(dvs[block].T, "minus").T
         for t, dv, site in zip(ts[block].tolist(), dvs[block], sites):
             worst = max(worst, slab.value(t, t * um + dv, site) - base)
-    return worst <= tol, worst
+    return worst <= SolverConfig.certificate_tol, worst
 
 
 def _sampled_sphere_floor(ws: _Workspace, rng):
@@ -650,11 +639,10 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
         raise InvalidInputError(
             f"boundary_layers = {cfg.boundary_layers} must be below the box "
             f"radius {split.box.radius}")
-    if cfg.validate_model:
-        report = validate_hypotheses(model)
-        if not report.all_passed:
-            raise ModelHypothesisError(
-                "nonlinearity fails hypotheses: " + ", ".join(report.failed_names()))
+    report = validate_hypotheses(model)
+    if not report.all_passed:
+        raise ModelHypothesisError(
+            "nonlinearity fails hypotheses: " + ", ".join(report.failed_names()))
     if rho > 0:
         if constants is None:
             constants = compute_constants(split, weight)
@@ -699,7 +687,7 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
         problems.append("u has no X^+ component")
     if not level > 0.0:
         problems.append(f"level {level!r} not positive")
-    bmass = boundary_mass_fraction(split.box, u.values, cfg.boundary_layers)
+    bmass = boundary_mass_fraction(split.box, u.values)
     if cfg.max_boundary_mass is not None and bmass > cfg.max_boundary_mass:
         problems.append(
             f"boundary mass fraction {bmass:.3e} above {cfg.max_boundary_mass}")
@@ -707,8 +695,7 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
     if level < 0.5 * floor:
         problems.append(f"level {level:.6e} below half the sphere floor {floor:.6e}")
     certified, worst = maximality_certificate(
-        split, model, u, rho, n_samples=cfg.certificate_samples,
-        seed=cfg.seed + 3571, tol=cfg.certificate_tol, weight=weight)
+        split, model, u, rho, seed=cfg.seed + 3571, weight=weight)
     if not certified:
         problems.append(f"maximality certificate violated by {worst:.3e}")
     if problems:

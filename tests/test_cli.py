@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,15 +62,27 @@ class TestParseConfig:
 
     def test_solver_keys_cover_solver_config(self, tmp_path):
         # every SolverConfig field is a solver.* key, except the seed (the
-        # top-level key) and validate_model (library only)
+        # top-level key)
         defaults = {f.name: f.default for f in dataclasses.fields(lg.SolverConfig)}
         keys = {k.split(".", 1)[1] for k in cli._KEYS if k.startswith("solver.")}
-        assert set(defaults) == keys | {"seed", "validate_model"}
+        assert set(defaults) == keys | {"seed"}
         # None (box-global search) has no config spelling; it is the default
         settings = {f"solver.{k}": repr(defaults[k]) for k in sorted(keys)
                     if defaults[k] is not None}
         cfg = parse_config(write_config(tmp_path, **settings))
-        assert cfg.solver == lg.SolverConfig(seed=cfg.seed)
+        assert cfg.solver == lg.SolverConfig(seed=cfg.solver.seed)
+
+    def test_readme_config_example_parses(self, tmp_path):
+        # the fenced block under "Config files are flat" in the README
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+            encoding="utf-8")
+        block = readme.split("Config files are flat", 1)[1].split("```", 2)[1]
+        path = tmp_path / "readme.cfg"
+        path.write_text(block, encoding="utf-8")
+        cfg = parse_config(path)
+        assert cfg.radius == 6 and cfg.rho_values == (0.4, 0.2, 0.1, 0.05, 0.0)
+        assert cfg.solver == lg.SolverConfig(seed=7, multistart=5,
+                                             max_boundary_mass=0.25)
 
     def test_rho_list_parsing(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, **{"rho.values": "0.4, 0.2, 0.0"}))
@@ -105,6 +118,23 @@ class TestCertifyGap:
                      "--threads", "3"]) == 0
         assert (out1 / "bands.csv").read_bytes() == (out2 / "bands.csv").read_bytes()
         assert (out1 / "gap.json").read_bytes() == (out2 / "gap.json").read_bytes()
+
+    @pytest.mark.parametrize("command", ["certify-gap", "solve"])
+    def test_site_budget_checked_before_bloch_bands(self, tmp_path, capsys,
+                                                    monkeypatch, command):
+        # 5^6 = 15,625 sites; the 6-D Bloch stack alone would take 16 GiB
+        def bloch_band_edges(*args, **kwargs):
+            raise AssertionError("Bloch bands computed before the site budget check")
+
+        monkeypatch.setattr(cli, "bloch_band_edges", bloch_band_edges)
+        cfg = write_config(tmp_path, dimension="6")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "above the budget" in err
+        assert "Traceback" not in err
+        assert not (out / "gap.json").exists()
+        assert not (out / "split.npy").exists()
 
     def test_radius_floor_enforced(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **{"box.radius": "1"})
@@ -433,8 +463,8 @@ class TestBadSettings:
         err = self._refused(tmp_path, capsys, "solve", **{"rho.values": value})
         assert "rho.values" in err
 
-    @pytest.mark.parametrize("key", ["solver.inner_tol", "potential.amplitude",
-                                     "potential.shift"])
+    @pytest.mark.parametrize("key", ["solver.max_boundary_mass",
+                                     "potential.amplitude", "potential.shift"])
     def test_non_finite_float_key_rejected(self, tmp_path, capsys, key):
         err = self._refused(tmp_path, capsys, "solve", **{key: "nan"})
         assert key in err
@@ -459,6 +489,17 @@ class TestBadSettings:
             parse_config(write_config(tmp_path, threads="4"))
         assert main(["certify-gap", "--config", str(write_config(tmp_path)),
                      "--out", str(tmp_path / "out"), "--threads", "0"]) == 2
+
+    @pytest.mark.parametrize("key", [
+        "solver.inner_tol", "solver.outer_tol", "solver.polish_tol",
+        "solver.polish_entry", "solver.max_inner", "solver.max_outer",
+        "solver.max_polish", "solver.newton_switch",
+        "solver.certificate_samples", "solver.certificate_tol",
+        "solver.boundary_layers"])
+    def test_removed_solver_key_rejected(self, tmp_path, capsys, key):
+        # the solver's tolerances, caps and certificate settings are constants
+        err = self._refused(tmp_path, capsys, "solve", **{key: "1"})
+        assert f"unknown config key {key!r}" in err
 
     @pytest.mark.parametrize("key", ["solver.max_inner", "solver.max_outer",
                                      "solver.max_polish"])

@@ -6,10 +6,9 @@ from .errors import (ConfigError, ConvergenceError, DegenerateProblemError,
                      ModelHypothesisError, NoSpectralGapError, NumericalError,
                      PostConditionError, RhoOutOfRangeError,
                      SingularJacobianError, ZeroEigenvalueError)
-from .lattice import (BoxDomain, LatticeField, carre_du_champ, delta_field,
-                      dirichlet_energy, dirichlet_form, inner_l2,
-                      laplacian_apply, lp_norm, read_field, recenter,
-                      translate, write_field, zero_field)
+from .lattice import (BoxDomain, LatticeField, delta_field, dirichlet_energy,
+                      dirichlet_form, lp_norm, read_field, recenter, translate,
+                      write_field, zero_field)
 from .spectral import (BlochBandTable, PeriodicPotential, SpectralSplit,
                        assemble_operator, assemble_torus_operator,
                        bloch_band_edges, bloch_matrix, checkerboard_potential,
@@ -19,12 +18,12 @@ from .hardy import (EUCLIDEAN_WEIGHT, GRAPH_WEIGHT, HardyWeight,
                     InequalityConstants, best_hardy_constant,
                     compute_constants, rho_plus, weighted_mass)
 from .nonlinearity import (CustomNonlinearity, Nonlinearity, PowerNonlinearity,
-                           ZeroNonlinearity, evaluate, validate_hypotheses)
+                           ZeroNonlinearity, validate_hypotheses)
 from .energy import (NehariResidual, evaluate_energy, gradient, nehari_residual,
                      rho_norm_plus)
 from .solver import (GroundStateResult, SolverConfig, boundary_mass_fraction,
                      maximality_certificate, outer_minimize, polish_newton,
-                     solve_ground_state, unit_plus_direction)
+                     solve_ground_state)
 from .continuation import (SweepPlan, SweepRecord, convergence_report,
                            superquadratic_mass, sweep_rho)
 

@@ -39,12 +39,13 @@ from .errors import (CertificationMissingError, ConfigError, HypothesisError,
 from .hardy import (HardyWeight, InequalityConstants, best_hardy_constant,
                     rho_plus)
 from .jsonio import atomic_open
-from .lattice import BoxDomain, write_field
+from .lattice import MAX_DIMENSION, BoxDomain, write_field
 from .nonlinearity import PowerNonlinearity, validate_hypotheses
 from .solver import SolverConfig, solve_ground_state
-from .spectral import (DENSE_EIG_BUDGET, assemble_operator, bloch_band_edges,
-                       checkerboard_potential, constant_potential,
-                       load_eigenpairs, save_eigenpairs, spectral_split)
+from .spectral import (DENSE_EIG_BUDGET, MIN_BLOCH_GRID, assemble_operator,
+                       bloch_band_edges, checkerboard_potential,
+                       constant_potential, load_eigenpairs, save_eigenpairs,
+                       spectral_split)
 
 SPLIT_FILE = "split.npy"
 # the split.npy layout: per parity sector, eigenvalues then eigenvectors
@@ -171,8 +172,12 @@ def parse_config(path) -> RunConfig:
     cfg.bloch_grid = values.get("bloch.grid", cfg.bloch_grid)
     cfg.out_dir = values.get("output.dir", cfg.out_dir)
 
-    if cfg.dimension < 1:
-        raise ConfigError(f"dimension must be >= 1, got {cfg.dimension}")
+    if not 1 <= cfg.dimension <= MAX_DIMENSION:
+        raise ConfigError(
+            f"dimension must be in [1, {MAX_DIMENSION}], got {cfg.dimension}")
+    if cfg.bloch_grid < MIN_BLOCH_GRID:
+        raise ConfigError(
+            f"bloch.grid must be >= {MIN_BLOCH_GRID}, got {cfg.bloch_grid}")
     if cfg.potential_kind not in ("checkerboard", "constant"):
         raise ConfigError(f"unknown potential.kind {cfg.potential_kind!r}")
     if cfg.potential_kind == "constant" and "potential.amplitude" in values:
@@ -479,7 +484,10 @@ def main(argv=None) -> int:
         if args.threads is not None and args.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {args.threads}")
         if args.seed is not None:
-            cfg.solver = replace(cfg.solver, seed=args.seed)
+            try:
+                cfg.solver = replace(cfg.solver, seed=args.seed)
+            except InvalidInputError as exc:
+                raise ConfigError(f"bad --seed: {exc}") from exc
         out = Path(args.out if args.out is not None else cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out)

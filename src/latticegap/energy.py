@@ -45,7 +45,8 @@ class NehariResidual:
 
 
 class SiteTerms:
-    """Site-space terms of J_rho, J' and J'' on site-value arrays.
+    """Site-space terms of J_rho, J' and J'' on site-value arrays, with the
+    split they act on.
 
     With w the Hardy weight (evaluated once, and only for rho > 0):
     energy = nonlinear + hardy = sum F + 1/2 rho sum w u^2,
@@ -55,6 +56,7 @@ class SiteTerms:
 
     def __init__(self, split: SpectralSplit, model: Nonlinearity, rho: float,
                  weight: HardyWeight = EUCLIDEAN_WEIGHT):
+        self.split = split
         self.operator = split.operator
         self.sites = split.box.sites
         self.model = model

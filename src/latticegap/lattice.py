@@ -82,11 +82,6 @@ class BoxDomain:
             raise InvalidInputError(f"site {tuple(site)} outside box of radius {self.radius}")
         return int(np.ravel_multi_index(tuple(site + self.radius), self.shape))
 
-    def site_of(self, index: int) -> np.ndarray:
-        if not 0 <= index < self.site_count:
-            raise InvalidInputError(f"index {index} out of range [0, {self.site_count})")
-        return np.array(np.unravel_index(index, self.shape)) - self.radius
-
 
 @dataclass(frozen=True)
 class LatticeField:
@@ -134,61 +129,12 @@ def delta_field(box: BoxDomain, site=None) -> LatticeField:
     return LatticeField(box, values)
 
 
-def _check_same_box(u: LatticeField, v: LatticeField):
-    if u.box != v.box:
-        raise InvalidInputError("fields live on different boxes")
-
-
-def _padded(u: LatticeField) -> np.ndarray:
-    return np.pad(u.grid, 1)
-
-
-def laplacian_apply(u: LatticeField) -> LatticeField:
-    """Discrete Laplacian  (Delta u)(x) = sum_{y~x} (u(y) - u(x)),  u = 0 off-box.
-
-    Summed as neighbor differences, so constant fields give exact zeros at
-    interior sites.
-    """
-    gp = _padded(u)
-    n = u.box.dimension
-    core = tuple(slice(1, -1) for _ in range(n))
-    out = np.zeros(u.box.shape)
-    for axis in range(n):
-        for step in (1, -1):
-            sl = list(core)
-            sl[axis] = slice(1 + step, gp.shape[axis] - 1 + step)
-            out += gp[tuple(sl)] - u.grid
-    return LatticeField(u.box, out.ravel())
-
-
-def carre_du_champ(u: LatticeField, site, v: LatticeField | None = None) -> float:
-    """Pointwise gradient form  Gamma(u,v)(x) = 1/2 sum_{y~x} (u(y)-u(x))(v(y)-v(x)).
-
-    With v omitted this is the squared gradient length Gamma(u)(x).  The site
-    must lie inside the box; neighbors outside contribute through the zero
-    extension.
-    """
-    if v is None:
-        v = u
-    _check_same_box(u, v)
-    site = np.asarray(site, dtype=int)
-    if not u.box.contains(site):
-        raise InvalidInputError(f"site {tuple(site)} outside box")
-    ux, vx = u.at(site), v.at(site)
-    total = 0.0
-    for axis in range(u.box.dimension):
-        for step in (1, -1):
-            y = site.copy()
-            y[axis] += step
-            total += (u.at(y) - ux) * (v.at(y) - vx)
-    return 0.5 * total
-
-
 def dirichlet_form(u: LatticeField, v: LatticeField) -> float:
     """Bilinear Dirichlet form: sum over lattice edges meeting the box of
     (u(y)-u(x))(v(y)-v(x)).  Equals (-Delta u, v)_2 by summation by parts."""
-    _check_same_box(u, v)
-    gu, gv = _padded(u), _padded(v)
+    if u.box != v.box:
+        raise InvalidInputError("fields live on different boxes")
+    gu, gv = np.pad(u.grid, 1), np.pad(v.grid, 1)
     total = 0.0
     for axis in range(u.box.dimension):
         total += float(np.sum(np.diff(gu, axis=axis) * np.diff(gv, axis=axis)))
@@ -207,11 +153,6 @@ def lp_norm(u: LatticeField, p: float) -> float:
     if not p >= 1:  # also refuses NaN
         raise InvalidInputError(f"p must satisfy p >= 1 or p = inf, got {p}")
     return float(np.sum(np.abs(u.values) ** p) ** (1.0 / p))
-
-
-def inner_l2(u: LatticeField, v: LatticeField) -> float:
-    _check_same_box(u, v)
-    return float(u.values @ v.values)
 
 
 def translate(u: LatticeField, shift) -> LatticeField:

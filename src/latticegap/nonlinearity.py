@@ -147,22 +147,6 @@ def simpson_primitive(f: Callable, u, panels: int = 10000):
     return out.reshape(np.shape(u)) if np.ndim(u) else float(out[0])
 
 
-def evaluate(model: Nonlinearity, x, u: float) -> tuple[float, float, float]:
-    """Point evaluation (f, F, df) at one site and value."""
-    if not np.isfinite(u):
-        raise InvalidInputError(f"non-finite input value u = {u}")
-    sites = None if x is None else np.asarray(x, dtype=int).reshape(1, -1)
-    arg = np.array([float(u)])
-    return (float(model.f(arg, sites)[0]), float(model.F(arg, sites)[0]),
-            float(model.df(arg, sites)[0]))
-
-
-def check_primitive(model: Nonlinearity, us, panels: int = 10000) -> float:
-    """Max |F(u) - Simpson integral of f from 0 to u| over the samples."""
-    us = np.asarray(us, dtype=float)
-    return float(np.max(np.abs(model.F(us) - simpson_primitive(model.f, us, panels))))
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str

@@ -14,12 +14,12 @@ and the positive/negative projections are the split's index slices
 the scalar along w and the X^- eigencoordinates.  With E_+ w computed once
 per inner solve, each of its evaluations multiplies by the X^- columns
 only, one parity sector at a time (`SpectralSplit.values_of`).
-The site-space terms of J, J' and J'' come from `energy.SiteTerms`; this
-module adds only the quadratic parts.  The multistart runs its starts one
-after another, in start order.  `SolverConfig` holds only the study's
-parameters (seed, multistart, interior filter); the tolerances, iteration
-caps and certificate settings are its class constants, and the model
-hypotheses are always validated.
+The site-space terms of J, J' and J'' come from `energy.SiteTerms`, which
+also carries the split; this module adds only the quadratic parts.  The
+multistart runs its starts one after another, in start order.
+`SolverConfig` holds only the study's parameters (seed, multistart,
+interior filter); the tolerances, iteration caps and certificate settings
+are its class constants, and the model hypotheses are always validated.
 """
 
 from __future__ import annotations
@@ -74,6 +74,8 @@ class SolverConfig:
     t_cap: ClassVar[float] = 1e6  # scalar growth beyond this flags a degenerate direction
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         if self.multistart < 1:
             raise InvalidInputError("multistart must be >= 1")
         if self.max_boundary_mass is not None and not 0.0 < self.max_boundary_mass <= 1.0:
@@ -99,31 +101,9 @@ class GroundStateResult:
     diagnostics: dict = dataclass_field(default_factory=dict)
 
 
-class _Workspace:
-    """The split, plus the site terms of J.
-
-    `terms` (an `energy.SiteTerms`) supplies the site-space parts of J, J'
-    and the Hessian diagonal; the eigencoordinate gradient here and the slab
-    forms of `_Slab` add only their quadratic parts.
-    """
-
-    def __init__(self, split: SpectralSplit, model: Nonlinearity, rho: float,
-                 weight: HardyWeight):
-        self.split = split
-        self.terms = SiteTerms(split, model, rho, weight)
-
-    def grad(self, coords: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
-        if u is None:
-            u = self.split.values_of(coords)
-        return self.split.eigenvalues * coords - self.split.coords_of(self.terms.force(u))
-
-
-def _embed(split: SpectralSplit, t: float, wp: np.ndarray, vm: np.ndarray) -> np.ndarray:
-    """Eigencoordinates of the slab point (t, vm) over the X^+ direction wp."""
-    coords = np.empty(split.size)
-    coords[split.minus] = vm
-    coords[split.plus] = t * wp
-    return coords
+def _coords_grad(terms: SiteTerms, coords: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Eigencoordinates  Lambda c - E^T force(u)  of J' at c, with u = E c."""
+    return terms.split.eigenvalues * coords - terms.split.coords_of(terms.force(u))
 
 
 class _Slab:
@@ -134,9 +114,9 @@ class _Slab:
     by the split's X^- columns only.
     """
 
-    def __init__(self, ws: _Workspace, wp: np.ndarray):
-        self.ws = ws
-        self.split = ws.split
+    def __init__(self, terms: SiteTerms, wp: np.ndarray):
+        self.terms = terms
+        self.split = terms.split
         self.wp = wp
         self.ew = self.split.values_of(wp, "plus")
         self.qw = float(np.sum(self.split.plus_eigenvalues * wp ** 2))
@@ -146,7 +126,7 @@ class _Slab:
 
     def value(self, t: float, vm: np.ndarray, u: np.ndarray) -> float:
         quad = t * t * self.qw + float(np.sum(self.split.minus_eigenvalues * vm ** 2))
-        return 0.5 * quad - self.ws.terms.energy(u)
+        return 0.5 * quad - self.terms.energy(u)
 
     def restrict(self, t: float, vm: np.ndarray, r: np.ndarray):
         """Slab components (along w, along X^-) of  Lambda c - E^T r  at c = (vm, t wp)."""
@@ -154,7 +134,7 @@ class _Slab:
                 self.split.minus_eigenvalues * vm - self.split.coords_of(r, "minus"))
 
     def grad(self, t: float, vm: np.ndarray, u: np.ndarray):
-        return self.restrict(t, vm, self.ws.terms.force(u))
+        return self.restrict(t, vm, self.terms.force(u))
 
 
 def _metric_norm(abs_lam: np.ndarray, coords: np.ndarray) -> float:
@@ -171,16 +151,6 @@ def _minus_perturbation(split: SpectralSplit, rng, radius: float) -> np.ndarray:
     return dv
 
 
-def unit_plus_direction(split: SpectralSplit, seed_field: LatticeField) -> LatticeField:
-    """Project a field onto X^+ and normalize it in the equivalent norm."""
-    coords = split.to_coords(seed_field)
-    coords[split.minus] = 0.0
-    norm = _metric_norm(split.abs_eigenvalues, coords)
-    if norm < 1e-14:
-        raise InvalidInputError("field has no X^+ component to normalize")
-    return split.from_coords(coords / norm)
-
-
 def boundary_mass_fraction(box, values: np.ndarray) -> float:
     """Fraction of the squared mass sitting within `SolverConfig.boundary_layers`
     of the box walls."""
@@ -194,28 +164,28 @@ def _inner_residual(t, gt, gv):
     return max(along_t, float(np.linalg.norm(gv)))
 
 
-def _inner_core(slab: _Slab, t: float, vm: np.ndarray, cfg: SolverConfig):
+def _inner_core(slab: _Slab, t: float, vm: np.ndarray):
     """Maximize value over (t >= 0, vm).  Returns (t, vm, value, res, iters, reason)."""
     u = slab.site_values(t, vm)
     val = slab.value(t, vm, u)
     gt, gv = slab.grad(t, vm, u)
     alpha = 1.0
-    for it in range(cfg.max_inner):
+    for it in range(SolverConfig.max_inner):
         res = _inner_residual(t, gt, gv)
-        if res <= cfg.inner_tol:
+        if res <= SolverConfig.inner_tol:
             return t, vm, val, res, it, None
-        if t > cfg.t_cap or val > 1e12:
+        if t > SolverConfig.t_cap or val > 1e12:
             return t, vm, val, res, it, "unbounded ascent: no superquadratic confinement"
-        if t <= 1e-12 and gt <= 0.0 and np.linalg.norm(gv) <= cfg.inner_tol:
+        if t <= 1e-12 and gt <= 0.0 and np.linalg.norm(gv) <= SolverConfig.inner_tol:
             return 0.0, vm, val, res, it, "t collapsed to zero: infeasible direction"
 
         stepped = False
-        if res <= cfg.newton_switch:
+        if res <= SolverConfig.newton_switch:
             s = _inner_newton_step(slab, u, gt, gv, res)
             if s is not None:
                 st, sv = s
-                for k in range(cfg.max_backtracks):
-                    damp = cfg.backtrack_shrink ** k
+                for k in range(SolverConfig.max_backtracks):
+                    damp = SolverConfig.backtrack_shrink ** k
                     t_try = max(t + damp * st, 0.0)
                     vm_try = vm + damp * sv
                     u_try = slab.site_values(t_try, vm_try)
@@ -229,24 +199,24 @@ def _inner_core(slab: _Slab, t: float, vm: np.ndarray, cfg: SolverConfig):
             # metric-preconditioned ascent with Armijo backtracking
             dt = gt
             dv = gv / slab.split.abs_minus_eigenvalues
-            for k in range(cfg.max_backtracks):
+            for k in range(SolverConfig.max_backtracks):
                 t_try = max(t + alpha * dt, 0.0)
                 vm_try = vm + alpha * dv
                 pred = gt * (t_try - t) + float(gv @ (vm_try - vm))
                 u_try = slab.site_values(t_try, vm_try)
                 val_try = slab.value(t_try, vm_try, u_try)
-                if val_try >= val + cfg.armijo * pred and pred >= 0.0:
+                if val_try >= val + SolverConfig.armijo * pred and pred >= 0.0:
                     t, vm, u, val = t_try, vm_try, u_try, val_try
                     gt, gv = slab.grad(t, vm, u)
                     alpha = min(alpha * 1.5, 4.0)
                     stepped = True
                     break
-                alpha *= cfg.backtrack_shrink
+                alpha *= SolverConfig.backtrack_shrink
             if not stepped:
                 raise ConvergenceError(
                     f"inner maximization stalled at residual {res:.3e}")
     raise ConvergenceError(
-        f"inner maximization exceeded {cfg.max_inner} iterations")
+        f"inner maximization exceeded {SolverConfig.max_inner} iterations")
 
 
 def _inner_newton_step(slab: _Slab, u, gt, gv, res):
@@ -256,7 +226,7 @@ def _inner_newton_step(slab: _Slab, u, gt, gv, res):
     the maximizer for models with nonnegative df.  Returns None when CG hits
     non-positive curvature immediately.
     """
-    d_site = slab.ws.terms.hess_diag(u)
+    d_site = slab.terms.hess_diag(u)
 
     def neg_hess(svec):
         st, sv = float(svec[0]), svec[1:]
@@ -303,24 +273,22 @@ class _StartResult:
     status: str                 # "converged", "stalled", "degenerate", "failed"
     value: float = np.inf
     res_full: float = np.inf
-    t: float = 0.0
-    wp: np.ndarray | None = None
-    vm: np.ndarray | None = None
+    coords: np.ndarray | None = None  # eigencoordinates of the last iterate
     outer_iterations: int = 0
     inner_iterations: int = 0
     trace: list = dataclass_field(default_factory=list)
     reason: str | None = None
 
 
-def _outer_single(ws: _Workspace, wp0: np.ndarray, cfg: SolverConfig,
-                  index: int, warm=None) -> _StartResult:
-    split = ws.split
+def _outer_single(terms: SiteTerms, wp0: np.ndarray, index: int,
+                  warm=None) -> _StartResult:
+    split = terms.split
     lam_pos = split.plus_eigenvalues
     wp = wp0.copy()
     out = _StartResult(index=index, status="failed")
     try:
         t, vm = warm if warm is not None else (1.0, np.zeros(split.negative_count))
-        t, vm, val, _, its, reason = _inner_core(_Slab(ws, wp), t, vm, cfg)
+        t, vm, val, _, its, reason = _inner_core(_Slab(terms, wp), t, vm)
         out.inner_iterations += its
     except ConvergenceError as exc:
         out.reason = str(exc)
@@ -330,17 +298,19 @@ def _outer_single(ws: _Workspace, wp0: np.ndarray, cfg: SolverConfig,
         return out
 
     alpha = 1.0
-    for it in range(cfg.max_outer):
-        coords = _embed(split, t, wp, vm)
+    for it in range(SolverConfig.max_outer):
+        coords = np.empty(split.size)  # the slab point (t, vm) over wp
+        coords[split.minus] = vm
+        coords[split.plus] = t * wp
         u = split.values_of(coords)
-        g = ws.grad(coords, u)
+        g = _coords_grad(terms, coords, u)
         res_full = float(np.linalg.norm(g))
         res_minus = float(np.linalg.norm(g[split.minus]))
         out.trace.append({"iter": it, "level": val, "residual_full": res_full,
                           "residual_minus": res_minus, "t": t})
         out.outer_iterations = it
-        out.value, out.res_full, out.t, out.wp, out.vm = val, res_full, t, wp, vm
-        if res_full <= cfg.outer_tol * (1.0 + float(np.linalg.norm(coords))):
+        out.value, out.res_full, out.coords = val, res_full, coords
+        if res_full <= SolverConfig.outer_tol * (1.0 + float(np.linalg.norm(coords))):
             out.status = "converged"
             return out
 
@@ -353,29 +323,29 @@ def _outer_single(ws: _Workspace, wp0: np.ndarray, cfg: SolverConfig,
             return out
 
         accepted = False
-        for _ in range(cfg.max_backtracks):
+        for _ in range(SolverConfig.max_backtracks):
             wp_try = wp - alpha * d
             norm = split.plus_norm(wp_try)
             if norm < 1e-14:
-                alpha *= cfg.backtrack_shrink
+                alpha *= SolverConfig.backtrack_shrink
                 continue
             wp_try /= norm
             try:
                 t2, vm2, val2, _, its, reason = _inner_core(
-                    _Slab(ws, wp_try), t, vm.copy(), cfg)
+                    _Slab(terms, wp_try), t, vm.copy())
                 out.inner_iterations += its
             except ConvergenceError:
-                alpha *= cfg.backtrack_shrink
+                alpha *= SolverConfig.backtrack_shrink
                 continue
             if reason is not None:
-                alpha *= cfg.backtrack_shrink
+                alpha *= SolverConfig.backtrack_shrink
                 continue
-            if val2 <= val - cfg.armijo * alpha * dnorm2:
+            if val2 <= val - SolverConfig.armijo * alpha * dnorm2:
                 wp, t, vm, val = wp_try, t2, vm2, val2
                 alpha = min(alpha * 1.5, 8.0)
                 accepted = True
                 break
-            alpha *= cfg.backtrack_shrink
+            alpha *= SolverConfig.backtrack_shrink
         if not accepted:
             out.status = "stalled"
             return out
@@ -397,7 +367,7 @@ def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
     exception a start raises ends the multistart.
     """
     cfg = config or SolverConfig()
-    ws = _Workspace(split, model, rho, weight)
+    terms = SiteTerms(split, model, rho, weight)
     npos = split.positive_count
     starts: list[tuple[np.ndarray, tuple | None]] = []
     if warm_start is not None:
@@ -423,13 +393,13 @@ def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
             wp = rng.standard_normal(npos)
             starts.append((wp / split.plus_norm(wp), None))
 
-    results = [_outer_single(ws, wp, cfg, i, warm)
+    results = [_outer_single(terms, wp, i, warm)
                for i, (wp, warm) in enumerate(starts)]
     usable = [r for r in results if r.status in ("converged", "stalled")]
     boundary = {}
     if cfg.max_boundary_mass is not None:
         for r in usable:
-            values = split.values_of(_embed(split, r.t, r.wp, r.vm))
+            values = split.values_of(r.coords)
             boundary[r.index] = boundary_mass_fraction(split.box, values)
         interior = [r for r in usable if boundary[r.index] <= cfg.max_boundary_mass]
         if not interior:
@@ -444,13 +414,11 @@ def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
         raise ConvergenceError(
             "no start converged: " + "; ".join(r.reason or r.status for r in results))
 
-    def l2_of(r):
-        return float(np.linalg.norm(_embed(split, r.t, r.wp, r.vm)))
-
-    best = min(usable, key=lambda r: (round(r.value / 1e-10), l2_of(r)))
-    coords = _embed(split, best.t, best.wp, best.vm)
+    best = min(usable, key=lambda r: (round(r.value / 1e-10),
+                                      float(np.linalg.norm(r.coords))))
+    coords = best.coords
     u = split.from_coords(coords)
-    g = ws.grad(coords)
+    g = _coords_grad(terms, coords, u.values)
     levels = sorted(r.value for r in usable)
     distinct = bool(levels and (levels[-1] - levels[0]) >
                     1e-6 * max(1.0, abs(levels[0])))
@@ -459,7 +427,7 @@ def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
     # (box ground states need not be unique, even up to translation)
     family_gap = 0.0
     if len(usable) > 1:
-        centered = [recenter(split.from_coords(_embed(split, r.t, r.wp, r.vm)))[0].values
+        centered = [recenter(split.from_coords(r.coords))[0].values
                     for r in usable
                     if abs(r.value - best.value) <= 1e-6 * max(1.0, abs(best.value))]
         for i in range(len(centered)):
@@ -487,20 +455,19 @@ def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
         })
 
 
-def _polish_core(split, model, rho, values, cfg, weight):
-    terms = SiteTerms(split, model, rho, weight)
+def _polish_core(terms: SiteTerms, values: np.ndarray):
     u = values.copy()
     r = terms.gradient(u)
     rn = float(np.linalg.norm(r))
-    if rn > cfg.polish_entry * (1.0 + float(np.linalg.norm(u))):
+    if rn > SolverConfig.polish_entry * (1.0 + float(np.linalg.norm(u))):
         raise InvalidInputError(
             f"residual {rn:.3e} too large for local Newton polishing")
     history = [rn]
     fails = 0
-    for it in range(cfg.max_polish):
-        if rn <= cfg.polish_tol * (1.0 + float(np.linalg.norm(u))):
+    for it in range(SolverConfig.max_polish):
+        if rn <= SolverConfig.polish_tol * (1.0 + float(np.linalg.norm(u))):
             return u, history, it
-        jac = (split.operator - sp.diags(terms.hess_diag(u))).tocsc()
+        jac = (terms.operator - sp.diags(terms.hess_diag(u))).tocsc()
         try:
             delta = spla.splu(jac).solve(-r)
         except RuntimeError as exc:
@@ -524,14 +491,14 @@ def _polish_core(split, model, rho, values, cfg, weight):
             fails = 0
         rn, u, r = best
         history.append(rn)
-    if rn <= cfg.polish_tol * (1.0 + float(np.linalg.norm(u))):
-        return u, history, cfg.max_polish
-    raise ConvergenceError(
-        f"Newton polish exceeded {cfg.max_polish} iterations (residual {rn:.3e})")
+    if rn <= SolverConfig.polish_tol * (1.0 + float(np.linalg.norm(u))):
+        return u, history, SolverConfig.max_polish
+    raise ConvergenceError(f"Newton polish exceeded {SolverConfig.max_polish} "
+                           f"iterations (residual {rn:.3e})")
 
 
 def polish_newton(split: SpectralSplit, model: Nonlinearity, rho: float,
-                  u0: LatticeField, config: SolverConfig | None = None,
+                  u0: LatticeField,
                   weight: HardyWeight = EUCLIDEAN_WEIGHT) -> GroundStateResult:
     """Damped Newton on the full gradient from a near-critical start.
 
@@ -539,10 +506,10 @@ def polish_newton(split: SpectralSplit, model: Nonlinearity, rho: float,
     until the residual decreases.  Starting at an exact solution returns the
     input unchanged after zero iterations.
     """
-    cfg = config or SolverConfig()
     if u0.box != split.box:
         raise InvalidInputError("field box does not match the split's box")
-    values, history, iters = _polish_core(split, model, rho, u0.values, cfg, weight)
+    values, history, iters = _polish_core(SiteTerms(split, model, rho, weight),
+                                          u0.values)
     u = LatticeField(split.box, values)
     res = nehari_residual(split, model, u, rho, weight)
     return GroundStateResult(
@@ -566,11 +533,10 @@ def maximality_certificate(split: SpectralSplit, model: Nonlinearity,
     is `SolverConfig.certificate_tol`.
     """
     n_samples = SolverConfig.certificate_samples
-    ws = _Workspace(split, model, rho, weight)
     cu = split.to_coords(u)
     um = cu[split.minus]
     # t u + v lies on the slab through u^+ at X^- coordinates t u^- + dv
-    slab = _Slab(ws, cu[split.plus])
+    slab = _Slab(SiteTerms(split, model, rho, weight), cu[split.plus])
     base = slab.value(1.0, um, u.values)
     v_radius = 3.0 * max(_metric_norm(split.abs_eigenvalues, cu), 1.0)
     rng = np.random.default_rng(seed)
@@ -589,9 +555,9 @@ def maximality_certificate(split: SpectralSplit, model: Nonlinearity,
     return worst <= SolverConfig.certificate_tol, worst
 
 
-def _sampled_sphere_floor(ws: _Workspace, rng):
+def _sampled_sphere_floor(terms: SiteTerms, rng):
     """Rough positive lower level on a small X^+ sphere (sanity floor), 50 directions."""
-    split = ws.split
+    split = terms.split
     dirs = rng.standard_normal((50, split.positive_count))
     for d in dirs:
         d /= split.plus_norm(d)
@@ -601,7 +567,7 @@ def _sampled_sphere_floor(ws: _Workspace, rng):
     quads = [float(np.sum(split.plus_eigenvalues * d ** 2)) for d in dirs]
 
     def sampled_min(radius):
-        return min(0.5 * (radius * radius * q) - ws.terms.energy(radius * e)
+        return min(0.5 * (radius * radius * q) - terms.energy(radius * e)
                    for q, e in zip(quads, site_dirs))
 
     radius = 1.0
@@ -652,7 +618,7 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
                 f"rho = {rho} exceeds 0.9 * rho_max = {cap}")
 
     candidate = outer_minimize(split, model, rho, cfg, weight, warm_start)
-    polished = polish_newton(split, model, rho, candidate.u, cfg, weight)
+    polished = polish_newton(split, model, rho, candidate.u, weight)
 
     # the polish that is kept has already evaluated its level and residuals
     kept, shift = polished, (0,) * split.box.dimension
@@ -663,7 +629,7 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
     if np.any(peak_site != 0):
         try:
             moved, shift_arr = recenter(polished.u)
-            kept = polish_newton(split, model, rho, moved, cfg, weight)
+            kept = polish_newton(split, model, rho, moved, weight)
             shift = tuple(int(s) for s in shift_arr)
             polish_iters += kept.polish_iterations
             history = history + kept.polish_residuals
@@ -671,7 +637,6 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
             pass
 
     u, level = kept.u, kept.c_rho
-    ws = _Workspace(split, model, rho, weight)
     coords = split.to_coords(u)
     l2 = float(np.linalg.norm(u.values))
     plus_norm = split.plus_norm(coords[split.plus])
@@ -691,7 +656,8 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
     if cfg.max_boundary_mass is not None and bmass > cfg.max_boundary_mass:
         problems.append(
             f"boundary mass fraction {bmass:.3e} above {cfg.max_boundary_mass}")
-    floor = _sampled_sphere_floor(ws, np.random.default_rng(cfg.seed + 1259))
+    floor = _sampled_sphere_floor(SiteTerms(split, model, rho, weight),
+                                  np.random.default_rng(cfg.seed + 1259))
     if level < 0.5 * floor:
         problems.append(f"level {level:.6e} below half the sphere floor {floor:.6e}")
     certified, worst = maximality_certificate(

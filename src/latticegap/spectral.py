@@ -44,6 +44,7 @@ from .lattice import BoxDomain, LatticeField
 
 DENSE_EIG_BUDGET = 5000  # refuse dense full decompositions above this size
 RESIDUAL_BLOCK = 256     # eigenvector columns per block of the residual check
+MIN_BLOCH_GRID = 8       # k-points per axis below which the band edges are too coarse
 
 
 @dataclass(frozen=True)
@@ -232,8 +233,9 @@ def bloch_band_edges(potential: PeriodicPotential, grid: int = 8) -> BlochBandTa
     Raises NoSpectralGapError when a band interval crosses (or touches) 0,
     or when the sampled spectrum does not straddle 0 at all.
     """
-    if grid < 8:
-        raise InvalidInputError(f"grid resolution must be >= 8 per axis, got {grid}")
+    if grid < MIN_BLOCH_GRID:
+        raise InvalidInputError(
+            f"grid resolution must be >= {MIN_BLOCH_GRID} per axis, got {grid}")
     n = potential.dimension
     ticks = 2.0 * np.pi * np.arange(grid) / grid
     k_points = ticks[np.indices((grid,) * n).reshape(n, -1).T]
@@ -504,10 +506,6 @@ class SpectralSplit:
     def plus_norm(self, plus_coords: np.ndarray) -> float:
         """Equivalent norm sqrt(sum lambda_i c_i^2) of X^+ eigencoordinates."""
         return float(np.sqrt(np.sum(self.plus_eigenvalues * plus_coords ** 2)))
-
-    def gap_report(self) -> dict:
-        return {"sigma_minus": self.gap[0], "sigma_plus": self.gap[1],
-                "intrusions": list(self.intrusions)}
 
 
 def spectral_split(box: BoxDomain, operator: sp.spmatrix,

@@ -5,11 +5,13 @@ multiplies by them sector by sector.  `dense_lift` builds the n x n
 eigenvector matrix the way the split once stored it: each Q_s V_s written
 into one matrix, columns in the stable ascending order of the sectors'
 concatenated eigenvalues.  `projector_l1_norm` needs the whole matrix and
-so lives here too.  Only the sector bases come from the package."""
+so lives here too.  Only the sector bases come from the package.
+`unit_plus_direction` and `gap_report` are small helpers of the tests."""
 
 import numpy as np
 import scipy.linalg as sla
 
+from latticegap.errors import InvalidInputError
 from latticegap.spectral import parity_sectors, reflection_axes
 
 from conftest import eigenvector_matrix
@@ -38,3 +40,18 @@ def projector_l1_norm(split, sign):
     sign is "plus" or "minus"."""
     basis = eigenvector_matrix(split)[:, split.minus if sign == "minus" else split.plus]
     return float(np.abs(basis @ basis.T).sum(axis=0).max())
+
+
+def unit_plus_direction(split, seed_field):
+    """Project a field onto X^+ and normalize it in the equivalent norm."""
+    coords = split.to_coords(seed_field)
+    coords[split.minus] = 0.0
+    norm = float(np.sqrt(np.sum(split.abs_eigenvalues * coords ** 2)))
+    if norm < 1e-14:
+        raise InvalidInputError("field has no X^+ component to normalize")
+    return split.from_coords(coords / norm)
+
+
+def gap_report(split):
+    return {"sigma_minus": split.gap[0], "sigma_plus": split.gap[1],
+            "intrusions": list(split.intrusions)}

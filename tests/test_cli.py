@@ -448,10 +448,10 @@ class TestBadSettings:
     """Non-finite settings and bad coupling lists exit 2 before any work."""
 
     @staticmethod
-    def _refused(tmp_path, capsys, command, **overrides):
+    def _refused(tmp_path, capsys, command, *flags, **overrides):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, **overrides)
-        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert not (out / "solve_summary.json").exists()
@@ -481,6 +481,27 @@ class TestBadSettings:
                             **{"rho.mode": "fraction", "rho.values": values})
         assert "rho" in err
         assert not (tmp_path / "out" / "gap.json").exists()
+
+    @pytest.mark.parametrize("flags, overrides, name", [
+        ((), {"seed": "-3"}, "seed"),
+        (("--seed", "-3"), {}, "--seed")], ids=["config-key", "flag"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, flags, overrides, name):
+        # the seed reaches np.random.default_rng, which refuses negatives
+        err = self._refused(tmp_path, capsys, "solve", *flags, **overrides)
+        assert name in err and "seed must be >= 0" in err
+
+    @pytest.mark.parametrize("key, value", [("dimension", "40"),
+                                            ("dimension", "0"),
+                                            ("bloch.grid", "4")])
+    def test_geometry_key_out_of_range_rejected(self, tmp_path, capsys,
+                                                monkeypatch, key, value):
+        # a configuration error (exit 2) named by its key, before Bloch work
+        def bloch_band_edges(*args, **kwargs):
+            raise AssertionError("Bloch bands computed before the check")
+
+        monkeypatch.setattr(cli, "bloch_band_edges", bloch_band_edges)
+        err = self._refused(tmp_path, capsys, "certify-gap", **{key: value})
+        assert f"{key} must be" in err
 
     def test_threads_key_rejected(self, tmp_path):
         # the key had no effect and is gone; the --threads flag is still

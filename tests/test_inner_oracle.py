@@ -5,9 +5,11 @@ import pytest
 
 import latticegap as lg
 from latticegap import solver
+from latticegap.energy import SiteTerms
 
 from conftest import random_field
 from oracle_inner import FullCoordinateInner
+from oracle_split import unit_plus_direction
 
 REL = 1e-12
 CONFIG = lg.SolverConfig(seed=1, multistart=3)
@@ -40,11 +42,11 @@ def test_slab_inner_matches_oracle(problems, model, radius, fraction):
     oracle = _oracle(split, model, rho)
     rng = np.random.default_rng(100 * radius + int(10 * fraction))
     for _ in range(3):
-        w = lg.unit_plus_direction(split, random_field(split.box, rng))
+        w = unit_plus_direction(split, random_field(split.box, rng))
         wp = split.to_coords(w)[split.plus]
-        slab = solver._Slab(solver._Workspace(split, model, rho, lg.EUCLIDEAN_WEIGHT), wp)
+        slab = solver._Slab(SiteTerms(split, model, rho, lg.EUCLIDEAN_WEIGHT), wp)
         t_slab, vm_slab, value_slab, _, _, reason_slab = solver._inner_core(
-            slab, 1.0, np.zeros(split.negative_count), CONFIG)
+            slab, 1.0, np.zeros(split.negative_count))
         t, vm, value, _, _, reason = oracle.maximize(
             wp, 1.0, np.zeros(split.negative_count), CONFIG)
         assert reason is None and reason_slab is None and t_slab > 1e-12
@@ -62,7 +64,7 @@ def test_solve_matches_oracle_inner(problems, model, monkeypatch, radius, fracti
 
     oracle = _oracle(split, model, rho)
     monkeypatch.setattr(solver, "_inner_core",
-                        lambda s, t, vm, cfg: oracle.maximize(s.wp, t, vm, cfg))
+                        lambda s, t, vm: oracle.maximize(s.wp, t, vm, CONFIG))
     full = lg.solve_ground_state(split, model, rho, CONFIG, constants=constants)
 
     assert _close(slab.c_rho, full.c_rho)

@@ -2,7 +2,9 @@
 has no cycle, and every such import sits at module level, where the graph
 is visible, never inside a function body.  The parity-sector blocks of the
 eigenbasis are known only to `spectral`: no other module reads them.
-Every function the benchmark tracer wraps exists under its wrapped name."""
+Every function the benchmark tracer wraps exists under its wrapped name.
+Every name the package exports has a caller outside the tests, except the
+few library-only names listed with their reasons."""
 
 import ast
 import importlib.util
@@ -108,3 +110,38 @@ def test_tracer_wraps_resolve():
     missing = [f"{owner.__name__}.{attr}"
                for owner, attr, _ in tracer.WRAPS if not hasattr(owner, attr)]
     assert tracer.WRAPS and not missing, f"tracer wraps missing names: {missing}"
+
+
+# exported names with no caller in src/, demos/ or benchmarks/, kept on purpose
+LIBRARY_ONLY = {
+    "read_field": "reads back the field files that write_field writes",
+    "delta_field": "the point-mass input field of the discrete calculus",
+    "GRAPH_WEIGHT": "the graph-metric weight; the CLI builds it from hardy.metric",
+    "ZeroNonlinearity": "the model f = 0 of the linear problem; the validator refuses it",
+    "assemble_torus_operator": "the periodic operator of the planned torus box",
+}
+
+
+def _loaded_names(paths) -> set[str]:
+    """Every name and attribute that the files read."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+def test_exports_have_callers_outside_tests():
+    exported = {alias.asname or alias.name for node in TREES["__init__"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    callers = [path for name, path in MODULES.items() if name != "__init__"]
+    callers += sorted((ROOT / "demos").glob("*.py"))
+    callers += sorted((ROOT / "benchmarks").glob("*.py"))
+    used = _loaded_names(callers)
+    test_only = sorted(exported - used - set(LIBRARY_ONLY))
+    assert not test_only, f"exports only the tests call: {test_only}"
+    stale = sorted(set(LIBRARY_ONLY) - (exported - used))
+    assert not stale, f"LIBRARY_ONLY lists used or unexported names: {stale}"

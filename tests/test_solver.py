@@ -6,11 +6,13 @@ from latticegap import solver
 from latticegap.errors import (DegenerateProblemError, InvalidInputError,
                                NumericalError, RhoOutOfRangeError)
 from latticegap.nonlinearity import CustomNonlinearity
-from latticegap.solver import _inner_core, _Slab, _Workspace
+from latticegap.energy import SiteTerms
+from latticegap.solver import _inner_core, _Slab
 
 import oracle_certificate
 from conftest import eigenvector_matrix, random_field
 from oracle_newton import critical_levels
+from oracle_split import unit_plus_direction
 
 
 @pytest.fixture(scope="module")
@@ -45,65 +47,65 @@ def ground_r2(split_r2, model):
 
 def lowest_plus_direction(split):
     i = split.negative_count
-    return lg.unit_plus_direction(
+    return unit_plus_direction(
         split, lg.LatticeField(split.box, eigenvector_matrix(split)[:, i]))
 
 
-def inner_max(split, model, w, cfg, t=1.0, vm=None):
+def inner_max(split, model, w, t=1.0, vm=None):
     """`_inner_core` on the slab over the unit X^+ field w, started at
     (t, vm); returns (t, vm, value, residual, iterations, reason)."""
-    ws = _Workspace(split, model, 0.0, lg.EUCLIDEAN_WEIGHT)
+    terms = SiteTerms(split, model, 0.0, lg.EUCLIDEAN_WEIGHT)
     if vm is None:
         vm = np.zeros(split.negative_count)
-    return _inner_core(_Slab(ws, split.to_coords(w)[split.plus]), t, vm, cfg)
+    return _inner_core(_Slab(terms, split.to_coords(w)[split.plus]), t, vm)
 
 
 class TestInnerMaximize:
     def test_converges_with_positive_t(self, split_r2, model, quick_config):
         w = lowest_plus_direction(split_r2)
-        t, _, value, res, _, reason = inner_max(split_r2, model, w, quick_config)
+        t, _, value, res, _, reason = inner_max(split_r2, model, w)
         assert reason is None
         assert t > 0
         assert res <= quick_config.inner_tol
         assert value > 0
 
-    def test_value_dominates_scalar_reduction(self, split_r2, model, quick_config):
+    def test_value_dominates_scalar_reduction(self, split_r2, model):
         # the slab contains the ray {t w}, so the inner max dominates the
         # 1-d root-find maximum (1/4) t_scalar^2 for the quartic model
         w = lowest_plus_direction(split_r2)
         t_scalar = 1.0 / np.sqrt(np.sum(w.values ** 4))
         scalar_max = 0.25 * t_scalar ** 2
-        value = inner_max(split_r2, model, w, quick_config)[2]
+        value = inner_max(split_r2, model, w)[2]
         assert value >= scalar_max - 1e-10
 
-    def test_warm_restart_is_fixed_point(self, split_r2, model, quick_config):
+    def test_warm_restart_is_fixed_point(self, split_r2, model):
         w = lowest_plus_direction(split_r2)
-        t, vm, *_ = inner_max(split_r2, model, w, quick_config)
-        t2, vm2, _, _, iterations, _ = inner_max(split_r2, model, w, quick_config,
+        t, vm, *_ = inner_max(split_r2, model, w)
+        t2, vm2, _, _, iterations, _ = inner_max(split_r2, model, w,
                                                  t, vm.copy())
         em = eigenvector_matrix(split_r2)[:, split_r2.minus]
         assert iterations <= 2
         assert abs(t2 - t) <= 1e-10
         assert np.linalg.norm(em @ vm2 - em @ vm) <= 1e-10
 
-    def test_multistart_ascent_agrees(self, split_r2, model, quick_config):
+    def test_multistart_ascent_agrees(self, split_r2, model):
         # different warm starts land on the same maximizer
         w = lowest_plus_direction(split_r2)
         em = eigenvector_matrix(split_r2)[:, split_r2.minus]
-        t_ref, vm_ref, *_ = inner_max(split_r2, model, w, quick_config)
+        t_ref, vm_ref, *_ = inner_max(split_r2, model, w)
         rng = np.random.default_rng(5)
         for _ in range(3):
             v0 = lg.project(split_r2, random_field(split_r2.box, rng), "minus")
             t0 = rng.uniform(0.5, 3.0)
-            t, vm, *_ = inner_max(split_r2, model, w, quick_config, t0,
+            t, vm, *_ = inner_max(split_r2, model, w, t0,
                                   split_r2.to_coords(v0)[split_r2.minus])
             assert abs(t - t_ref) <= 1e-8
             assert np.linalg.norm(em @ vm - em @ vm_ref) <= 1e-8
 
-    def test_zero_nonlinearity_degenerate(self, split_r2, quick_config):
+    def test_zero_nonlinearity_degenerate(self, split_r2):
         # indefinite quadratic alone admits no interior maximizer
         w = lowest_plus_direction(split_r2)
-        reason = inner_max(split_r2, lg.ZeroNonlinearity(), w, quick_config)[5]
+        reason = inner_max(split_r2, lg.ZeroNonlinearity(), w)[5]
         assert reason is not None
 
 
@@ -145,29 +147,29 @@ class TestOuterMinimize:
 
 class TestPolishNewton:
     def test_reaches_polish_tolerance(self, split_r2, model, rough_candidate, quick_config):
-        result = lg.polish_newton(split_r2, model, 0.0, rough_candidate, quick_config)
+        result = lg.polish_newton(split_r2, model, 0.0, rough_candidate)
         assert result.residual_full <= quick_config.polish_tol * (
             1 + lg.lp_norm(result.u, 2))
 
-    def test_exact_start_returns_unchanged(self, split_r2, model, rough_candidate, quick_config):
-        polished = lg.polish_newton(split_r2, model, 0.0, rough_candidate, quick_config)
-        again = lg.polish_newton(split_r2, model, 0.0, polished.u, quick_config)
+    def test_exact_start_returns_unchanged(self, split_r2, model, rough_candidate):
+        polished = lg.polish_newton(split_r2, model, 0.0, rough_candidate)
+        again = lg.polish_newton(split_r2, model, 0.0, polished.u)
         assert again.polish_iterations == 0
         np.testing.assert_array_equal(again.u.values, polished.u.values)
 
-    def test_quadratic_contraction(self, split_r2, model, rough_candidate, quick_config):
+    def test_quadratic_contraction(self, split_r2, model, rough_candidate):
         # r_{k+1} <= C r_k^2 along the tail of the iteration, ignoring the
         # floor where rounding dominates
-        result = lg.polish_newton(split_r2, model, 0.0, rough_candidate, quick_config)
+        result = lg.polish_newton(split_r2, model, 0.0, rough_candidate)
         history = [r for r in result.polish_residuals if r > 1e-13]
         assert len(history) >= 2
         ratios = [b / a ** 2 for a, b in zip(history, history[1:])]
         assert max(ratios[-3:]) <= 50.0
 
-    def test_entry_threshold_enforced(self, split_r2, model, quick_config):
+    def test_entry_threshold_enforced(self, split_r2, model):
         far = random_field(split_r2.box, np.random.default_rng(7))
         with pytest.raises(InvalidInputError):
-            lg.polish_newton(split_r2, model, 0.0, far, quick_config)
+            lg.polish_newton(split_r2, model, 0.0, far)
 
 
 class TestSolveGroundState:
@@ -333,11 +335,11 @@ class TestStartLoop:
         original = solver._outer_single
         called = []
 
-        def failing(ws, wp, cfg, index, warm=None):
+        def failing(terms, wp, index, warm=None):
             called.append(index)
             if index == 1:
                 raise NumericalError("start 1 failed")
-            return original(ws, wp, cfg, index, warm)
+            return original(terms, wp, index, warm)
 
         monkeypatch.setattr(solver, "_outer_single", failing)
         with pytest.raises(NumericalError, match="start 1 failed"):
@@ -365,8 +367,8 @@ class TestCertificateOracle:
     @pytest.mark.parametrize("frac", [0.0, 0.4])
     def test_sphere_floor(self, split_r3, model, constants_r3, frac):
         rho = frac * constants_r3.rho_max
-        ws = _Workspace(split_r3, model, rho, lg.EUCLIDEAN_WEIGHT)
-        floor = solver._sampled_sphere_floor(ws, np.random.default_rng(1266))
+        terms = SiteTerms(split_r3, model, rho, lg.EUCLIDEAN_WEIGHT)
+        floor = solver._sampled_sphere_floor(terms, np.random.default_rng(1266))
         ref = oracle_certificate.sampled_sphere_floor(
             split_r3, model, rho, lg.EUCLIDEAN_WEIGHT, np.random.default_rng(1266))
         assert ref > 0.0

@@ -1,10 +1,11 @@
 """Sweep the Hardy coupling rho -> 0+ and watch the ground state converge.
 
 Two facts are theorem-backed for the admissible range: the baseline level
-dominates (c_0 >= c_rho), and c_rho -> c_0 with the recentered ground
-states converging to the baseline.  The sweep solves each coupling
-warm-started from the previous one, then tabulates levels, distances and
-the fitted decay rate of the level gap.
+dominates (c_0 >= c_rho), and c_rho -> c_0 with the ground states
+converging to the baseline (up to lattice translations on Z^N; on the
+Dirichlet box the fields are compared as they are).  The sweep solves
+each coupling warm-started from the previous one, then tabulates levels,
+distances and the fitted decay rate of the level gap.
 """
 
 import latticegap as lg

@@ -33,7 +33,8 @@ from pathlib import Path
 
 
 from . import jsonio
-from .continuation import SweepPlan, SweepRecord, convergence_report, sweep_rho
+from .continuation import (MIN_POSITIVE_COUPLINGS, SweepPlan, SweepRecord,
+                           convergence_report, sweep_rho)
 from .errors import (CertificationMissingError, ConfigError, HypothesisError,
                      InvalidInputError, LatticeGapError)
 from .hardy import (HardyWeight, InequalityConstants, best_hardy_constant,
@@ -313,6 +314,11 @@ def _ensure_split(cfg: RunConfig, out: Path):
                 "gap.json does not match this configuration; re-run certify-gap")
         _check_types(data, (), ("sigma_minus", "sigma_plus"), "gap.json",
                      "certify-gap")
+        if not data["sigma_minus"] < 0.0 < data["sigma_plus"]:
+            raise CertificationMissingError(
+                f"gap.json records the gap ({data['sigma_minus']!r}, "
+                f"{data['sigma_plus']!r}), which does not contain 0; "
+                "re-run certify-gap")
         box = cfg.box()
         eigenpairs = _load_split_file(out, data["eigenpairs"])
         operator = assemble_operator(box, cfg.potential())
@@ -424,19 +430,16 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
         "residual_along_minus": result.residual_along_minus,
         "outer_iterations": result.outer_iterations,
         "polish_iterations": result.polish_iterations,
-        "start_index": result.start_index,
-        "recenter_shift": [int(s) for s in result.recenter_shift]})
+        "start_index": result.start_index})
     return 0
 
 
-def _write_sweep_csv(records: list[SweepRecord], dimension: int, path) -> None:
-    shift_cols = ",".join(f"shift_x{i + 1}" for i in range(dimension))
+def _write_sweep_csv(records: list[SweepRecord], path) -> None:
     with atomic_open(path, newline="") as fh:
-        fh.write(f"rho,c_rho,residual,{shift_cols},d_to_baseline,sum_G\n")
+        fh.write("rho,c_rho,residual,d_to_baseline,sum_G\n")
         for r in records:
-            shift = ",".join(str(int(s)) for s in r.shift)
             fh.write(f"{r.rho:.17g},{r.c_rho:.17g},{r.residual_full:.17g},"
-                     f"{shift},{r.d_to_baseline:.17g},{r.sum_G:.17g}\n")
+                     f"{r.d_to_baseline:.17g},{r.sum_G:.17g}\n")
 
 
 def cmd_sweep(cfg: RunConfig, out: Path) -> int:
@@ -447,12 +450,17 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
         SweepPlan(rho_values=cfg.rho_values)
     except InvalidInputError as exc:
         raise ConfigError(f"bad rho.values for sweep: {exc}") from exc
+    positive = sum(r > 0 for r in cfg.rho_values)
+    if positive < MIN_POSITIVE_COUPLINGS:
+        raise ConfigError(
+            f"bad rho.values for sweep: the convergence report needs at least "
+            f"{MIN_POSITIVE_COUPLINGS} positive couplings, got {positive}")
     split = _ensure_split(cfg, out)
     rhos, constants = _resolve_rhos(cfg, out, split)
     plan = SweepPlan(rho_values=rhos)
     records = sweep_rho(plan, split, cfg.model(), cfg.solver,
                         weight=cfg.weight(), constants=constants)
-    _write_sweep_csv(records, cfg.dimension, out / "sweep.csv")
+    _write_sweep_csv(records, out / "sweep.csv")
     write_field(records[-1].field, out / "baseline.field")
     report = convergence_report(records[:-1], records[-1])
     _write_json(out, "report.json", report)

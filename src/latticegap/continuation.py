@@ -1,10 +1,12 @@
 """Coupling sweep: solve the ground state along a descending list of Hardy
-couplings ending at 0, then compare levels and recentered fields against
-the rho = 0 baseline.
+couplings ending at 0, then compare levels and fields against the rho = 0
+baseline.
 
 Two theorem-backed facts are checked downstream: the baseline level
-dominates (c_0 >= c_rho for admissible rho > 0), and levels and recentered
-ground states converge to the baseline as rho -> 0+.  The superquadratic
+dominates (c_0 >= c_rho for admissible rho > 0), and levels and ground
+states converge to the baseline as rho -> 0+.  The paper's convergence
+holds up to translations of Z^N; no translation is a symmetry of a
+Dirichlet box, so the fields are compared as they are.  The superquadratic
 density G(x, u) = 1/2 f(x, u) u - F(x, u) ties the level to the solution:
 at a critical point J_rho(u) = sum G(x, u).
 """
@@ -15,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidInputError, LatticeGapError
+from .errors import (ConvergenceError, HypothesisError, InvalidInputError,
+                     LatticeGapError)
 from .hardy import EUCLIDEAN_WEIGHT, HardyWeight
 from .lattice import LatticeField
 from .nonlinearity import Nonlinearity
@@ -27,6 +30,8 @@ from .spectral import SpectralSplit, split_norm
 REPORT_THRESHOLDS = {"gap_floor": 1e-12, "slope_flag": 0.5,
                      "final_gap_frac": 0.02, "final_dist_frac": 0.05,
                      "ordering_tol": 1e-8}
+# the least number of positive couplings `convergence_report` fits against
+MIN_POSITIVE_COUPLINGS = 3
 
 
 def superquadratic_mass(model: Nonlinearity, u: LatticeField) -> float:
@@ -57,14 +62,13 @@ class SweepPlan:
 
 @dataclass
 class SweepRecord:
-    """One solved coupling: level, residuals, recentering and baseline distance."""
+    """One solved coupling: level, residuals and baseline distance."""
 
     rho: float
     c_rho: float
     residual_full: float
     residual_along_u: float
     residual_along_minus: float
-    shift: tuple[int, ...]
     sum_G: float
     u_norm: float                  # equivalent norm of the solution
     d_to_baseline: float = np.nan  # equivalent-norm distance to the baseline
@@ -76,7 +80,6 @@ class SweepRecord:
                 "residual_full": self.residual_full,
                 "residual_along_u": self.residual_along_u,
                 "residual_along_minus": self.residual_along_minus,
-                "shift": list(int(s) for s in self.shift),
                 "sum_G": self.sum_G, "u_norm": self.u_norm,
                 "d_to_baseline": self.d_to_baseline, "d_l2": self.d_l2}
 
@@ -88,8 +91,9 @@ def sweep_rho(plan: SweepPlan, split: SpectralSplit, model: Nonlinearity,
     """Solve along the plan, warm-starting each coupling from the previous one.
 
     The final (rho = 0) record is the baseline; distances to it are filled in
-    a second pass once it is known.  A failing solve aborts the sweep with
-    the partial records attached to the raised error.
+    a second pass once it is known.  A numerical failure aborts the sweep
+    with the partial records attached to the raised error; a hypothesis
+    violation (a coupling beyond the admissible bound, say) propagates as is.
     """
     config = config or SolverConfig()
     records: list[SweepRecord] = []
@@ -99,6 +103,8 @@ def sweep_rho(plan: SweepPlan, split: SpectralSplit, model: Nonlinearity,
             result = solve_ground_state(
                 split, model, rho, config, weight=weight, constants=constants,
                 warm_start=warm)
+        except HypothesisError:
+            raise
         except LatticeGapError as exc:
             err = ConvergenceError(f"sweep aborted at rho = {rho}: {exc}")
             err.partial_records = records
@@ -109,7 +115,6 @@ def sweep_rho(plan: SweepPlan, split: SpectralSplit, model: Nonlinearity,
             residual_full=result.residual_full,
             residual_along_u=result.residual_along_u,
             residual_along_minus=result.residual_along_minus,
-            shift=result.recenter_shift,
             sum_G=superquadratic_mass(model, result.u),
             u_norm=split_norm(split, result.u),
             field=result.u))
@@ -134,9 +139,10 @@ def convergence_report(records: list[SweepRecord], baseline: SweepRecord) -> dic
     """
     th = REPORT_THRESHOLDS
     positive = sorted((r for r in records if r.rho > 0), key=lambda r: -r.rho)
-    if len(positive) < 3:
+    if len(positive) < MIN_POSITIVE_COUPLINGS:
         raise InvalidInputError(
-            f"need at least 3 positive-coupling records, got {len(positive)}")
+            f"need at least {MIN_POSITIVE_COUPLINGS} positive-coupling records, "
+            f"got {len(positive)}")
     if baseline.rho != 0.0:
         raise InvalidInputError("baseline record must have rho = 0")
     c0 = baseline.c_rho

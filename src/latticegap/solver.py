@@ -95,7 +95,6 @@ class GroundStateResult:
     inner_iterations: int
     polish_iterations: int
     start_index: int
-    recenter_shift: tuple[int, ...]
     trace: list[dict] = dataclass_field(default_factory=list)
     polish_residuals: list[float] = dataclass_field(default_factory=list)
     diagnostics: dict = dataclass_field(default_factory=dict)
@@ -441,9 +440,7 @@ def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
         residual_along_minus=float(np.linalg.norm(g[split.minus])),
         outer_iterations=best.outer_iterations,
         inner_iterations=best.inner_iterations,
-        polish_iterations=0, start_index=best.index,
-        recenter_shift=(0,) * split.box.dimension,
-        trace=best.trace,
+        polish_iterations=0, start_index=best.index, trace=best.trace,
         diagnostics={
             "start_levels": [None if r.status not in ("converged", "stalled")
                              else r.value for r in results],
@@ -518,8 +515,7 @@ def polish_newton(split: SpectralSplit, model: Nonlinearity, rho: float,
         residual_along_u=res.along_u,
         residual_along_minus=res.along_minus,
         outer_iterations=0, inner_iterations=0, polish_iterations=iters,
-        start_index=-1, recenter_shift=(0,) * split.box.dimension,
-        polish_residuals=history)
+        start_index=-1, polish_residuals=history)
 
 
 def maximality_certificate(split: SpectralSplit, model: Nonlinearity,
@@ -587,7 +583,7 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
                        weight: HardyWeight = EUCLIDEAN_WEIGHT,
                        constants=None,
                        warm_start: LatticeField | None = None) -> GroundStateResult:
-    """Full pipeline: outer min-max, Newton polish, recentering, exit checks.
+    """Full pipeline: outer min-max, one Newton polish, exit checks.
 
     Post-conditions enforced on the returned state: both Nehari residuals at
     the polish tolerance, positive level above the sampled sphere floor, and
@@ -618,36 +614,20 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
                 f"rho = {rho} exceeds 0.9 * rho_max = {cap}")
 
     candidate = outer_minimize(split, model, rho, cfg, weight, warm_start)
+    # the polish has already evaluated its level and residuals
     polished = polish_newton(split, model, rho, candidate.u, weight)
-
-    # the polish that is kept has already evaluated its level and residuals
-    kept, shift = polished, (0,) * split.box.dimension
-    polish_iters = polished.polish_iterations
-    history = polished.polish_residuals
-    peak = int(np.argmax(np.abs(polished.u.values)))
-    peak_site = split.box.sites[peak]
-    if np.any(peak_site != 0):
-        try:
-            moved, shift_arr = recenter(polished.u)
-            kept = polish_newton(split, model, rho, moved, weight)
-            shift = tuple(int(s) for s in shift_arr)
-            polish_iters += kept.polish_iterations
-            history = history + kept.polish_residuals
-        except (InvalidInputError, ConvergenceError, SingularJacobianError):
-            pass
-
-    u, level = kept.u, kept.c_rho
+    u, level = polished.u, polished.c_rho
     coords = split.to_coords(u)
     l2 = float(np.linalg.norm(u.values))
     plus_norm = split.plus_norm(coords[split.plus])
 
     problems = []
-    if kept.residual_full > cfg.polish_tol * (1.0 + l2):
-        problems.append(f"full residual {kept.residual_full:.3e}")
-    if abs(kept.residual_along_u) > cfg.polish_tol * (1.0 + l2 ** 2):
-        problems.append(f"residual along u {kept.residual_along_u:.3e}")
-    if kept.residual_along_minus > cfg.polish_tol:
-        problems.append(f"residual along X^- {kept.residual_along_minus:.3e}")
+    if polished.residual_full > cfg.polish_tol * (1.0 + l2):
+        problems.append(f"full residual {polished.residual_full:.3e}")
+    if abs(polished.residual_along_u) > cfg.polish_tol * (1.0 + l2 ** 2):
+        problems.append(f"residual along u {polished.residual_along_u:.3e}")
+    if polished.residual_along_minus > cfg.polish_tol:
+        problems.append(f"residual along X^- {polished.residual_along_minus:.3e}")
     if plus_norm <= 1e-8:
         problems.append("u has no X^+ component")
     if not level > 0.0:
@@ -672,11 +652,11 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
     diagnostics["certified"] = certified
     diagnostics["boundary_mass"] = bmass
     return GroundStateResult(
-        u=u, c_rho=level, residual_full=kept.residual_full,
-        residual_along_u=kept.residual_along_u,
-        residual_along_minus=kept.residual_along_minus,
+        u=u, c_rho=level, residual_full=polished.residual_full,
+        residual_along_u=polished.residual_along_u,
+        residual_along_minus=polished.residual_along_minus,
         outer_iterations=candidate.outer_iterations,
         inner_iterations=candidate.inner_iterations,
-        polish_iterations=polish_iters, start_index=candidate.start_index,
-        recenter_shift=shift, trace=candidate.trace,
-        polish_residuals=history, diagnostics=diagnostics)
+        polish_iterations=polished.polish_iterations,
+        start_index=candidate.start_index, trace=candidate.trace,
+        polish_residuals=polished.polish_residuals, diagnostics=diagnostics)

@@ -251,6 +251,14 @@ class TestCorruptArtifacts:
         self._run_constants(tmp_path, capsys, self._set("sigma_minus", value),
                             "gap.json", "certify-gap")
 
+    @pytest.mark.parametrize("key, value", [
+        ("sigma_minus", 0.0), ("sigma_minus", 1.5), ("sigma_minus", 1e308),
+        ("sigma_plus", 0.0), ("sigma_plus", -1.0)])
+    def test_gap_not_containing_zero(self, tmp_path, capsys, key, value):
+        # certify-gap only writes sigma_minus < 0 < sigma_plus
+        self._run_constants(tmp_path, capsys, self._set(key, value),
+                            "gap.json", "certify-gap")
+
     @pytest.mark.parametrize("fraction", [0.0, 0.5, 0.999])
     def test_truncated_split_file(self, tmp_path, capsys, fraction):
         self._run_constants(tmp_path, capsys, self._truncate(fraction),
@@ -414,13 +422,18 @@ class TestSolve:
         assert main(["solve", "--config", str(other), "--out", str(out)]) == 2
         assert "re-run certify-gap" in capsys.readouterr().err
 
-    def test_rho_out_of_range_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command, values", [
+        ("solve", "0.95"), ("sweep", "0.95, 0.5, 0.2, 0.0")],
+        ids=["solve", "sweep"])
+    def test_rho_out_of_range_exits_two(self, tmp_path, capsys, command, values):
+        # a hypothesis violation, also when the sweep's solve raises it
         cfg = write_config(tmp_path, **{"box.radius": "3",
-                                        "rho.values": "0.95",
+                                        "rho.values": values,
                                         "rho.mode": "fraction"})
-        assert main(["solve", "--config", str(cfg),
+        assert main([command, "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 2
-        assert "rho" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "exceeds 0.9 * rho_max" in err and "Traceback" not in err
 
     def test_multiple_rhos_rejected_for_solve(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **{"rho.values": "0.1, 0.0"})
@@ -474,7 +487,9 @@ class TestBadSettings:
                             **{"rho.values": "-0.1"})
         assert "rho.values" in err
 
-    @pytest.mark.parametrize("values", ["", "0.4, 0.2", "0.2, 0.4, 0.0"])
+    # the last descends to 0 but has fewer than 3 positive couplings
+    @pytest.mark.parametrize("values", ["", "0.4, 0.2", "0.2, 0.4, 0.0",
+                                        "0.4, 0.2, 0.0"])
     def test_bad_sweep_list_rejected_before_certifying(self, tmp_path, capsys,
                                                         values):
         err = self._refused(tmp_path, capsys, "sweep",
@@ -557,8 +572,7 @@ class TestSweep:
     def test_csv_schema(self, sweep_out):
         _, out = sweep_out
         lines = (out / "sweep.csv").read_text().splitlines()
-        assert lines[0] == "rho,c_rho,residual,shift_x1,shift_x2,shift_x3," \
-                           "d_to_baseline,sum_G"
+        assert lines[0] == "rho,c_rho,residual,d_to_baseline,sum_G"
         assert len(lines) == 5
         rows = [line.split(",") for line in lines[1:]]
         rhos = [float(r[0]) for r in rows]

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import latticegap as lg
+from latticegap import continuation
 from latticegap.continuation import SweepRecord, superquadratic_mass
-from latticegap.errors import InvalidInputError
+from latticegap.errors import InvalidInputError, RhoOutOfRangeError
 
 from conftest import random_field
 
@@ -71,11 +72,11 @@ def synthetic_records(c0, gaps, rhos, d=0.01, u_norm=3.0):
         records.append(SweepRecord(
             rho=rho, c_rho=c0 - gap, residual_full=1e-10,
             residual_along_u=0.0, residual_along_minus=0.0,
-            shift=(0, 0, 0), sum_G=c0 - gap, u_norm=u_norm,
+            sum_G=c0 - gap, u_norm=u_norm,
             d_to_baseline=d * gap / scale, d_l2=d))
     baseline = SweepRecord(
         rho=0.0, c_rho=c0, residual_full=1e-10, residual_along_u=0.0,
-        residual_along_minus=0.0, shift=(0, 0, 0), sum_G=c0, u_norm=u_norm,
+        residual_along_minus=0.0, sum_G=c0, u_norm=u_norm,
         d_to_baseline=0.0, d_l2=0.0)
     return records, baseline
 
@@ -152,14 +153,32 @@ class TestSweep:
         assert report["flags"]["gaps_non_increasing"]
         assert isinstance(report["slope"], float)
 
-    def test_abort_attaches_partial_records(self, split_r3, model):
-        # an inadmissible coupling fails fast, flagging earlier records
+    def test_abort_attaches_partial_records(self, monkeypatch, split_r3, model):
+        # a numerical failure at the baseline aborts the sweep and hands
+        # back the coupling solved before it
         constants = lg.compute_constants(split_r3)
-        cfg = lg.SolverConfig(seed=5, multistart=2)
-        plan = lg.SweepPlan((2.0 * constants.rho_max, 0.0))
-        with pytest.raises(lg.ConvergenceError) as info:
+        solve = continuation.solve_ground_state
+
+        def failing_at_zero(split, model, rho, *args, **kwargs):
+            if rho == 0.0:
+                raise lg.ConvergenceError("no start converged")
+            return solve(split, model, rho, *args, **kwargs)
+
+        monkeypatch.setattr(continuation, "solve_ground_state", failing_at_zero)
+        plan = lg.SweepPlan((0.1 * constants.rho_max, 0.0))
+        cfg = lg.SolverConfig(seed=5, multistart=1)
+        with pytest.raises(lg.ConvergenceError,
+                           match="sweep aborted at rho = 0.0") as info:
             lg.sweep_rho(plan, split_r3, model, cfg, constants=constants)
-        assert info.value.partial_records == []
+        assert [r.rho for r in info.value.partial_records] == [plan.rho_values[0]]
+
+    def test_inadmissible_coupling_propagates(self, split_r3, model):
+        # a hypothesis violation reaches the caller unwrapped, before any solve
+        constants = lg.compute_constants(split_r3)
+        plan = lg.SweepPlan((2.0 * constants.rho_max, 0.0))
+        cfg = lg.SolverConfig(seed=5, multistart=2)
+        with pytest.raises(RhoOutOfRangeError, match="exceeds 0.9 \\* rho_max"):
+            lg.sweep_rho(plan, split_r3, model, cfg, constants=constants)
 
 
 class TestSuperquadraticMass:

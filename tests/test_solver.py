@@ -235,6 +235,28 @@ class TestSolveGroundState:
         assert abs(warm.c_rho - ground_r2.c_rho) <= 1e-9
         assert np.linalg.norm(warm.u.values - ground_r2.u.values) <= 1e-6
 
+    def test_polishes_the_candidate_once(self, monkeypatch, split_r2, model,
+                                         quick_config):
+        # box-global at R = 2 this seed ends at a corner state, peaked off
+        # the origin; the state is the polish of the outer candidate as is
+        calls = []
+        polish = solver.polish_newton
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return polish(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "polish_newton", counted)
+        result = lg.solve_ground_state(split_r2, model, 0.0, quick_config)
+        assert len(calls) == 1
+        assert result.c_rho == 1.0467575068196393
+        candidate = lg.outer_minimize(split_r2, model, 0.0, quick_config)
+        expected = polish(split_r2, model, 0.0, candidate.u)
+        assert result.u.values.tobytes() == expected.u.values.tobytes()
+        assert result.c_rho == expected.c_rho
+        assert result.polish_iterations == expected.polish_iterations
+        assert result.polish_residuals == expected.polish_residuals
+
     def test_run_log_schema(self, ground_r2):
         assert ground_r2.trace, "no outer trace recorded"
         for record in ground_r2.trace:

@@ -378,7 +378,13 @@ def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
         starts.append((wp / t0, (t0, coords[split.minus].copy())))
     else:
         # deterministic starts: lowest positive eigenvector, and the X^+
-        # part of a centered bump (biases one basin toward interior states)
+        # part of a centered bump (biases one basin toward interior states).
+        # The lowest X^+ eigenvalue can be degenerate (+1 is 19-fold for the
+        # checkerboard at R = 6), so start 0 is the one vector of that
+        # eigenspace that LAPACK returns.
+        # The random starts are drawn in site space and projected onto X^+:
+        # E is orthogonal, so their law is that of iid eigencoordinates, but
+        # they do not depend on the basis chosen inside degenerate eigenspaces.
         lowest = np.zeros(npos)
         lowest[0] = 1.0 / np.sqrt(split.plus_eigenvalues[0])
         starts.append((lowest, None))
@@ -389,7 +395,7 @@ def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
             starts.append((wp / split.plus_norm(wp), None))
         rng = np.random.default_rng(cfg.seed)
         for _ in range(cfg.multistart - 2):
-            wp = rng.standard_normal(npos)
+            wp = split.coords_of(rng.standard_normal(split.size), "plus")
             starts.append((wp / split.plus_norm(wp), None))
 
     results = [_outer_single(terms, wp, i, warm)

@@ -357,7 +357,16 @@ class SpectralSplit:
     sectors vanish in exact arithmetic and are never formed, and neither is
     an n x n eigenvector matrix.  Without a symmetric axis there is one
     sector with Q = I, and V is exactly
-    `scipy.linalg.eigh(operator.toarray())`.
+    `scipy.linalg.eigh(operator.toarray(), driver="evd")`.
+
+    Each block is diagonalized by LAPACK's divide-and-conquer `dsyevd`
+    (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995).  The box
+    spectrum has large clusters (at R = 6 the eigenvalue +1 is 19-fold),
+    on which scipy's default MRRR driver `evr` is about six times slower
+    and loses orthogonality to 2e-13; `evd` keeps it to 4e-15.  Inside a
+    degenerate eigenspace the basis is whichever one LAPACK returns; the
+    solver draws its random starts in site space so that they do not
+    depend on it.
 
     Eigencoordinate i belongs to the i-th eigenvalue in the stable ascending
     order of the sectors' concatenated eigenvalues, so the first
@@ -371,8 +380,9 @@ class SpectralSplit:
 
     `eigenpairs`, one (eigenvalues, eigenvectors) pair per sector in
     `parity_sectors` order, skips the diagonalization for a decomposition
-    computed earlier (see `load_eigenpairs`); the zero eigenvalue and
-    residual checks run on it all the same.
+    computed earlier (see `load_eigenpairs`).  Non-finite or unsorted
+    supplied eigenpairs raise InvalidInputError, and the zero eigenvalue and
+    residual checks run on them all the same.
     """
 
     def __init__(self, box: BoxDomain, operator: sp.spmatrix,
@@ -389,7 +399,8 @@ class SpectralSplit:
         bases = [sector.basis(n) for sector in sectors]
         blocks = [q.T @ self.operator @ q for q in bases]
         if eigenpairs is None:
-            eigenpairs = [sla.eigh(block.toarray()) for block in blocks]
+            eigenpairs = [sla.eigh(block.toarray(), driver="evd")
+                          for block in blocks]
         else:
             # Fortran order keeps each sector's X^- / X^+ columns contiguous
             shapes = [tuple(np.shape(a) for a in pair) for pair in eigenpairs]
@@ -400,6 +411,9 @@ class SpectralSplit:
             eigenpairs = [(np.asarray(values, dtype=float),
                            np.asfortranarray(vectors, dtype=float))
                           for values, vectors in eigenpairs]
+            if not all(np.all(np.isfinite(array))
+                       for pair in eigenpairs for array in pair):
+                raise InvalidInputError("sector eigenpairs are not finite")
             if any(np.any(np.diff(values) < 0) for values, _ in eigenpairs):
                 raise InvalidInputError("sector eigenvalues are not ascending")
         eigenvalues = np.concatenate([values for values, _ in eigenpairs])
@@ -428,7 +442,8 @@ class SpectralSplit:
                 vecs = vectors[:, lo:lo + RESIDUAL_BLOCK]
                 vals = values[lo:lo + RESIDUAL_BLOCK]
                 residual = np.linalg.norm(block @ vecs - vecs * vals, axis=0)
-                bad += int(np.sum(residual > 1e-9 * (1.0 + np.abs(vals))))
+                # NaN fails "<=", so a non-finite residual counts as bad
+                bad += int(np.sum(~(residual <= 1e-9 * (1.0 + np.abs(vals)))))
         if bad:
             raise NumericalError(
                 f"{bad} eigenpairs exceed the residual tolerance")

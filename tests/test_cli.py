@@ -11,6 +11,7 @@ import latticegap as lg
 from latticegap import cli, jsonio
 from latticegap.cli import main, parse_config
 from latticegap.errors import ConfigError
+from latticegap.spectral import load_eigenpairs
 
 BASE = {
     "dimension": "3",
@@ -185,13 +186,15 @@ class TestCorruptArtifacts:
     """Damaged artifacts exit 2 with a re-run message, never a traceback."""
 
     @staticmethod
-    def _run_constants(tmp_path, capsys, damage, name, rerun):
+    def _run_constants(tmp_path, capsys, damage, name, rerun,
+                       command="constants"):
+        """Run `constants`, damage the file `name`, then run `command`."""
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
         assert main(["constants", "--config", str(cfg), "--out", str(out)]) == 0
         damage(out / name)
         capsys.readouterr()
-        assert main(["constants", "--config", str(cfg), "--out", str(out)]) == 2
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"re-run {rerun}" in err
         assert "Traceback" not in err
@@ -326,6 +329,26 @@ class TestCorruptArtifacts:
         self._run_constants(tmp_path, capsys,
                             self._replace_split(cut, "parity-sectors"),
                             "gap.json", "certify-gap")
+
+    @pytest.mark.parametrize("command", ["constants", "solve"])
+    @pytest.mark.parametrize("record", [0, 1], ids=["eigenvalue", "eigenvector"])
+    def test_nan_in_split_file(self, tmp_path, capsys, record, command):
+        # a NaN passes "<" and ">" comparisons; the hash in gap.json is
+        # that of the damaged file
+        def poisoned(out):
+            eigenpairs = load_eigenpairs(out / "split.npy")
+            # sector 0's lowest eigenvalue, or the first entry of its
+            # eigenvector, an X^- column
+            eigenpairs[0][record].flat[0] = np.nan
+            path = out / "poisoned.npy"
+            with open(path, "wb") as fh:
+                for pair in eigenpairs:
+                    for array in pair:
+                        np.save(fh, array)
+            return path.read_bytes()
+        self._run_constants(tmp_path, capsys,
+                            self._replace_split(poisoned, "parity-sectors"),
+                            "gap.json", "certify-gap", command)
 
     def test_changed_bloch_grid_rejected(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,7 +1,9 @@
 """Module layering of the package: the graph of imports between its modules
 has no cycle, and every such import sits at module level, where the graph
 is visible, never inside a function body.  The parity-sector blocks of the
-eigenbasis are known only to `spectral`: no other module reads them.
+eigenbasis are known only to `spectral`: no other module reads them, and
+its one dense single-matrix `eigh` is the only place that picks a LAPACK
+driver.
 Every function the benchmark tracer wraps exists under its wrapped name.
 Every name the package exports has a caller outside the tests, except the
 few library-only names listed with their reasons."""
@@ -99,6 +101,23 @@ def test_eigenvectors_read_only_in_spectral(module):
     lines = [node.lineno for node in ast.walk(TREES[module])
              if isinstance(node, ast.Attribute) and node.attr in ("_blocks", "_basis")]
     assert not lines, f"{module}.py reads the split's blocks at lines {lines}"
+
+
+def _eigh_calls():
+    """(module, call) for every call of a function named `eigh` under src/."""
+    return [(name, node) for name, tree in TREES.items() for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "eigh"]
+
+
+def test_one_dense_eigh_and_it_names_its_driver():
+    # the generalized pencils (a second matrix) of `hardy` are out of scope
+    single = [(name, node) for name, node in _eigh_calls()
+              if len(node.args) == 1 and not any(k.arg == "b" for k in node.keywords)]
+    assert [name for name, _ in single] == ["spectral"]
+    drivers = [ast.literal_eval(k.value) for k in single[0][1].keywords
+               if k.arg == "driver"]
+    assert drivers == ["evd"]
 
 
 def test_tracer_wraps_resolve():

@@ -12,7 +12,8 @@ from latticegap.solver import _inner_core, _Slab
 import oracle_certificate
 from conftest import eigenvector_matrix, random_field
 from oracle_newton import critical_levels
-from oracle_split import unit_plus_direction
+from oracle_split import (rotated_in_eigenspaces, sector_eigenpairs,
+                          unit_plus_direction)
 
 
 @pytest.fixture(scope="module")
@@ -249,7 +250,7 @@ class TestSolveGroundState:
         monkeypatch.setattr(solver, "polish_newton", counted)
         result = lg.solve_ground_state(split_r2, model, 0.0, quick_config)
         assert len(calls) == 1
-        assert result.c_rho == 1.0467575068196393
+        assert result.c_rho == 1.0467575068196333
         candidate = lg.outer_minimize(split_r2, model, 0.0, quick_config)
         expected = polish(split_r2, model, 0.0, candidate.u)
         assert result.u.values.tobytes() == expected.u.values.tobytes()
@@ -395,3 +396,47 @@ class TestCertificateOracle:
             split_r3, model, rho, lg.EUCLIDEAN_WEIGHT, np.random.default_rng(1266))
         assert ref > 0.0
         assert abs(floor - ref) <= 1e-12 * ref
+
+
+def _split_from(split, eigenpairs):
+    return lg.spectral_split(split.box, split.operator, split.gap, eigenpairs)
+
+
+class TestBasisIndependence:
+    """The random starts are drawn in site space, so a split built from
+    other eigenpairs of the same operator gives the same solves.  Start 0,
+    the lowest X^+ eigenvector, is one vector of a possibly degenerate
+    eigenspace (19-fold at R = 6) and is left out of the comparison.  The
+    start levels of a solve are those of its `outer_minimize`."""
+
+    @pytest.mark.parametrize("max_boundary_mass", [None, 0.25],
+                             ids=["box-global", "interior"])
+    @pytest.mark.parametrize("seed", [0, 7, 1009])
+    @pytest.mark.parametrize("frac", [0.0, 0.4])
+    def test_evr_split_gives_the_same_solve(self, split_r3, model, constants_r3,
+                                            frac, seed, max_boundary_mass):
+        oracle = _split_from(split_r3, sector_eigenpairs(
+            split_r3.box, split_r3.operator, "evr"))
+        config = lg.SolverConfig(seed=seed, multistart=5,
+                                 max_boundary_mass=max_boundary_mass)
+        rho = frac * constants_r3.rho_max
+        got, want = (lg.solve_ground_state(split, model, rho, config,
+                                           constants=constants_r3)
+                     for split in (split_r3, oracle))
+        got_levels = got.diagnostics["start_levels"][1:]
+        want_levels = want.diagnostics["start_levels"][1:]
+        assert np.allclose(got_levels, want_levels, rtol=0.0, atol=1e-10)
+        assert abs(got.c_rho - want.c_rho) <= 1e-12 * max(1.0, abs(want.c_rho))
+
+    def test_rotated_eigenspaces_give_the_same_random_starts(self, split_r3,
+                                                             model):
+        # fails if the random starts are drawn in eigencoordinates
+        eigenpairs = rotated_in_eigenspaces(
+            sector_eigenpairs(split_r3.box, split_r3.operator, "evd"),
+            np.random.default_rng(5))
+        config = lg.SolverConfig(seed=7, multistart=5)
+        got, want = (lg.outer_minimize(split, model, 0.0, config)
+                     for split in (split_r3, _split_from(split_r3, eigenpairs)))
+        assert np.allclose(got.diagnostics["start_levels"][1:],
+                           want.diagnostics["start_levels"][1:],
+                           rtol=0.0, atol=1e-10)

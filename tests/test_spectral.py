@@ -11,7 +11,8 @@ from latticegap.spectral import (load_eigenpairs, parity_sectors,
 from conftest import eigenvector_matrix, random_field
 from oracle_bloch import bloch_matrix as oracle_bloch_matrix
 from oracle_lattice import inner_l2
-from oracle_split import dense_lift, gap_report, projector_l1_norm
+from oracle_split import (dense_lift, gap_report, projector_l1_norm,
+                          sector_eigenpairs)
 
 
 def checkerboard_band_oracle(k, c=1.0, n=3):
@@ -303,7 +304,7 @@ class TestSectorSplit:
         assert reflection_axes(box, operator) == ()
         assert len(parity_sectors(box, ())) == 1
         split = lg.spectral_split(box, operator, (-0.1, 0.1))
-        values, vectors = sla.eigh(operator.toarray())
+        values, vectors = sla.eigh(operator.toarray(), driver="evd")
         assert split.eigenvalues.tobytes() == values.tobytes()
         assert eigenvector_matrix(split).tobytes() == vectors.tobytes()
 
@@ -334,6 +335,39 @@ class TestSectorSplit:
         assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
         assert (eigenvector_matrix(first).tobytes()
                 == eigenvector_matrix(second).tobytes())
+
+
+class TestDriverCrossCheck:
+    """The split diagonalizes its blocks with divide-and-conquer `evd`; a
+    split built from MRRR (`evr`) eigenpairs of the same blocks is its
+    oracle.  Inside degenerate eigenspaces the two bases differ, so the
+    comparison is on eigenvalues and on the spectral projectors."""
+
+    @pytest.mark.parametrize("radius", [3, 4])
+    @pytest.mark.parametrize("potential", [
+        lg.checkerboard_potential(3, 1.0), lg.checkerboard_potential(3, 0.5),
+        lg.constant_potential(3, 0.3 - 6.0)],
+        ids=["checkerboard-1", "checkerboard-0.5", "constant"])
+    def test_matches_evr_split(self, radius, potential):
+        box = lg.BoxDomain(3, radius)
+        operator = lg.assemble_operator(box, potential)
+        split = lg.spectral_split(box, operator, (-0.1, 0.1))
+        oracle = lg.spectral_split(box, operator, (-0.1, 0.1),
+                                   sector_eigenpairs(box, operator, "evr"))
+        assert oracle.negative_count == split.negative_count
+        assert np.all(np.abs(split.eigenvalues - oracle.eigenvalues)
+                      <= 1e-12 * (1.0 + np.abs(oracle.eigenvalues)))
+        v = np.random.default_rng(radius).standard_normal((box.site_count, 2))
+        for part in ("minus", "plus"):
+            got = split.values_of(split.coords_of(v, part), part)
+            want = oracle.values_of(oracle.coords_of(v, part), part)
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_sector_eigenvectors_orthonormal(self, split_r6):
+        # MRRR gave 2.2e-13 here: the spectrum has 19-fold clusters
+        for _, _, vectors, _ in split_r6._blocks["all"]:
+            gram = vectors.T @ vectors
+            assert np.max(np.abs(gram - np.eye(gram.shape[0]))) <= 1e-13
 
 
 def _saved_and_loaded(split, tmp_path):
@@ -387,6 +421,25 @@ class TestPersistedSplit:
         values, vectors = eigenpairs[0]
         eigenpairs[0] = (values[::-1], vectors[:, ::-1])
         with pytest.raises(InvalidInputError, match="ascending"):
+            lg.spectral_split(split_r2.box, split_r2.operator, split_r2.gap,
+                              eigenpairs)
+
+    @pytest.mark.parametrize("record", [0, 1], ids=["eigenvalue", "eigenvector"])
+    def test_non_finite_eigenpairs_rejected(self, split_r2, tmp_path, record):
+        eigenpairs = _saved_and_loaded(split_r2, tmp_path)[1]
+        eigenpairs[0][record].flat[0] = np.nan
+        with pytest.raises(InvalidInputError, match="not finite"):
+            lg.spectral_split(split_r2.box, split_r2.operator, split_r2.gap,
+                              eigenpairs)
+
+    def test_nan_residual_rejected(self, split_r2, tmp_path):
+        # finite entries whose residual overflows to inf - inf = NaN
+        eigenpairs = _saved_and_loaded(split_r2, tmp_path)[1]
+        values, vectors = eigenpairs[0]
+        assert values[0] < -2.0
+        vectors[:, 0] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match="residual"):
             lg.spectral_split(split_r2.box, split_r2.operator, split_r2.gap,
                               eigenpairs)
 
@@ -538,7 +591,7 @@ class TestBlockedProducts:
         operator = lg.assemble_operator(box, potential)
         assert reflection_axes(box, operator) == ()
         split = lg.spectral_split(box, operator, (-0.1, 0.1))
-        values, vectors = sla.eigh(operator.toarray())
+        values, vectors = sla.eigh(operator.toarray(), driver="evd")
         assert split.eigenvalues.tobytes() == values.tobytes()
         shape = (box.site_count,) if columns is None else (box.site_count, columns)
         coords, sites = rng.standard_normal(shape), rng.standard_normal(shape)

@@ -7,8 +7,8 @@ from .errors import (ConfigError, ConvergenceError, DegenerateProblemError,
                      PostConditionError, RhoOutOfRangeError,
                      SingularJacobianError, ZeroEigenvalueError)
 from .lattice import (BoxDomain, LatticeField, delta_field, dirichlet_energy,
-                      dirichlet_form, lp_norm, read_field, recenter, translate,
-                      write_field, zero_field)
+                      dirichlet_form, lp_norm, read_field, write_field,
+                      zero_field)
 from .spectral import (BlochBandTable, PeriodicPotential, SpectralSplit,
                        assemble_operator, assemble_torus_operator,
                        bloch_band_edges, bloch_matrix, checkerboard_potential,

@@ -155,43 +155,6 @@ def lp_norm(u: LatticeField, p: float) -> float:
     return float(np.sum(np.abs(u.values) ** p) ** (1.0 / p))
 
 
-def translate(u: LatticeField, shift) -> LatticeField:
-    """Shifted field  result(x) = u(x + shift),  truncated to the same box."""
-    shift = np.asarray(shift, dtype=int)
-    if shift.shape != (u.box.dimension,):
-        raise InvalidInputError(
-            f"shift has shape {shift.shape}, expected ({u.box.dimension},)")
-    out = np.zeros(u.box.shape)
-    src = []
-    dst = []
-    side = u.box.side
-    for s in shift:
-        # destination index d maps to source index d + s
-        lo, hi = max(0, -s), min(side, side - s)
-        if lo >= hi:
-            return zero_field(u.box)
-        dst.append(slice(lo, hi))
-        src.append(slice(lo + s, hi + s))
-    out[tuple(dst)] = u.grid[tuple(src)]
-    return LatticeField(u.box, out.ravel())
-
-
-def recenter(u: LatticeField):
-    """Translate u so the maximizer of |u| sits at the origin.
-
-    Ties are broken by the lexicographically smallest maximizing site, which
-    is the first one in enumeration order.  Returns (field, shift) with
-    result(x) = u(x + shift).
-    """
-    magnitudes = np.abs(u.values)
-    peak = float(magnitudes.max())
-    if peak == 0.0:
-        raise InvalidInputError("cannot recenter the zero field")
-    index = int(np.flatnonzero(magnitudes == peak)[0])
-    shift = u.box.sites[index].copy()
-    return translate(u, shift), shift
-
-
 def write_field(u: LatticeField, path) -> None:
     """Dump one line per site: "x_1 ... x_N value" in enumeration order."""
     with atomic_open(path) as fh:

@@ -15,8 +15,14 @@ the scalar along w and the X^- eigencoordinates.  With E_+ w computed once
 per inner solve, each of its evaluations multiplies by the X^- columns
 only, one parity sector at a time (`SpectralSplit.values_of`).
 The site-space terms of J, J' and J'' come from `energy.SiteTerms`, which
-also carries the split; this module adds only the quadratic parts.  The
-multistart runs its starts one after another, in start order.
+also carries the split; this module adds only the quadratic parts.
+The multistart's starts are independent, so on Linux they run in up to
+min(starts, cores) worker processes forked from the caller, which inherit
+the split and the starts without pickling them.  Results and the first
+exception are taken in start order, so they are those of running the
+starts one after another in-process, which is what a warm start, a
+single start, a single core or a platform without fork does.  No setting
+chooses the worker count; the CLI's `--threads` is still ignored.
 `SolverConfig` holds only the study's parameters (seed, multistart,
 interior filter); the tolerances, iteration caps and certificate settings
 are its class constants, and the model hypotheses are always validated.
@@ -24,6 +30,12 @@ are its class constants, and the model hypotheses are always validated.
 
 from __future__ import annotations
 
+import multiprocessing
+import multiprocessing.connection
+import os
+import threading
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field as dataclass_field
 from typing import ClassVar
 
@@ -33,11 +45,11 @@ import scipy.sparse.linalg as spla
 
 from .energy import SiteTerms, evaluate_energy, nehari_residual
 from .errors import (ConvergenceError, DegenerateProblemError,
-                     InvalidInputError, ModelHypothesisError,
+                     InvalidInputError, ModelHypothesisError, NumericalError,
                      PostConditionError, RhoOutOfRangeError,
                      SingularJacobianError)
 from .hardy import EUCLIDEAN_WEIGHT, HardyWeight, compute_constants
-from .lattice import LatticeField, recenter
+from .lattice import LatticeField
 from .nonlinearity import (CustomNonlinearity, Nonlinearity,
                            validate_hypotheses)
 from .spectral import RESIDUAL_BLOCK, SpectralSplit
@@ -352,6 +364,62 @@ def _outer_single(terms: SiteTerms, wp0: np.ndarray, index: int,
     return out
 
 
+# (terms, starts) of a worker process, set by the pool's initializer from
+# what fork handed over; never set in the calling process
+_worker_inputs: tuple = ()
+
+
+def _init_worker(terms: SiteTerms, starts: list) -> None:
+    global _worker_inputs
+    _worker_inputs = (terms, starts)
+    # the pool's queues never tell a worker that the calling process was
+    # killed, so each worker watches the caller's end of its pipe
+    threading.Thread(target=_exit_with_caller, daemon=True).start()
+
+
+def _exit_with_caller() -> None:
+    multiprocessing.connection.wait([multiprocessing.parent_process().sentinel])
+    os._exit(1)
+
+
+def _worker_task(index: int) -> _StartResult:
+    terms, starts = _worker_inputs
+    wp, warm = starts[index]
+    return _outer_single(terms, wp, index, warm)
+
+
+def _run_starts(terms: SiteTerms, starts: list) -> list[_StartResult]:
+    """`_outer_single` over the starts, in min(starts, cores) forked worker
+    processes, or in-process where that is one or the platform cannot fork
+    or tell its cores.  Results and the first exception are taken in start
+    order; a worker that dies is a NumericalError naming the first start it
+    left unfinished."""
+    workers = 1
+    if ("fork" in multiprocessing.get_all_start_methods()
+            and hasattr(os, "sched_getaffinity")):
+        workers = min(len(starts), len(os.sched_getaffinity(0)))
+    if workers == 1:
+        return [_outer_single(terms, wp, i, warm)
+                for i, (wp, warm) in enumerate(starts)]
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               _init_worker, (terms, starts))
+    try:
+        futures = [pool.submit(_worker_task, i) for i in range(len(starts))]
+        results = []
+        for index, future in enumerate(futures):
+            try:
+                results.append(future.result())
+            except BrokenProcessPool as exc:
+                raise NumericalError(
+                    f"start {index}: a multistart worker process died before "
+                    "the start finished") from exc
+        return results
+    finally:
+        # after a failure the starts not yet begun are dropped; the workers
+        # are joined either way, so no child process outlives the call
+        pool.shutdown(cancel_futures=True)
+
+
 def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
                    config: SolverConfig | None = None,
                    weight: HardyWeight = EUCLIDEAN_WEIGHT,
@@ -362,8 +430,11 @@ def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
     1e-10 are broken by the smaller l2 norm.  Raises DegenerateProblemError
     when every start collapses.
 
-    The starts (one for a warm start) run one after another; the first
-    exception a start raises ends the multistart.
+    The starts (one for a warm start) run in up to min(starts, cores)
+    forked worker processes where the platform can fork, and in-process
+    otherwise.  Results, and the first exception a start raises, are taken
+    in start order, so every result is that of running the starts one after
+    another; after a failure the starts not yet begun are cancelled.
     """
     cfg = config or SolverConfig()
     terms = SiteTerms(split, model, rho, weight)
@@ -398,8 +469,7 @@ def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
             wp = split.coords_of(rng.standard_normal(split.size), "plus")
             starts.append((wp / split.plus_norm(wp), None))
 
-    results = [_outer_single(terms, wp, i, warm)
-               for i, (wp, warm) in enumerate(starts)]
+    results = _run_starts(terms, starts)
     usable = [r for r in results if r.status in ("converged", "stalled")]
     boundary = {}
     if cfg.max_boundary_mass is not None:
@@ -427,18 +497,6 @@ def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
     levels = sorted(r.value for r in usable)
     distinct = bool(levels and (levels[-1] - levels[0]) >
                     1e-6 * max(1.0, abs(levels[0])))
-    # translation-family diagnostic: candidates at the same level should
-    # agree in l2 after recentering; a mismatch is flagged, never failed
-    # (box ground states need not be unique, even up to translation)
-    family_gap = 0.0
-    if len(usable) > 1:
-        centered = [recenter(split.from_coords(r.coords))[0].values
-                    for r in usable
-                    if abs(r.value - best.value) <= 1e-6 * max(1.0, abs(best.value))]
-        for i in range(len(centered)):
-            for j in range(i + 1, len(centered)):
-                family_gap = max(family_gap, float(np.linalg.norm(
-                    centered[i] - centered[j])))
     return GroundStateResult(
         u=u, c_rho=best.value,
         residual_full=float(np.linalg.norm(g)),
@@ -453,8 +511,6 @@ def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
             "start_statuses": [r.status for r in results],
             "start_boundary_mass": {str(k): v for k, v in boundary.items()},
             "distinct_levels_flag": distinct,
-            "translation_family_gap": family_gap,
-            "translation_family_flag": bool(family_gap > 1e-4),
         })
 
 

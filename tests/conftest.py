@@ -5,12 +5,14 @@ one per radius.  `timings` records fixture build times so the acceptance
 tests can account for shared setup against their runtime budgets.
 """
 
+import os
 import time
 
 import numpy as np
 import pytest
 
 import latticegap as lg
+from latticegap import solver
 
 TIMINGS: dict[str, float] = {}
 
@@ -102,3 +104,28 @@ def eigenvector_matrix(split):
     The split keeps only its parity-sector blocks, so tests that read E form
     it here."""
     return split.values_of(np.eye(split.size))
+
+
+def use_cores(monkeypatch, cores):
+    """Let the solver see `cores` cores: two or more run the multistart in
+    forked workers where the platform can fork, one runs it in-process."""
+    monkeypatch.setattr(solver.os, "sched_getaffinity",
+                        lambda pid: set(range(cores)), raising=False)
+
+
+def exit_in_worker_at(index):
+    """An `_outer_single` that kills the worker process running start
+    `index` and runs every other start as usual.  In the calling process it
+    raises instead, so a start that is not run in a worker cannot end the
+    test run."""
+    original = solver._outer_single
+    caller = os.getpid()
+
+    def run(terms, wp, start, warm=None):
+        if start == index:
+            if os.getpid() == caller:
+                raise AssertionError("start ran in the calling process")
+            os._exit(1)
+        return original(terms, wp, start, warm)
+
+    return run

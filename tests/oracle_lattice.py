@@ -4,12 +4,14 @@ The package assembles the Laplacian as a sparse matrix (`laplacian_matrix`)
 and sums the Dirichlet form over lattice edges (`dirichlet_form`).  Here the
 Laplacian is summed as neighbor differences on the zero-padded grid and the
 carre du champ site by site, as second derivations of the same objects.
-`site_of` and `inner_l2` are small helpers of the tests."""
+`site_of`, `inner_l2`, `translate` and `recenter` are small helpers of the
+tests; no translation is a symmetry of a Dirichlet box, so the package
+itself never translates a field."""
 
 import numpy as np
 
 from latticegap.errors import InvalidInputError
-from latticegap.lattice import LatticeField
+from latticegap.lattice import LatticeField, zero_field
 
 
 def _check_same_box(u, v):
@@ -68,3 +70,40 @@ def carre_du_champ(u, site, v=None):
 def inner_l2(u, v):
     _check_same_box(u, v)
     return float(u.values @ v.values)
+
+
+def translate(u: LatticeField, shift) -> LatticeField:
+    """Shifted field  result(x) = u(x + shift),  truncated to the same box."""
+    shift = np.asarray(shift, dtype=int)
+    if shift.shape != (u.box.dimension,):
+        raise InvalidInputError(
+            f"shift has shape {shift.shape}, expected ({u.box.dimension},)")
+    out = np.zeros(u.box.shape)
+    src = []
+    dst = []
+    side = u.box.side
+    for s in shift:
+        # destination index d maps to source index d + s
+        lo, hi = max(0, -s), min(side, side - s)
+        if lo >= hi:
+            return zero_field(u.box)
+        dst.append(slice(lo, hi))
+        src.append(slice(lo + s, hi + s))
+    out[tuple(dst)] = u.grid[tuple(src)]
+    return LatticeField(u.box, out.ravel())
+
+
+def recenter(u: LatticeField):
+    """Translate u so the maximizer of |u| sits at the origin.
+
+    Ties are broken by the lexicographically smallest maximizing site, which
+    is the first one in enumeration order.  Returns (field, shift) with
+    result(x) = u(x + shift).
+    """
+    magnitudes = np.abs(u.values)
+    peak = float(magnitudes.max())
+    if peak == 0.0:
+        raise InvalidInputError("cannot recenter the zero field")
+    index = int(np.flatnonzero(magnitudes == peak)[0])
+    shift = u.box.sites[index].copy()
+    return translate(u, shift), shift

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import shutil
 from pathlib import Path
 
@@ -8,10 +9,12 @@ import numpy as np
 import pytest
 
 import latticegap as lg
-from latticegap import cli, jsonio
+from latticegap import cli, jsonio, solver
 from latticegap.cli import main, parse_config
 from latticegap.errors import ConfigError
 from latticegap.spectral import load_eigenpairs
+
+from conftest import exit_in_worker_at, use_cores
 
 BASE = {
     "dimension": "3",
@@ -435,6 +438,18 @@ class TestSolve:
         assert main(["solve", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 2
         assert "no spectral gap at 0" in capsys.readouterr().err
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the starts run in-process without fork")
+    def test_dead_worker_exits_one(self, tmp_path, capsys, monkeypatch):
+        use_cores(monkeypatch, 2)
+        monkeypatch.setattr(solver, "_outer_single", exit_in_worker_at(1))
+        assert main(["solve", "--config", str(write_config(tmp_path)),
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "a multistart worker process died" in err
+        assert "Traceback" not in err
+        assert multiprocessing.active_children() == []
 
     def test_stale_certification_rejected(self, tmp_path, capsys):
         out = tmp_path / "out"

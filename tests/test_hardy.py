@@ -6,7 +6,7 @@ from latticegap.errors import InvalidInputError, RhoOutOfRangeError
 
 from conftest import random_field
 from oracle_constants import kappa_lanczos, rho_plus_descent
-from oracle_lattice import inner_l2
+from oracle_lattice import inner_l2, translate
 
 
 class TestHardyWeight:
@@ -63,7 +63,7 @@ class TestWeightedMass:
         masses = []
         for n in range(2, 9):
             shift = np.array([n, 0, 0])
-            m = lg.weighted_mass(lg.translate(u, shift), 1.0)
+            m = lg.weighted_mass(translate(u, shift), 1.0)
             masses.append(m)
             assert m <= l2sq / (n - r) ** 2 + 1e-12
         assert np.all(np.diff(masses) < 0)

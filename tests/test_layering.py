@@ -4,6 +4,7 @@ is visible, never inside a function body.  The parity-sector blocks of the
 eigenbasis are known only to `spectral`: no other module reads them, and
 its one dense single-matrix `eigh` is the only place that picks a LAPACK
 driver.
+Only `solver` starts processes, from one `ProcessPoolExecutor`.
 Every function the benchmark tracer wraps exists under its wrapped name.
 Every name the package exports has a caller outside the tests, except the
 few library-only names listed with their reasons."""
@@ -120,6 +121,33 @@ def test_one_dense_eigh_and_it_names_its_driver():
     assert drivers == ["evd"]
 
 
+PROCESS_MODULES = ("multiprocessing", "concurrent")
+
+
+def _process_imports(tree):
+    """Top-level names of the process modules an import statement names."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        found += [n for n in names if n.split(".")[0] in PROCESS_MODULES]
+    return found
+
+
+def test_one_process_pool_and_only_solver_starts_processes():
+    importers = sorted(name for name, tree in TREES.items() if _process_imports(tree))
+    assert importers == ["solver"]
+    pools = [node.lineno for node in ast.walk(TREES["solver"])
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None))
+             == "ProcessPoolExecutor"]
+    assert len(pools) == 1, f"ProcessPoolExecutor calls at solver.py lines {pools}"
+
+
 def test_tracer_wraps_resolve():
     # loading the tracer only defines its tables; install() is never called
     spec = importlib.util.spec_from_file_location(
@@ -138,6 +166,7 @@ LIBRARY_ONLY = {
     "GRAPH_WEIGHT": "the graph-metric weight; the CLI builds it from hardy.metric",
     "ZeroNonlinearity": "the model f = 0 of the linear problem; the validator refuses it",
     "assemble_torus_operator": "the periodic operator of the planned torus box",
+    "zero_field": "the trivial state u = 0, a field every box has",
 }
 
 

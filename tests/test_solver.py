@@ -1,3 +1,12 @@
+import dataclasses
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+
 import numpy as np
 import pytest
 
@@ -10,7 +19,8 @@ from latticegap.energy import SiteTerms
 from latticegap.solver import _inner_core, _Slab
 
 import oracle_certificate
-from conftest import eigenvector_matrix, random_field
+from conftest import (eigenvector_matrix, exit_in_worker_at, random_field,
+                      use_cores)
 from oracle_newton import critical_levels
 from oracle_split import (rotated_in_eigenspaces, sector_eigenpairs,
                           unit_plus_direction)
@@ -132,14 +142,6 @@ class TestOuterMinimize:
         cfg = lg.SolverConfig(seed=2, multistart=5, max_boundary_mass=0.25)
         result = lg.outer_minimize(split_r3, model, 0.0, cfg)
         assert lg.boundary_mass_fraction(split_r3.box, result.u.values) <= 0.25
-
-    def test_translation_family_diagnostic_present(self, split_r3, model):
-        # flagged only, never failed: box ground states need not be unique
-        cfg = lg.SolverConfig(seed=2, multistart=5)
-        result = lg.outer_minimize(split_r3, model, 0.0, cfg)
-        diag = result.diagnostics
-        assert "translation_family_gap" in diag
-        assert diag["translation_family_flag"] == (diag["translation_family_gap"] > 1e-4)
 
     def test_all_degenerate_raises(self, split_r2, quick_config):
         with pytest.raises(DegenerateProblemError):
@@ -351,23 +353,131 @@ def ground_r3(split_r3, model, constants_r3):
             for frac in (0.0, 0.4)}
 
 
+FORK = "fork" in multiprocessing.get_all_start_methods()
+
+
+def _fields_equal(a, b):
+    """Every field of two results equal, the field values byte for byte."""
+    assert a.u.box == b.u.box
+    assert a.u.values.tobytes() == b.u.values.tobytes()
+    for f in dataclasses.fields(a):
+        if f.name != "u":
+            assert getattr(a, f.name) == getattr(b, f.name), f.name
+
+
 class TestStartLoop:
-    def test_first_failure_in_start_order(self, monkeypatch, split_r3, model):
-        # the starts run one after another: start 1's error is raised, and
-        # the starts after it never run
+    """The starts run in forked worker processes (two here, whatever the
+    machine has) or, on one core, one after another in-process; results and
+    the first failure are taken in start order either way."""
+
+    @pytest.mark.skipif(not FORK, reason="the starts run in-process without fork")
+    def test_first_failure_in_start_order(self, monkeypatch, tmp_path,
+                                          split_r3, model):
+        # start 3 fails at once; start 1 fails only once start 3 has, yet
+        # start 1's error is the one raised
+        use_cores(monkeypatch, 2)
         original = solver._outer_single
-        called = []
+        marker = tmp_path / "start3-failed"
 
         def failing(terms, wp, index, warm=None):
-            called.append(index)
+            if index == 3:
+                marker.touch()
+                raise NumericalError("start 3 failed")
             if index == 1:
+                deadline = time.monotonic() + 60.0
+                while not marker.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
                 raise NumericalError("start 1 failed")
             return original(terms, wp, index, warm)
 
         monkeypatch.setattr(solver, "_outer_single", failing)
         with pytest.raises(NumericalError, match="start 1 failed"):
             lg.outer_minimize(split_r3, model, 0.0, _interior_config(7))
-        assert called == [0, 1]
+        assert marker.exists()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("frac", [0.0, 0.4])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_pool_matches_in_process(self, monkeypatch, split_r3, model,
+                                     constants_r3, seed, frac):
+        rho = frac * constants_r3.rho_max
+        cfg = _interior_config(seed)
+        results = {}
+        for cores in (2, 1):
+            use_cores(monkeypatch, cores)
+            results[cores] = (
+                lg.outer_minimize(split_r3, model, rho, cfg),
+                lg.solve_ground_state(split_r3, model, rho, cfg,
+                                      constants=constants_r3))
+            assert multiprocessing.active_children() == []
+        for pooled, in_process in zip(results[2], results[1]):
+            _fields_equal(pooled, in_process)
+
+    @pytest.mark.skipif(not FORK, reason="the starts run in-process without fork")
+    def test_dead_worker_is_a_numerical_error(self, monkeypatch, split_r3, model):
+        use_cores(monkeypatch, 2)
+        monkeypatch.setattr(solver, "_outer_single", exit_in_worker_at(2))
+        with pytest.raises(NumericalError, match="start [0-2]: a multistart "
+                                                 "worker process died"):
+            lg.outer_minimize(split_r3, model, 0.0, _interior_config(7))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads the workers' states from /proc")
+    def test_workers_exit_with_a_killed_caller(self, tmp_path):
+        # the caller is killed while both workers are inside a start
+        script = textwrap.dedent("""
+            import os, sys, time
+            import latticegap as lg
+            from latticegap import solver
+
+            def stuck(terms, wp, index, warm=None):
+                open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+                time.sleep(300)
+
+            box = lg.BoxDomain(3, 2)
+            potential = lg.checkerboard_potential(3, 1.0)
+            split = lg.spectral_split(
+                box, lg.assemble_operator(box, potential),
+                lg.bloch_band_edges(potential, grid=8).gap)
+            solver._outer_single = stuck
+            os.sched_getaffinity = lambda pid: {0, 1}
+            lg.outer_minimize(split, lg.PowerNonlinearity(4.0), 0.0,
+                              lg.SolverConfig(multistart=3))
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        caller = subprocess.Popen([sys.executable, "-c", script, str(tmp_path)],
+                                  env=env)
+        workers = []
+        try:
+            deadline = time.monotonic() + 60.0
+            while len(workers) < 2 and time.monotonic() < deadline:
+                assert caller.poll() is None
+                time.sleep(0.05)
+                workers = [int(path.name) for path in tmp_path.iterdir()]
+            assert len(workers) == 2
+            caller.kill()
+            caller.wait(timeout=30.0)
+            deadline = time.monotonic() + 30.0
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, workers))
+        finally:
+            if caller.poll() is None:
+                caller.kill()
+                caller.wait(timeout=30.0)
+            for pid in filter(_running, workers):
+                os.kill(pid, signal.SIGKILL)
+
+
+def _running(pid):
+    """Whether process `pid` exists and is not a zombie.  An orphan that
+    exited stays a zombie until its new parent reaps it."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 class TestCertificateOracle:

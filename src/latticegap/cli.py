@@ -345,6 +345,13 @@ def _ensure_constants(cfg: RunConfig, out: Path, split) -> InequalityConstants:
         if data["fingerprint"] != json.loads(jsonio.dumps(fingerprint)):
             raise CertificationMissingError(
                 "constants.json does not match this configuration; re-run constants")
+        # the values beside the fingerprint must be the configuration's too
+        stated = {"N": cfg.dimension, "R": cfg.radius, "metric": cfg.hardy_metric}
+        wrong = [key for key, value in stated.items() if data[key] != value]
+        if wrong:
+            raise CertificationMissingError(
+                f"constants.json {', '.join(wrong)} not this configuration's; "
+                "re-run constants")
         _check_types(data, ("N", "R"),
                      ("kappa", "rho_plus", "rho_tilde_plus", "rho_max"),
                      "constants.json", "constants")

@@ -7,6 +7,13 @@ iteration on the full gradient polishes the incumbent to the final
 residual.  The inner maximizer is not assumed unique: a sampled
 perturbation certificate replaces the uniqueness assumption.
 
+The inner loop tries Newton-CG at every iterate, with a metric-scaled
+Armijo ascent step as fallback; under the monotone-slope hypothesis
+(always validated) the slab's only critical point with t > 0 is its
+maximum (Szulkin & Weth 2009).  Each outer line search starts at the
+Barzilai-Borwein length of the last accepted step in the X^+ metric and
+halves it until the Armijo test holds.
+
 The outer problem and the certificates work in eigencoordinates of the
 split, where the equivalent norm is diagonal (||u||^2 = sum |lambda_i| c_i^2)
 and the positive/negative projections are the split's index slices
@@ -75,7 +82,6 @@ class SolverConfig:
     max_inner: ClassVar[int] = 2000
     max_outer: ClassVar[int] = 400
     max_polish: ClassVar[int] = 60
-    newton_switch: ClassVar[float] = 1e-3   # inner residual at which Newton acceleration starts
     certificate_samples: ClassVar[int] = 200
     certificate_tol: ClassVar[float] = 1e-6
     boundary_layers: ClassVar[int] = 1      # the outer layers of max_boundary_mass
@@ -190,22 +196,23 @@ def _inner_core(slab: _Slab, t: float, vm: np.ndarray):
         if t <= 1e-12 and gt <= 0.0 and np.linalg.norm(gv) <= SolverConfig.inner_tol:
             return 0.0, vm, val, res, it, "t collapsed to zero: infeasible direction"
 
+        # Newton-CG first; the metric ascent step when CG finds no ascent
+        # direction or no damped trial lowers the residual
         stepped = False
-        if res <= SolverConfig.newton_switch:
-            s = _inner_newton_step(slab, u, gt, gv, res)
-            if s is not None:
-                st, sv = s
-                for k in range(SolverConfig.max_backtracks):
-                    damp = SolverConfig.backtrack_shrink ** k
-                    t_try = max(t + damp * st, 0.0)
-                    vm_try = vm + damp * sv
-                    u_try = slab.site_values(t_try, vm_try)
-                    gt_try, gv_try = slab.grad(t_try, vm_try, u_try)
-                    if _inner_residual(t_try, gt_try, gv_try) < res:
-                        t, vm, u, gt, gv = t_try, vm_try, u_try, gt_try, gv_try
-                        val = slab.value(t, vm, u)
-                        stepped = True
-                        break
+        s = _inner_newton_step(slab, u, gt, gv, res)
+        if s is not None:
+            st, sv = s
+            for k in range(SolverConfig.max_backtracks):
+                damp = SolverConfig.backtrack_shrink ** k
+                t_try = max(t + damp * st, 0.0)
+                vm_try = vm + damp * sv
+                u_try = slab.site_values(t_try, vm_try)
+                gt_try, gv_try = slab.grad(t_try, vm_try, u_try)
+                if _inner_residual(t_try, gt_try, gv_try) < res:
+                    t, vm, u, gt, gv = t_try, vm_try, u_try, gt_try, gv_try
+                    val = slab.value(t, vm, u)
+                    stepped = True
+                    break
         if not stepped:
             # metric-preconditioned ascent with Armijo backtracking
             dt = gt
@@ -234,8 +241,9 @@ def _inner_newton_step(slab: _Slab, u, gt, gv, res):
     """Inexact Newton step on the reduced gradient via preconditioned CG.
 
     Solves (-H_red) s = r for r = (gt, gv); -H_red is positive definite near
-    the maximizer for models with nonnegative df.  Returns None when CG hits
-    non-positive curvature immediately.
+    the maximizer for models with nonnegative df.  Returns None when the CG
+    step is no ascent direction, as when CG hits non-positive curvature at
+    once, which can happen far from the maximizer.
     """
     d_site = slab.terms.hess_diag(u)
 
@@ -287,6 +295,7 @@ class _StartResult:
     coords: np.ndarray | None = None  # eigencoordinates of the last iterate
     outer_iterations: int = 0
     inner_iterations: int = 0
+    line_search_trials: int = 0  # inner solves of the line search
     trace: list = dataclass_field(default_factory=list)
     reason: str | None = None
 
@@ -309,6 +318,7 @@ def _outer_single(terms: SiteTerms, wp0: np.ndarray, index: int,
         return out
 
     alpha = 1.0
+    last = None  # (wp, d) at the previous accepted iterate
     for it in range(SolverConfig.max_outer):
         coords = np.empty(split.size)  # the slab point (t, vm) over wp
         coords[split.minus] = vm
@@ -332,6 +342,13 @@ def _outer_single(terms: SiteTerms, wp0: np.ndarray, index: int,
         if dnorm2 <= (1e-14 * max(1.0, abs(val))) ** 2:
             out.status = "stalled"
             return out
+        # Barzilai-Borwein step <s, s> / <s, y> in the same metric, from the
+        # last accepted step; the previous alpha where <s, y> <= 0
+        if last is not None:
+            s, y = wp - last[0], d - last[1]
+            sy = float(np.sum(lam_pos * s * y))
+            if sy > 0.0:
+                alpha = min(max(float(np.sum(lam_pos * s * s)) / sy, 1e-3), 8.0)
 
         accepted = False
         for _ in range(SolverConfig.max_backtracks):
@@ -341,6 +358,7 @@ def _outer_single(terms: SiteTerms, wp0: np.ndarray, index: int,
                 alpha *= SolverConfig.backtrack_shrink
                 continue
             wp_try /= norm
+            out.line_search_trials += 1
             try:
                 t2, vm2, val2, _, its, reason = _inner_core(
                     _Slab(terms, wp_try), t, vm.copy())
@@ -352,8 +370,8 @@ def _outer_single(terms: SiteTerms, wp0: np.ndarray, index: int,
                 alpha *= SolverConfig.backtrack_shrink
                 continue
             if val2 <= val - SolverConfig.armijo * alpha * dnorm2:
+                last = (wp, d)
                 wp, t, vm, val = wp_try, t2, vm2, val2
-                alpha = min(alpha * 1.5, 8.0)
                 accepted = True
                 break
             alpha *= SolverConfig.backtrack_shrink
@@ -428,7 +446,8 @@ def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
 
     Returns the least-level candidate before Newton polishing.  Ties within
     1e-10 are broken by the smaller l2 norm.  Raises DegenerateProblemError
-    when every start collapses.
+    when every start collapses.  The diagnostics list each start's level,
+    status, outer and inner iterations and line-search trials in start order.
 
     The starts (one for a warm start) run in up to min(starts, cores)
     forked worker processes where the platform can fork, and in-process
@@ -509,6 +528,9 @@ def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
             "start_levels": [None if r.status not in ("converged", "stalled")
                              else r.value for r in results],
             "start_statuses": [r.status for r in results],
+            "start_outer_iterations": [r.outer_iterations for r in results],
+            "start_inner_iterations": [r.inner_iterations for r in results],
+            "start_line_search_trials": [r.line_search_trials for r in results],
             "start_boundary_mass": {str(k): v for k, v in boundary.items()},
             "distinct_levels_flag": distinct,
         })

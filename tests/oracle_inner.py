@@ -68,24 +68,23 @@ class FullCoordinateInner:
                 return 0.0, vm, val, res, it, "collapsed"
 
             stepped = False
-            if res <= cfg.newton_switch:
-                s = self.newton_step(wp, u, gt, gv, res)
-                if s is not None:
-                    st, sv = s
-                    for k in range(cfg.max_backtracks):
-                        damp = cfg.backtrack_shrink ** k
-                        t_try = max(t + damp * st, 0.0)
-                        vm_try = vm + damp * sv
-                        c_try = self.embed(t_try, wp, vm_try)
-                        u_try = self.E @ c_try
-                        g_try = self.grad(c_try, u_try)
-                        res_try = _residual(
-                            t_try, float(g_try[nneg:] @ wp), g_try[:nneg])
-                        if res_try < res:
-                            t, vm, coords, u = t_try, vm_try, c_try, u_try
-                            val = self.value(coords, u)
-                            stepped = True
-                            break
+            s = self.newton_step(wp, u, gt, gv, res)
+            if s is not None:
+                st, sv = s
+                for k in range(cfg.max_backtracks):
+                    damp = cfg.backtrack_shrink ** k
+                    t_try = max(t + damp * st, 0.0)
+                    vm_try = vm + damp * sv
+                    c_try = self.embed(t_try, wp, vm_try)
+                    u_try = self.E @ c_try
+                    g_try = self.grad(c_try, u_try)
+                    res_try = _residual(
+                        t_try, float(g_try[nneg:] @ wp), g_try[:nneg])
+                    if res_try < res:
+                        t, vm, coords, u = t_try, vm_try, c_try, u_try
+                        val = self.value(coords, u)
+                        stepped = True
+                        break
             if not stepped:
                 dt = gt
                 dv = gv / self.abs_lam[:nneg]

@@ -247,7 +247,8 @@ class TestCorruptArtifacts:
     @pytest.mark.parametrize("key, value", [
         ("kappa", "0.5"), ("rho_plus", True), ("rho_tilde_plus", None),
         ("rho_max", [0.1]), ("kappa", float("inf")), ("rho_max", 123.0),
-        ("N", 3.0), ("R", "2"), ("N", False)])
+        ("N", 3.0), ("R", "2"), ("N", False), ("metric", "graph"),
+        ("metric", 3), ("N", 4), ("R", 5)])
     def test_wrongly_typed_constants(self, tmp_path, capsys, key, value):
         self._run_constants(tmp_path, capsys, self._set(key, value),
                             "constants.json", "constants")

@@ -252,7 +252,7 @@ class TestSolveGroundState:
         monkeypatch.setattr(solver, "polish_newton", counted)
         result = lg.solve_ground_state(split_r2, model, 0.0, quick_config)
         assert len(calls) == 1
-        assert result.c_rho == 1.0467575068196333
+        assert result.c_rho == 1.046757506819635
         candidate = lg.outer_minimize(split_r2, model, 0.0, quick_config)
         expected = polish(split_r2, model, 0.0, candidate.u)
         assert result.u.values.tobytes() == expected.u.values.tobytes()
@@ -313,7 +313,6 @@ class TestSolverConfig:
             lg.SolverConfig(**{name: float("nan")})
 
     @pytest.mark.parametrize("name,zero_ok", [("certificate_tol", True),
-                                              ("newton_switch", True),
                                               ("polish_entry", False)])
     @pytest.mark.parametrize("value", [float("nan"), -1.0])
     def test_meaningless_step_tolerance_rejected(self, name, zero_ok, value):
@@ -412,6 +411,15 @@ class TestStartLoop:
             assert multiprocessing.active_children() == []
         for pooled, in_process in zip(results[2], results[1]):
             _fields_equal(pooled, in_process)
+        # the per-start work counts, in start order, repeat on a rerun
+        use_cores(monkeypatch, 2)
+        rerun = lg.outer_minimize(split_r3, model, rho, cfg)
+        for key in ("start_outer_iterations", "start_inner_iterations",
+                    "start_line_search_trials"):
+            counts = results[2][0].diagnostics[key]
+            assert len(counts) == cfg.multistart
+            assert all(isinstance(c, int) and c >= 0 for c in counts)
+            assert counts == results[1][0].diagnostics[key] == rerun.diagnostics[key]
 
     @pytest.mark.skipif(not FORK, reason="the starts run in-process without fork")
     def test_dead_worker_is_a_numerical_error(self, monkeypatch, split_r3, model):
@@ -550,3 +558,56 @@ class TestBasisIndependence:
         assert np.allclose(got.diagnostics["start_levels"][1:],
                            want.diagnostics["start_levels"][1:],
                            rtol=0.0, atol=1e-10)
+
+
+# Selected levels (and start, where no other start shares that level to 1e-8)
+# recorded before the outer descent took Barzilai-Borwein steps and the inner
+# loop tried Newton-CG from its first iterate, keyed by (R, fraction of
+# rho_max, max_boundary_mass, seed).  A step rule changes the path, not the
+# critical points the starts reach.
+SELECTED = {
+    (3, 0.0, None, 0): (1.536888905497609, None),
+    (3, 0.0, None, 7): (1.3305542711127982, 4),
+    (3, 0.0, None, 1009): (1.5368889054976078, None),
+    (3, 0.0, 0.25, 0): (1.8824777482570432, 1),
+    (3, 0.0, 0.25, 7): (1.8824777482570432, 1),
+    (3, 0.0, 0.25, 1009): (1.8824777482570432, 1),
+    (3, 0.4, None, 0): (1.509491421349867, 3),
+    (3, 0.4, None, 7): (1.3124019669440325, 4),
+    (3, 0.4, None, 1009): (1.5096181838235883, None),
+    (3, 0.4, 0.25, 0): (1.6536958917594051, 1),
+    (3, 0.4, 0.25, 7): (1.6536958917594051, 1),
+    (3, 0.4, 0.25, 1009): (1.6536958917594051, 1),
+    (4, 0.0, None, 0): (1.0539296391056034, 3),
+    (4, 0.0, None, 7): (1.3218447597169003, 2),
+    (4, 0.0, None, 1009): (1.5353852035923539, 4),
+    (4, 0.0, 0.25, 0): (1.8225735801162541, 1),
+    (4, 0.0, 0.25, 7): (1.8225735801162541, 1),
+    (4, 0.0, 0.25, 1009): (1.791878970843255, 2),
+    (4, 0.4, None, 0): (1.0472387052587668, 3),
+    (4, 0.4, None, 7): (1.3128384613956727, 2),
+    (4, 0.4, None, 1009): (1.5249116427343383, 4),
+    (4, 0.4, 0.25, 0): (1.6307018882806945, 1),
+    (4, 0.4, 0.25, 7): (1.6307018882806945, 1),
+    (4, 0.4, 0.25, 1009): (1.6307018882806945, 1),
+}
+
+
+@pytest.fixture(scope="module")
+def problems_r34(split_r3, split_r4, constants_r3):
+    return {3: (split_r3, constants_r3),
+            4: (split_r4, lg.compute_constants(split_r4))}
+
+
+@pytest.mark.parametrize("radius, frac, max_boundary_mass, seed", list(SELECTED))
+def test_step_rule_reaches_the_same_states(problems_r34, model, radius, frac,
+                                           max_boundary_mass, seed):
+    split, constants = problems_r34[radius]
+    level, start = SELECTED[radius, frac, max_boundary_mass, seed]
+    config = lg.SolverConfig(seed=seed, multistart=5,
+                             max_boundary_mass=max_boundary_mass)
+    got = lg.solve_ground_state(split, model, frac * constants.rho_max, config,
+                                constants=constants)
+    assert abs(got.c_rho - level) <= 1e-12 * level
+    if start is not None:
+        assert got.start_index == start

@@ -43,10 +43,10 @@ from .jsonio import atomic_open
 from .lattice import MAX_DIMENSION, BoxDomain, write_field
 from .nonlinearity import PowerNonlinearity, validate_hypotheses
 from .solver import SolverConfig, solve_ground_state
-from .spectral import (DENSE_EIG_BUDGET, MIN_BLOCH_GRID, assemble_operator,
-                       bloch_band_edges, checkerboard_potential,
-                       constant_potential, load_eigenpairs, save_eigenpairs,
-                       spectral_split)
+from .spectral import (DENSE_EIG_BUDGET, MAX_BLOCH_ENTRIES, MIN_BLOCH_GRID,
+                       assemble_operator, bloch_band_edges,
+                       checkerboard_potential, constant_potential,
+                       load_eigenpairs, save_eigenpairs, spectral_split)
 
 SPLIT_FILE = "split.npy"
 # the split.npy layout: per parity sector, eigenvalues then eigenvectors
@@ -119,22 +119,24 @@ def _parse_float_list(raw: str) -> tuple[float, ...]:
     return tuple(_finite_float(tok) for tok in raw.replace(",", " ").split())
 
 
+# config key -> (attribute, caster); the seed and the solver.* keys are
+# SolverConfig fields, the others RunConfig attributes
 _KEYS = {
-    "dimension": int,
-    "box.radius": int,
-    "potential.kind": str,
-    "potential.amplitude": _finite_float,
-    "potential.shift": _finite_float,
-    "nonlinearity.kind": str,
-    "nonlinearity.p": _finite_float,
-    "hardy.metric": str,
-    "rho.mode": str,
-    "rho.values": _parse_float_list,
-    "bloch.grid": int,
-    "seed": int,
-    "output.dir": str,
-    "solver.multistart": int,
-    "solver.max_boundary_mass": _finite_float,
+    "dimension": ("dimension", int),
+    "box.radius": ("radius", int),
+    "potential.kind": ("potential_kind", str),
+    "potential.amplitude": ("amplitude", _finite_float),
+    "potential.shift": ("potential_shift", _finite_float),
+    "nonlinearity.kind": ("nonlinearity_kind", str),
+    "nonlinearity.p": ("p", _finite_float),
+    "hardy.metric": ("hardy_metric", str),
+    "rho.mode": ("rho_mode", str),
+    "rho.values": ("rho_values", _parse_float_list),
+    "bloch.grid": ("bloch_grid", int),
+    "seed": ("seed", int),
+    "output.dir": ("out_dir", str),
+    "solver.multistart": ("multistart", int),
+    "solver.max_boundary_mass": ("max_boundary_mass", _finite_float),
 }
 
 
@@ -157,21 +159,16 @@ def parse_config(path) -> RunConfig:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate config key {key!r}")
-        values[key] = _parse_scalar(_KEYS[key], key, raw)
+        values[key] = _parse_scalar(_KEYS[key][1], key, raw)
 
     cfg = RunConfig()
-    cfg.dimension = values.get("dimension", cfg.dimension)
-    cfg.radius = values.get("box.radius", cfg.radius)
-    cfg.potential_kind = values.get("potential.kind", cfg.potential_kind)
-    cfg.amplitude = values.get("potential.amplitude", cfg.amplitude)
-    cfg.potential_shift = values.get("potential.shift", cfg.potential_shift)
-    cfg.nonlinearity_kind = values.get("nonlinearity.kind", cfg.nonlinearity_kind)
-    cfg.p = values.get("nonlinearity.p", cfg.p)
-    cfg.hardy_metric = values.get("hardy.metric", cfg.hardy_metric)
-    cfg.rho_mode = values.get("rho.mode", cfg.rho_mode)
-    cfg.rho_values = values.get("rho.values", cfg.rho_values)
-    cfg.bloch_grid = values.get("bloch.grid", cfg.bloch_grid)
-    cfg.out_dir = values.get("output.dir", cfg.out_dir)
+    solver_kwargs = {}
+    for key, value in values.items():
+        attribute = _KEYS[key][0]
+        if key == "seed" or key.startswith("solver."):
+            solver_kwargs[attribute] = value
+        else:
+            setattr(cfg, attribute, value)
 
     if not 1 <= cfg.dimension <= MAX_DIMENSION:
         raise ConfigError(
@@ -198,9 +195,6 @@ def parse_config(path) -> RunConfig:
     # -0 passes the check above; written as is it would read "rho": -0
     cfg.rho_values = tuple(0.0 if r == 0 else r for r in cfg.rho_values)
 
-    # the seed key and the solver.* keys are the SolverConfig fields
-    solver_kwargs = {key.split(".", 1)[-1]: val for key, val in values.items()
-                     if key == "seed" or key.startswith("solver.")}
     try:
         cfg.solver = SolverConfig(**solver_kwargs)
     except InvalidInputError as exc:
@@ -214,12 +208,6 @@ def _hardy_commands_need_n3(cfg: RunConfig):
             f"Hardy-dependent commands require dimension >= 3, got {cfg.dimension}")
 
 
-def _write_json(out: Path, name: str, obj) -> Path:
-    path = out / name
-    jsonio.dump(obj, path)
-    return path
-
-
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -230,11 +218,18 @@ def _sha256(path: Path) -> str:
 
 def _certify(cfg: RunConfig, out: Path, write_bands: bool):
     """Band table + box split; writes split.npy and then gap.json, which
-    holds split.npy's hash (and bands.csv for certify-gap).  The box, and
-    with it the site budget, is checked before any Bloch work."""
+    holds split.npy's hash (and bands.csv for certify-gap).  The box, with
+    it the site budget, and the Bloch stack's size are checked before any
+    Bloch work."""
     box = cfg.box()
-    table = bloch_band_edges(cfg.potential(), grid=cfg.bloch_grid)
-    operator = assemble_operator(box, cfg.potential())
+    potential = cfg.potential()
+    cell = potential.cell_size
+    if cfg.bloch_grid ** cfg.dimension * cell ** 2 > MAX_BLOCH_ENTRIES:
+        raise ConfigError(
+            f"bloch.grid must be small enough for grid^N |cell|^2 <= "
+            f"{MAX_BLOCH_ENTRIES}, got {cfg.bloch_grid}^{cfg.dimension} x {cell}^2")
+    table = bloch_band_edges(potential, grid=cfg.bloch_grid)
+    operator = assemble_operator(box, potential)
     split = spectral_split(box, operator, table.gap)
     if write_bands:
         table.to_csv(out / "bands.csv")
@@ -246,7 +241,7 @@ def _certify(cfg: RunConfig, out: Path, write_bands: bool):
                "smallest_abs_eigenvalue": split.smallest_abs_eigenvalue,
                "eigenpairs": {"file": SPLIT_FILE, "layout": SPLIT_LAYOUT,
                               "sha256": _sha256(out / SPLIT_FILE)}}
-    _write_json(out, "gap.json", payload)
+    jsonio.dump(payload, out / "gap.json")
     return table, split
 
 
@@ -379,7 +374,7 @@ def _compute_constants(cfg, out, split, fingerprint) -> InequalityConstants:
     payload["witnesses"] = {"kappa": "kappa_witness.field",
                             "rho_plus": "rho_plus_witness.field"}
     payload["fingerprint"] = fingerprint
-    _write_json(out, "constants.json", payload)
+    jsonio.dump(payload, out / "constants.json")
     return constants
 
 
@@ -408,7 +403,7 @@ def cmd_constants(cfg: RunConfig, out: Path) -> int:
 
 def cmd_validate(cfg: RunConfig, out: Path) -> int:
     report = validate_hypotheses(cfg.model())
-    _write_json(out, "hypothesis_report.json", report.to_dict())
+    jsonio.dump(report.to_dict(), out / "hypothesis_report.json")
     return 0
 
 
@@ -430,14 +425,14 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
     with atomic_open(out / "run_log.jsonl") as fh:
         for record in result.trace:
             fh.write(_record_line(record) + "\n")
-    _write_json(out, "solve_summary.json", {
+    jsonio.dump({
         "rho": rho, "c_rho": result.c_rho,
         "residual_full": result.residual_full,
         "residual_along_u": result.residual_along_u,
         "residual_along_minus": result.residual_along_minus,
         "outer_iterations": result.outer_iterations,
         "polish_iterations": result.polish_iterations,
-        "start_index": result.start_index})
+        "start_index": result.start_index}, out / "solve_summary.json")
     return 0
 
 
@@ -470,7 +465,7 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     _write_sweep_csv(records, out / "sweep.csv")
     write_field(records[-1].field, out / "baseline.field")
     report = convergence_report(records[:-1], records[-1])
-    _write_json(out, "report.json", report)
+    jsonio.dump(report, out / "report.json")
     return 0
 
 

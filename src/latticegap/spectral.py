@@ -45,6 +45,7 @@ from .lattice import BoxDomain, LatticeField
 DENSE_EIG_BUDGET = 5000  # refuse dense full decompositions above this size
 RESIDUAL_BLOCK = 256     # eigenvector columns per block of the residual check
 MIN_BLOCH_GRID = 8       # k-points per axis below which the band edges are too coarse
+MAX_BLOCH_ENTRIES = 2 ** 25  # bound on grid^N |cell|^2, the Bloch stack's entries
 
 
 @dataclass(frozen=True)
@@ -237,6 +238,10 @@ def bloch_band_edges(potential: PeriodicPotential, grid: int = 8) -> BlochBandTa
         raise InvalidInputError(
             f"grid resolution must be >= {MIN_BLOCH_GRID} per axis, got {grid}")
     n = potential.dimension
+    if grid ** n * potential.cell_size ** 2 > MAX_BLOCH_ENTRIES:
+        raise InvalidInputError(
+            f"grid^N |cell|^2 = {grid}^{n} x {potential.cell_size}^2 exceeds "
+            f"the Bloch stack bound {MAX_BLOCH_ENTRIES}")
     ticks = 2.0 * np.pi * np.arange(grid) / grid
     k_points = ticks[np.indices((grid,) * n).reshape(n, -1).T]
     mats = bloch_matrix(potential, k_points)

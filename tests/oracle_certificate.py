@@ -1,9 +1,9 @@
-"""Reference per-sample loops of the solver's sampled certificates.
+"""Reference per-sample loop of the solver's sampled maximality certificate.
 
-`maximality_certificate` and `_sampled_sphere_floor` form the site values of
-all their samples with one matrix product.  These loops draw the same random
-numbers in the same order and form the site values with one matrix-vector
-product per sample, as the solver once did, so the two agree to rounding.
+`maximality_certificate` forms the site values of all its samples with one
+matrix product.  This loop draws the same random numbers in the same order
+and forms the site values with one matrix-vector product per sample, as the
+solver once did, so the two agree to rounding.
 Only the site terms of J come from the package."""
 
 import numpy as np
@@ -43,27 +43,3 @@ def maximality_certificate(split, model, u, rho, n_samples, seed, tol, weight):
         worst = max(worst, value(t, t * um + dv, site) - base)
     return worst <= tol, worst
 
-
-def sampled_sphere_floor(split, model, rho, weight, rng):
-    """The sphere floor from one matrix-vector product per direction."""
-    terms = SiteTerms(split, model, rho, weight)
-    dirs = rng.standard_normal((50, split.positive_count))
-    for d in dirs:
-        d /= split.plus_norm(d)
-    ep = eigenvector_matrix(split)[:, split.plus]
-    slabs = [(ep @ d, float(np.sum(split.plus_eigenvalues * d ** 2)))
-             for d in dirs]
-
-    def sampled_min(radius):
-        return min(0.5 * (radius * radius * q) - terms.energy(radius * e)
-                   for e, q in slabs)
-
-    radius = 1.0
-    for _ in range(40):
-        if sampled_min(radius) > 0.0:
-            radius *= 0.5
-            low = sampled_min(radius)
-            if low > 0.0:
-                return float(low)
-        radius *= 0.5
-    return 0.0

@@ -101,3 +101,22 @@ def rho_plus_descent(split, n_starts=10, seed=0, max_iter=20000, tol=1e-14):
                 break
         best = min(best, q)
     return float(best)
+
+
+def checkerboard_constants(dimension, radius, amplitude):
+    """(rho_plus, lambda_1^+) in closed form for the checkerboard of
+    amplitude c with the default shift -2N on [-R, R]^N.
+
+    The sign pattern S swaps the DST-I modes j and 2R + 2 - j, whose
+    adjacency eigenvalues are +-mu_j, mu_j = sum_i 2 cos(pi j_i / (2R + 2)),
+    j in {1..2R+1}^N.  So A = c S - Adj and L = 2N - Adj are 2 x 2
+    block-diagonal on these pairs: A has the eigenvalues +-sqrt(mu^2 + c^2),
+    and the X^+ vector of a pair has the quotient (A v, v) / (L v, v) =
+    (mu^2 + c^2) / (2N sqrt(mu^2 + c^2) + mu^2)."""
+    axis = 2.0 * np.cos(np.pi * np.arange(1, 2 * radius + 2) / (2 * radius + 2))
+    mu = np.zeros(1)
+    for _ in range(dimension):
+        mu = np.add.outer(mu, axis).ravel()
+    energy = mu ** 2 + amplitude ** 2
+    quotients = energy / (2 * dimension * np.sqrt(energy) + mu ** 2)
+    return float(np.min(quotients)), float(np.sqrt(np.min(energy)))

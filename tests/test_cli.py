@@ -546,7 +546,8 @@ class TestBadSettings:
 
     @pytest.mark.parametrize("key, value", [("dimension", "40"),
                                             ("dimension", "0"),
-                                            ("bloch.grid", "4")])
+                                            ("bloch.grid", "4"),
+                                            ("bloch.grid", "100")])
     def test_geometry_key_out_of_range_rejected(self, tmp_path, capsys,
                                                 monkeypatch, key, value):
         # a configuration error (exit 2) named by its key, before Bloch work

@@ -3,7 +3,9 @@
 `best_hardy_constant` solves on the all-even parity sector and `rho_plus`
 on one pencil per parity sector of X^+; `oracle_constants` solves both on
 the whole box.  Values and witness quotients agree to 1e-12 relative on
-symmetric operators and on an operator with no symmetric axis."""
+symmetric operators and on an operator with no symmetric axis.  On the
+checkerboard both constants also have a closed form, an exact oracle at
+1e-13."""
 
 import numpy as np
 import pytest
@@ -11,8 +13,8 @@ import pytest
 import latticegap as lg
 from latticegap.errors import InvalidInputError
 
-from oracle_constants import (hardy_ratio, kappa_dense, rho_plus_full,
-                              rho_plus_quotient)
+from oracle_constants import (checkerboard_constants, hardy_ratio,
+                              kappa_dense, rho_plus_full, rho_plus_quotient)
 
 REL = 1e-12
 
@@ -56,6 +58,20 @@ def test_rho_plus_matches_full_pencil_checkerboard(dimension, radius, amplitude)
     assert sum(lam.size for _, lam, _ in blocks) == split.positive_count
     assert len(blocks) > 1 or radius == 0
     _check_rho_plus(split)
+
+
+@pytest.mark.parametrize("radius", [2, 3, 4])
+@pytest.mark.parametrize("amplitude", [0.5, 1.0, 3.0, 3.5, 5.0])
+def test_checkerboard_constants_match_closed_form(radius, amplitude):
+    # exact oracle: rho_plus = |c| / (2N) while |c| <= N, and lambda_1^+ = |c|
+    box = lg.BoxDomain(3, radius)
+    split = _split(box, lg.checkerboard_potential(3, amplitude),
+                   (-amplitude, amplitude))
+    value, lowest = checkerboard_constants(3, radius, amplitude)
+    assert abs(lg.rho_plus(split).value - value) <= 1e-13 * value
+    assert abs(split.plus_eigenvalues[0] - lowest) <= 1e-13 * lowest
+    if amplitude <= 3:
+        assert abs(value - amplitude / 6) <= 1e-13 * value
 
 
 @pytest.mark.parametrize("radius", [2, 3])

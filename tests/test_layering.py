@@ -5,6 +5,9 @@ eigenbasis are known only to `spectral`: no other module reads them, and
 its one dense single-matrix `eigh` is the only place that picks a LAPACK
 driver.
 Only `solver` starts processes, from one `ProcessPoolExecutor`.
+The solver draws random numbers in two places only: the multistart's random
+starts and the sampled maximality certificate; every other exit check is
+deterministic.
 Every function the benchmark tracer wraps exists under its wrapped name.
 Every name the package exports has a caller outside the tests, except the
 few library-only names listed with their reasons."""
@@ -146,6 +149,21 @@ def test_one_process_pool_and_only_solver_starts_processes():
              and getattr(node.func, "attr", getattr(node.func, "id", None))
              == "ProcessPoolExecutor"]
     assert len(pools) == 1, f"ProcessPoolExecutor calls at solver.py lines {pools}"
+
+
+def test_solver_draws_random_numbers_in_two_places():
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else function
+            if isinstance(child, ast.Call) and \
+                    getattr(child.func, "attr", None) == "default_rng":
+                found.append(function)
+            visit(child, inner)
+
+    visit(TREES["solver"], None)
+    assert sorted(found) == ["maximality_certificate", "outer_minimize"]
 
 
 def test_tracer_wraps_resolve():

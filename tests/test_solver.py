@@ -186,7 +186,22 @@ class TestSolveGroundState:
 
     def test_positive_level_above_sphere_floor(self, ground_r2):
         assert ground_r2.c_rho > 0
-        assert ground_r2.c_rho >= 0.5 * ground_r2.diagnostics["sphere_floor"]
+        assert ground_r2.c_rho >= ground_r2.diagnostics["sphere_floor"] > 0
+
+    def test_state_below_sphere_floor_refused(self, monkeypatch, split_r2,
+                                              model, quick_config):
+        # the polish returns 0.05 u: its residuals pass, its level does not
+        polish = solver.polish_newton
+
+        def shrunk(*args, **kwargs):
+            result = polish(*args, **kwargs)
+            u = lg.LatticeField(split_r2.box, 0.05 * result.u.values)
+            level = lg.evaluate_energy(split_r2, model, u, 0.0).value
+            return dataclasses.replace(result, u=u, c_rho=level)
+
+        monkeypatch.setattr(solver, "polish_newton", shrunk)
+        with pytest.raises(lg.PostConditionError, match="below the sphere floor"):
+            lg.solve_ground_state(split_r2, model, 0.0, quick_config)
 
     def test_power_level_identity(self, ground_r2):
         # c = (1/2 - 1/p) ||u||_p^p at any critical point of the quartic model
@@ -489,7 +504,7 @@ def _running(pid):
 
 
 class TestCertificateOracle:
-    """The batched certificates against the per-sample loops of
+    """The batched certificate against the per-sample loop of
     `oracle_certificate`: `ok` equal, levels to 1e-12 relative."""
 
     @pytest.mark.parametrize("scale", [1.0, 0.5])
@@ -505,15 +520,37 @@ class TestCertificateOracle:
         assert ok == ref_ok == (scale == 1.0)
         assert abs(worst - ref_worst) <= 1e-12 * abs(ref_worst)
 
-    @pytest.mark.parametrize("frac", [0.0, 0.4])
-    def test_sphere_floor(self, split_r3, model, constants_r3, frac):
-        rho = frac * constants_r3.rho_max
-        terms = SiteTerms(split_r3, model, rho, lg.EUCLIDEAN_WEIGHT)
-        floor = solver._sampled_sphere_floor(terms, np.random.default_rng(1266))
-        ref = oracle_certificate.sampled_sphere_floor(
-            split_r3, model, rho, lg.EUCLIDEAN_WEIGHT, np.random.default_rng(1266))
-        assert ref > 0.0
-        assert abs(floor - ref) <= 1e-12 * ref
+
+class TestSphereFloor:
+    """The closed-form floor: near its optimum for the power model, and
+    below J on the X^+ sphere where that optimum is reached."""
+
+    @pytest.mark.parametrize("p", [3.0, 4.0, 6.0])
+    @pytest.mark.parametrize("alpha", [1.0, 0.6, 0.1])
+    def test_power_model_near_optimum(self, split_r3, p, alpha):
+        # lambda_1^+ = |c| = 1 on the checkerboard; the bound
+        # alpha d^2 / 2 - d^p / p peaks at d^(p-2) = alpha
+        floor = solver._sphere_floor(split_r3, lg.PowerNonlinearity(p), alpha)
+        optimum = alpha * (p - 2.0) / (2.0 * p) * alpha ** (2.0 / (p - 2.0))
+        assert 0.99 * optimum <= floor <= optimum
+
+    @pytest.mark.parametrize("radius", [3, 4])
+    @pytest.mark.parametrize("frac", [0.0, 0.4, 0.9])
+    def test_below_energy_on_the_sphere(self, problems_r34, model, radius, frac):
+        split, constants = problems_r34[radius]
+        alpha = 1.0 - frac
+        floor = solver._sphere_floor(split, model, alpha)
+        # p = 4: the optimal d^2 is alpha lambda_1^+, at the X^+ norm d sqrt(lambda_1^+)
+        lam = split.plus_eigenvalues[0]
+        norm = np.sqrt(alpha) * lam
+        rng = np.random.default_rng(radius)
+        coords = split.coords_of(rng.standard_normal((split.size, 400)), "plus")
+        coords *= norm / np.sqrt(split.plus_eigenvalues @ coords ** 2)
+        terms = SiteTerms(split, model, frac * constants.rho_max, lg.EUCLIDEAN_WEIGHT)
+        levels = [0.5 * norm ** 2 - terms.energy(v)
+                  for v in split.values_of(coords, "plus").T]
+        assert floor > 0.0
+        assert min(levels) >= floor
 
 
 def _split_from(split, eigenpairs):

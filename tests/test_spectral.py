@@ -109,6 +109,15 @@ class TestBlochBands:
         with pytest.raises(InvalidInputError):
             lg.bloch_band_edges(potential, grid=4)
 
+    def test_grid_bounded_before_the_stack(self, potential, monkeypatch):
+        # 100^3 x 8^2 entries would be a 1 GiB complex stack
+        def indices(*args, **kwargs):
+            raise AssertionError("k-grid built before the bound check")
+
+        monkeypatch.setattr(np, "indices", indices)
+        with pytest.raises(InvalidInputError, match="Bloch stack bound"):
+            lg.bloch_band_edges(potential, grid=100)
+
     def test_free_bands_match_fourier_symbol(self):
         # with V = const the single band is 2N + V - 2 sum cos k_i
         pot = lg.constant_potential(3, -10.0)

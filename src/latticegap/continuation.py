@@ -7,8 +7,8 @@ dominates (c_0 >= c_rho for admissible rho > 0), and levels and ground
 states converge to the baseline as rho -> 0+.  The paper's convergence
 holds up to translations of Z^N; no translation is a symmetry of a
 Dirichlet box, so the fields are compared as they are.  The superquadratic
-density G(x, u) = 1/2 f(x, u) u - F(x, u) ties the level to the solution:
-at a critical point J_rho(u) = sum G(x, u).
+density G(u) = 1/2 f(u) u - F(u) ties the level to the solution: at a
+critical point J_rho(u) = sum_x G(u(x)).
 """
 
 from __future__ import annotations
@@ -35,10 +35,9 @@ MIN_POSITIVE_COUPLINGS = 3
 
 
 def superquadratic_mass(model: Nonlinearity, u: LatticeField) -> float:
-    """sum_x G(x, u) with G = 1/2 f u - F; equals J_rho(u) - 1/2 <J'(u), u>."""
-    sites = u.box.sites
+    """sum_x G(u(x)) with G = 1/2 f u - F; equals J_rho(u) - 1/2 <J'(u), u>."""
     vals = u.values
-    return float(np.sum(0.5 * model.f(vals, sites) * vals - model.F(vals, sites)))
+    return float(np.sum(0.5 * model.f(vals) * vals - model.F(vals)))
 
 
 @dataclass(frozen=True)

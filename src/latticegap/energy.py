@@ -3,10 +3,10 @@
 With A = -Delta + V split into X^+ (+) X^-, w the Hardy weight and F the
 primitive of the nonlinearity,
 
-    J_rho(u) = 1/2 ||u^+||^2 - 1/2 ||u^-||^2 - 1/2 rho sum w u^2 - sum F(x, u)
+    J_rho(u) = 1/2 ||u^+||^2 - 1/2 ||u^-||^2 - 1/2 rho sum w u^2 - sum F(u)
 
 where ||.|| is the equivalent norm (|A| u, u)_2.  The Gateaux derivative is
-represented in l2 by  A u - rho w u - f(., u).  A field belongs to the
+represented in l2 by  A u - rho w u - f(u).  A field belongs to the
 Nehari-Pankov set when its gradient vanishes along u itself and along all
 of X^-; ground states minimize J_rho there.  `SiteTerms` defines the
 site-space parts of J_rho, J' and J'' once, for these functions and the solver.
@@ -52,42 +52,43 @@ class SiteTerms:
     energy = nonlinear + hardy = sum F + 1/2 rho sum w u^2,
     force = f + rho w u, hess_diag = df + rho w, and
     gradient = A u - f - rho w u, the l2 representative of J'.
+    The sums run over the last axis, so a (k, n) array of k states gives
+    k values.
     """
 
     def __init__(self, split: SpectralSplit, model: Nonlinearity, rho: float,
                  weight: HardyWeight = EUCLIDEAN_WEIGHT):
         self.split = split
         self.operator = split.operator
-        self.sites = split.box.sites
         self.model = model
         self.rho = float(rho)
         self.w = weight.on_box(split.box) if rho > 0 else None
 
-    def nonlinear(self, u: np.ndarray) -> float:
-        return float(np.sum(self.model.F(u, self.sites)))
+    def nonlinear(self, u: np.ndarray):
+        return np.sum(self.model.F(u), axis=-1)
 
-    def hardy(self, u: np.ndarray) -> float:
+    def hardy(self, u: np.ndarray):
         if self.rho > 0:
-            return 0.5 * self.rho * float(np.sum(self.w * u * u))
+            return 0.5 * self.rho * np.sum(self.w * u * u, axis=-1)
         return 0.0
 
-    def energy(self, u: np.ndarray) -> float:
+    def energy(self, u: np.ndarray):
         return self.nonlinear(u) + self.hardy(u)
 
     def force(self, u: np.ndarray) -> np.ndarray:
-        r = self.model.f(u, self.sites)
+        r = self.model.f(u)
         if self.rho > 0:
             r = r + self.rho * self.w * u
         return r
 
     def hess_diag(self, u: np.ndarray) -> np.ndarray:
-        d = self.model.df(u, self.sites)
+        d = self.model.df(u)
         if self.rho > 0:
             d = d + self.rho * self.w
         return np.asarray(d, dtype=float)
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
-        r = self.operator @ u - self.model.f(u, self.sites)
+        r = self.operator @ u - self.model.f(u)
         if self.rho > 0:
             r = r - self.rho * self.w * u
         return r
@@ -106,15 +107,15 @@ def evaluate_energy(split: SpectralSplit, model: Nonlinearity, u: LatticeField,
     terms = SiteTerms(split, model, rho, weight)
     coords = split.to_coords(u)
     quadratic = 0.5 * float(np.sum(split.eigenvalues * coords ** 2))
-    hardy = terms.hardy(u.values)
-    nonlinear = terms.nonlinear(u.values)
+    hardy = float(terms.hardy(u.values))
+    nonlinear = float(terms.nonlinear(u.values))
     return EnergyReport(value=quadratic - hardy - nonlinear,
                         quadratic=quadratic, hardy=hardy, nonlinear=nonlinear)
 
 
 def gradient(split: SpectralSplit, model: Nonlinearity, u: LatticeField,
              rho: float, weight: HardyWeight = EUCLIDEAN_WEIGHT) -> LatticeField:
-    """l2 representative of the Gateaux derivative: A u - rho w u - f(., u)."""
+    """l2 representative of the Gateaux derivative: A u - rho w u - f(u)."""
     _check(split, u, rho)
     return LatticeField(split.box, SiteTerms(split, model, rho, weight).gradient(u.values))
 

@@ -14,10 +14,10 @@ maximum (Szulkin & Weth 2009).  Each outer line search starts at the
 Barzilai-Borwein length of the last accepted step in the X^+ metric and
 halves it until the Armijo test holds.
 
-The outer problem and the certificates work in eigencoordinates of the
-split, where the equivalent norm is diagonal (||u||^2 = sum |lambda_i| c_i^2)
-and the positive/negative projections are the split's index slices
-`minus` and `plus`.  The inner problem runs in slab coordinates (t, vm):
+The outer problem works in eigencoordinates of the split, where the
+equivalent norm is diagonal (||u||^2 = sum |lambda_i| c_i^2) and the
+positive/negative projections are the split's index slices `minus` and
+`plus`; the maximality certificate draws in site space and projects.  The inner problem runs in slab coordinates (t, vm):
 the scalar along w and the X^- eigencoordinates.  With E_+ w computed once
 per inner solve, each of its evaluations multiplies by the X^- columns
 only, one parity sector at a time (`SpectralSplit.values_of`).
@@ -57,9 +57,8 @@ from .errors import (ConvergenceError, DegenerateProblemError,
                      SingularJacobianError)
 from .hardy import EUCLIDEAN_WEIGHT, HardyWeight, compute_constants
 from .lattice import LatticeField
-from .nonlinearity import (U_MAX, CustomNonlinearity, Nonlinearity,
-                           validate_hypotheses)
-from .spectral import RESIDUAL_BLOCK, SpectralSplit
+from .nonlinearity import U_MAX, Nonlinearity, validate_hypotheses
+from .spectral import SpectralSplit, split_norm
 
 
 @dataclass(frozen=True)
@@ -152,20 +151,6 @@ class _Slab:
 
     def grad(self, t: float, vm: np.ndarray, u: np.ndarray):
         return self.restrict(t, vm, self.terms.force(u))
-
-
-def _metric_norm(abs_lam: np.ndarray, coords: np.ndarray) -> float:
-    """Equivalent norm sqrt(sum |lambda_i| c_i^2) of eigencoordinates."""
-    return float(np.sqrt(np.sum(abs_lam * coords ** 2)))
-
-
-def _minus_perturbation(split: SpectralSplit, rng, radius: float) -> np.ndarray:
-    """Random X^- coordinates with equivalent norm uniform in [0, radius)."""
-    dv = rng.standard_normal(split.negative_count)
-    norm = _metric_norm(split.abs_minus_eigenvalues, dv)
-    if norm > 0:
-        dv *= rng.uniform(0.0, radius) / norm
-    return dv
 
 
 def boundary_mass_fraction(box, values: np.ndarray) -> float:
@@ -291,7 +276,6 @@ class _StartResult:
     index: int
     status: str                 # "converged", "stalled", "degenerate", "failed"
     value: float = np.inf
-    res_full: float = np.inf
     coords: np.ndarray | None = None  # eigencoordinates of the last iterate
     outer_iterations: int = 0
     inner_iterations: int = 0
@@ -330,7 +314,7 @@ def _outer_single(terms: SiteTerms, wp0: np.ndarray, index: int,
         out.trace.append({"iter": it, "level": val, "residual_full": res_full,
                           "residual_minus": res_minus, "t": t})
         out.outer_iterations = it
-        out.value, out.res_full, out.coords = val, res_full, coords
+        out.value, out.coords = val, coords
         if res_full <= SolverConfig.outer_tol * (1.0 + float(np.linalg.norm(coords))):
             out.status = "converged"
             return out
@@ -583,7 +567,7 @@ def polish_newton(split: SpectralSplit, model: Nonlinearity, rho: float,
                   weight: HardyWeight = EUCLIDEAN_WEIGHT) -> GroundStateResult:
     """Damped Newton on the full gradient from a near-critical start.
 
-    The Jacobian is A - rho W - diag(df(., u)); steps are damped by halving
+    The Jacobian is A - rho W - diag(df(u)); steps are damped by halving
     until the residual decreases.  Starting at an exact solution returns the
     input unchanged after zero iterations.
     """
@@ -608,30 +592,28 @@ def maximality_certificate(split: SpectralSplit, model: Nonlinearity,
     """Sampled check that J(u) >= J(t u + v) - tol over the slab through u.
 
     Returns (ok, worst_excess).  At a Nehari point the inequality holds for
-    every t >= 0 and v in X^-; the `SolverConfig.certificate_samples` samples
-    take t in [0, 3) and v of equivalent norm up to 3 max(||u||, 1), and tol
-    is `SolverConfig.certificate_tol`.
+    every t >= 0 and v in X^-.  The `SolverConfig.certificate_samples` samples
+    take t in [0, 3) and v = P_- g, g standard normal in site space, scaled to
+    an equivalent norm in [0, 3 max(||u||, 1)), so they do not depend on the
+    eigenbasis; J is evaluated on all of them at once.  tol is
+    `SolverConfig.certificate_tol`.
     """
-    n_samples = SolverConfig.certificate_samples
-    cu = split.to_coords(u)
-    um = cu[split.minus]
-    # t u + v lies on the slab through u^+ at X^- coordinates t u^- + dv
-    slab = _Slab(SiteTerms(split, model, rho, weight), cu[split.plus])
-    base = slab.value(1.0, um, u.values)
-    v_radius = 3.0 * max(_metric_norm(split.abs_eigenvalues, cu), 1.0)
+    k = SolverConfig.certificate_samples
+    terms = SiteTerms(split, model, rho, weight)
     rng = np.random.default_rng(seed)
-    ts = np.empty(n_samples)
-    dvs = np.empty((n_samples, split.negative_count))
-    for k in range(n_samples):
-        ts[k] = rng.uniform(0.0, 3.0)
-        dvs[k] = _minus_perturbation(split, rng, v_radius)
-    worst = -np.inf
-    # site values of RESIDUAL_BLOCK samples at a time, as one matrix product
-    for lo in range(0, n_samples, RESIDUAL_BLOCK):
-        block = slice(lo, lo + RESIDUAL_BLOCK)
-        sites = ts[block, None] * u.values + split.values_of(dvs[block].T, "minus").T
-        for t, dv, site in zip(ts[block].tolist(), dvs[block], sites):
-            worst = max(worst, slab.value(t, t * um + dv, site) - base)
+    ts = rng.uniform(0.0, 3.0, k)
+    # w holds the samples' X^- coordinates v, then their site values t u + v
+    w = split.coords_of(rng.standard_normal((split.size, k)), "minus")
+    norm = np.sqrt(np.sum(split.abs_minus_eigenvalues[:, None] * w ** 2, axis=0))
+    radii = rng.uniform(0.0, 3.0 * max(split_norm(split, u), 1.0), k)
+    w *= radii / np.where(norm > 0.0, norm, 1.0)
+    w = split.values_of(w, "minus")
+    w += u.values[:, None] * ts
+
+    def levels(v):  # J at each column of v
+        return 0.5 * np.sum(v * (terms.operator @ v), axis=0) - terms.energy(v.T)
+
+    worst = float(np.max(levels(w)) - levels(u.values[:, None])[0])
     return worst <= SolverConfig.certificate_tol, worst
 
 
@@ -640,20 +622,16 @@ def _sphere_floor(split: SpectralSplit, model: Nonlinearity, alpha: float) -> fl
 
     A Nehari-Pankov point maximizes J on its slab, which holds the X^+ field
     w of norm d sqrt(lambda), lambda the least X^+ eigenvalue.  There
-    |w(x)| <= ||w||_2 <= d, and F(x, s) <= F(x, +-d) s^2 / d^2 (F / s^2 grows
-    with |s| under the validated monotone slope), so J(w) >= alpha lambda
-    d^2 / 2 - max_x F(x, +-d), where alpha = 1 - rho / rho_max bounds the
-    Hardy term.  The floor is the best bound on a geometric grid of d up to
-    the validated U_MAX; x runs over one period cell, or one site.
+    |w(x)| <= ||w||_2 <= d, and F(s) <= max F(+-d) s^2 / d^2 for |s| <= d
+    (F / s^2 grows with |s| under the validated monotone slope), so
+    J(w) >= alpha lambda d^2 / 2 - max F(+-d), where alpha = 1 - rho / rho_max
+    bounds the Hardy term.  The floor is the best bound on a geometric grid
+    of d up to the validated U_MAX.
     """
-    dim = split.box.dimension
-    cell = np.indices(model.period or (1,) * dim).reshape(dim, -1).T
     # 253 log steps of 0.055: the best grid point loses at most a fraction
     # p * 0.00075 of the optimal bound
     d = U_MAX * np.geomspace(1e-6, 1.0, 254)
-    s = np.concatenate([d, -d])
-    values = model.F(np.repeat(s, len(cell)), np.tile(cell, (s.size, 1)))
-    top = values.reshape(2, d.size, len(cell)).max(axis=(0, 2))
+    top = model.F(np.concatenate([d, -d])).reshape(2, d.size).max(axis=0)
     bound = 0.5 * alpha * split.plus_eigenvalues[0] * d * d - top
     return max(0.0, float(bound.max()))
 
@@ -672,11 +650,6 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
     cfg = config or SolverConfig()
     if not rho >= 0:
         raise InvalidInputError(f"rho must be >= 0, got {rho}")
-    if isinstance(model, CustomNonlinearity) and model.F_fn is None:
-        # the quadrature fallback costs 20,001 f evaluations per site per call
-        raise InvalidInputError(
-            "CustomNonlinearity without F_fn: the solver needs the primitive "
-            "F in closed form")
     if cfg.boundary_layers >= split.box.radius:
         raise InvalidInputError(
             f"boundary_layers = {cfg.boundary_layers} must be below the box "

@@ -1,9 +1,10 @@
 """Reference per-sample loop of the solver's sampled maximality certificate.
 
-`maximality_certificate` forms the site values of all its samples with one
-matrix product.  This loop draws the same random numbers in the same order
-and forms the site values with one matrix-vector product per sample, as the
-solver once did, so the two agree to rounding.
+`maximality_certificate` projects all its site-space draws at once and
+evaluates J on every sample in one batch, with the operator's quadratic
+form.  This loop draws the same random numbers in the same order, projects
+each draw with the dense eigenvector matrix and evaluates J sample by sample
+in slab eigencoordinates, so the two agree to rounding.
 Only the site terms of J come from the package."""
 
 import numpy as np
@@ -26,20 +27,21 @@ def maximality_certificate(split, model, u, rho, n_samples, seed, tol, weight):
 
     def value(t, vm, site):
         quad = t * t * qw + float(np.sum(split.minus_eigenvalues * vm ** 2))
-        return 0.5 * quad - terms.energy(site)
+        return 0.5 * quad - float(terms.energy(site))
 
     em = eigenvector_matrix(split)[:, split.minus]
     base = value(1.0, um, u.values)
     v_radius = 3.0 * max(_metric_norm(split.abs_eigenvalues, cu), 1.0)
     rng = np.random.default_rng(seed)
+    ts = rng.uniform(0.0, 3.0, n_samples)
+    draws = rng.standard_normal((split.size, n_samples))
+    radii = rng.uniform(0.0, v_radius, n_samples)
     worst = -np.inf
-    for _ in range(n_samples):
-        t = rng.uniform(0.0, 3.0)
-        dv = rng.standard_normal(split.negative_count)
+    for t, g, radius in zip(ts, draws.T, radii):
+        dv = em.T @ g
         norm = _metric_norm(split.abs_minus_eigenvalues, dv)
         if norm > 0:
-            dv *= rng.uniform(0.0, v_radius) / norm
+            dv *= radius / norm
         site = t * u.values + em @ dv
         worst = max(worst, value(t, t * um + dv, site) - base)
     return worst <= tol, worst
-

@@ -20,7 +20,6 @@ class FullCoordinateInner:
         self.lam = split.eigenvalues
         self.abs_lam = split.abs_eigenvalues
         self.nneg = split.negative_count
-        self.sites = split.box.sites
         self.model = model
         self.rho = float(rho)
         self.w = site_weight
@@ -33,13 +32,13 @@ class FullCoordinateInner:
 
     def value(self, coords, u):
         out = 0.5 * float(np.sum(self.lam * coords ** 2))
-        out -= float(np.sum(self.model.F(u, self.sites)))
+        out -= float(np.sum(self.model.F(u)))
         if self.rho > 0:
             out -= 0.5 * self.rho * float(np.sum(self.w * u * u))
         return out
 
     def grad(self, coords, u):
-        r = self.model.f(u, self.sites)
+        r = self.model.f(u)
         if self.rho > 0:
             r = r + self.rho * self.w * u
         return self.lam * coords - self.E.T @ r
@@ -107,7 +106,7 @@ class FullCoordinateInner:
 
     def newton_step(self, wp, u, gt, gv, res):
         nneg = self.nneg
-        d_site = self.model.df(u, self.sites)
+        d_site = self.model.df(u)
         if self.rho > 0:
             d_site = d_site + self.rho * self.w
 

@@ -8,6 +8,8 @@ Only `solver` starts processes, from one `ProcessPoolExecutor`.
 The solver draws random numbers in two places only: the multistart's random
 starts and the sampled maximality certificate; every other exit check is
 deterministic.
+The models are functions of u alone: every call of a model's f, F or df
+passes the value array and nothing else.
 Every function the benchmark tracer wraps exists under its wrapped name.
 Every name the package exports has a caller outside the tests, except the
 few library-only names listed with their reasons."""
@@ -166,6 +168,20 @@ def test_solver_draws_random_numbers_in_two_places():
     assert sorted(found) == ["maximality_certificate", "outer_minimize"]
 
 
+MODEL_METHODS = ("f", "F", "df")
+
+
+def test_models_are_called_with_values_only():
+    calls = [(name, node) for name, tree in TREES.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in MODEL_METHODS]
+    assert calls, "no model calls found"
+    extra = [f"{name}.py line {node.lineno}: .{node.func.attr}() with "
+             f"{len(node.args)} arguments" for name, node in calls
+             if len(node.args) != 1 or node.keywords]
+    assert not extra, "; ".join(extra)
+
+
 def test_tracer_wraps_resolve():
     # loading the tracer only defines its tables; install() is never called
     spec = importlib.util.spec_from_file_location(
@@ -183,6 +199,7 @@ LIBRARY_ONLY = {
     "delta_field": "the point-mass input field of the discrete calculus",
     "GRAPH_WEIGHT": "the graph-metric weight; the CLI builds it from hardy.metric",
     "ZeroNonlinearity": "the model f = 0 of the linear problem; the validator refuses it",
+    "CustomNonlinearity": "a model from user callables; the CLI builds only the power model",
     "assemble_torus_operator": "the periodic operator of the planned torus box",
     "zero_field": "the trivial state u = 0, a field every box has",
 }

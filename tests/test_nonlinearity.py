@@ -24,25 +24,26 @@ def saturating_model():
     return CustomNonlinearity(
         f_fn=lambda u: u ** 3 / (1.0 + u ** 2),
         F_fn=lambda u: 0.5 * u ** 2 - 0.5 * np.log1p(u ** 2),
+        df_fn=lambda u: (u ** 4 + 3.0 * u ** 2) / (1.0 + u ** 2) ** 2,
         growth_a=1.0, growth_p=4.0, gap_b=None, gap_q=None)
 
 
 class TestEvaluate:
     def test_power4_point_values(self, power4):
-        f, F, df = evaluate(power4, (0, 0, 0), 2.0)
+        f, F, df = evaluate(power4, 2.0)
         assert (f, F, df) == (8.0, 4.0, 12.0)
 
     def test_zero(self, power4):
-        f, F, df = evaluate(power4, None, 0.0)
+        f, F, df = evaluate(power4, 0.0)
         assert (f, F) == (0.0, 0.0)
 
     def test_odd_f_even_F(self, power4):
-        f, F, _ = evaluate(power4, None, -2.0)
+        f, F, _ = evaluate(power4, -2.0)
         assert (f, F) == (-8.0, 4.0)
 
     def test_nonfinite_rejected(self, power4):
         with pytest.raises(InvalidInputError):
-            evaluate(power4, None, np.nan)
+            evaluate(power4, np.nan)
 
     def test_exponent_validated(self):
         with pytest.raises(InvalidInputError):
@@ -54,10 +55,15 @@ class TestConsistency:
         us = np.array([-3.0, -1.2, -0.1, 0.2, 1.0, 2.5])
         assert check_primitive(power4, us, panels=10000) <= 1e-8
 
-    def test_quadrature_fallback_for_missing_primitive(self):
-        model = CustomNonlinearity(f_fn=lambda u: u ** 3)
-        us = np.array([-2.0, 0.5, 1.5])
-        np.testing.assert_allclose(model.F(us), us ** 4 / 4.0, atol=1e-10)
+    @pytest.mark.parametrize("missing", ["F_fn", "df_fn"])
+    def test_custom_model_needs_closed_forms(self, missing):
+        # no quadrature or finite-difference fallback: F and df are required
+        fns = {"f_fn": lambda u: u ** 3, "F_fn": lambda u: u ** 4 / 4.0,
+               "df_fn": lambda u: 3.0 * u ** 2}
+        del fns[missing]
+        with pytest.raises(InvalidInputError, match=missing):
+            CustomNonlinearity(**fns, growth_a=1.0, growth_p=4.0,
+                               gap_b=0.25, gap_q=4.0)
 
     def test_df_matches_finite_differences(self, power4):
         h = 1e-5
@@ -90,6 +96,28 @@ class TestValidator:
             "periodicity", "growth_envelope", "vanishing_at_zero",
             "superquadratic_growth", "monotone_slope", "superquadratic_gap",
             "sign_condition"}
+
+    @pytest.mark.parametrize("p", [4.0, 6.25, 8.0, 20.0, 100.0, 300.0])
+    def test_power_model_passes_at_any_exponent(self, p):
+        # the margins compare terms up to U_MAX^p; rounding is judged
+        # against those terms, not against the largest margin
+        report = lg.validate_hypotheses(lg.PowerNonlinearity(p))
+        assert report.all_passed, report.failed_names()
+
+    @pytest.mark.parametrize("p", [4.0, 12.0, 20.0])
+    def test_slope_dip_refused_at_any_exponent(self, p):
+        # f(u)/|u| falls by about 0.03 per grid step near |u| = 0.5; at
+        # large p that is far below 1e-10 of the largest slope (1e10 at
+        # p = 12), so only a tolerance local to the step sees it
+        def f(u):
+            dip = 0.5 * u * np.exp(-(np.abs(u) - 0.5) ** 2 / 0.01)
+            return np.abs(u) ** (p - 2.0) * u + u ** 3 - dip
+
+        model = CustomNonlinearity(
+            f_fn=f, F_fn=lambda u: np.abs(u) ** p / p + u ** 4 / 4.0,
+            df_fn=lambda u: (p - 1.0) * np.abs(u) ** (p - 2.0) + 3.0 * u ** 2,
+            growth_a=2.0, growth_p=p, gap_b=0.1, gap_q=4.0)
+        assert not lg.validate_hypotheses(model).checks["monotone_slope"].passed
 
     def test_linear_fails_zero_slope_and_growth(self):
         report = lg.validate_hypotheses(linear_model())

@@ -14,7 +14,6 @@ import latticegap as lg
 from latticegap import solver
 from latticegap.errors import (DegenerateProblemError, InvalidInputError,
                                NumericalError, RhoOutOfRangeError)
-from latticegap.nonlinearity import CustomNonlinearity
 from latticegap.energy import SiteTerms
 from latticegap.solver import _inner_core, _Slab
 
@@ -224,16 +223,6 @@ class TestSolveGroundState:
         with pytest.raises(lg.ModelHypothesisError):
             lg.solve_ground_state(split_r2, lg.ZeroNonlinearity(), 0.0,
                                   lg.SolverConfig(seed=1, multistart=2))
-
-    def test_custom_model_without_primitive_rejected(self, split_r2):
-        # passes validate_hypotheses, whose checks may integrate f; the
-        # solver's many F calls may not
-        model = CustomNonlinearity(
-            f_fn=lambda u: u ** 3, df_fn=lambda u: 3.0 * u ** 2,
-            growth_a=1.0, growth_p=4.0, gap_b=0.25, gap_q=4.0)
-        with pytest.raises(InvalidInputError, match="F_fn"):
-            lg.solve_ground_state(split_r2, model, 0.0,
-                                  lg.SolverConfig(seed=1, multistart=1))
 
     @pytest.mark.parametrize("rho", [float("nan"), -0.1])
     def test_bad_rho_rejected(self, split_r2, model, rho):
@@ -558,8 +547,9 @@ def _split_from(split, eigenpairs):
 
 
 class TestBasisIndependence:
-    """The random starts are drawn in site space, so a split built from
-    other eigenpairs of the same operator gives the same solves.  Start 0,
+    """The random starts and the certificate's samples are drawn in site
+    space, so a split built from other eigenpairs of the same operator gives
+    the same solves and certificates.  Start 0,
     the lowest X^+ eigenvector, is one vector of a possibly degenerate
     eigenspace (19-fold at R = 6) and is left out of the comparison.  The
     start levels of a solve are those of its `outer_minimize`."""
@@ -595,6 +585,22 @@ class TestBasisIndependence:
         assert np.allclose(got.diagnostics["start_levels"][1:],
                            want.diagnostics["start_levels"][1:],
                            rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    @pytest.mark.parametrize("frac", [0.0, 0.4])
+    def test_rotated_eigenspaces_give_the_same_certificate(
+            self, split_r3, model, constants_r3, ground_r3, frac, scale):
+        # fails if the certificate's X^- samples are drawn in eigencoordinates
+        rotated = _split_from(split_r3, rotated_in_eigenspaces(
+            sector_eigenpairs(split_r3.box, split_r3.operator, "evd"),
+            np.random.default_rng(5)))
+        rho = frac * constants_r3.rho_max
+        u = lg.LatticeField(split_r3.box, scale * ground_r3[frac].u.values)
+        (ok, worst), (want_ok, want) = (
+            lg.maximality_certificate(split, model, u, rho, seed=3578)
+            for split in (split_r3, rotated))
+        assert ok == want_ok == (scale == 1.0)
+        assert abs(worst - want) <= 1e-12 * abs(want)
 
 
 # Selected levels (and start, where no other start shares that level to 1e-8)

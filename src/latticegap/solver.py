@@ -17,8 +17,9 @@ halves it until the Armijo test holds.
 The outer problem works in eigencoordinates of the split, where the
 equivalent norm is diagonal (||u||^2 = sum |lambda_i| c_i^2) and the
 positive/negative projections are the split's index slices `minus` and
-`plus`; the maximality certificate draws in site space and projects.  The inner problem runs in slab coordinates (t, vm):
-the scalar along w and the X^- eigencoordinates.  With E_+ w computed once
+`plus`; the maximality certificate draws in site space and projects.
+The inner problem runs in slab coordinates (t, vm): the scalar along w
+and the X^- eigencoordinates.  With E_+ w computed once
 per inner solve, each of its evaluations multiplies by the X^- columns
 only, one parity sector at a time (`SpectralSplit.values_of`).
 The site-space terms of J, J' and J'' come from `energy.SiteTerms`, which

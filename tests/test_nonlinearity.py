@@ -55,6 +55,20 @@ class TestConsistency:
         us = np.array([-3.0, -1.2, -0.1, 0.2, 1.0, 2.5])
         assert check_primitive(power4, us, panels=10000) <= 1e-8
 
+    def test_quadrature_fallback_for_missing_primitive(self):
+        # the Simpson quadrature that once stood in for a missing F_fn is
+        # now only the oracle: it must agree with the closed form, and a
+        # model without F_fn is refused instead of integrated
+        model = CustomNonlinearity(
+            f_fn=lambda u: u ** 3, F_fn=lambda u: u ** 4 / 4.0,
+            df_fn=lambda u: 3.0 * u ** 2)
+        us = np.array([-2.0, 0.5, 1.5])
+        np.testing.assert_allclose(model.F(us), us ** 4 / 4.0, atol=1e-10)
+        assert check_primitive(model, us) <= 1e-10
+        with pytest.raises(InvalidInputError, match="F_fn"):
+            CustomNonlinearity(f_fn=lambda u: u ** 3,
+                               df_fn=lambda u: 3.0 * u ** 2)
+
     @pytest.mark.parametrize("missing", ["F_fn", "df_fn"])
     def test_custom_model_needs_closed_forms(self, missing):
         # no quadrature or finite-difference fallback: F and df are required

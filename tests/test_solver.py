@@ -14,6 +14,7 @@ import latticegap as lg
 from latticegap import solver
 from latticegap.errors import (DegenerateProblemError, InvalidInputError,
                                NumericalError, RhoOutOfRangeError)
+from latticegap.nonlinearity import CustomNonlinearity
 from latticegap.energy import SiteTerms
 from latticegap.solver import _inner_core, _Slab
 
@@ -223,6 +224,16 @@ class TestSolveGroundState:
         with pytest.raises(lg.ModelHypothesisError):
             lg.solve_ground_state(split_r2, lg.ZeroNonlinearity(), 0.0,
                                   lg.SolverConfig(seed=1, multistart=2))
+
+    def test_custom_model_without_primitive_rejected(self, split_r2):
+        # the solver's many F calls need a closed-form primitive; a model
+        # without one is refused at construction, before any solve
+        with pytest.raises(InvalidInputError, match="F_fn"):
+            model = CustomNonlinearity(
+                f_fn=lambda u: u ** 3, df_fn=lambda u: 3.0 * u ** 2,
+                growth_a=1.0, growth_p=4.0, gap_b=0.25, gap_q=4.0)
+            lg.solve_ground_state(split_r2, model, 0.0,
+                                  lg.SolverConfig(seed=1, multistart=1))
 
     @pytest.mark.parametrize("rho", [float("nan"), -0.1])
     def test_bad_rho_rejected(self, split_r2, model, rho):

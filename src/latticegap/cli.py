@@ -44,8 +44,7 @@ from .lattice import MAX_DIMENSION, BoxDomain, write_field
 from .nonlinearity import PowerNonlinearity, validate_hypotheses
 from .solver import SolverConfig, solve_ground_state
 from .spectral import (DENSE_EIG_BUDGET, MAX_BLOCH_ENTRIES, MIN_BLOCH_GRID,
-                       assemble_operator, bloch_band_edges,
-                       checkerboard_potential, constant_potential,
+                       assemble_operator, bloch_band_edges, checkerboard_potential,
                        load_eigenpairs, save_eigenpairs, spectral_split)
 
 SPLIT_FILE = "split.npy"
@@ -70,19 +69,13 @@ class RunConfig:
     solver: SolverConfig = None
 
     def potential(self):
-        if self.potential_kind == "checkerboard":
-            return checkerboard_potential(self.dimension, self.amplitude,
-                                          self.potential_shift)
-        return constant_potential(self.dimension,
-                                  0.0 if self.potential_shift is None
-                                  else self.potential_shift)
+        return checkerboard_potential(self.dimension, self.amplitude,
+                                      self.potential_shift)
 
     def potential_fingerprint(self) -> dict:
         shift = self.potential_shift
-        if shift is None and self.potential_kind == "checkerboard":
-            shift = -2.0 * self.dimension
         return {"kind": self.potential_kind, "amplitude": self.amplitude,
-                "shift": 0.0 if shift is None else float(shift),
+                "shift": float(-2.0 * self.dimension if shift is None else shift),
                 "dimension": self.dimension}
 
     def box(self) -> BoxDomain:
@@ -176,10 +169,8 @@ def parse_config(path) -> RunConfig:
     if cfg.bloch_grid < MIN_BLOCH_GRID:
         raise ConfigError(
             f"bloch.grid must be >= {MIN_BLOCH_GRID}, got {cfg.bloch_grid}")
-    if cfg.potential_kind not in ("checkerboard", "constant"):
+    if cfg.potential_kind != "checkerboard":
         raise ConfigError(f"unknown potential.kind {cfg.potential_kind!r}")
-    if cfg.potential_kind == "constant" and "potential.amplitude" in values:
-        raise ConfigError("potential.amplitude is not used by the constant potential")
     if cfg.nonlinearity_kind != "power":
         raise ConfigError(f"unknown nonlinearity.kind {cfg.nonlinearity_kind!r}")
     if not cfg.p > 2:

@@ -277,7 +277,9 @@ class _StartResult:
     index: int
     status: str                 # "converged", "stalled", "degenerate", "failed"
     value: float = np.inf
-    coords: np.ndarray | None = None  # eigencoordinates of the last iterate
+    values: np.ndarray | None = None  # site values of the last iterate
+    coords_norm: float = np.inf       # l2 norm of its eigencoordinates
+    residuals: dict = dataclass_field(default_factory=dict)  # of its J'
     outer_iterations: int = 0
     inner_iterations: int = 0
     line_search_trials: int = 0  # inner solves of the line search
@@ -315,8 +317,12 @@ def _outer_single(terms: SiteTerms, wp0: np.ndarray, index: int,
         out.trace.append({"iter": it, "level": val, "residual_full": res_full,
                           "residual_minus": res_minus, "t": t})
         out.outer_iterations = it
-        out.value, out.coords = val, coords
-        if res_full <= SolverConfig.outer_tol * (1.0 + float(np.linalg.norm(coords))):
+        out.value, out.values = val, u
+        out.coords_norm = float(np.linalg.norm(coords))
+        out.residuals = {"residual_full": res_full,
+                         "residual_along_u": float(g @ coords),
+                         "residual_along_minus": res_minus}
+        if res_full <= SolverConfig.outer_tol * (1.0 + out.coords_norm):
             out.status = "converged"
             return out
 
@@ -477,9 +483,7 @@ def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
     usable = [r for r in results if r.status in ("converged", "stalled")]
     boundary = {}
     if cfg.max_boundary_mass is not None:
-        for r in usable:
-            values = split.values_of(r.coords)
-            boundary[r.index] = boundary_mass_fraction(split.box, values)
+        boundary = {r.index: boundary_mass_fraction(split.box, r.values) for r in usable}
         interior = [r for r in usable if boundary[r.index] <= cfg.max_boundary_mass]
         if not interior:
             raise ConvergenceError(
@@ -493,19 +497,12 @@ def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
         raise ConvergenceError(
             "no start converged: " + "; ".join(r.reason or r.status for r in results))
 
-    best = min(usable, key=lambda r: (round(r.value / 1e-10),
-                                      float(np.linalg.norm(r.coords))))
-    coords = best.coords
-    u = split.from_coords(coords)
-    g = _coords_grad(terms, coords, u.values)
+    best = min(usable, key=lambda r: (round(r.value / 1e-10), r.coords_norm))
     levels = sorted(r.value for r in usable)
     distinct = bool(levels and (levels[-1] - levels[0]) >
                     1e-6 * max(1.0, abs(levels[0])))
     return GroundStateResult(
-        u=u, c_rho=best.value,
-        residual_full=float(np.linalg.norm(g)),
-        residual_along_u=float(g @ coords),
-        residual_along_minus=float(np.linalg.norm(g[split.minus])),
+        u=LatticeField(split.box, best.values), c_rho=best.value, **best.residuals,
         outer_iterations=best.outer_iterations,
         inner_iterations=best.inner_iterations,
         polish_iterations=0, start_index=best.index, trace=best.trace,

@@ -173,6 +173,8 @@ def test_criterion_8_determinism(tmp_path):
                      "--out", str(base)]) == 0
         assert main(["solve", "--config", str(cfg_solve),
                      "--out", str(base)]) == 0
+        assert main(["validate", "--config", str(cfg_solve),
+                     "--out", str(base)]) == 0
         cfg_sweep = write_config(
             tmp_path, name=f"sweep_{run}.cfg",
             **{"box.radius": "3", "rho.mode": "fraction",

@@ -106,12 +106,21 @@ class TestCertifyGap:
         assert lines[0] == "k1,k2,k3,band_index,lambda"
 
     def test_no_gap_exits_two(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, **{"potential.kind": "constant",
-                                        "potential.shift": "0.0"},
-                           drop=("potential.amplitude",))
+        # a checkerboard of amplitude 0 is the constant -2N: one band, no gap
+        cfg = write_config(tmp_path, **{"potential.amplitude": "0.0"})
         out = tmp_path / "out"
         assert main(["certify-gap", "--config", str(cfg), "--out", str(out)]) == 2
         assert "no spectral gap at 0" in capsys.readouterr().err
+
+    def test_constant_potential_kind_rejected(self, tmp_path, capsys):
+        # a constant potential has a single band, so it can never certify a gap
+        cfg = write_config(tmp_path, **{"potential.kind": "constant",
+                                        "potential.shift": "0.5"},
+                           drop=("potential.amplitude",))
+        out = tmp_path / "out"
+        assert main(["certify-gap", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "unknown potential.kind 'constant'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_threads_flag_reproduces_artifacts(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -154,6 +163,19 @@ class TestValidate:
         assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 0
         report = json.loads((out / "hypothesis_report.json").read_text())
         assert report["all_passed"] is True
+
+    def test_cubic_power_validates_and_solves(self, tmp_path, capsys):
+        # p = 3 satisfies every hypothesis; the superquadratic growth follows
+        # from the gap bound, so no finite-sample threshold refuses it
+        cfg = write_config(tmp_path, **{"nonlinearity.p": "3.0", "box.radius": "3"})
+        out = tmp_path / "out"
+        assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "hypothesis_report.json").read_text())
+        assert report["all_passed"] is True
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0, \
+            capsys.readouterr().err
+        summary = json.loads((out / "solve_summary.json").read_text())
+        assert summary["c_rho"] > 0
 
 
 class TestConstants:
@@ -433,9 +455,7 @@ class TestSolve:
         assert summaries[1] == summaries[0]
 
     def test_no_gap_message(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, **{"potential.kind": "constant",
-                                        "potential.shift": "0.0"},
-                           drop=("potential.amplitude",))
+        cfg = write_config(tmp_path, **{"potential.amplitude": "0.0"})
         assert main(["solve", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 2
         assert "no spectral gap at 0" in capsys.readouterr().err

@@ -107,7 +107,7 @@ class TestValidator:
         report = lg.validate_hypotheses(power4)
         assert report.all_passed, report.failed_names()
         assert set(report.checks) == {
-            "periodicity", "growth_envelope", "vanishing_at_zero",
+            "growth_envelope", "vanishing_at_zero",
             "superquadratic_growth", "monotone_slope", "superquadratic_gap",
             "sign_condition"}
 
@@ -117,6 +117,52 @@ class TestValidator:
         # against those terms, not against the largest margin
         report = lg.validate_hypotheses(lg.PowerNonlinearity(p))
         assert report.all_passed, report.failed_names()
+
+    @pytest.mark.parametrize("p", [3.0, 3.2, 3.5, 4.0, 20.0, 300.0])
+    def test_passing_checks_report_relative_margins(self, p):
+        # every check reports its least margin relative to the terms it
+        # compares, capped at 0, so a passing one lies within the rounding
+        # allowance; absolute margins of U_MAX^p-sized terms would not
+        report = lg.validate_hypotheses(lg.PowerNonlinearity(p))
+        assert report.all_passed, report.failed_names()
+        for check in report.checks.values():
+            assert -1e-10 <= check.worst_violation <= 0.0, check
+
+    @pytest.mark.parametrize("p, failing", [
+        (2.5, "vanishing_at_zero"), (308.3, "superquadratic_gap"),
+        (400.0, "growth_envelope")])
+    def test_refused_exponents_raise_no_warning(self, p, failing):
+        # p = 2.5 misses the near-zero slope; from p = 308.3 on, U_MAX^p
+        # overflows and the NaN margins fail without a RuntimeWarning (the
+        # suite's filterwarnings = error would turn one into a failure)
+        report = lg.validate_hypotheses(lg.PowerNonlinearity(p))
+        assert failing in report.failed_names()
+
+    def test_growth_follows_the_gap_bound(self, power4):
+        # superquadratic growth is derived from the gap bound (b > 0, q > 2)
+        # and the sign condition, not sampled at a threshold
+        report = lg.validate_hypotheses(power4)
+        growth = report.checks["superquadratic_growth"]
+        assert growth.passed and "gap bound" in growth.detail
+        # b = 0 makes the gap bound the sign condition, which gives no growth
+        flat_gap = CustomNonlinearity(
+            f_fn=power4.f, F_fn=power4.F, df_fn=power4.df,
+            growth_a=1.0, growth_p=4.0, gap_b=0.0, gap_q=4.0)
+        report = lg.validate_hypotheses(flat_gap)
+        assert report.checks["superquadratic_gap"].passed
+        assert not report.checks["superquadratic_growth"].passed
+
+    @pytest.mark.parametrize("undeclared, name, missing", [
+        (("growth_a", "growth_p"), "growth_envelope", "a=None, p=None"),
+        (("gap_b", "gap_q"), "superquadratic_gap", "b=None, q=None")])
+    def test_missing_constants_fail_and_say_so(self, power4, undeclared, name,
+                                               missing):
+        constants = dict(growth_a=1.0, growth_p=4.0, gap_b=0.5, gap_q=4.0)
+        constants.update(dict.fromkeys(undeclared))
+        model = CustomNonlinearity(f_fn=power4.f, F_fn=power4.F, df_fn=power4.df,
+                                   **constants)
+        check = lg.validate_hypotheses(model).checks[name]
+        assert not check.passed and missing in check.detail
 
     @pytest.mark.parametrize("p", [4.0, 12.0, 20.0])
     def test_slope_dip_refused_at_any_exponent(self, p):

@@ -1,6 +1,7 @@
 import dataclasses
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -202,6 +203,38 @@ class TestSolveGroundState:
         monkeypatch.setattr(solver, "polish_newton", shrunk)
         with pytest.raises(lg.PostConditionError, match="below the sphere floor"):
             lg.solve_ground_state(split_r2, model, 0.0, quick_config)
+
+    @pytest.mark.parametrize("broken", [
+        "full residual", "residual along u", "residual along X^-",
+        "u has no X^+ component", "not positive", "boundary mass fraction"])
+    def test_exit_check_refuses_a_state_that_breaks_it(
+            self, monkeypatch, split_r2, model, ground_r2, broken):
+        # the patched polish hands over a state that breaks one exit check
+        # (with no X^+ part or no positive level it breaks the floor too)
+        polish = solver.polish_newton
+        residuals = {"full residual": "residual_full",
+                     "residual along u": "residual_along_u",
+                     "residual along X^-": "residual_along_minus"}
+
+        def breaking(split, model, rho, u0, weight):
+            result = polish(split, model, rho, u0, weight)
+            if broken in residuals:
+                return dataclasses.replace(result, **{residuals[broken]: 1.0})
+            if broken == "not positive":
+                return dataclasses.replace(result, c_rho=0.0)
+            if broken == "boundary mass fraction":  # the corner ground state
+                return polish(split, model, rho, ground_r2.u, weight)
+            coords = split.to_coords(result.u)
+            u = lg.LatticeField(split.box, split.values_of(coords[split.minus], "minus"))
+            return dataclasses.replace(
+                result, u=u, c_rho=lg.evaluate_energy(split, model, u, rho).value)
+
+        monkeypatch.setattr(solver, "polish_newton", breaking)
+        # the filter admits the centred candidate (boundary mass 0.27) and
+        # refuses the corner state (0.87)
+        config = lg.SolverConfig(seed=1, multistart=3, max_boundary_mass=0.5)
+        with pytest.raises(lg.PostConditionError, match=re.escape(broken)):
+            lg.solve_ground_state(split_r2, model, 0.0, config)
 
     def test_power_level_identity(self, ground_r2):
         # c = (1/2 - 1/p) ||u||_p^p at any critical point of the quartic model

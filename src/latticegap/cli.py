@@ -44,12 +44,11 @@ from .lattice import MAX_DIMENSION, BoxDomain, write_field
 from .nonlinearity import PowerNonlinearity, validate_hypotheses
 from .solver import SolverConfig, solve_ground_state
 from .spectral import (DENSE_EIG_BUDGET, MAX_BLOCH_ENTRIES, MIN_BLOCH_GRID,
-                       assemble_operator, bloch_band_edges, checkerboard_potential,
-                       load_eigenpairs, save_eigenpairs, spectral_split)
+                       SPLIT_LAYOUT, assemble_operator, bloch_band_edges,
+                       checkerboard_potential, load_eigenpairs, save_eigenpairs,
+                       spectral_split)
 
 SPLIT_FILE = "split.npy"
-# the split.npy layout: per parity sector, eigenvalues then eigenvectors
-SPLIT_LAYOUT = "parity-sectors"
 
 
 @dataclass
@@ -229,7 +228,7 @@ def _certify(cfg: RunConfig, out: Path, write_bands: bool):
                "box_radius": cfg.radius, "grid": cfg.bloch_grid,
                "sigma_minus": table.sigma_minus, "sigma_plus": table.sigma_plus,
                "intrusions": split.intrusions,
-               "smallest_abs_eigenvalue": split.smallest_abs_eigenvalue,
+               "smallest_abs_eigenvalue": float(abs(split.eigenvalues).min()),
                "eigenpairs": {"file": SPLIT_FILE, "layout": SPLIT_LAYOUT,
                               "sha256": _sha256(out / SPLIT_FILE)}}
     jsonio.dump(payload, out / "gap.json")

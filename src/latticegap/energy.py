@@ -105,7 +105,7 @@ def evaluate_energy(split: SpectralSplit, model: Nonlinearity, u: LatticeField,
                     rho: float, weight: HardyWeight = EUCLIDEAN_WEIGHT) -> EnergyReport:
     _check(split, u, rho)
     terms = SiteTerms(split, model, rho, weight)
-    coords = split.to_coords(u)
+    coords = split.coords_of(u.values)
     quadratic = 0.5 * float(np.sum(split.eigenvalues * coords ** 2))
     hardy = float(terms.hardy(u.values))
     nonlinear = float(terms.nonlinear(u.values))
@@ -124,7 +124,7 @@ def nehari_residual(split: SpectralSplit, model: Nonlinearity, u: LatticeField,
                     rho: float, weight: HardyWeight = EUCLIDEAN_WEIGHT) -> NehariResidual:
     _check(split, u, rho)
     grad = gradient(split, model, u, rho, weight)
-    coords = split.to_coords(grad)
+    coords = split.coords_of(grad.values)
     return NehariResidual(
         along_u=float(grad.values @ u.values),
         along_minus=float(np.linalg.norm(coords[split.minus])),
@@ -141,7 +141,7 @@ def rho_norm_plus(split: SpectralSplit, u_plus: LatticeField, rho: float,
     is enforced; the norm is then positive definite.
     """
     _check(split, u_plus, rho)
-    coords = split.to_coords(u_plus)
+    coords = split.coords_of(u_plus.values)
     minus_part = float(np.linalg.norm(coords[split.minus]))
     if minus_part > 1e-10 * (1.0 + float(np.linalg.norm(u_plus.values))):
         raise InvalidInputError(

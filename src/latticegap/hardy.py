@@ -115,7 +115,7 @@ def rho_plus(split: SpectralSplit) -> RhoPlusConstant:
     get the pencil (diag(lambda_s), C_s^T (Q_s^T L Q_s) C_s), and the first
     smallest value over them wins.
     """
-    if split.positive_count == 0:
+    if split.negative_count == split.size:
         raise InvalidInputError(
             "rho_plus needs a nonempty X^+, but the operator has no positive "
             "eigenvalue on this box")

@@ -123,12 +123,17 @@ def _coords_grad(terms: SiteTerms, coords: np.ndarray, u: np.ndarray) -> np.ndar
     return terms.split.eigenvalues * coords - terms.split.coords_of(terms.force(u))
 
 
+def _plus_norm(split: SpectralSplit, wp: np.ndarray) -> float:
+    """Equivalent norm sqrt(sum lambda_i c_i^2) of X^+ eigencoordinates."""
+    return float(np.sqrt(np.sum(split.eigenvalues[split.plus] * wp ** 2)))
+
+
 class _Slab:
     """The slab R+ w (+) X^- in coordinates (t, vm).
 
     The point (t, vm) has eigencoordinates (vm, t wp) and site values
     t ew + E_- vm, with ew = E_+ wp precomputed, so an evaluation multiplies
-    by the split's X^- columns only.
+    by the split's X^- columns only.  |lambda| on X^- is -lam_minus.
     """
 
     def __init__(self, terms: SiteTerms, wp: np.ndarray):
@@ -136,19 +141,20 @@ class _Slab:
         self.split = terms.split
         self.wp = wp
         self.ew = self.split.values_of(wp, "plus")
-        self.qw = float(np.sum(self.split.plus_eigenvalues * wp ** 2))
+        self.qw = float(np.sum(self.split.eigenvalues[self.split.plus] * wp ** 2))
+        self.lam_minus = self.split.eigenvalues[self.split.minus]
 
     def site_values(self, t: float, vm: np.ndarray) -> np.ndarray:
         return t * self.ew + self.split.values_of(vm, "minus")
 
     def value(self, t: float, vm: np.ndarray, u: np.ndarray) -> float:
-        quad = t * t * self.qw + float(np.sum(self.split.minus_eigenvalues * vm ** 2))
+        quad = t * t * self.qw + float(np.sum(self.lam_minus * vm ** 2))
         return 0.5 * quad - self.terms.energy(u)
 
     def restrict(self, t: float, vm: np.ndarray, r: np.ndarray):
         """Slab components (along w, along X^-) of  Lambda c - E^T r  at c = (vm, t wp)."""
         return (t * self.qw - float(self.ew @ r),
-                self.split.minus_eigenvalues * vm - self.split.coords_of(r, "minus"))
+                self.lam_minus * vm - self.split.coords_of(r, "minus"))
 
     def grad(self, t: float, vm: np.ndarray, u: np.ndarray):
         return self.restrict(t, vm, self.terms.force(u))
@@ -202,7 +208,7 @@ def _inner_core(slab: _Slab, t: float, vm: np.ndarray):
         if not stepped:
             # metric-preconditioned ascent with Armijo backtracking
             dt = gt
-            dv = gv / slab.split.abs_minus_eigenvalues
+            dv = gv / -slab.lam_minus
             for k in range(SolverConfig.max_backtracks):
                 t_try = max(t + alpha * dt, 0.0)
                 vm_try = vm + alpha * dv
@@ -246,7 +252,7 @@ def _inner_newton_step(slab: _Slab, u, gt, gv, res):
     r[1:] = gv
     precond = np.empty_like(r)
     precond[0] = 1.0
-    precond[1:] = slab.split.abs_minus_eigenvalues
+    precond[1:] = -slab.lam_minus
     s = np.zeros_like(r)
     resid = r.copy()
     z = resid / precond
@@ -290,7 +296,7 @@ class _StartResult:
 def _outer_single(terms: SiteTerms, wp0: np.ndarray, index: int,
                   warm=None) -> _StartResult:
     split = terms.split
-    lam_pos = split.plus_eigenvalues
+    lam_pos = split.eigenvalues[split.plus]
     wp = wp0.copy()
     out = _StartResult(index=index, status="failed")
     try:
@@ -344,7 +350,7 @@ def _outer_single(terms: SiteTerms, wp0: np.ndarray, index: int,
         accepted = False
         for _ in range(SolverConfig.max_backtracks):
             wp_try = wp - alpha * d
-            norm = split.plus_norm(wp_try)
+            norm = _plus_norm(split, wp_try)
             if norm < 1e-14:
                 alpha *= SolverConfig.backtrack_shrink
                 continue
@@ -448,12 +454,13 @@ def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
     """
     cfg = config or SolverConfig()
     terms = SiteTerms(split, model, rho, weight)
-    npos = split.positive_count
     starts: list[tuple[np.ndarray, tuple | None]] = []
     if warm_start is not None:
-        coords = split.to_coords(warm_start)
+        if warm_start.box != split.box:
+            raise InvalidInputError("field box does not match the split's box")
+        coords = split.coords_of(warm_start.values)
         wp = coords[split.plus]
-        t0 = split.plus_norm(wp)
+        t0 = _plus_norm(split, wp)
         if t0 < 1e-12:
             raise InvalidInputError("warm start has no X^+ component")
         starts.append((wp / t0, (t0, coords[split.minus].copy())))
@@ -466,18 +473,19 @@ def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
         # The random starts are drawn in site space and projected onto X^+:
         # E is orthogonal, so their law is that of iid eigencoordinates, but
         # they do not depend on the basis chosen inside degenerate eigenspaces.
-        lowest = np.zeros(npos)
-        lowest[0] = 1.0 / np.sqrt(split.plus_eigenvalues[0])
+        lam_pos = split.eigenvalues[split.plus]
+        lowest = np.zeros(lam_pos.size)
+        lowest[0] = 1.0 / np.sqrt(lam_pos[0])
         starts.append((lowest, None))
         if cfg.multistart >= 2:
             bump = np.zeros(split.size)
             bump[split.box.index_of(np.zeros(split.box.dimension, dtype=int))] = 1.0
             wp = split.coords_of(bump, "plus")
-            starts.append((wp / split.plus_norm(wp), None))
+            starts.append((wp / _plus_norm(split, wp), None))
         rng = np.random.default_rng(cfg.seed)
         for _ in range(cfg.multistart - 2):
             wp = split.coords_of(rng.standard_normal(split.size), "plus")
-            starts.append((wp / split.plus_norm(wp), None))
+            starts.append((wp / _plus_norm(split, wp), None))
 
     results = _run_starts(terms, starts)
     usable = [r for r in results if r.status in ("converged", "stalled")]
@@ -602,7 +610,7 @@ def maximality_certificate(split: SpectralSplit, model: Nonlinearity,
     ts = rng.uniform(0.0, 3.0, k)
     # w holds the samples' X^- coordinates v, then their site values t u + v
     w = split.coords_of(rng.standard_normal((split.size, k)), "minus")
-    norm = np.sqrt(np.sum(split.abs_minus_eigenvalues[:, None] * w ** 2, axis=0))
+    norm = np.sqrt(np.sum(-split.eigenvalues[split.minus, None] * w ** 2, axis=0))
     radii = rng.uniform(0.0, 3.0 * max(split_norm(split, u), 1.0), k)
     w *= radii / np.where(norm > 0.0, norm, 1.0)
     w = split.values_of(w, "minus")
@@ -630,7 +638,7 @@ def _sphere_floor(split: SpectralSplit, model: Nonlinearity, alpha: float) -> fl
     # p * 0.00075 of the optimal bound
     d = U_MAX * np.geomspace(1e-6, 1.0, 254)
     top = model.F(np.concatenate([d, -d])).reshape(2, d.size).max(axis=0)
-    bound = 0.5 * alpha * split.plus_eigenvalues[0] * d * d - top
+    bound = 0.5 * alpha * split.eigenvalues[split.plus][0] * d * d - top
     return max(0.0, float(bound.max()))
 
 
@@ -668,9 +676,8 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
     # the polish has already evaluated its level and residuals
     polished = polish_newton(split, model, rho, candidate.u, weight)
     u, level = polished.u, polished.c_rho
-    coords = split.to_coords(u)
     l2 = float(np.linalg.norm(u.values))
-    plus_norm = split.plus_norm(coords[split.plus])
+    plus_norm = _plus_norm(split, split.coords_of(u.values, "plus"))
 
     problems = []
     if polished.residual_full > cfg.polish_tol * (1.0 + l2):

@@ -377,11 +377,14 @@ class SpectralSplit:
     order of the sectors' concatenated eigenvalues, so the first
     `negative_count` coordinates span X^- (the slice `minus`) and the rest
     X^+ (the slice `plus`); in each sector the X^- columns are the leading
-    ones.  This class is the only owner of that layout: `values_of` and
-    `coords_of` map between eigencoordinates and site values sector by
-    sector, for all coordinates or for the X^- or X^+ ones alone.  Module
-    functions add the spectral projectors and the equivalent inner product
-    (|A| u, v)_2.
+    ones.  This class is the only owner of that layout.  Other modules read
+    only its contract: `box`, `operator`, `gap`, the ascending `eigenvalues`,
+    `size`, `negative_count`, the slices `minus`/`plus`, `intrusions`, and
+    `values_of`/`coords_of`, which map between eigencoordinates and site
+    values sector by sector, for all coordinates or for the X^- or X^+ ones
+    alone (and `hardy.rho_plus` reads `plus_sectors`).  Module functions add
+    the spectral projectors and the equivalent inner product (|A| u, v)_2.
+    Boxes above `DENSE_EIG_BUDGET` sites are refused before any work.
 
     `eigenpairs`, one (eigenvalues, eigenvectors) pair per sector in
     `parity_sectors` order, skips the diagonalization for a decomposition
@@ -393,6 +396,10 @@ class SpectralSplit:
     def __init__(self, box: BoxDomain, operator: sp.spmatrix,
                  gap: tuple[float, float], eigenpairs=None):
         n = box.site_count
+        if n > DENSE_EIG_BUDGET:
+            raise InvalidInputError(
+                f"box has {n} sites, above the dense eigendecomposition "
+                f"budget of {DENSE_EIG_BUDGET}; use a smaller radius")
         if operator.shape != (n, n):
             raise InvalidInputError(
                 f"operator shape {operator.shape} does not match box with "
@@ -430,13 +437,9 @@ class SpectralSplit:
         index = np.empty(n, dtype=np.intp)  # coordinate of each sector column
         index[order] = np.arange(n)
         self.eigenvalues = eigenvalues[order]
-        self.abs_eigenvalues = np.abs(self.eigenvalues)
         self.negative_count = nneg = int(np.sum(eigenvalues < 0.0))
         self.minus = slice(0, nneg)
         self.plus = slice(nneg, n)
-        self.minus_eigenvalues = self.eigenvalues[self.minus]
-        self.plus_eigenvalues = self.eigenvalues[self.plus]  # = |lambda| on X^+
-        self.abs_minus_eigenvalues = self.abs_eigenvalues[self.minus]
         # eigenpair residual check per sector block, in column blocks so that
         # its temporaries stay small.  Orthonormality is exact up to LAPACK
         # and not checked: supplied eigenpairs must come from this class,
@@ -479,14 +482,6 @@ class SpectralSplit:
     def size(self) -> int:
         return self.box.site_count
 
-    @property
-    def positive_count(self) -> int:
-        return self.size - self.negative_count
-
-    @property
-    def smallest_abs_eigenvalue(self) -> float:
-        return float(self.abs_eigenvalues.min())
-
     def values_of(self, coords: np.ndarray, part: str = "all") -> np.ndarray:
         """Site values E c of eigencoordinates, one column per column of a
         2-D `coords`.  With part "minus" or "plus", `coords` holds X^- or X^+
@@ -501,7 +496,7 @@ class SpectralSplit:
         2-D `values`.  With part "minus" or "plus", only the X^- or X^+
         coordinates: E_-^T v or E_+^T v."""
         count = {"all": self.size, "minus": self.negative_count,
-                 "plus": self.positive_count}[part]
+                 "plus": self.size - self.negative_count}[part]
         w = self._basis_t @ values
         out = np.empty((count,) + values.shape[1:])
         for _, rows, vectors, index in self._blocks[part]:
@@ -512,31 +507,19 @@ class SpectralSplit:
         """(sector, X^+ eigenvalues, X^+ eigenvectors C_s in the sector
         basis) for each sector that holds X^+ columns; Q_s C_s are those
         columns of E_+, in coordinate order."""
+        lam = self.eigenvalues[self.plus]
         for sector, _, vectors, index in self._blocks["plus"]:
-            yield sector, self.plus_eigenvalues[index], vectors
-
-    def to_coords(self, u: LatticeField) -> np.ndarray:
-        if u.box != self.box:
-            raise InvalidInputError("field box does not match the split's box")
-        return self.coords_of(u.values)
-
-    def from_coords(self, coords: np.ndarray) -> LatticeField:
-        return LatticeField(self.box, self.values_of(coords))
-
-    def plus_norm(self, plus_coords: np.ndarray) -> float:
-        """Equivalent norm sqrt(sum lambda_i c_i^2) of X^+ eigencoordinates."""
-        return float(np.sqrt(np.sum(self.plus_eigenvalues * plus_coords ** 2)))
+            yield sector, lam[index], vectors
 
 
 def spectral_split(box: BoxDomain, operator: sp.spmatrix,
                    gap: tuple[float, float], eigenpairs=None) -> SpectralSplit:
     """Full eigendecomposition split at 0, dense per parity sector (desk
     scale only)."""
-    if box.site_count > DENSE_EIG_BUDGET:
-        raise InvalidInputError(
-            f"box has {box.site_count} sites, above the dense eigendecomposition "
-            f"budget of {DENSE_EIG_BUDGET}; use a smaller radius")
     return SpectralSplit(box, operator, gap, eigenpairs)
+
+
+SPLIT_LAYOUT = "parity-sectors"  # the name of what save_eigenpairs writes
 
 
 def save_eigenpairs(split: SpectralSplit, path) -> None:
@@ -568,15 +551,19 @@ def project(split: SpectralSplit, u: LatticeField, sign: str) -> LatticeField:
     """Spectral projection of u onto X^+ ("plus") or X^- ("minus")."""
     if sign not in ("plus", "minus"):
         raise InvalidInputError(f'sign must be "plus" or "minus", got {sign!r}')
-    coords = split.to_coords(u)
+    if u.box != split.box:
+        raise InvalidInputError("field box does not match the split's box")
+    coords = split.coords_of(u.values)
     coords[split.plus if sign == "minus" else split.minus] = 0.0
-    return split.from_coords(coords)
+    return LatticeField(split.box, split.values_of(coords))
 
 
 def split_inner(split: SpectralSplit, u: LatticeField, v: LatticeField) -> float:
     """Equivalent inner product (u, v) = (A u^+, v^+)_2 - (A u^-, v^-)_2."""
-    cu, cv = split.to_coords(u), split.to_coords(v)
-    return float(np.sum(split.abs_eigenvalues * cu * cv))
+    if u.box != split.box or v.box != split.box:
+        raise InvalidInputError("field box does not match the split's box")
+    cu, cv = split.coords_of(u.values), split.coords_of(v.values)
+    return float(np.sum(np.abs(split.eigenvalues) * cu * cv))
 
 
 def split_norm(split: SpectralSplit, u: LatticeField) -> float:

@@ -21,17 +21,17 @@ def _metric_norm(abs_lam, coords):
 def maximality_certificate(split, model, u, rho, n_samples, seed, tol, weight):
     """(ok, worst excess of J(t u + v) over J(u)) from per-sample products."""
     terms = SiteTerms(split, model, rho, weight)
-    cu = split.to_coords(u)
+    cu = split.coords_of(u.values)
     um = cu[split.minus]
-    qw = float(np.sum(split.plus_eigenvalues * cu[split.plus] ** 2))
+    qw = float(np.sum(split.eigenvalues[split.plus] * cu[split.plus] ** 2))
 
     def value(t, vm, site):
-        quad = t * t * qw + float(np.sum(split.minus_eigenvalues * vm ** 2))
+        quad = t * t * qw + float(np.sum(split.eigenvalues[split.minus] * vm ** 2))
         return 0.5 * quad - float(terms.energy(site))
 
     em = eigenvector_matrix(split)[:, split.minus]
     base = value(1.0, um, u.values)
-    v_radius = 3.0 * max(_metric_norm(split.abs_eigenvalues, cu), 1.0)
+    v_radius = 3.0 * max(_metric_norm(np.abs(split.eigenvalues), cu), 1.0)
     rng = np.random.default_rng(seed)
     ts = rng.uniform(0.0, 3.0, n_samples)
     draws = rng.standard_normal((split.size, n_samples))
@@ -39,7 +39,7 @@ def maximality_certificate(split, model, u, rho, n_samples, seed, tol, weight):
     worst = -np.inf
     for t, g, radius in zip(ts, draws.T, radii):
         dv = em.T @ g
-        norm = _metric_norm(split.abs_minus_eigenvalues, dv)
+        norm = _metric_norm(-split.eigenvalues[split.minus], dv)
         if norm > 0:
             dv *= radius / norm
         site = t * u.values + em @ dv

@@ -48,7 +48,7 @@ def positive_pencil(split):
     """(lambda^+, B^T L B) on the whole positive eigenbasis B."""
     basis = eigenvector_matrix(split)[:, split.plus]
     gram = basis.T @ (laplacian_matrix(split.box) @ basis)
-    return split.plus_eigenvalues, 0.5 * (gram + gram.T)
+    return split.eigenvalues[split.plus], 0.5 * (gram + gram.T)
 
 
 def rho_plus_full(split):

@@ -18,7 +18,7 @@ class FullCoordinateInner:
     def __init__(self, split, model, rho, site_weight):
         self.E = eigenvector_matrix(split)
         self.lam = split.eigenvalues
-        self.abs_lam = split.abs_eigenvalues
+        self.abs_lam = np.abs(split.eigenvalues)
         self.nneg = split.negative_count
         self.model = model
         self.rho = float(rho)

@@ -16,6 +16,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from latticegap.errors import InvalidInputError
+from latticegap.lattice import LatticeField
 from latticegap.spectral import parity_sectors, reflection_axes
 
 from conftest import eigenvector_matrix
@@ -75,12 +76,12 @@ def projector_l1_norm(split, sign):
 
 def unit_plus_direction(split, seed_field):
     """Project a field onto X^+ and normalize it in the equivalent norm."""
-    coords = split.to_coords(seed_field)
+    coords = split.coords_of(seed_field.values)
     coords[split.minus] = 0.0
-    norm = float(np.sqrt(np.sum(split.abs_eigenvalues * coords ** 2)))
+    norm = float(np.sqrt(np.sum(np.abs(split.eigenvalues) * coords ** 2)))
     if norm < 1e-14:
         raise InvalidInputError("field has no X^+ component to normalize")
-    return split.from_coords(coords / norm)
+    return LatticeField(split.box, split.values_of(coords / norm))
 
 
 def gap_report(split):

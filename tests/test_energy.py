@@ -160,7 +160,7 @@ class TestSolverAgreement:
         rng = np.random.default_rng(11)
         for _ in range(5):
             u = random_field(split_r2.box, rng)
-            c = split_r2.to_coords(u)
+            c = split_r2.coords_of(u.values)
             value = lg.evaluate_energy(split_r2, model, u, rho).value
             slab_value = _Slab(terms, c[nneg:]).value(1.0, c[:nneg], u.values)
             assert abs(value - slab_value) <= 1e-12 * abs(value)

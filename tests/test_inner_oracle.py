@@ -43,7 +43,7 @@ def test_slab_inner_matches_oracle(problems, model, radius, fraction):
     rng = np.random.default_rng(100 * radius + int(10 * fraction))
     for _ in range(3):
         w = unit_plus_direction(split, random_field(split.box, rng))
-        wp = split.to_coords(w)[split.plus]
+        wp = split.coords_of(w.values)[split.plus]
         slab = solver._Slab(SiteTerms(split, model, rho, lg.EUCLIDEAN_WEIGHT), wp)
         t_slab, vm_slab, value_slab, _, _, reason_slab = solver._inner_core(
             slab, 1.0, np.zeros(split.negative_count))

@@ -3,7 +3,9 @@ has no cycle, and every such import sits at module level, where the graph
 is visible, never inside a function body.  The parity-sector blocks of the
 eigenbasis are known only to `spectral`: no other module reads them, and
 its one dense single-matrix `eigh` is the only place that picks a LAPACK
-driver.
+driver.  Other modules read a split only through its contract (box,
+operator, gap, eigenvalues, size, negative_count, the slices minus/plus,
+intrusions, values_of and coords_of), plus `plus_sectors` in `hardy`.
 Only `solver` starts processes, from one `ProcessPoolExecutor`.
 The solver draws random numbers in two places only: the multistart's random
 starts and the sampled maximality certificate; every other exit check is
@@ -107,6 +109,29 @@ def test_eigenvectors_read_only_in_spectral(module):
     lines = [node.lineno for node in ast.walk(TREES[module])
              if isinstance(node, ast.Attribute) and node.attr in ("_blocks", "_basis")]
     assert not lines, f"{module}.py reads the split's blocks at lines {lines}"
+
+
+# what other modules may read of a split; `plus_sectors` is for hardy alone
+SPLIT_CONTRACT = {"box", "operator", "gap", "eigenvalues", "size", "negative_count",
+                  "minus", "plus", "intrusions", "values_of", "coords_of"}
+SPLITS = {"split", "self.split", "slab.split", "terms.split"}
+
+
+@pytest.mark.parametrize("module", sorted(set(MODULES) - {"spectral"}))
+def test_split_read_only_through_its_contract(module):
+    allowed = SPLIT_CONTRACT | ({"plus_sectors"} if module == "hardy" else set())
+    extra = [f"{ast.unparse(node)} at line {node.lineno}"
+             for node in ast.walk(TREES[module])
+             if isinstance(node, ast.Attribute) and ast.unparse(node.value) in SPLITS
+             and node.attr not in allowed]
+    assert not extra, f"{module}.py reads outside the split contract: {extra}"
+
+
+def test_only_hardy_reads_plus_sectors():
+    readers = sorted(name for name, tree in TREES.items() if name != "spectral"
+                     and any(isinstance(node, ast.Attribute)
+                             and node.attr == "plus_sectors" for node in ast.walk(tree)))
+    assert readers == ["hardy"]
 
 
 def _eigh_calls():

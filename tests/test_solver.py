@@ -69,7 +69,7 @@ def inner_max(split, model, w, t=1.0, vm=None):
     terms = SiteTerms(split, model, 0.0, lg.EUCLIDEAN_WEIGHT)
     if vm is None:
         vm = np.zeros(split.negative_count)
-    return _inner_core(_Slab(terms, split.to_coords(w)[split.plus]), t, vm)
+    return _inner_core(_Slab(terms, split.coords_of(w.values)[split.plus]), t, vm)
 
 
 class TestInnerMaximize:
@@ -110,7 +110,7 @@ class TestInnerMaximize:
             v0 = lg.project(split_r2, random_field(split_r2.box, rng), "minus")
             t0 = rng.uniform(0.5, 3.0)
             t, vm, *_ = inner_max(split_r2, model, w, t0,
-                                  split_r2.to_coords(v0)[split_r2.minus])
+                                  split_r2.coords_of(v0.values)[split_r2.minus])
             assert abs(t - t_ref) <= 1e-8
             assert np.linalg.norm(em @ vm - em @ vm_ref) <= 1e-8
 
@@ -119,6 +119,21 @@ class TestInnerMaximize:
         w = lowest_plus_direction(split_r2)
         reason = inner_max(split_r2, lg.ZeroNonlinearity(), w)[5]
         assert reason is not None
+
+
+# the box checks of the functions that map a field into eigencoordinates;
+# the field's box has the split's 125 sites, so only the check refuses it
+@pytest.mark.parametrize("call", [
+    lambda split, model, u: lg.project(split, u, "plus"),
+    lambda split, model, u: lg.split_inner(split, lg.zero_field(split.box), u),
+    lambda split, model, u: lg.outer_minimize(split, model, 0.0, warm_start=u),
+    lambda split, model, u: lg.polish_newton(split, model, 0.0, u),
+], ids=["project", "split_inner", "outer_minimize", "polish_newton"])
+def test_field_from_another_box_refused(split_r2, model, call):
+    other = lg.delta_field(lg.BoxDomain(1, 62))
+    assert other.box.site_count == split_r2.size
+    with pytest.raises(InvalidInputError, match="box does not match"):
+        call(split_r2, model, other)
 
 
 class TestOuterMinimize:
@@ -224,7 +239,7 @@ class TestSolveGroundState:
                 return dataclasses.replace(result, c_rho=0.0)
             if broken == "boundary mass fraction":  # the corner ground state
                 return polish(split, model, rho, ground_r2.u, weight)
-            coords = split.to_coords(result.u)
+            coords = split.coords_of(result.u.values)
             u = lg.LatticeField(split.box, split.values_of(coords[split.minus], "minus"))
             return dataclasses.replace(
                 result, u=u, c_rho=lg.evaluate_energy(split, model, u, rho).value)
@@ -574,11 +589,11 @@ class TestSphereFloor:
         alpha = 1.0 - frac
         floor = solver._sphere_floor(split, model, alpha)
         # p = 4: the optimal d^2 is alpha lambda_1^+, at the X^+ norm d sqrt(lambda_1^+)
-        lam = split.plus_eigenvalues[0]
+        lam = split.eigenvalues[split.plus][0]
         norm = np.sqrt(alpha) * lam
         rng = np.random.default_rng(radius)
         coords = split.coords_of(rng.standard_normal((split.size, 400)), "plus")
-        coords *= norm / np.sqrt(split.plus_eigenvalues @ coords ** 2)
+        coords *= norm / np.sqrt(split.eigenvalues[split.plus] @ coords ** 2)
         terms = SiteTerms(split, model, frac * constants.rho_max, lg.EUCLIDEAN_WEIGHT)
         levels = [0.5 * norm ** 2 - terms.energy(v)
                   for v in split.values_of(coords, "plus").T]

@@ -8,12 +8,14 @@ significant digits; a fixed seed reproduces them byte for byte.  Every
 artifact is written to a temporary file and renamed into place.
 
 The splitting of the box operator is computed once per output directory:
-certify-gap (or the first stage that certifies inline) writes the
-eigenpairs of each parity sector to split.npy and records the file's
-layout and SHA-256 in gap.json, and later stages load the file instead of
-decomposing again.  A gap.json or split.npy that does not match the
-configuration, or each other, is stale and asks for certify-gap to be
-re-run.
+certify-gap (or the first stage that certifies inline) writes each parity
+sector's eigenpairs to split.npy and their layout and SHA-256 to gap.json.
+Later stages reuse gap.json and constants.json by one rule: the file holds
+a JSON object written for this configuration (potential, box radius and
+Bloch grid; fingerprint, N, R and Hardy metric), with integers and finite
+reals where the file has them, from which the split (with split.npy of
+the recorded hash) or the constants build.  Anything else asks for the
+stage that wrote the file to be re-run.
 
 Exit status: 0 on success, 2 when the configured problem violates a
 structural hypothesis (no spectral gap at 0, coupling out of range, model
@@ -206,8 +208,19 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _gap_written_for(cfg: RunConfig) -> dict:
+    return {"potential": cfg.potential_fingerprint(), "box_radius": cfg.radius,
+            "grid": cfg.bloch_grid}
+
+
+def _constants_written_for(cfg: RunConfig) -> dict:
+    return {"fingerprint": {"potential": cfg.potential_fingerprint(),
+                            "R": cfg.radius, "metric": cfg.hardy_metric},
+            "N": cfg.dimension, "R": cfg.radius, "metric": cfg.hardy_metric}
+
+
 def _certify(cfg: RunConfig, out: Path, write_bands: bool):
-    """Band table + box split; writes split.npy and then gap.json, which
+    """The certified box split; writes split.npy and then gap.json, which
     holds split.npy's hash (and bands.csv for certify-gap).  The box, with
     it the site budget, and the Bloch stack's size are checked before any
     Bloch work."""
@@ -224,46 +237,48 @@ def _certify(cfg: RunConfig, out: Path, write_bands: bool):
     if write_bands:
         table.to_csv(out / "bands.csv")
     save_eigenpairs(split, out / SPLIT_FILE)
-    payload = {"potential": cfg.potential_fingerprint(),
-               "box_radius": cfg.radius, "grid": cfg.bloch_grid,
+    payload = {**_gap_written_for(cfg),
                "sigma_minus": table.sigma_minus, "sigma_plus": table.sigma_plus,
                "intrusions": split.intrusions,
                "smallest_abs_eigenvalue": float(abs(split.eigenvalues).min()),
                "eigenpairs": {"file": SPLIT_FILE, "layout": SPLIT_LAYOUT,
                               "sha256": _sha256(out / SPLIT_FILE)}}
     jsonio.dump(payload, out / "gap.json")
-    return table, split
+    return split
 
 
-def _read_artifact(path: Path, keys: tuple[str, ...], rerun: str) -> dict:
-    """Load a JSON artifact holding `keys`; anything else asks for a re-run."""
+def _load_artifact(path: Path, rerun: str, written_for: dict,
+                   ints: tuple[str, ...], reals: tuple[str, ...], build):
+    """`build(data)` of the JSON object in `path`, which must hold every key
+    of `written_for`, `ints` and `reals`: the values of `written_for`,
+    integers under `ints` and finite numbers under `reals`.  A file that
+    fails any of these, or whose data `build` refuses with
+    InvalidInputError, asks for `rerun`."""
+    def refused(problem):
+        return CertificationMissingError(f"{path.name} {problem}; re-run {rerun}")
+
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CertificationMissingError(
-            f"unreadable {path.name} ({exc}); re-run {rerun}") from exc
+        raise refused(f"is unreadable ({exc})") from exc
     if not isinstance(data, dict):
-        raise CertificationMissingError(
-            f"{path.name} does not hold a JSON object; re-run {rerun}")
-    missing = [key for key in keys if key not in data]
+        raise refused("does not hold a JSON object")
+    missing = [key for key in (*written_for, *ints, *reals) if key not in data]
     if missing:
-        raise CertificationMissingError(
-            f"{path.name} lacks {', '.join(missing)}; re-run {rerun}")
-    return data
-
-
-def _check_types(data: dict, ints: tuple[str, ...], reals: tuple[str, ...],
-                 name: str, rerun: str) -> None:
-    """Integers must be ints and reals finite numbers; bools are neither."""
-    def number(value, kinds):
-        return isinstance(value, kinds) and not isinstance(value, bool)
-
-    wrong = [key for key in ints if not number(data[key], int)]
-    wrong += [key for key in reals
-              if not (number(data[key], (int, float)) and math.isfinite(data[key]))]
+        raise refused(f"lacks {', '.join(missing)}")
+    other = [key for key, value in written_for.items() if data[key] != value]
+    if other:
+        raise refused(f"was written for another {', '.join(other)}")
+    # type(), not isinstance(): bools are neither integers nor reals
+    wrong = [key for key in ints if type(data[key]) is not int]
+    wrong += [key for key in reals if type(data[key]) not in (int, float)
+              or not math.isfinite(data[key])]
     if wrong:
-        raise CertificationMissingError(
-            f"{name} holds a wrongly typed {', '.join(wrong)}; re-run {rerun}")
+        raise refused(f"holds a wrongly typed {', '.join(wrong)}")
+    try:
+        return build(data)
+    except InvalidInputError as exc:
+        raise refused(f"is inconsistent ({exc})") from exc
 
 
 def _load_split_file(out: Path, recorded):
@@ -271,14 +286,10 @@ def _load_split_file(out: Path, recorded):
     record in gap.json."""
     path = out / SPLIT_FILE
     try:
-        digest = _sha256(path)
-    except OSError as exc:
-        raise CertificationMissingError(
-            f"cannot read {SPLIT_FILE} ({exc}); re-run certify-gap") from exc
-    if recorded != {"file": SPLIT_FILE, "layout": SPLIT_LAYOUT, "sha256": digest}:
-        raise CertificationMissingError(
-            f"{SPLIT_FILE} does not match gap.json; re-run certify-gap")
-    try:
+        if recorded != {"file": SPLIT_FILE, "layout": SPLIT_LAYOUT,
+                        "sha256": _sha256(path)}:
+            raise CertificationMissingError(
+                f"{SPLIT_FILE} does not match gap.json; re-run certify-gap")
         return load_eigenpairs(path)
     except (OSError, EOFError, ValueError) as exc:
         raise CertificationMissingError(
@@ -286,72 +297,33 @@ def _load_split_file(out: Path, recorded):
 
 
 def _ensure_split(cfg: RunConfig, out: Path):
-    """Reuse a matching gap.json and split.npy or certify inline; stale
-    files are an error."""
+    """Reuse gap.json and split.npy, or certify inline without gap.json."""
     path = out / "gap.json"
-    if path.exists():
-        data = _read_artifact(path, ("sigma_minus", "sigma_plus", "eigenpairs"),
-                              "certify-gap")
-        if (data.get("potential") != cfg.potential_fingerprint()
-                or data.get("box_radius") != cfg.radius
-                or data.get("grid") != cfg.bloch_grid):
-            raise CertificationMissingError(
-                "gap.json does not match this configuration; re-run certify-gap")
-        _check_types(data, (), ("sigma_minus", "sigma_plus"), "gap.json",
-                     "certify-gap")
-        if not data["sigma_minus"] < 0.0 < data["sigma_plus"]:
-            raise CertificationMissingError(
-                f"gap.json records the gap ({data['sigma_minus']!r}, "
-                f"{data['sigma_plus']!r}), which does not contain 0; "
-                "re-run certify-gap")
+    if not path.exists():
+        return _certify(cfg, out, write_bands=False)
+
+    def build(data):
         box = cfg.box()
-        eigenpairs = _load_split_file(out, data["eigenpairs"])
-        operator = assemble_operator(box, cfg.potential())
-        try:
-            return spectral_split(box, operator,
-                                  (data["sigma_minus"], data["sigma_plus"]),
-                                  eigenpairs)
-        except InvalidInputError as exc:
-            raise CertificationMissingError(
-                f"{SPLIT_FILE} does not fit this box ({exc}); "
-                "re-run certify-gap") from exc
-    _, split = _certify(cfg, out, write_bands=False)
-    return split
+        eigenpairs = _load_split_file(out, data.get("eigenpairs"))
+        return spectral_split(box, assemble_operator(box, cfg.potential()),
+                              (data["sigma_minus"], data["sigma_plus"]), eigenpairs)
+
+    return _load_artifact(path, "certify-gap", _gap_written_for(cfg),
+                          ("box_radius", "grid"), ("sigma_minus", "sigma_plus"),
+                          build)
 
 
 def _ensure_constants(cfg: RunConfig, out: Path, split) -> InequalityConstants:
+    """Reuse constants.json, or compute the constants and write it."""
     path = out / "constants.json"
-    fingerprint = {"potential": cfg.potential_fingerprint(), "R": cfg.radius,
-                   "metric": cfg.hardy_metric}
     if path.exists():
-        data = _read_artifact(
-            path, ("fingerprint", "N", "R", "kappa", "rho_plus",
-                   "rho_tilde_plus", "rho_max", "metric"), "constants")
-        if data["fingerprint"] != json.loads(jsonio.dumps(fingerprint)):
-            raise CertificationMissingError(
-                "constants.json does not match this configuration; re-run constants")
-        # the values beside the fingerprint must be the configuration's too
-        stated = {"N": cfg.dimension, "R": cfg.radius, "metric": cfg.hardy_metric}
-        wrong = [key for key, value in stated.items() if data[key] != value]
-        if wrong:
-            raise CertificationMissingError(
-                f"constants.json {', '.join(wrong)} not this configuration's; "
-                "re-run constants")
-        _check_types(data, ("N", "R"),
-                     ("kappa", "rho_plus", "rho_tilde_plus", "rho_max"),
-                     "constants.json", "constants")
-        try:
-            return InequalityConstants(
+        return _load_artifact(
+            path, "constants", _constants_written_for(cfg), ("N", "R"),
+            ("kappa", "rho_plus", "rho_tilde_plus", "rho_max"),
+            lambda data: InequalityConstants(
                 dimension=data["N"], radius=data["R"], kappa=data["kappa"],
                 rho_plus=data["rho_plus"], rho_tilde_plus=data["rho_tilde_plus"],
-                rho_max=data["rho_max"], metric=data["metric"])
-        except InvalidInputError as exc:
-            raise CertificationMissingError(
-                f"inconsistent constants.json ({exc}); re-run constants") from exc
-    return _compute_constants(cfg, out, split, fingerprint)
-
-
-def _compute_constants(cfg, out, split, fingerprint) -> InequalityConstants:
+                rho_max=data["rho_max"], metric=data["metric"]))
     weight = cfg.weight()
     hardy = best_hardy_constant(split.box, weight)
     rp = rho_plus(split)
@@ -360,10 +332,9 @@ def _compute_constants(cfg, out, split, fingerprint) -> InequalityConstants:
         rho_plus=rp.value, metric=cfg.hardy_metric)
     write_field(hardy.witness, out / "kappa_witness.field")
     write_field(rp.witness, out / "rho_plus_witness.field")
-    payload = constants.to_dict()
-    payload["witnesses"] = {"kappa": "kappa_witness.field",
-                            "rho_plus": "rho_plus_witness.field"}
-    payload["fingerprint"] = fingerprint
+    payload = {**constants.to_dict(), **_constants_written_for(cfg),
+               "witnesses": {"kappa": "kappa_witness.field",
+                             "rho_plus": "rho_plus_witness.field"}}
     jsonio.dump(payload, out / "constants.json")
     return constants
 

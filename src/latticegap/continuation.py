@@ -92,8 +92,11 @@ def sweep_rho(plan: SweepPlan, split: SpectralSplit, model: Nonlinearity,
     The final (rho = 0) record is the baseline; distances to it are filled in
     a second pass once it is known.  A numerical failure aborts the sweep
     with the partial records attached to the raised error; a hypothesis
-    violation (a coupling beyond the admissible bound, say) propagates as is.
+    violation (a coupling beyond the admissible bound, say) propagates as is,
+    and so do `constants` of another box or metric, refused before any solve.
     """
+    if constants is not None:
+        constants.check_fits(split.box, weight)
     config = config or SolverConfig()
     records: list[SweepRecord] = []
     warm = None

@@ -137,10 +137,13 @@ def rho_norm_plus(split: SpectralSplit, u_plus: LatticeField, rho: float,
     """Squared rho-modified norm  ||u||^2 - rho sum w u^2  on X^+.
 
     The input must lie in X^+ (projection residual below 1e-10).  When the
-    box constants are supplied the admissibility bound rho < rho_plus/kappa
-    is enforced; the norm is then positive definite.
+    box constants are supplied they must fit the split's box and the weight
+    (`InequalityConstants.check_fits`), and the admissibility bound
+    rho < rho_plus/kappa is enforced; the norm is then positive definite.
     """
     _check(split, u_plus, rho)
+    if constants is not None:
+        constants.check_fits(split.box, weight)
     coords = split.coords_of(u_plus.values)
     minus_part = float(np.linalg.norm(coords[split.minus]))
     if minus_part > 1e-10 * (1.0 + float(np.linalg.norm(u_plus.values))):

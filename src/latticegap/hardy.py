@@ -152,6 +152,9 @@ class InequalityConstants:
 
     rho_tilde_plus = min(rho_plus, 1) and rho_max = rho_tilde_plus / kappa
     are derived when omitted; explicitly supplied values must match exactly.
+    The constants record the box and the weight's metric they were computed
+    for, but not the potential, so `check_fits` cannot tell constants of
+    another potential on the same box.
     """
 
     dimension: int
@@ -175,6 +178,14 @@ class InequalityConstants:
             object.__setattr__(self, "rho_max", self.rho_tilde_plus / self.kappa)
         elif self.rho_max != self.rho_tilde_plus / self.kappa:
             raise InvalidInputError("rho_max must equal rho_tilde_plus / kappa")
+
+    def check_fits(self, box: BoxDomain, weight: HardyWeight) -> None:
+        """Refuse a box or Hardy metric other than the recorded ones."""
+        ours = (self.dimension, self.radius, self.metric)
+        theirs = (box.dimension, box.radius, weight.metric)
+        if ours != theirs:
+            raise InvalidInputError(
+                f"constants for (N, R, metric) = {ours} do not fit {theirs}")
 
     def to_dict(self) -> dict:
         return {"N": self.dimension, "R": self.radius, "kappa": self.kappa,

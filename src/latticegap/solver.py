@@ -649,6 +649,7 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
                        warm_start: LatticeField | None = None) -> GroundStateResult:
     """Full pipeline: outer min-max, one Newton polish, exit checks.
 
+    Supplied `constants` must fit the split's box and `weight`.
     Post-conditions enforced on the returned state: both Nehari residuals at
     the polish tolerance, positive level above the closed-form sphere floor
     (`_sphere_floor`), and the sampled maximality certificate.
@@ -656,6 +657,8 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
     cfg = config or SolverConfig()
     if not rho >= 0:
         raise InvalidInputError(f"rho must be >= 0, got {rho}")
+    if constants is not None:
+        constants.check_fits(split.box, weight)
     if cfg.boundary_layers >= split.box.radius:
         raise InvalidInputError(
             f"boundary_layers = {cfg.boundary_layers} must be below the box "

@@ -384,7 +384,9 @@ class SpectralSplit:
     values sector by sector, for all coordinates or for the X^- or X^+ ones
     alone (and `hardy.rho_plus` reads `plus_sectors`).  Module functions add
     the spectral projectors and the equivalent inner product (|A| u, v)_2.
-    Boxes above `DENSE_EIG_BUDGET` sites are refused before any work.
+    The certified `gap` must contain 0 (finite sigma_minus < 0 < sigma_plus),
+    the paper's standing hypothesis; a gap that does not, and a box above
+    `DENSE_EIG_BUDGET` sites, raise InvalidInputError before any work.
 
     `eigenpairs`, one (eigenvalues, eigenvectors) pair per sector in
     `parity_sectors` order, skips the diagonalization for a decomposition
@@ -395,6 +397,9 @@ class SpectralSplit:
 
     def __init__(self, box: BoxDomain, operator: sp.spmatrix,
                  gap: tuple[float, float], eigenpairs=None):
+        gap = (float(gap[0]), float(gap[1]))
+        if not -np.inf < gap[0] < 0.0 < gap[1] < np.inf:
+            raise InvalidInputError(f"the gap {gap!r} does not contain 0")
         n = box.site_count
         if n > DENSE_EIG_BUDGET:
             raise InvalidInputError(
@@ -406,7 +411,7 @@ class SpectralSplit:
                 f"{n} sites")
         self.box = box
         self.operator = operator.tocsr()
-        self.gap = (float(gap[0]), float(gap[1]))
+        self.gap = gap
         sectors = parity_sectors(box, reflection_axes(box, self.operator))
         bases = [sector.basis(n) for sector in sectors]
         blocks = [q.T @ self.operator @ q for q in bases]

@@ -252,8 +252,9 @@ class TestCorruptArtifacts:
         self._run_constants(tmp_path, capsys, self._truncate(fraction),
                             "constants.json", "constants")
 
-    def test_constants_missing_key(self, tmp_path, capsys):
-        self._run_constants(tmp_path, capsys, self._drop("kappa"),
+    @pytest.mark.parametrize("key", ["kappa", "fingerprint", "N", "R", "metric"])
+    def test_constants_missing_key(self, tmp_path, capsys, key):
+        self._run_constants(tmp_path, capsys, self._drop(key),
                             "constants.json", "constants")
 
     @pytest.mark.parametrize("fraction", [0.0, 0.5])
@@ -261,7 +262,8 @@ class TestCorruptArtifacts:
         self._run_constants(tmp_path, capsys, self._truncate(fraction),
                             "gap.json", "certify-gap")
 
-    @pytest.mark.parametrize("key", ["sigma_minus", "sigma_plus"])
+    @pytest.mark.parametrize("key", ["sigma_minus", "sigma_plus", "potential",
+                                     "box_radius", "grid"])
     def test_gap_missing_sigma(self, tmp_path, capsys, key):
         self._run_constants(tmp_path, capsys, self._drop(key),
                             "gap.json", "certify-gap")

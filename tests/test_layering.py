@@ -13,6 +13,8 @@ deterministic.
 The models are functions of u alone: every call of a model's f, F or df
 passes the value array and nothing else.
 Every function the benchmark tracer wraps exists under its wrapped name.
+In `cli`, a stale artifact is refused only by the loader of gap.json and
+constants.json and by the reader of split.npy.
 Every name the package exports has a caller outside the tests, except the
 few library-only names listed with their reasons."""
 
@@ -216,6 +218,15 @@ def test_tracer_wraps_resolve():
     missing = [f"{owner.__name__}.{attr}"
                for owner, attr, _ in tracer.WRAPS if not hasattr(owner, attr)]
     assert tracer.WRAPS and not missing, f"tracer wraps missing names: {missing}"
+
+
+def test_certification_missing_raised_only_by_the_loaders():
+    raisers = {node.name for node in TREES["cli"].body
+               if isinstance(node, ast.FunctionDef)
+               and any(isinstance(name, ast.Name)
+                       and name.id == "CertificationMissingError"
+                       for name in ast.walk(node))}
+    assert raisers == {"_load_artifact", "_load_split_file"}
 
 
 # exported names with no caller in src/, demos/ or benchmarks/, kept on purpose

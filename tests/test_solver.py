@@ -294,6 +294,26 @@ class TestSolveGroundState:
             lg.solve_ground_state(split_r3, model, constants.rho_max,
                                   lg.SolverConfig(seed=1), constants=constants)
 
+    @pytest.mark.parametrize("other", ["radius", "metric"])
+    def test_constants_of_another_box_or_metric_refused(self, split_r2, model,
+                                                        constants_r3, other):
+        # constants record N, R and the metric; with another box's rho_max
+        # the coupling cap would be that box's
+        constants = constants_r3 if other == "radius" \
+            else lg.compute_constants(split_r2, lg.GRAPH_WEIGHT)
+        rho = 0.5 * constants.rho_max
+        u = lg.project(split_r2, random_field(split_r2.box,
+                                              np.random.default_rng(5)), "plus")
+        calls = (
+            lambda: lg.solve_ground_state(split_r2, model, rho,
+                                          constants=constants),
+            lambda: lg.rho_norm_plus(split_r2, u, rho, constants=constants),
+            lambda: lg.sweep_rho(lg.SweepPlan((rho, 0.0)), split_r2, model,
+                                 constants=constants))
+        for call in calls:
+            with pytest.raises(InvalidInputError, match="do not fit"):
+                call()
+
     def test_warm_start_reproduces_solution(self, split_r2, model, ground_r2):
         cfg = lg.SolverConfig(seed=9, multistart=1)
         warm = lg.solve_ground_state(split_r2, model, 0.0, cfg,

@@ -226,6 +226,13 @@ class TestSpectralSplit:
             with pytest.raises(InvalidInputError):
                 make(box, lg.assemble_operator(box, potential), (-1, 1))
 
+    @pytest.mark.parametrize("gap", [(0.5, 1.0), (-1.0, -0.5), (float("nan"), 1.0)],
+                             ids=["above", "below", "nan"])
+    def test_gap_must_contain_zero(self, split_r2, gap):
+        for make in (lg.spectral_split, lg.SpectralSplit):
+            with pytest.raises(InvalidInputError, match="does not contain 0"):
+                make(split_r2.box, split_r2.operator, gap)
+
     def test_coercivity_on_split_subspaces(self, split_r2):
         # (Au,u) >= sigma_plus_box ||u||^2 on X^+, and the mirrored bound on X^-
         rng = np.random.default_rng(1)

@@ -3,9 +3,13 @@
 Subcommands: certify-gap, constants, solve, sweep, validate.  Configuration
 is a flat UTF-8 key-value file with dotted sections ("solver.multistart =
 5"); unknown keys are rejected so typos cannot silently change an
-experiment.  All outputs are plain files with floats printed at 17
-significant digits; a fixed seed reproduces them byte for byte.  Every
-artifact is written to a temporary file and renamed into place.
+experiment.  `parse_config` checks every setting before any command runs:
+it builds the box, the potential, the model, the Hardy weight and the
+solver settings once, and each refuses its own bad values (exit 2, naming
+the key); the CLI restates none of their rules.  All outputs are plain
+files with floats printed at 17 significant digits; a fixed seed
+reproduces them byte for byte.  Every artifact is written to a temporary
+file and renamed into place.
 
 The splitting of the box operator is computed once per output directory:
 certify-gap (or the first stage that certifies inline) writes each parity
@@ -42,12 +46,13 @@ from .errors import (CertificationMissingError, ConfigError, HypothesisError,
 from .hardy import (HardyWeight, InequalityConstants, best_hardy_constant,
                     rho_plus)
 from .jsonio import atomic_open
-from .lattice import MAX_DIMENSION, BoxDomain, write_field
+from .lattice import BoxDomain, write_field
 from .nonlinearity import PowerNonlinearity, validate_hypotheses
 from .solver import SolverConfig, solve_ground_state
 from .spectral import (DENSE_EIG_BUDGET, MAX_BLOCH_ENTRIES, MIN_BLOCH_GRID,
-                       SPLIT_LAYOUT, assemble_operator, bloch_band_edges,
-                       checkerboard_potential, load_eigenpairs, save_eigenpairs,
+                       SPLIT_LAYOUT, PeriodicPotential, assemble_operator,
+                       bloch_band_edges, checkerboard_potential,
+                       checkerboard_shift, load_eigenpairs, save_eigenpairs,
                        spectral_split)
 
 SPLIT_FILE = "split.npy"
@@ -55,51 +60,28 @@ SPLIT_FILE = "split.npy"
 
 @dataclass
 class RunConfig:
-    dimension: int = 3
-    radius: int = 4
-    potential_kind: str = "checkerboard"
-    amplitude: float = 1.0
-    potential_shift: float | None = None
-    nonlinearity_kind: str = "power"
-    p: float = 4.0
-    hardy_metric: str = "euclidean"
-    rho_mode: str = "fraction"
-    rho_values: tuple[float, ...] = (0.0,)
-    bloch_grid: int = 8
-    out_dir: str = "out"
-    solver: SolverConfig = None
+    """A parsed configuration: the library objects built from it, each of
+    which checks its own rules, what the artifacts record of the potential,
+    and the settings that only the CLI reads."""
 
-    def potential(self):
-        return checkerboard_potential(self.dimension, self.amplitude,
-                                      self.potential_shift)
+    box: BoxDomain
+    potential: PeriodicPotential
+    potential_fingerprint: dict
+    model: PowerNonlinearity
+    weight: HardyWeight
+    solver: SolverConfig
+    rho_mode: str
+    rho_values: tuple[float, ...]
+    bloch_grid: int
+    out_dir: str
 
-    def potential_fingerprint(self) -> dict:
-        shift = self.potential_shift
-        return {"kind": self.potential_kind, "amplitude": self.amplitude,
-                "shift": float(-2.0 * self.dimension if shift is None else shift),
-                "dimension": self.dimension}
+    @property
+    def dimension(self) -> int:
+        return self.box.dimension
 
-    def box(self) -> BoxDomain:
-        if self.radius < 2:
-            raise ConfigError(f"box.radius must be >= 2, got {self.radius}")
-        box = BoxDomain(self.dimension, self.radius)
-        if box.site_count > DENSE_EIG_BUDGET:
-            raise ConfigError(f"box has {box.site_count} sites, above the budget "
-                              f"of {DENSE_EIG_BUDGET}")
-        return box
-
-    def model(self):
-        return PowerNonlinearity(self.p)
-
-    def weight(self) -> HardyWeight:
-        return HardyWeight(self.hardy_metric)
-
-
-def _parse_scalar(caster, key, raw):
-    try:
-        return caster(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
+    @property
+    def radius(self) -> int:
+        return self.box.radius
 
 
 def _finite_float(raw: str) -> float:
@@ -113,29 +95,40 @@ def _parse_float_list(raw: str) -> tuple[float, ...]:
     return tuple(_finite_float(tok) for tok in raw.replace(",", " ").split())
 
 
-# config key -> (attribute, caster); the seed and the solver.* keys are
-# SolverConfig fields, the others RunConfig attributes
+# config key -> (caster, default); the seed and the solver.* keys name
+# SolverConfig fields and default to them
 _KEYS = {
-    "dimension": ("dimension", int),
-    "box.radius": ("radius", int),
-    "potential.kind": ("potential_kind", str),
-    "potential.amplitude": ("amplitude", _finite_float),
-    "potential.shift": ("potential_shift", _finite_float),
-    "nonlinearity.kind": ("nonlinearity_kind", str),
-    "nonlinearity.p": ("p", _finite_float),
-    "hardy.metric": ("hardy_metric", str),
-    "rho.mode": ("rho_mode", str),
-    "rho.values": ("rho_values", _parse_float_list),
-    "bloch.grid": ("bloch_grid", int),
-    "seed": ("seed", int),
-    "output.dir": ("out_dir", str),
-    "solver.multistart": ("multistart", int),
-    "solver.max_boundary_mass": ("max_boundary_mass", _finite_float),
+    "dimension": (int, 3),
+    "box.radius": (int, 4),
+    "potential.kind": (str, "checkerboard"),
+    "potential.amplitude": (_finite_float, 1.0),
+    "potential.shift": (_finite_float, None),
+    "nonlinearity.kind": (str, "power"),
+    "nonlinearity.p": (_finite_float, 4.0),
+    "hardy.metric": (str, "euclidean"),
+    "rho.mode": (str, "fraction"),
+    "rho.values": (_parse_float_list, (0.0,)),
+    "bloch.grid": (int, 8),
+    "seed": (int, None),
+    "output.dir": (str, "out"),
+    "solver.multistart": (int, None),
+    "solver.max_boundary_mass": (_finite_float, None),
 }
 
 
+def _built(key: str, build, *args, **kwargs):
+    """`build(*args, **kwargs)`, with the InvalidInputError by which the
+    library refuses a setting turned into a ConfigError naming `key`."""
+    try:
+        return build(*args, **kwargs)
+    except InvalidInputError as exc:
+        raise ConfigError(f"bad {key}: {exc}") from exc
+
+
 def parse_config(path) -> RunConfig:
-    """Strict parse of a flat "key = value" file; unknown keys are errors."""
+    """Strict parse of a flat "key = value" file; unknown keys are errors.
+    The box and its site budget are checked before the potential, whose
+    cell has 2^N entries, is built."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -153,45 +146,58 @@ def parse_config(path) -> RunConfig:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate config key {key!r}")
-        values[key] = _parse_scalar(_KEYS[key][1], key, raw)
+        try:
+            values[key] = _KEYS[key][0](raw)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
 
-    cfg = RunConfig()
-    solver_kwargs = {}
-    for key, value in values.items():
-        attribute = _KEYS[key][0]
-        if key == "seed" or key.startswith("solver."):
-            solver_kwargs[attribute] = value
-        else:
-            setattr(cfg, attribute, value)
+    def setting(key):
+        return values.get(key, _KEYS[key][1])
 
-    if not 1 <= cfg.dimension <= MAX_DIMENSION:
+    for key, known in (("potential.kind", "checkerboard"),
+                       ("nonlinearity.kind", "power")):
+        if setting(key) != known:
+            raise ConfigError(f"unknown {key} {setting(key)!r}")
+    radius = setting("box.radius")
+    if not radius > SolverConfig.boundary_layers:
+        raise ConfigError(f"box.radius must be > boundary_layers = "
+                          f"{SolverConfig.boundary_layers}, got {radius}")
+    box = _built("dimension", BoxDomain, setting("dimension"), radius)
+    if box.site_count > DENSE_EIG_BUDGET:
+        raise ConfigError(f"box has {box.site_count} sites, above the budget "
+                          f"of {DENSE_EIG_BUDGET}")
+    fingerprint = {"kind": setting("potential.kind"),
+                   "amplitude": setting("potential.amplitude"),
+                   "shift": checkerboard_shift(box.dimension, setting("potential.shift")),
+                   "dimension": box.dimension}
+    potential = _built("potential", checkerboard_potential, box.dimension,
+                       fingerprint["amplitude"], fingerprint["shift"])
+    grid = setting("bloch.grid")
+    if grid < MIN_BLOCH_GRID:
+        raise ConfigError(f"bloch.grid must be >= {MIN_BLOCH_GRID}, got {grid}")
+    cell = potential.cell_size
+    if grid ** box.dimension * cell ** 2 > MAX_BLOCH_ENTRIES:
         raise ConfigError(
-            f"dimension must be in [1, {MAX_DIMENSION}], got {cfg.dimension}")
-    if cfg.bloch_grid < MIN_BLOCH_GRID:
-        raise ConfigError(
-            f"bloch.grid must be >= {MIN_BLOCH_GRID}, got {cfg.bloch_grid}")
-    if cfg.potential_kind != "checkerboard":
-        raise ConfigError(f"unknown potential.kind {cfg.potential_kind!r}")
-    if cfg.nonlinearity_kind != "power":
-        raise ConfigError(f"unknown nonlinearity.kind {cfg.nonlinearity_kind!r}")
-    if not cfg.p > 2:
-        raise ConfigError(f"nonlinearity.p must be > 2, got {cfg.p}")
-    if cfg.hardy_metric not in ("euclidean", "graph"):
-        raise ConfigError(f"unknown hardy.metric {cfg.hardy_metric!r}")
-    if cfg.rho_mode not in ("fraction", "absolute"):
-        raise ConfigError(f"rho.mode must be fraction or absolute, got {cfg.rho_mode!r}")
-    if not cfg.rho_values or min(cfg.rho_values) < 0:
+            f"bloch.grid must be small enough for grid^N |cell|^2 <= "
+            f"{MAX_BLOCH_ENTRIES}, got {grid}^{box.dimension} x {cell}^2")
+    rho_mode, rho_values = setting("rho.mode"), setting("rho.values")
+    if rho_mode not in ("fraction", "absolute"):
+        raise ConfigError(f"rho.mode must be fraction or absolute, got {rho_mode!r}")
+    if not rho_values or min(rho_values) < 0:
         raise ConfigError(
             f"rho.values must be a non-empty list of couplings >= 0, "
-            f"got {cfg.rho_values}")
-    # -0 passes the check above; written as is it would read "rho": -0
-    cfg.rho_values = tuple(0.0 if r == 0 else r for r in cfg.rho_values)
-
-    try:
-        cfg.solver = SolverConfig(**solver_kwargs)
-    except InvalidInputError as exc:
-        raise ConfigError(f"bad solver settings: {exc}") from exc
-    return cfg
+            f"got {rho_values}")
+    return RunConfig(
+        box=box, potential=potential, potential_fingerprint=fingerprint,
+        model=_built("nonlinearity.p", PowerNonlinearity, setting("nonlinearity.p")),
+        weight=_built("hardy.metric", HardyWeight, setting("hardy.metric")),
+        solver=_built("solver settings", SolverConfig, **{
+            key.removeprefix("solver."): value for key, value in values.items()
+            if key == "seed" or key.startswith("solver.")}),
+        rho_mode=rho_mode,
+        # -0 passes the check above; written as is it would read "rho": -0
+        rho_values=tuple(0.0 if r == 0 else r for r in rho_values),
+        bloch_grid=grid, out_dir=setting("output.dir"))
 
 
 def _hardy_commands_need_n3(cfg: RunConfig):
@@ -209,31 +215,23 @@ def _sha256(path: Path) -> str:
 
 
 def _gap_written_for(cfg: RunConfig) -> dict:
-    return {"potential": cfg.potential_fingerprint(), "box_radius": cfg.radius,
+    return {"potential": cfg.potential_fingerprint, "box_radius": cfg.radius,
             "grid": cfg.bloch_grid}
 
 
 def _constants_written_for(cfg: RunConfig) -> dict:
-    return {"fingerprint": {"potential": cfg.potential_fingerprint(),
-                            "R": cfg.radius, "metric": cfg.hardy_metric},
-            "N": cfg.dimension, "R": cfg.radius, "metric": cfg.hardy_metric}
+    metric = cfg.weight.metric
+    return {"fingerprint": {"potential": cfg.potential_fingerprint,
+                            "R": cfg.radius, "metric": metric},
+            "N": cfg.dimension, "R": cfg.radius, "metric": metric}
 
 
 def _certify(cfg: RunConfig, out: Path, write_bands: bool):
     """The certified box split; writes split.npy and then gap.json, which
-    holds split.npy's hash (and bands.csv for certify-gap).  The box, with
-    it the site budget, and the Bloch stack's size are checked before any
-    Bloch work."""
-    box = cfg.box()
-    potential = cfg.potential()
-    cell = potential.cell_size
-    if cfg.bloch_grid ** cfg.dimension * cell ** 2 > MAX_BLOCH_ENTRIES:
-        raise ConfigError(
-            f"bloch.grid must be small enough for grid^N |cell|^2 <= "
-            f"{MAX_BLOCH_ENTRIES}, got {cfg.bloch_grid}^{cfg.dimension} x {cell}^2")
-    table = bloch_band_edges(potential, grid=cfg.bloch_grid)
-    operator = assemble_operator(box, potential)
-    split = spectral_split(box, operator, table.gap)
+    holds split.npy's hash (and bands.csv for certify-gap)."""
+    table = bloch_band_edges(cfg.potential, grid=cfg.bloch_grid)
+    operator = assemble_operator(cfg.box, cfg.potential)
+    split = spectral_split(cfg.box, operator, table.gap)
     if write_bands:
         table.to_csv(out / "bands.csv")
     save_eigenpairs(split, out / SPLIT_FILE)
@@ -303,9 +301,8 @@ def _ensure_split(cfg: RunConfig, out: Path):
         return _certify(cfg, out, write_bands=False)
 
     def build(data):
-        box = cfg.box()
         eigenpairs = _load_split_file(out, data.get("eigenpairs"))
-        return spectral_split(box, assemble_operator(box, cfg.potential()),
+        return spectral_split(cfg.box, assemble_operator(cfg.box, cfg.potential),
                               (data["sigma_minus"], data["sigma_plus"]), eigenpairs)
 
     return _load_artifact(path, "certify-gap", _gap_written_for(cfg),
@@ -324,12 +321,11 @@ def _ensure_constants(cfg: RunConfig, out: Path, split) -> InequalityConstants:
                 dimension=data["N"], radius=data["R"], kappa=data["kappa"],
                 rho_plus=data["rho_plus"], rho_tilde_plus=data["rho_tilde_plus"],
                 rho_max=data["rho_max"], metric=data["metric"]))
-    weight = cfg.weight()
-    hardy = best_hardy_constant(split.box, weight)
+    hardy = best_hardy_constant(split.box, cfg.weight)
     rp = rho_plus(split)
     constants = InequalityConstants(
         dimension=cfg.dimension, radius=cfg.radius, kappa=hardy.kappa,
-        rho_plus=rp.value, metric=cfg.hardy_metric)
+        rho_plus=rp.value, metric=cfg.weight.metric)
     write_field(hardy.witness, out / "kappa_witness.field")
     write_field(rp.witness, out / "rho_plus_witness.field")
     payload = {**constants.to_dict(), **_constants_written_for(cfg),
@@ -363,7 +359,7 @@ def cmd_constants(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_validate(cfg: RunConfig, out: Path) -> int:
-    report = validate_hypotheses(cfg.model())
+    report = validate_hypotheses(cfg.model)
     jsonio.dump(report.to_dict(), out / "hypothesis_report.json")
     return 0
 
@@ -380,8 +376,8 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
         raise ConfigError("solve needs exactly one rho value")
     split = _ensure_split(cfg, out)
     (rho,), constants = _resolve_rhos(cfg, out, split)
-    result = solve_ground_state(split, cfg.model(), rho, cfg.solver,
-                                weight=cfg.weight(), constants=constants)
+    result = solve_ground_state(split, cfg.model, rho, cfg.solver,
+                                weight=cfg.weight, constants=constants)
     write_field(result.u, out / "solution.field")
     with atomic_open(out / "run_log.jsonl") as fh:
         for record in result.trace:
@@ -409,10 +405,7 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     _hardy_commands_need_n3(cfg)
     # fractions of rho_max > 0 keep the order and the trailing 0, so the
     # configured list passes exactly when the resolved one does
-    try:
-        SweepPlan(rho_values=cfg.rho_values)
-    except InvalidInputError as exc:
-        raise ConfigError(f"bad rho.values for sweep: {exc}") from exc
+    _built("rho.values for sweep", SweepPlan, rho_values=cfg.rho_values)
     positive = sum(r > 0 for r in cfg.rho_values)
     if positive < MIN_POSITIVE_COUPLINGS:
         raise ConfigError(
@@ -421,8 +414,8 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     split = _ensure_split(cfg, out)
     rhos, constants = _resolve_rhos(cfg, out, split)
     plan = SweepPlan(rho_values=rhos)
-    records = sweep_rho(plan, split, cfg.model(), cfg.solver,
-                        weight=cfg.weight(), constants=constants)
+    records = sweep_rho(plan, split, cfg.model, cfg.solver,
+                        weight=cfg.weight, constants=constants)
     _write_sweep_csv(records, out / "sweep.csv")
     write_field(records[-1].field, out / "baseline.field")
     report = convergence_report(records[:-1], records[-1])
@@ -455,10 +448,7 @@ def main(argv=None) -> int:
         if args.threads is not None and args.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {args.threads}")
         if args.seed is not None:
-            try:
-                cfg.solver = replace(cfg.solver, seed=args.seed)
-            except InvalidInputError as exc:
-                raise ConfigError(f"bad --seed: {exc}") from exc
+            cfg.solver = _built("--seed", replace, cfg.solver, seed=args.seed)
         out = Path(args.out if args.out is not None else cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out)

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConvergenceError, HypothesisError, InvalidInputError,
-                     LatticeGapError)
+from .errors import ConvergenceError, InvalidInputError, NumericalError
 from .hardy import EUCLIDEAN_WEIGHT, HardyWeight
 from .lattice import LatticeField
 from .nonlinearity import Nonlinearity
@@ -91,12 +90,12 @@ def sweep_rho(plan: SweepPlan, split: SpectralSplit, model: Nonlinearity,
 
     The final (rho = 0) record is the baseline; distances to it are filled in
     a second pass once it is known.  A numerical failure aborts the sweep
-    with the partial records attached to the raised error; a hypothesis
-    violation (a coupling beyond the admissible bound, say) propagates as is,
-    and so do `constants` of another box or metric, refused before any solve.
+    as a ConvergenceError with the partial records attached; any other
+    error propagates as is: a hypothesis violation (a coupling beyond the
+    admissible bound, say) and an input error (`constants` of another box
+    or metric, a box no wider than the boundary layers), which the first
+    solve refuses before any work.
     """
-    if constants is not None:
-        constants.check_fits(split.box, weight)
     config = config or SolverConfig()
     records: list[SweepRecord] = []
     warm = None
@@ -105,9 +104,7 @@ def sweep_rho(plan: SweepPlan, split: SpectralSplit, model: Nonlinearity,
             result = solve_ground_state(
                 split, model, rho, config, weight=weight, constants=constants,
                 warm_start=warm)
-        except HypothesisError:
-            raise
-        except LatticeGapError as exc:
+        except NumericalError as exc:
             err = ConvergenceError(f"sweep aborted at rho = {rho}: {exc}")
             err.partial_records = records
             raise err from exc

@@ -22,7 +22,7 @@ from .errors import InvalidInputError, RhoOutOfRangeError
 from .hardy import EUCLIDEAN_WEIGHT, HardyWeight, InequalityConstants, weighted_mass
 from .lattice import LatticeField
 from .nonlinearity import Nonlinearity
-from .spectral import SpectralSplit, split_inner
+from .spectral import SpectralSplit, check_on_box, split_inner
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,9 @@ class SiteTerms:
     """Site-space terms of J_rho, J' and J'' on site-value arrays, with the
     split they act on.
 
+    The one owner of the coupling's sign: a rho that is not >= 0 (NaN
+    included) is refused here, so every solver and energy entry point,
+    which builds its terms first, refuses it before any work.
     With w the Hardy weight (evaluated once, and only for rho > 0):
     energy = nonlinear + hardy = sum F + 1/2 rho sum w u^2,
     force = f + rho w u, hess_diag = df + rho w, and
@@ -58,6 +61,8 @@ class SiteTerms:
 
     def __init__(self, split: SpectralSplit, model: Nonlinearity, rho: float,
                  weight: HardyWeight = EUCLIDEAN_WEIGHT):
+        if not rho >= 0:
+            raise InvalidInputError(f"rho must be >= 0, got {rho}")
         self.split = split
         self.operator = split.operator
         self.model = model
@@ -94,16 +99,9 @@ class SiteTerms:
         return r
 
 
-def _check(split: SpectralSplit, u: LatticeField, rho: float):
-    if u.box != split.box:
-        raise InvalidInputError("field box does not match the split's box")
-    if not rho >= 0:
-        raise InvalidInputError(f"rho must be >= 0, got {rho}")
-
-
 def evaluate_energy(split: SpectralSplit, model: Nonlinearity, u: LatticeField,
                     rho: float, weight: HardyWeight = EUCLIDEAN_WEIGHT) -> EnergyReport:
-    _check(split, u, rho)
+    check_on_box(split, u)
     terms = SiteTerms(split, model, rho, weight)
     coords = split.coords_of(u.values)
     quadratic = 0.5 * float(np.sum(split.eigenvalues * coords ** 2))
@@ -116,13 +114,12 @@ def evaluate_energy(split: SpectralSplit, model: Nonlinearity, u: LatticeField,
 def gradient(split: SpectralSplit, model: Nonlinearity, u: LatticeField,
              rho: float, weight: HardyWeight = EUCLIDEAN_WEIGHT) -> LatticeField:
     """l2 representative of the Gateaux derivative: A u - rho w u - f(u)."""
-    _check(split, u, rho)
+    check_on_box(split, u)
     return LatticeField(split.box, SiteTerms(split, model, rho, weight).gradient(u.values))
 
 
 def nehari_residual(split: SpectralSplit, model: Nonlinearity, u: LatticeField,
                     rho: float, weight: HardyWeight = EUCLIDEAN_WEIGHT) -> NehariResidual:
-    _check(split, u, rho)
     grad = gradient(split, model, u, rho, weight)
     coords = split.coords_of(grad.values)
     return NehariResidual(
@@ -141,9 +138,10 @@ def rho_norm_plus(split: SpectralSplit, u_plus: LatticeField, rho: float,
     (`InequalityConstants.check_fits`), and the admissibility bound
     rho < rho_plus/kappa is enforced; the norm is then positive definite.
     """
-    _check(split, u_plus, rho)
+    check_on_box(split, u_plus)
     if constants is not None:
         constants.check_fits(split.box, weight)
+    hardy = weighted_mass(u_plus, rho, weight)
     coords = split.coords_of(u_plus.values)
     minus_part = float(np.linalg.norm(coords[split.minus]))
     if minus_part > 1e-10 * (1.0 + float(np.linalg.norm(u_plus.values))):
@@ -152,4 +150,4 @@ def rho_norm_plus(split: SpectralSplit, u_plus: LatticeField, rho: float,
     if constants is not None and rho >= constants.rho_plus / constants.kappa:
         raise RhoOutOfRangeError(
             f"rho = {rho} >= rho_plus/kappa = {constants.rho_plus / constants.kappa}")
-    return split_inner(split, u_plus, u_plus) - weighted_mass(u_plus, rho, weight)
+    return split_inner(split, u_plus, u_plus) - hardy

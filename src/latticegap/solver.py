@@ -59,7 +59,7 @@ from .errors import (ConvergenceError, DegenerateProblemError,
 from .hardy import EUCLIDEAN_WEIGHT, HardyWeight, compute_constants
 from .lattice import LatticeField
 from .nonlinearity import U_MAX, Nonlinearity, validate_hypotheses
-from .spectral import SpectralSplit, split_norm
+from .spectral import SpectralSplit, check_on_box, split_norm
 
 
 @dataclass(frozen=True)
@@ -456,8 +456,7 @@ def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
     terms = SiteTerms(split, model, rho, weight)
     starts: list[tuple[np.ndarray, tuple | None]] = []
     if warm_start is not None:
-        if warm_start.box != split.box:
-            raise InvalidInputError("field box does not match the split's box")
+        check_on_box(split, warm_start)
         coords = split.coords_of(warm_start.values)
         wp = coords[split.plus]
         t0 = _plus_norm(split, wp)
@@ -577,8 +576,7 @@ def polish_newton(split: SpectralSplit, model: Nonlinearity, rho: float,
     until the residual decreases.  Starting at an exact solution returns the
     input unchanged after zero iterations.
     """
-    if u0.box != split.box:
-        raise InvalidInputError("field box does not match the split's box")
+    check_on_box(split, u0)
     values, history, iters = _polish_core(SiteTerms(split, model, rho, weight),
                                           u0.values)
     u = LatticeField(split.box, values)
@@ -649,14 +647,13 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
                        warm_start: LatticeField | None = None) -> GroundStateResult:
     """Full pipeline: outer min-max, one Newton polish, exit checks.
 
-    Supplied `constants` must fit the split's box and `weight`.
+    Supplied `constants` must fit the split's box and `weight`; a coupling
+    that is not >= 0 is refused by `SiteTerms`, before the multistart.
     Post-conditions enforced on the returned state: both Nehari residuals at
     the polish tolerance, positive level above the closed-form sphere floor
     (`_sphere_floor`), and the sampled maximality certificate.
     """
     cfg = config or SolverConfig()
-    if not rho >= 0:
-        raise InvalidInputError(f"rho must be >= 0, got {rho}")
     if constants is not None:
         constants.check_fits(split.box, weight)
     if cfg.boundary_layers >= split.box.radius:

@@ -97,15 +97,20 @@ def checkerboard_potential(dimension: int, amplitude: float = 1.0,
                            shift: float | None = None) -> PeriodicPotential:
     """Sign-alternating potential c*(-1)^(x_1+...+x_N) + shift, period 2.
 
-    The default shift -2N cancels the Laplacian diagonal, which places the
-    spectrum symmetrically around 0 with gap (-|c|, |c|).
+    The shift is `checkerboard_shift(dimension, shift)`.
     """
-    if shift is None:
-        shift = -2.0 * dimension
     period = (2,) * dimension
     idx = np.indices(period).reshape(dimension, -1).T
-    cell = (amplitude * (-1.0) ** idx.sum(axis=1) + shift).reshape(period)
+    cell = (amplitude * (-1.0) ** idx.sum(axis=1)
+            + checkerboard_shift(dimension, shift)).reshape(period)
     return PeriodicPotential(period, cell)
+
+
+def checkerboard_shift(dimension: int, shift: float | None) -> float:
+    """`shift`, or by default -2N, which cancels the Laplacian diagonal and
+    so places the checkerboard's spectrum symmetrically around 0 with gap
+    (-|c|, |c|)."""
+    return -2.0 * dimension if shift is None else shift
 
 
 def constant_potential(dimension: int, value: float) -> PeriodicPotential:
@@ -552,12 +557,17 @@ def load_eigenpairs(path) -> list[tuple[np.ndarray, np.ndarray]]:
     return list(zip(records[::2], records[1::2]))
 
 
+def check_on_box(split: SpectralSplit, *fields: LatticeField) -> None:
+    """Refuse fields that do not live on the split's box."""
+    if any(u.box != split.box for u in fields):
+        raise InvalidInputError("field box does not match the split's box")
+
+
 def project(split: SpectralSplit, u: LatticeField, sign: str) -> LatticeField:
     """Spectral projection of u onto X^+ ("plus") or X^- ("minus")."""
     if sign not in ("plus", "minus"):
         raise InvalidInputError(f'sign must be "plus" or "minus", got {sign!r}')
-    if u.box != split.box:
-        raise InvalidInputError("field box does not match the split's box")
+    check_on_box(split, u)
     coords = split.coords_of(u.values)
     coords[split.plus if sign == "minus" else split.minus] = 0.0
     return LatticeField(split.box, split.values_of(coords))
@@ -565,8 +575,7 @@ def project(split: SpectralSplit, u: LatticeField, sign: str) -> LatticeField:
 
 def split_inner(split: SpectralSplit, u: LatticeField, v: LatticeField) -> float:
     """Equivalent inner product (u, v) = (A u^+, v^+)_2 - (A u^-, v^-)_2."""
-    if u.box != split.box or v.box != split.box:
-        raise InvalidInputError("field box does not match the split's box")
+    check_on_box(split, u, v)
     cu, cv = split.coords_of(u.values), split.coords_of(v.values)
     return float(np.sum(np.abs(split.eigenvalues) * cu * cv))
 

@@ -580,6 +580,31 @@ class TestBadSettings:
         err = self._refused(tmp_path, capsys, "certify-gap", **{key: value})
         assert f"{key} must be" in err
 
+    @pytest.mark.parametrize("command", ["solve", "validate"])
+    @pytest.mark.parametrize("key, value", [("nonlinearity.p", "1.5"),
+                                            ("hardy.metric", "taxicab")])
+    def test_library_rule_refused_with_its_key(self, tmp_path, capsys,
+                                               monkeypatch, command, key, value):
+        # the model and the weight refuse their own settings while the
+        # config is parsed, and the refusal names the key
+        def bloch_band_edges(*args, **kwargs):
+            raise AssertionError("Bloch bands computed before the check")
+
+        monkeypatch.setattr(cli, "bloch_band_edges", bloch_band_edges)
+        err = self._refused(tmp_path, capsys, command, **{key: value})
+        assert key in err
+        assert not (tmp_path / "out" / "hypothesis_report.json").exists()
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"dimension": "6"}, "above the budget"),
+        ({"box.radius": "1"}, "box.radius must be")], ids=["budget", "radius"])
+    def test_validate_checks_the_box(self, tmp_path, capsys, overrides, message):
+        # every rule is checked while the config is parsed, so a command
+        # that never builds a split refuses a bad box too
+        err = self._refused(tmp_path, capsys, "validate", **overrides)
+        assert message in err
+        assert not (tmp_path / "out" / "hypothesis_report.json").exists()
+
     def test_threads_key_rejected(self, tmp_path):
         # the key had no effect and is gone; the --threads flag is still
         # accepted (and ignored) but must be >= 1

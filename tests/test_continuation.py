@@ -173,6 +173,15 @@ class TestSweep:
             lg.sweep_rho(plan, split_r3, model, cfg, constants=constants)
         assert [r.rho for r in info.value.partial_records] == [plan.rho_values[0]]
 
+    def test_input_error_propagates(self, potential, band_table, model):
+        # on an R = 1 box every site lies in the boundary layer; the solve's
+        # input error reaches the caller as is, not as a numerical failure
+        box = lg.BoxDomain(3, 1)
+        split = lg.spectral_split(box, lg.assemble_operator(box, potential),
+                                  band_table.gap)
+        with pytest.raises(InvalidInputError, match="boundary_layers = 1"):
+            lg.sweep_rho(lg.SweepPlan((0.0,)), split, model)
+
     def test_inadmissible_coupling_propagates(self, split_r3, model):
         # a hypothesis violation reaches the caller unwrapped, before any solve
         constants = lg.compute_constants(split_r3)

@@ -15,6 +15,10 @@ passes the value array and nothing else.
 Every function the benchmark tracer wraps exists under its wrapped name.
 In `cli`, a stale artifact is refused only by the loader of gap.json and
 constants.json and by the reader of split.npy.
+Each input rule has one owner that states it: the coupling's sign
+(`SiteTerms`, and `weighted_mass`, which builds no terms), a field on the
+split's box, the dimension range, p > 2, the Hardy metrics and the
+checkerboard's default shift.
 Every name the package exports has a caller outside the tests, except the
 few library-only names listed with their reasons."""
 
@@ -227,6 +231,58 @@ def test_certification_missing_raised_only_by_the_loaders():
                        and name.id == "CertificationMissingError"
                        for name in ast.walk(node))}
     assert raisers == {"_load_artifact", "_load_split_file"}
+
+
+def _owners(match) -> set[str]:
+    """The "module.Class.function" enclosing each node of src/ that `match`
+    accepts."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if match(child):
+                found.add(".".join(scope))
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + [child.name]
+            visit(child, inner)
+
+    for name, tree in TREES.items():
+        visit(tree, [name])
+    return found
+
+
+# a fragment of each input rule's refusal -> the functions that may raise it
+RULE_OWNERS = {
+    "rho must be >= 0": {"energy.SiteTerms.__init__", "hardy.weighted_mass"},
+    "box does not match": {"spectral.check_on_box"},
+    "dimension must be in": {"lattice.BoxDomain.__post_init__"},
+    "p > 2": {"nonlinearity.PowerNonlinearity.__post_init__"},
+    "metric must be": {"hardy.HardyWeight.__post_init__"},
+}
+
+
+@pytest.mark.parametrize("fragment", sorted(RULE_OWNERS))
+def test_input_rule_refused_only_by_its_owner(fragment):
+    def refuses(node):
+        return isinstance(node, ast.Raise) and node.exc is not None and any(
+            isinstance(part, ast.Constant) and isinstance(part.value, str)
+            and fragment in part.value for part in ast.walk(node.exc))
+
+    assert _owners(refuses) == RULE_OWNERS[fragment]
+
+
+def test_metric_list_and_default_shift_written_once():
+    def metric_list(node):
+        return isinstance(node, (ast.Tuple, ast.List, ast.Set)) and \
+            {"euclidean", "graph"} <= {getattr(e, "value", None) for e in node.elts}
+
+    def default_shift(node):  # -2N
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) \
+            and ast.unparse(node.left) in ("-2", "-2.0")
+
+    assert _owners(metric_list) == {"hardy.HardyWeight.__post_init__"}
+    assert _owners(default_shift) == {"spectral.checkerboard_shift"}
 
 
 # exported names with no caller in src/, demos/ or benchmarks/, kept on purpose

@@ -136,6 +136,26 @@ def test_field_from_another_box_refused(split_r2, model, call):
         call(split_r2, model, other)
 
 
+# the coupling's sign is checked once, by `SiteTerms`, which each entry
+# builds first; the hooks fail if any work starts before the refusal
+@pytest.mark.parametrize("rho", [float("nan"), -0.1], ids=["nan", "negative"])
+@pytest.mark.parametrize("call", [
+    lambda split, model, u, rho: lg.outer_minimize(split, model, rho),
+    lambda split, model, u, rho: lg.polish_newton(split, model, rho, u),
+    lambda split, model, u, rho: lg.maximality_certificate(split, model, u, rho),
+], ids=["outer_minimize", "polish_newton", "maximality_certificate"])
+def test_bad_coupling_refused_before_any_work(monkeypatch, split_r2, model,
+                                              call, rho):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the coupling was checked")
+
+    for name in ("_run_starts", "_polish_core", "split_norm"):
+        monkeypatch.setattr(solver, name, no_work)
+    u = random_field(split_r2.box, np.random.default_rng(5))
+    with pytest.raises(InvalidInputError, match="rho"):
+        call(split_r2, model, u, rho)
+
+
 class TestOuterMinimize:
     def test_monotone_trace(self, split_r3, model, quick_config):
         result = lg.outer_minimize(split_r3, model, 0.0, quick_config)

@@ -450,7 +450,10 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.solver = _built("--seed", replace, cfg.solver, seed=args.seed)
         out = Path(args.out if args.out is not None else cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
         return _COMMANDS[args.command](cfg, out)
     except (ConfigError, HypothesisError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -51,7 +51,8 @@ class SiteTerms:
     The one owner of the coupling's sign: a rho that is not >= 0 (NaN
     included) is refused here, so every solver and energy entry point,
     which builds its terms first, refuses it before any work.
-    With w the Hardy weight (evaluated once, and only for rho > 0):
+    With w the Hardy weight (evaluated once, for every rho; at rho = 0 each
+    Hardy term is a signed zero that leaves the sum it joins unchanged):
     energy = nonlinear + hardy = sum F + 1/2 rho sum w u^2,
     force = f + rho w u, hess_diag = df + rho w, and
     gradient = A u - f - rho w u, the l2 representative of J'.
@@ -67,36 +68,25 @@ class SiteTerms:
         self.operator = split.operator
         self.model = model
         self.rho = float(rho)
-        self.w = weight.on_box(split.box) if rho > 0 else None
+        self.w = weight.on_box(split.box)
 
     def nonlinear(self, u: np.ndarray):
         return np.sum(self.model.F(u), axis=-1)
 
     def hardy(self, u: np.ndarray):
-        if self.rho > 0:
-            return 0.5 * self.rho * np.sum(self.w * u * u, axis=-1)
-        return 0.0
+        return 0.5 * self.rho * np.sum(self.w * u * u, axis=-1)
 
     def energy(self, u: np.ndarray):
         return self.nonlinear(u) + self.hardy(u)
 
     def force(self, u: np.ndarray) -> np.ndarray:
-        r = self.model.f(u)
-        if self.rho > 0:
-            r = r + self.rho * self.w * u
-        return r
+        return self.model.f(u) + self.rho * self.w * u
 
     def hess_diag(self, u: np.ndarray) -> np.ndarray:
-        d = self.model.df(u)
-        if self.rho > 0:
-            d = d + self.rho * self.w
-        return np.asarray(d, dtype=float)
+        return np.asarray(self.model.df(u) + self.rho * self.w, dtype=float)
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
-        r = self.operator @ u - self.model.f(u)
-        if self.rho > 0:
-            r = r - self.rho * self.w * u
-        return r
+        return self.operator @ u - self.model.f(u) - self.rho * self.w * u
 
 
 def evaluate_energy(split: SpectralSplit, model: Nonlinearity, u: LatticeField,

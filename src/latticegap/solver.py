@@ -44,7 +44,7 @@ import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from typing import ClassVar
 
 import numpy as np
@@ -56,7 +56,7 @@ from .errors import (ConvergenceError, DegenerateProblemError,
                      InvalidInputError, ModelHypothesisError, NumericalError,
                      PostConditionError, RhoOutOfRangeError,
                      SingularJacobianError)
-from .hardy import EUCLIDEAN_WEIGHT, HardyWeight, compute_constants
+from .hardy import EUCLIDEAN_WEIGHT, HardyWeight
 from .lattice import LatticeField
 from .nonlinearity import U_MAX, Nonlinearity, validate_hypotheses
 from .spectral import SpectralSplit, check_on_box, split_norm
@@ -442,9 +442,12 @@ def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
     """Minimize the reduced functional over unit X^+ directions (multistart).
 
     Returns the least-level candidate before Newton polishing.  Ties within
-    1e-10 are broken by the smaller l2 norm.  Raises DegenerateProblemError
-    when every start collapses.  The diagnostics list each start's level,
-    status, outer and inner iterations and line-search trials in start order.
+    1e-10 are broken by the smaller l2 norm.  With no converged or stalled
+    start it raises DegenerateProblemError when every start collapsed and
+    ConvergenceError otherwise; the interior filter then sees only usable
+    starts and raises ConvergenceError when it keeps none.  The diagnostics
+    list each start's level, status, outer and inner iterations and
+    line-search trials in start order.
 
     The starts (one for a warm start) run in up to min(starts, cores)
     forked worker processes where the platform can fork, and in-process
@@ -488,6 +491,11 @@ def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
 
     results = _run_starts(terms, starts)
     usable = [r for r in results if r.status in ("converged", "stalled")]
+    if not usable:
+        if all(r.status == "degenerate" for r in results):
+            raise DegenerateProblemError("degenerate: no nontrivial critical point")
+        raise ConvergenceError(
+            "no start converged: " + "; ".join(r.reason or r.status for r in results))
     boundary = {}
     if cfg.max_boundary_mass is not None:
         boundary = {r.index: boundary_mass_fraction(split.box, r.values) for r in usable}
@@ -498,11 +506,6 @@ def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
                 + ", ".join(f"{boundary[r.index]:.2e}" for r in usable)
                 + f" all above {cfg.max_boundary_mass}); increase the box radius")
         usable = interior
-    if not usable:
-        if all(r.status == "degenerate" for r in results):
-            raise DegenerateProblemError("degenerate: no nontrivial critical point")
-        raise ConvergenceError(
-            "no start converged: " + "; ".join(r.reason or r.status for r in results))
 
     best = min(usable, key=lambda r: (round(r.value / 1e-10), r.coords_norm))
     levels = sorted(r.value for r in usable)
@@ -530,7 +533,7 @@ def _polish_core(terms: SiteTerms, values: np.ndarray):
     r = terms.gradient(u)
     rn = float(np.linalg.norm(r))
     if rn > SolverConfig.polish_entry * (1.0 + float(np.linalg.norm(u))):
-        raise InvalidInputError(
+        raise ConvergenceError(
             f"residual {rn:.3e} too large for local Newton polishing")
     history = [rn]
     fails = 0
@@ -574,7 +577,8 @@ def polish_newton(split: SpectralSplit, model: Nonlinearity, rho: float,
 
     The Jacobian is A - rho W - diag(df(u)); steps are damped by halving
     until the residual decreases.  Starting at an exact solution returns the
-    input unchanged after zero iterations.
+    input unchanged after zero iterations; a start whose residual is above
+    `SolverConfig.polish_entry` is a ConvergenceError, as is a stalled polish.
     """
     check_on_box(split, u0)
     values, history, iters = _polish_core(SiteTerms(split, model, rho, weight),
@@ -647,8 +651,12 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
                        warm_start: LatticeField | None = None) -> GroundStateResult:
     """Full pipeline: outer min-max, one Newton polish, exit checks.
 
-    Supplied `constants` must fit the split's box and `weight`; a coupling
-    that is not >= 0 is refused by `SiteTerms`, before the multistart.
+    A coupling rho > 0 needs the box `constants` (`compute_constants`),
+    which must fit the split's box and `weight`; a coupling that is not
+    >= 0 is refused by `SiteTerms`.  Both are refused before the multistart.
+    Every outcome of the search that is not an input error (a stalled or
+    degenerate search, a polish that cannot start or converge, a failed
+    exit check) is a NumericalError.
     Post-conditions enforced on the returned state: both Nehari residuals at
     the polish tolerance, positive level above the closed-form sphere floor
     (`_sphere_floor`), and the sampled maximality certificate.
@@ -656,6 +664,9 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
     cfg = config or SolverConfig()
     if constants is not None:
         constants.check_fits(split.box, weight)
+    elif rho > 0:
+        raise InvalidInputError(
+            f"rho = {rho} > 0 needs the box constants (compute_constants)")
     if cfg.boundary_layers >= split.box.radius:
         raise InvalidInputError(
             f"boundary_layers = {cfg.boundary_layers} must be below the box "
@@ -665,8 +676,6 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
         raise ModelHypothesisError(
             "nonlinearity fails hypotheses: " + ", ".join(report.failed_names()))
     if rho > 0:
-        if constants is None:
-            constants = compute_constants(split, weight)
         cap = 0.9 * constants.rho_max
         if rho > cap * (1.0 + 1e-12):
             raise RhoOutOfRangeError(
@@ -705,16 +714,9 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
     if problems:
         raise PostConditionError("not a Nehari point: " + "; ".join(problems))
 
-    diagnostics = dict(candidate.diagnostics)
-    diagnostics["sphere_floor"] = floor
-    diagnostics["certified"] = certified
-    diagnostics["boundary_mass"] = bmass
-    return GroundStateResult(
-        u=u, c_rho=level, residual_full=polished.residual_full,
-        residual_along_u=polished.residual_along_u,
-        residual_along_minus=polished.residual_along_minus,
-        outer_iterations=candidate.outer_iterations,
+    return replace(
+        polished, outer_iterations=candidate.outer_iterations,
         inner_iterations=candidate.inner_iterations,
-        polish_iterations=polished.polish_iterations,
         start_index=candidate.start_index, trace=candidate.trace,
-        polish_residuals=polished.polish_residuals, diagnostics=diagnostics)
+        diagnostics={**candidate.diagnostics, "sphere_floor": floor,
+                     "certified": certified, "boundary_mass": bmass})

@@ -518,6 +518,86 @@ class TestSolve:
             == (out2 / "solution.field").read_bytes()
 
 
+def _absolute_solve(fraction):
+    """A solve at the absolute coupling `fraction` * rho_max of the box."""
+    def setup(tmp_path, out):
+        assert main(["constants", "--config", str(write_config(tmp_path)),
+                     "--out", str(out)]) == 0
+        rho = fraction * json.loads((out / "constants.json").read_text())["rho_max"]
+        return ["solve", "--config", str(write_config(
+            tmp_path, name="abs.cfg", **{"rho.values": repr(rho)}))], rho
+    return setup
+
+
+def _config_setting(**overrides):
+    def setup(tmp_path, out):
+        return ["validate", "--config", str(write_config(tmp_path, **overrides))], None
+    return setup
+
+
+def _config_line(line):
+    def setup(tmp_path, out):
+        path = write_config(tmp_path)
+        path.write_text(path.read_text() + line + "\n")
+        return ["validate", "--config", str(path)], None
+    return setup
+
+
+def _missing_config(tmp_path, out):
+    return ["validate", "--config", str(tmp_path / "missing.cfg")], None
+
+
+def _gap_holding_an_array(tmp_path, out):
+    cfg = str(write_config(tmp_path))
+    assert main(["certify-gap", "--config", cfg, "--out", str(out)]) == 0
+    (out / "gap.json").write_text("[]\n")
+    return ["solve", "--config", cfg], None
+
+
+def _out_at(relative):
+    """`--out` at `relative` under tmp_path, where out/ is a regular file."""
+    def setup(tmp_path, out):
+        out.write_text("a file\n")
+        return ["validate", "--config", str(write_config(tmp_path)),
+                "--out", str(tmp_path / relative)], None
+    return setup
+
+
+class TestRareExits:
+    """Exit paths the other tests never take: each exits with its status
+    and message, and no traceback."""
+
+    @pytest.mark.parametrize("setup, status, message", [
+        (_absolute_solve(0.5), 0, ""),
+        (_absolute_solve(0.95), 2, "exceeds 0.9 * rho_max"),
+        (_config_setting(**{"rho.mode": "relative"}), 2,
+         "rho.mode must be fraction or absolute, got 'relative'"),
+        (_config_line("seed 12"), 2, "expected 'key = value', got 'seed 12'"),
+        (_missing_config, 2, "cannot read config file"),
+        (_gap_holding_an_array, 2,
+         "gap.json does not hold a JSON object; re-run certify-gap"),
+        (_out_at("out"), 2, "cannot create output directory"),
+        (_out_at("out/sub"), 2, "cannot create output directory"),
+    ], ids=["absolute", "absolute-above-cap", "unknown-rho-mode",
+            "line-without-equals", "unreadable-config", "gap-json-array",
+            "out-is-a-file", "out-under-a-file"])
+    def test_exit_status_and_message(self, tmp_path, capsys, setup, status,
+                                     message):
+        out = tmp_path / "out"
+        argv, rho = setup(tmp_path, out)
+        if "--out" not in argv:
+            argv += ["--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == status
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        if status == 0:
+            assert err == ""
+            # the configured absolute coupling is solved and recorded as is
+            summary = json.loads((out / "solve_summary.json").read_text())
+            assert summary["rho"] == rho
+
+
 class TestBadSettings:
     """Non-finite settings and bad coupling lists exit 2 before any work."""
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import latticegap as lg
-from latticegap import continuation
+from latticegap import continuation, solver
 from latticegap.continuation import SweepRecord, superquadratic_mass
 from latticegap.errors import InvalidInputError, RhoOutOfRangeError
 
@@ -170,6 +170,27 @@ class TestSweep:
         cfg = lg.SolverConfig(seed=5, multistart=1)
         with pytest.raises(lg.ConvergenceError,
                            match="sweep aborted at rho = 0.0") as info:
+            lg.sweep_rho(plan, split_r3, model, cfg, constants=constants)
+        assert [r.rho for r in info.value.partial_records] == [plan.rho_values[0]]
+
+    def test_polish_refusal_mid_sweep_keeps_partial_records(
+            self, monkeypatch, split_r3, model):
+        # a candidate too far from critical for the polish is a stalled
+        # search, a numerical failure, wherever in the sweep it surfaces
+        constants = lg.compute_constants(split_r3)
+        outer = solver.outer_minimize
+
+        def off_at_zero(split, model, rho, *args, **kwargs):
+            result = outer(split, model, rho, *args, **kwargs)
+            if rho == 0.0:
+                result.u = lg.LatticeField(split.box, 1.5 * result.u.values)
+            return result
+
+        monkeypatch.setattr(solver, "outer_minimize", off_at_zero)
+        plan = lg.SweepPlan((0.1 * constants.rho_max, 0.0))
+        cfg = lg.SolverConfig(seed=5, multistart=1)
+        with pytest.raises(lg.ConvergenceError,
+                           match="sweep aborted at rho = 0.0: residual") as info:
             lg.sweep_rho(plan, split_r3, model, cfg, constants=constants)
         assert [r.rho for r in info.value.partial_records] == [plan.rho_values[0]]
 

@@ -15,6 +15,9 @@ passes the value array and nothing else.
 Every function the benchmark tracer wraps exists under its wrapped name.
 In `cli`, a stale artifact is refused only by the loader of gap.json and
 constants.json and by the reader of split.npy.
+`energy.SiteTerms` states each term of J_rho once for every coupling: the
+coupling is compared only in its sign check.  `solver` takes only the
+Hardy weight from `hardy`; the box constants come from its caller.
 Each input rule has one owner that states it: the coupling's sign
 (`SiteTerms`, and `weighted_mass`, which builds no terms), a field on the
 split's box, the dimension range, p > 2, the Hardy metrics and the
@@ -320,3 +323,25 @@ def test_exports_have_callers_outside_tests():
     assert not test_only, f"exports only the tests call: {test_only}"
     stale = sorted(set(LIBRARY_ONLY) - (exported - used))
     assert not stale, f"LIBRARY_ONLY lists used or unexported names: {stale}"
+
+
+def test_site_terms_compare_the_coupling_only_in_the_sign_check():
+    def names_rho(node):
+        return any(isinstance(part, ast.Name) and part.id == "rho"
+                   or isinstance(part, ast.Attribute) and part.attr == "rho"
+                   for part in ast.walk(node))
+
+    site_terms = next(node for node in TREES["energy"].body
+                      if isinstance(node, ast.ClassDef) and node.name == "SiteTerms")
+    found = [(method.name, ast.unparse(node))
+             for method in site_terms.body if isinstance(method, ast.FunctionDef)
+             for node in ast.walk(method)
+             if isinstance(node, ast.Compare) and names_rho(node)]
+    assert found == [("__init__", "rho >= 0")], found
+
+
+def test_solver_takes_only_the_weight_from_hardy():
+    names = {alias.name for node in TREES["solver"].body
+             if isinstance(node, ast.ImportFrom) and node.module == "hardy"
+             for alias in node.names}
+    assert names == {"EUCLIDEAN_WEIGHT", "HardyWeight"}

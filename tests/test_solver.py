@@ -13,8 +13,9 @@ import pytest
 
 import latticegap as lg
 from latticegap import solver
-from latticegap.errors import (DegenerateProblemError, InvalidInputError,
-                               NumericalError, RhoOutOfRangeError)
+from latticegap.errors import (ConvergenceError, DegenerateProblemError,
+                               InvalidInputError, NumericalError,
+                               RhoOutOfRangeError)
 from latticegap.nonlinearity import CustomNonlinearity
 from latticegap.energy import SiteTerms
 from latticegap.solver import _inner_core, _Slab
@@ -183,6 +184,12 @@ class TestOuterMinimize:
         with pytest.raises(DegenerateProblemError):
             lg.outer_minimize(split_r2, lg.ZeroNonlinearity(), 0.0, quick_config)
 
+    def test_all_degenerate_raises_before_the_interior_filter(self, split_r2):
+        # with no usable start there is no candidate for the filter to judge
+        cfg = lg.SolverConfig(seed=1, multistart=3, max_boundary_mass=0.25)
+        with pytest.raises(DegenerateProblemError, match="degenerate"):
+            lg.outer_minimize(split_r2, lg.ZeroNonlinearity(), 0.0, cfg)
+
 
 class TestPolishNewton:
     def test_reaches_polish_tolerance(self, split_r2, model, rough_candidate, quick_config):
@@ -207,7 +214,7 @@ class TestPolishNewton:
 
     def test_entry_threshold_enforced(self, split_r2, model):
         far = random_field(split_r2.box, np.random.default_rng(7))
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(ConvergenceError, match="too large for local Newton"):
             lg.polish_newton(split_r2, model, 0.0, far)
 
 
@@ -307,6 +314,17 @@ class TestSolveGroundState:
     def test_bad_rho_rejected(self, split_r2, model, rho):
         with pytest.raises(InvalidInputError, match="rho"):
             lg.solve_ground_state(split_r2, model, rho)
+
+    def test_positive_rho_without_constants_refused(self, monkeypatch,
+                                                     split_r2, model):
+        # the coupling cap and the sphere floor need rho_max; the solver
+        # does not compute the box constants behind the caller's back
+        def run_starts(*args):
+            raise AssertionError("the multistart ran")
+
+        monkeypatch.setattr(solver, "_run_starts", run_starts)
+        with pytest.raises(InvalidInputError, match="compute_constants"):
+            lg.solve_ground_state(split_r2, model, 0.1)
 
     def test_rho_above_cap_rejected(self, split_r3, model):
         constants = lg.compute_constants(split_r3)

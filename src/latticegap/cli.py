@@ -21,6 +21,10 @@ reals where the file has them, from which the split (with split.npy of
 the recorded hash) or the constants build.  Anything else asks for the
 stage that wrote the file to be re-run.
 
+The constants stage holds one dense eigenproblem at a time: it loads and
+checks the split, solves the rho_plus sector pencils, drops the split,
+solves the kappa pencil, and writes the witnesses and constants.json.
+
 Exit status: 0 on success, 2 when the configured problem violates a
 structural hypothesis (no spectral gap at 0, coupling out of range, model
 hypothesis failure, stale certification) or the configuration is invalid,
@@ -131,7 +135,7 @@ def parse_config(path) -> RunConfig:
     cell has 2^N entries, is built."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -257,7 +261,7 @@ def _load_artifact(path: Path, rerun: str, written_for: dict,
 
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise refused(f"is unreadable ({exc})") from exc
     if not isinstance(data, dict):
         raise refused("does not hold a JSON object")
@@ -310,8 +314,15 @@ def _ensure_split(cfg: RunConfig, out: Path):
                           build)
 
 
-def _ensure_constants(cfg: RunConfig, out: Path, split) -> InequalityConstants:
-    """Reuse constants.json, or compute the constants and write it."""
+def _ensure_constants(cfg: RunConfig, out: Path, load_split) -> InequalityConstants:
+    """Reuse constants.json, or compute the constants and write it.
+
+    `load_split()` is called first either way, so reusing constants.json
+    still needs a valid gap.json and split.npy.  The split is dropped after
+    the rho_plus pencils, so unless a caller holds it, it is freed before
+    the kappa pencil, which does not read it.
+    """
+    split = load_split()
     path = out / "constants.json"
     if path.exists():
         return _load_artifact(
@@ -321,8 +332,9 @@ def _ensure_constants(cfg: RunConfig, out: Path, split) -> InequalityConstants:
                 dimension=data["N"], radius=data["R"], kappa=data["kappa"],
                 rho_plus=data["rho_plus"], rho_tilde_plus=data["rho_tilde_plus"],
                 rho_max=data["rho_max"], metric=data["metric"]))
-    hardy = best_hardy_constant(split.box, cfg.weight)
     rp = rho_plus(split)
+    del split
+    hardy = best_hardy_constant(cfg.box, cfg.weight)
     constants = InequalityConstants(
         dimension=cfg.dimension, radius=cfg.radius, kappa=hardy.kappa,
         rho_plus=rp.value, metric=cfg.weight.metric)
@@ -340,7 +352,7 @@ def _resolve_rhos(cfg: RunConfig, out: Path, split):
     for fraction resolution and for the admissibility check."""
     if not any(r > 0 for r in cfg.rho_values):
         return cfg.rho_values, None
-    constants = _ensure_constants(cfg, out, split)
+    constants = _ensure_constants(cfg, out, lambda: split)
     if cfg.rho_mode == "absolute":
         return cfg.rho_values, constants
     return tuple(f * constants.rho_max for f in cfg.rho_values), constants
@@ -353,8 +365,8 @@ def cmd_certify_gap(cfg: RunConfig, out: Path) -> int:
 
 def cmd_constants(cfg: RunConfig, out: Path) -> int:
     _hardy_commands_need_n3(cfg)
-    split = _ensure_split(cfg, out)
-    _ensure_constants(cfg, out, split)
+    # a loader, not a split: no frame here keeps the split alive
+    _ensure_constants(cfg, out, lambda: _ensure_split(cfg, out))
     return 0
 
 

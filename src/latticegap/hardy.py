@@ -195,7 +195,11 @@ class InequalityConstants:
 
 def compute_constants(split: SpectralSplit,
                       weight: HardyWeight = EUCLIDEAN_WEIGHT) -> InequalityConstants:
-    """kappa and rho_plus on the split's box, bundled with the derived bound."""
+    """kappa and rho_plus on the split's box, bundled with the derived bound.
+
+    The caller's split stays alive across both pencils; the CLI's
+    `constants` stage instead drops it before the kappa pencil, which
+    does not read it."""
     return InequalityConstants(
         dimension=split.box.dimension, radius=split.box.radius,
         kappa=best_hardy_constant(split.box, weight).kappa,

@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import multiprocessing
 import shutil
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -206,6 +208,42 @@ class TestConstants:
         data = json.loads((out / "constants.json").read_text())
         assert data["metric"] == "graph"
 
+    @pytest.mark.parametrize("certify_first", [True, False],
+                             ids=["certified", "inline"])
+    def test_split_released_before_kappa_pencil(self, tmp_path, monkeypatch,
+                                                certify_first):
+        # the kappa pencil never reads the split, so a fresh `constants`
+        # holds no reference to it while that pencil is solved
+        cfg = write_config(tmp_path, **{"box.radius": "3"})
+        plain, wrapped = tmp_path / "plain", tmp_path / "wrapped"
+        if certify_first:
+            for out in (plain, wrapped):
+                assert main(["certify-gap", "--config", str(cfg),
+                             "--out", str(out)]) == 0
+        assert main(["constants", "--config", str(cfg), "--out", str(plain)]) == 0
+        splits, alive = [], []
+        spectral_split = cli.spectral_split
+        best_hardy_constant = cli.best_hardy_constant
+
+        def tracked_split(*args, **kwargs):
+            split = spectral_split(*args, **kwargs)
+            splits.append(weakref.ref(split))
+            return split
+
+        def checked_kappa(*args, **kwargs):
+            gc.collect()
+            alive.append([ref() is not None for ref in splits])
+            return best_hardy_constant(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "spectral_split", tracked_split)
+        monkeypatch.setattr(cli, "best_hardy_constant", checked_kappa)
+        assert main(["constants", "--config", str(cfg), "--out", str(wrapped)]) == 0
+        assert alive == [[False]]
+        names = sorted(path.name for path in plain.iterdir())
+        assert names == sorted(path.name for path in wrapped.iterdir())
+        for name in names:
+            assert (plain / name).read_bytes() == (wrapped / name).read_bytes(), name
+
 
 class TestCorruptArtifacts:
     """Damaged artifacts exit 2 with a re-run message, never a traceback."""
@@ -223,6 +261,7 @@ class TestCorruptArtifacts:
         err = capsys.readouterr().err
         assert f"re-run {rerun}" in err
         assert "Traceback" not in err
+        return err
 
     @staticmethod
     def _truncate(fraction):
@@ -311,6 +350,35 @@ class TestCorruptArtifacts:
     def test_gap_without_split_record(self, tmp_path, capsys):
         self._run_constants(tmp_path, capsys, self._drop("eigenpairs"),
                             "gap.json", "certify-gap")
+
+    @pytest.mark.parametrize("name, rerun", [("gap.json", "certify-gap"),
+                                             ("constants.json", "constants")])
+    def test_artifact_replaced_by_directory(self, tmp_path, capsys, name, rerun):
+        def damage(path):
+            path.unlink()
+            path.mkdir()
+        err = self._run_constants(tmp_path, capsys, damage, name, rerun)
+        assert f"{name} is unreadable" in err
+
+    @pytest.mark.parametrize("damage", ["truncated", "deleted"])
+    def test_damaged_split_before_first_constants(self, tmp_path, capsys,
+                                                  damage):
+        # the other cases damage files after a successful `constants`; here
+        # the first `constants` meets the damaged split and writes nothing
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["certify-gap", "--config", str(cfg), "--out", str(out)]) == 0
+        if damage == "truncated":
+            self._truncate(0.5)(out / "split.npy")
+        else:
+            (out / "split.npy").unlink()
+        capsys.readouterr()
+        assert main(["constants", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "re-run certify-gap" in err and "Traceback" not in err
+        for name in ("constants.json", "kappa_witness.field",
+                     "rho_plus_witness.field"):
+            assert not (out / name).exists(), name
 
     @staticmethod
     def _replace_split(data, layout):
@@ -547,6 +615,12 @@ def _missing_config(tmp_path, out):
     return ["validate", "--config", str(tmp_path / "missing.cfg")], None
 
 
+def _undecodable_config(tmp_path, out):
+    path = write_config(tmp_path)
+    path.write_bytes(path.read_bytes() + b"# \xff\n")
+    return ["validate", "--config", str(path)], None
+
+
 def _gap_holding_an_array(tmp_path, out):
     cfg = str(write_config(tmp_path))
     assert main(["certify-gap", "--config", cfg, "--out", str(out)]) == 0
@@ -574,13 +648,14 @@ class TestRareExits:
          "rho.mode must be fraction or absolute, got 'relative'"),
         (_config_line("seed 12"), 2, "expected 'key = value', got 'seed 12'"),
         (_missing_config, 2, "cannot read config file"),
+        (_undecodable_config, 2, "cannot read config file"),
         (_gap_holding_an_array, 2,
          "gap.json does not hold a JSON object; re-run certify-gap"),
         (_out_at("out"), 2, "cannot create output directory"),
         (_out_at("out/sub"), 2, "cannot create output directory"),
     ], ids=["absolute", "absolute-above-cap", "unknown-rho-mode",
-            "line-without-equals", "unreadable-config", "gap-json-array",
-            "out-is-a-file", "out-under-a-file"])
+            "line-without-equals", "unreadable-config", "non-utf8-config",
+            "gap-json-array", "out-is-a-file", "out-under-a-file"])
     def test_exit_status_and_message(self, tmp_path, capsys, setup, status,
                                      message):
         out = tmp_path / "out"

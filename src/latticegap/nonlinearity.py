@@ -78,11 +78,7 @@ class PowerNonlinearity(Nonlinearity):
         return np.abs(u) ** (self.p - 2.0) * u
 
     def F(self, u):
-        # one buffer: the certificate calls F on a batch of 200 states
-        out = np.abs(np.asarray(u, dtype=float))
-        out **= self.p
-        out /= self.p
-        return out
+        return np.abs(np.asarray(u, dtype=float)) ** self.p / self.p
 
     def df(self, u):
         u = np.asarray(u, dtype=float)

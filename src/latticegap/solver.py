@@ -4,8 +4,8 @@ For each unit direction w in X^+ the energy is maximized over the slab
 R+ w (+) X^- (the inner problem); the resulting reduced value is then
 minimized over the unit sphere of X^+ (the outer problem); a damped Newton
 iteration on the full gradient polishes the incumbent to the final
-residual.  The inner maximizer is not assumed unique: a sampled
-perturbation certificate replaces the uniqueness assumption.
+residual.  The inner maximizer is not assumed unique: a closed-form
+maximality certificate bounds J on the final state's slab instead.
 
 The inner loop tries Newton-CG at every iterate, with a metric-scaled
 Armijo ascent step as fallback; under the monotone-slope hypothesis
@@ -17,8 +17,7 @@ halves it until the Armijo test holds.
 The outer problem works in eigencoordinates of the split, where the
 equivalent norm is diagonal (||u||^2 = sum |lambda_i| c_i^2) and the
 positive/negative projections are the split's index slices `minus` and
-`plus`; the maximality certificate draws in site space and projects.
-The inner problem runs in slab coordinates (t, vm): the scalar along w
+`plus`.  The inner problem runs in slab coordinates (t, vm): the scalar along w
 and the X^- eigencoordinates.  With E_+ w computed once
 per inner solve, each of its evaluations multiplies by the X^- columns
 only, one parity sector at a time (`SpectralSplit.values_of`).
@@ -32,8 +31,9 @@ starts one after another in-process, which is what a warm start, a
 single start, a single core or a platform without fork does.  No setting
 chooses the worker count; the CLI's `--threads` is still ignored.
 `SolverConfig` holds only the study's parameters (seed, multistart,
-interior filter); the tolerances, iteration caps and certificate settings
-are its class constants, and the model hypotheses are always validated.
+interior filter); the tolerances (the certificate's among them) and
+iteration caps are its class constants, and the model hypotheses are
+always validated.
 """
 
 from __future__ import annotations
@@ -59,14 +59,14 @@ from .errors import (ConvergenceError, DegenerateProblemError,
 from .hardy import EUCLIDEAN_WEIGHT, HardyWeight
 from .lattice import LatticeField
 from .nonlinearity import U_MAX, Nonlinearity, validate_hypotheses
-from .spectral import SpectralSplit, check_on_box, split_norm
+from .spectral import SpectralSplit, check_on_box
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """The study's parameters: the seed, the multistart and the interior filter.
 
-    Tolerances, iteration caps and certificate settings are class constants.
+    Tolerances (the certificate's among them) and iteration caps are class constants.
     """
 
     seed: int = 0
@@ -82,7 +82,6 @@ class SolverConfig:
     max_inner: ClassVar[int] = 2000
     max_outer: ClassVar[int] = 400
     max_polish: ClassVar[int] = 60
-    certificate_samples: ClassVar[int] = 200
     certificate_tol: ClassVar[float] = 1e-6
     boundary_layers: ClassVar[int] = 1      # the outer layers of max_boundary_mass
     # step-control constants of the inner and outer searches; not settable
@@ -595,34 +594,33 @@ def polish_newton(split: SpectralSplit, model: Nonlinearity, rho: float,
 
 
 def maximality_certificate(split: SpectralSplit, model: Nonlinearity,
-                           u: LatticeField, rho: float, seed: int = 0,
+                           u: LatticeField, rho: float,
                            weight: HardyWeight = EUCLIDEAN_WEIGHT):
-    """Sampled check that J(u) >= J(t u + v) - tol over the slab through u.
+    """Closed-form bound on J(t u + v) - J(u) over t in [0, 3] and all v in X^-.
 
-    Returns (ok, worst_excess).  At a Nehari point the inequality holds for
-    every t >= 0 and v in X^-.  The `SolverConfig.certificate_samples` samples
-    take t in [0, 3) and v = P_- g, g standard normal in site space, scaled to
-    an equivalent norm in [0, 3 max(||u||, 1)), so they do not depend on the
-    eigenbasis; J is evaluated on all of them at once.  tol is
-    `SolverConfig.certificate_tol`.
+    Returns (ok, bound), ok when bound <= `SolverConfig.certificate_tol`.
+    With the Hardy term in the convex part, F~(s) = F(s) + rho w s^2 / 2,
+    and r = J'(u), for t >= 0 and v in X^-
+
+        J(t u + v) - J(u) = r.((t^2 - 1)/2 u + t v) + 1/2 (A v, v) + sum g,
+
+    where g <= 0 at every site under the monotone slope (Szulkin & Weth
+    2009) and (A v, v) = -||v||^2.  Maximizing over t in [0, 3] and v gives
+    bound = 4 |r.u| + 9/2 sum c_j(r)^2 / |lambda_j| over the X^- coordinates
+    of r, which does not depend on the eigenbasis.  The bound proves
+    maximality only under the monotone slope, so a model whose
+    `validate_hypotheses` report fails it is a ModelHypothesisError.
     """
-    k = SolverConfig.certificate_samples
     terms = SiteTerms(split, model, rho, weight)
-    rng = np.random.default_rng(seed)
-    ts = rng.uniform(0.0, 3.0, k)
-    # w holds the samples' X^- coordinates v, then their site values t u + v
-    w = split.coords_of(rng.standard_normal((split.size, k)), "minus")
-    norm = np.sqrt(np.sum(-split.eigenvalues[split.minus, None] * w ** 2, axis=0))
-    radii = rng.uniform(0.0, 3.0 * max(split_norm(split, u), 1.0), k)
-    w *= radii / np.where(norm > 0.0, norm, 1.0)
-    w = split.values_of(w, "minus")
-    w += u.values[:, None] * ts
-
-    def levels(v):  # J at each column of v
-        return 0.5 * np.sum(v * (terms.operator @ v), axis=0) - terms.energy(v.T)
-
-    worst = float(np.max(levels(w)) - levels(u.values[:, None])[0])
-    return worst <= SolverConfig.certificate_tol, worst
+    check_on_box(split, u)
+    if not validate_hypotheses(model).checks["monotone_slope"].passed:
+        raise ModelHypothesisError(
+            "the maximality certificate needs the monotone slope f(u)/|u|")
+    r = terms.gradient(u.values)
+    rm = split.coords_of(r, "minus")
+    bound = (4.0 * abs(float(r @ u.values))
+             + 4.5 * float(np.sum(rm ** 2 / -split.eigenvalues[split.minus])))
+    return bound <= SolverConfig.certificate_tol, bound
 
 
 def _sphere_floor(split: SpectralSplit, model: Nonlinearity, alpha: float) -> float:
@@ -659,7 +657,8 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
     exit check) is a NumericalError.
     Post-conditions enforced on the returned state: both Nehari residuals at
     the polish tolerance, positive level above the closed-form sphere floor
-    (`_sphere_floor`), and the sampled maximality certificate.
+    (`_sphere_floor`), and the closed-form maximality certificate, whose
+    bound the diagnostics report as `certificate_bound`.
     """
     cfg = config or SolverConfig()
     if constants is not None:
@@ -707,10 +706,10 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
                           1.0 - rho / constants.rho_max if rho > 0 else 1.0)
     if level < floor:
         problems.append(f"level {level:.6e} below the sphere floor {floor:.6e}")
-    certified, worst = maximality_certificate(
-        split, model, u, rho, seed=cfg.seed + 3571, weight=weight)
+    certified, bound = maximality_certificate(split, model, u, rho, weight)
     if not certified:
-        problems.append(f"maximality certificate violated by {worst:.3e}")
+        problems.append(f"maximality certificate bound {bound:.3e} above "
+                        f"{cfg.certificate_tol}")
     if problems:
         raise PostConditionError("not a Nehari point: " + "; ".join(problems))
 
@@ -719,4 +718,4 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
         inner_iterations=candidate.inner_iterations,
         start_index=candidate.start_index, trace=candidate.trace,
         diagnostics={**candidate.diagnostics, "sphere_floor": floor,
-                     "certified": certified, "boundary_mass": bmass})
+                     "certificate_bound": bound, "boundary_mass": bmass})

@@ -60,6 +60,11 @@ def split_r4(potential, band_table):
 
 
 @pytest.fixture(scope="session")
+def split_r5(potential, band_table):
+    return _timed("split_r5", lambda: _make_split(5, potential, band_table))
+
+
+@pytest.fixture(scope="session")
 def split_r6(potential, band_table):
     return _timed("split_r6", lambda: _make_split(6, potential, band_table))
 

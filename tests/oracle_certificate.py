@@ -1,11 +1,12 @@
-"""Reference per-sample loop of the solver's sampled maximality certificate.
+"""Sampled slab excess: the worst J(t u + v) - J(u) over random slab points.
 
-`maximality_certificate` projects all its site-space draws at once and
-evaluates J on every sample in one batch, with the operator's quadratic
-form.  This loop draws the same random numbers in the same order, projects
-each draw with the dense eigenvector matrix and evaluates J sample by sample
-in slab eigencoordinates, so the two agree to rounding.
-Only the site terms of J come from the package."""
+The solver's `maximality_certificate` bounds this excess in closed form for
+t in [0, 3] and every v in X^-, so its bound must dominate what this loop
+finds.  The loop draws t uniform in [0, 3) and v = P_- g, g standard normal
+in site space, scaled to an equivalent norm uniform in [0, 3 max(||u||, 1)).
+It projects each draw with the dense eigenvector matrix and evaluates J
+sample by sample in slab eigencoordinates.  Only the site terms of J come
+from the package."""
 
 import numpy as np
 

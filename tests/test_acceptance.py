@@ -151,14 +151,14 @@ def test_criterion_6_limit_behavior(sweep_r6, split_r6):
 
 def test_criterion_7_maximality_certificates(split_r6, model, ground_r6, sweep_r6):
     started = time.perf_counter()
-    checked = 0
+    bounds = []
     for rho, field in [(0.0, ground_r6.u)] + [(r.rho, r.field) for r in sweep_r6]:
-        ok, worst = lg.maximality_certificate(
-            split_r6, model, field, rho, seed=123)
-        assert ok, f"certificate violated by {worst:.3e} at rho={rho}"
-        checked += 1
+        ok, bound = lg.maximality_certificate(split_r6, model, field, rho)
+        assert ok and bound <= 1e-9, f"certificate bound {bound:.3e} at rho={rho}"
+        bounds.append(bound)
     report(7, 600.0, [], started,
-           f"J(u) >= J(t u + v) on 200 samples at {checked} accepted states")
+           f"J(t u + v) - J(u) <= {max(bounds):.1e} for t in [0, 3], v in X^- "
+           f"at {len(bounds)} accepted states")
 
 
 def test_criterion_8_determinism(tmp_path):

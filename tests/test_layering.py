@@ -7,8 +7,8 @@ driver.  Other modules read a split only through its contract (box,
 operator, gap, eigenvalues, size, negative_count, the slices minus/plus,
 intrusions, values_of and coords_of), plus `plus_sectors` in `hardy`.
 Only `solver` starts processes, from one `ProcessPoolExecutor`.
-The solver draws random numbers in two places only: the multistart's random
-starts and the sampled maximality certificate; every other exit check is
+The solver draws random numbers in one place only, the multistart's random
+starts; every exit check, the maximality certificate included, is
 deterministic.
 The models are functions of u alone: every call of a model's f, F or df
 passes the value array and nothing else.
@@ -187,7 +187,7 @@ def test_one_process_pool_and_only_solver_starts_processes():
     assert len(pools) == 1, f"ProcessPoolExecutor calls at solver.py lines {pools}"
 
 
-def test_solver_draws_random_numbers_in_two_places():
+def test_solver_draws_random_numbers_in_one_place():
     found = []
 
     def visit(node, function):
@@ -199,7 +199,7 @@ def test_solver_draws_random_numbers_in_two_places():
             visit(child, inner)
 
     visit(TREES["solver"], None)
-    assert sorted(found) == ["maximality_certificate", "outer_minimize"]
+    assert found == ["outer_minimize"]
 
 
 MODEL_METHODS = ("f", "F", "df")

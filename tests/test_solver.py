@@ -129,7 +129,9 @@ class TestInnerMaximize:
     lambda split, model, u: lg.split_inner(split, lg.zero_field(split.box), u),
     lambda split, model, u: lg.outer_minimize(split, model, 0.0, warm_start=u),
     lambda split, model, u: lg.polish_newton(split, model, 0.0, u),
-], ids=["project", "split_inner", "outer_minimize", "polish_newton"])
+    lambda split, model, u: lg.maximality_certificate(split, model, u, 0.0),
+], ids=["project", "split_inner", "outer_minimize", "polish_newton",
+        "maximality_certificate"])
 def test_field_from_another_box_refused(split_r2, model, call):
     other = lg.delta_field(lg.BoxDomain(1, 62))
     assert other.box.site_count == split_r2.size
@@ -138,7 +140,8 @@ def test_field_from_another_box_refused(split_r2, model, call):
 
 
 # the coupling's sign is checked once, by `SiteTerms`, which each entry
-# builds first; the hooks fail if any work starts before the refusal
+# builds first; the hooks fail if any work starts before the refusal (the
+# certificate validates the model and evaluates J' after building its terms)
 @pytest.mark.parametrize("rho", [float("nan"), -0.1], ids=["nan", "negative"])
 @pytest.mark.parametrize("call", [
     lambda split, model, u, rho: lg.outer_minimize(split, model, rho),
@@ -150,8 +153,9 @@ def test_bad_coupling_refused_before_any_work(monkeypatch, split_r2, model,
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the coupling was checked")
 
-    for name in ("_run_starts", "_polish_core", "split_norm"):
+    for name in ("_run_starts", "_polish_core", "validate_hypotheses"):
         monkeypatch.setattr(solver, name, no_work)
+    monkeypatch.setattr(SiteTerms, "gradient", no_work)
     u = random_field(split_r2.box, np.random.default_rng(5))
     with pytest.raises(InvalidInputError, match="rho"):
         call(split_r2, model, u, rho)
@@ -291,9 +295,25 @@ class TestSolveGroundState:
         assert abs(min(levels) - ground_r2.c_rho) <= 1e-8
 
     def test_maximality_certificate_holds(self, split_r2, model, ground_r2):
-        ok, worst = lg.maximality_certificate(split_r2, model, ground_r2.u, 0.0,
-                                              seed=11)
-        assert ok, f"certificate violated by {worst}"
+        ok, bound = lg.maximality_certificate(split_r2, model, ground_r2.u, 0.0)
+        assert ok, f"certificate bound {bound}"
+        assert ground_r2.diagnostics["certificate_bound"] == bound
+
+    def test_certificate_needs_the_monotone_slope(self, split_r2, ground_r2):
+        # the bound is a proof only under a non-decreasing f(u)/|u|; here
+        # the slope u |u| exp(-u^2) falls beyond |u| = 1
+        model = CustomNonlinearity(
+            f_fn=lambda u: u ** 3 * np.exp(-u * u),
+            F_fn=lambda u: 0.5 - 0.5 * (1.0 + u * u) * np.exp(-u * u),
+            df_fn=lambda u: (3.0 - 2.0 * u * u) * u * u * np.exp(-u * u))
+        assert "monotone_slope" in lg.validate_hypotheses(model).failed_names()
+        with pytest.raises(lg.ModelHypothesisError, match="monotone slope"):
+            lg.maximality_certificate(split_r2, model, ground_r2.u, 0.0)
+        # a model failing only another check is certified as usual
+        power = lg.PowerNonlinearity(2.5)
+        assert lg.validate_hypotheses(power).failed_names() == ["vanishing_at_zero"]
+        assert np.isfinite(lg.maximality_certificate(split_r2, power,
+                                                     ground_r2.u, 0.0)[1])
 
     def test_invalid_model_rejected_upfront(self, split_r2):
         with pytest.raises(lg.ModelHypothesisError):
@@ -441,11 +461,6 @@ class TestSolverConfig:
         assert constant >= 0.0 if zero_ok else constant > 0.0
         with pytest.raises(TypeError, match=name):
             lg.SolverConfig(**{name: value})
-
-    def test_certificate_samples_nonnegative(self):
-        assert lg.SolverConfig.certificate_samples >= 0
-        with pytest.raises(TypeError, match="certificate_samples"):
-            lg.SolverConfig(certificate_samples=-1)
 
     def test_boundary_layers_below_radius(self, potential, band_table, model):
         box = lg.BoxDomain(3, lg.SolverConfig.boundary_layers)
@@ -609,22 +624,47 @@ def _running(pid):
         return False
 
 
-class TestCertificateOracle:
-    """The batched certificate against the per-sample loop of
-    `oracle_certificate`: `ok` equal, levels to 1e-12 relative."""
+@pytest.fixture(scope="module")
+def slab_states(request, model):
+    """(split, rho, ground state) by (R, fraction of rho_max) for R = 2..6:
+    box-global at R = 2, whose box has no interior state, interior above."""
+    states = {}
+    for radius in range(2, 7):
+        split = request.getfixturevalue(f"split_r{radius}")
+        constants = lg.compute_constants(split)
+        config = (lg.SolverConfig(seed=1, multistart=6) if radius == 2
+                  else _interior_config(7))
+        for frac in (0.0, 0.4):
+            rho = frac * constants.rho_max
+            states[radius, frac] = (split, rho, lg.solve_ground_state(
+                split, model, rho, config, constants=constants).u)
+    return states
 
-    @pytest.mark.parametrize("scale", [1.0, 0.5])
+
+class TestCertificateOracle:
+    """The closed-form bound dominates the worst excess that the per-sample
+    loop of `oracle_certificate` finds on 200 slab points t u + v, and the
+    exact excess at t = 1 / scale, v = 0 of a scaled ground state."""
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5, 1.1])
     @pytest.mark.parametrize("frac", [0.0, 0.4])
-    def test_maximality_certificate(self, split_r3, model, constants_r3,
-                                    ground_r3, frac, scale):
-        # at the ground state the certificate holds; at half of it, t = 2 wins
-        rho = frac * constants_r3.rho_max
-        u = lg.LatticeField(split_r3.box, scale * ground_r3[frac].u.values)
-        ok, worst = lg.maximality_certificate(split_r3, model, u, rho, seed=3578)
-        ref_ok, ref_worst = oracle_certificate.maximality_certificate(
-            split_r3, model, u, rho, 200, 3578, 1e-6, lg.EUCLIDEAN_WEIGHT)
-        assert ok == ref_ok == (scale == 1.0)
-        assert abs(worst - ref_worst) <= 1e-12 * abs(ref_worst)
+    def test_maximality_certificate(self, slab_states, model, frac, scale):
+        for radius in range(2, 7):
+            split, rho, ground = slab_states[radius, frac]
+            u = lg.LatticeField(split.box, scale * ground.values)
+            ok, bound = lg.maximality_certificate(split, model, u, rho)
+            _, worst = oracle_certificate.maximality_certificate(
+                split, model, u, rho, 200, 3578, 1e-6, lg.EUCLIDEAN_WEIGHT)
+            assert bound >= worst, f"R = {radius}"
+            if scale == 1.0:
+                assert ok and bound <= 1e-9, f"R = {radius}: bound {bound}"
+                continue
+            # t = 1 / scale maps u back onto the ground state: at half of it
+            # t = 2 wins, and 1.1 u, which the sampled points miss, is off
+            # the Nehari set as well
+            excess = (lg.evaluate_energy(split, model, ground, rho).value
+                      - lg.evaluate_energy(split, model, u, rho).value)
+            assert not ok and bound >= excess > 0.0, f"R = {radius}"
 
 
 class TestSphereFloor:
@@ -664,9 +704,10 @@ def _split_from(split, eigenpairs):
 
 
 class TestBasisIndependence:
-    """The random starts and the certificate's samples are drawn in site
-    space, so a split built from other eigenpairs of the same operator gives
-    the same solves and certificates.  Start 0,
+    """The random starts are drawn in site space, and the certificate reads
+    X^- through sum c_j^2 / |lambda_j|, a sum over each eigenspace, so a
+    split built from other eigenpairs of the same operator gives the same
+    solves and certificates.  Start 0,
     the lowest X^+ eigenvector, is one vector of a possibly degenerate
     eigenspace (19-fold at R = 6) and is left out of the comparison.  The
     start levels of a solve are those of its `outer_minimize`."""
@@ -707,17 +748,17 @@ class TestBasisIndependence:
     @pytest.mark.parametrize("frac", [0.0, 0.4])
     def test_rotated_eigenspaces_give_the_same_certificate(
             self, split_r3, model, constants_r3, ground_r3, frac, scale):
-        # fails if the certificate's X^- samples are drawn in eigencoordinates
+        # fails if the bound depends on the basis inside an X^- eigenspace
         rotated = _split_from(split_r3, rotated_in_eigenspaces(
             sector_eigenpairs(split_r3.box, split_r3.operator, "evd"),
             np.random.default_rng(5)))
         rho = frac * constants_r3.rho_max
         u = lg.LatticeField(split_r3.box, scale * ground_r3[frac].u.values)
-        (ok, worst), (want_ok, want) = (
-            lg.maximality_certificate(split, model, u, rho, seed=3578)
+        (ok, bound), (want_ok, want) = (
+            lg.maximality_certificate(split, model, u, rho)
             for split in (split_r3, rotated))
         assert ok == want_ok == (scale == 1.0)
-        assert abs(worst - want) <= 1e-12 * abs(want)
+        assert abs(bound - want) <= 1e-12 * abs(want)
 
 
 # Selected levels (and start, where no other start shares that level to 1e-8)

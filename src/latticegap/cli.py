@@ -5,21 +5,25 @@ is a flat UTF-8 key-value file with dotted sections ("solver.multistart =
 5"); unknown keys are rejected so typos cannot silently change an
 experiment.  `parse_config` checks every setting before any command runs:
 it builds the box, the potential, the model, the Hardy weight and the
-solver settings once, and each refuses its own bad values (exit 2, naming
-the key); the CLI restates none of their rules.  All outputs are plain
-files with floats printed at 17 significant digits; a fixed seed
-reproduces them byte for byte.  Every artifact is written to a temporary
-file and renamed into place.
+solver settings once, and each refuses its own bad values.  So do the
+owners of the limits: `solver.check_boundary_layers` and
+`spectral.check_dense_budget` (box.radius), `spectral.check_bloch_grid`
+(bloch.grid), and for the commands that need them
+`hardy.check_hardy_dimension` and `continuation.check_report_couplings`.
+Each refusal exits 2 naming the key; the CLI restates none of their rules.
+All outputs are plain files with floats printed at 17 significant digits;
+a fixed seed reproduces them byte for byte.  Every artifact is written to
+a temporary file and renamed into place; a failed write exits 2.
 
 The splitting of the box operator is computed once per output directory:
 certify-gap (or the first stage that certifies inline) writes each parity
-sector's eigenpairs to split.npy and their layout and SHA-256 to gap.json.
-Later stages reuse gap.json and constants.json by one rule: the file holds
-a JSON object written for this configuration (potential, box radius and
-Bloch grid; fingerprint, N, R and Hardy metric), with integers and finite
-reals where the file has them, from which the split (with split.npy of
-the recorded hash) or the constants build.  Anything else asks for the
-stage that wrote the file to be re-run.
+sector's eigenpairs to split.npy and `_split_record` (layout and SHA-256)
+to gap.json.  Later stages reuse gap.json and constants.json by one rule:
+the file holds a JSON object written for this configuration (potential,
+box radius and Bloch grid; fingerprint, N, R and Hardy metric), each value
+of the configured type, and finite reals, from which the split (with the
+split.npy of the record) or the constants build.  Anything else asks for
+the stage that wrote the file to be re-run.
 
 The constants stage holds one dense eigenproblem at a time: it loads and
 checks the split, solves the rho_plus sector pencils, drops the split,
@@ -43,21 +47,20 @@ from pathlib import Path
 
 
 from . import jsonio
-from .continuation import (MIN_POSITIVE_COUPLINGS, SweepPlan, SweepRecord,
+from .continuation import (SweepPlan, SweepRecord, check_report_couplings,
                            convergence_report, sweep_rho)
 from .errors import (CertificationMissingError, ConfigError, HypothesisError,
                      InvalidInputError, LatticeGapError)
 from .hardy import (HardyWeight, InequalityConstants, best_hardy_constant,
-                    rho_plus)
+                    check_hardy_dimension, rho_plus)
 from .jsonio import atomic_open
 from .lattice import BoxDomain, write_field
 from .nonlinearity import PowerNonlinearity, validate_hypotheses
-from .solver import SolverConfig, solve_ground_state
-from .spectral import (DENSE_EIG_BUDGET, MAX_BLOCH_ENTRIES, MIN_BLOCH_GRID,
-                       SPLIT_LAYOUT, PeriodicPotential, assemble_operator,
-                       bloch_band_edges, checkerboard_potential,
-                       checkerboard_shift, load_eigenpairs, save_eigenpairs,
-                       spectral_split)
+from .solver import SolverConfig, check_boundary_layers, solve_ground_state
+from .spectral import (SPLIT_LAYOUT, PeriodicPotential, assemble_operator,
+                       bloch_band_edges, check_bloch_grid, check_dense_budget,
+                       checkerboard_potential, checkerboard_shift,
+                       load_eigenpairs, save_eigenpairs, spectral_split)
 
 SPLIT_FILE = "split.npy"
 
@@ -163,13 +166,9 @@ def parse_config(path) -> RunConfig:
         if setting(key) != known:
             raise ConfigError(f"unknown {key} {setting(key)!r}")
     radius = setting("box.radius")
-    if not radius > SolverConfig.boundary_layers:
-        raise ConfigError(f"box.radius must be > boundary_layers = "
-                          f"{SolverConfig.boundary_layers}, got {radius}")
+    _built("box.radius", check_boundary_layers, radius)
     box = _built("dimension", BoxDomain, setting("dimension"), radius)
-    if box.site_count > DENSE_EIG_BUDGET:
-        raise ConfigError(f"box has {box.site_count} sites, above the budget "
-                          f"of {DENSE_EIG_BUDGET}")
+    _built("box.radius", check_dense_budget, "the box", box.site_count)
     fingerprint = {"kind": setting("potential.kind"),
                    "amplitude": setting("potential.amplitude"),
                    "shift": checkerboard_shift(box.dimension, setting("potential.shift")),
@@ -177,13 +176,7 @@ def parse_config(path) -> RunConfig:
     potential = _built("potential", checkerboard_potential, box.dimension,
                        fingerprint["amplitude"], fingerprint["shift"])
     grid = setting("bloch.grid")
-    if grid < MIN_BLOCH_GRID:
-        raise ConfigError(f"bloch.grid must be >= {MIN_BLOCH_GRID}, got {grid}")
-    cell = potential.cell_size
-    if grid ** box.dimension * cell ** 2 > MAX_BLOCH_ENTRIES:
-        raise ConfigError(
-            f"bloch.grid must be small enough for grid^N |cell|^2 <= "
-            f"{MAX_BLOCH_ENTRIES}, got {grid}^{box.dimension} x {cell}^2")
+    _built("bloch.grid", check_bloch_grid, potential, grid)
     rho_mode, rho_values = setting("rho.mode"), setting("rho.values")
     if rho_mode not in ("fraction", "absolute"):
         raise ConfigError(f"rho.mode must be fraction or absolute, got {rho_mode!r}")
@@ -204,18 +197,13 @@ def parse_config(path) -> RunConfig:
         bloch_grid=grid, out_dir=setting("output.dir"))
 
 
-def _hardy_commands_need_n3(cfg: RunConfig):
-    if cfg.dimension < 3:
-        raise ConfigError(
-            f"Hardy-dependent commands require dimension >= 3, got {cfg.dimension}")
-
-
-def _sha256(path: Path) -> str:
+def _split_record(out: Path) -> dict:
+    """What gap.json records of split.npy in `out`: name, layout and SHA-256."""
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
+    with open(out / SPLIT_FILE, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
-    return digest.hexdigest()
+    return {"file": SPLIT_FILE, "layout": SPLIT_LAYOUT, "sha256": digest.hexdigest()}
 
 
 def _gap_written_for(cfg: RunConfig) -> dict:
@@ -243,19 +231,17 @@ def _certify(cfg: RunConfig, out: Path, write_bands: bool):
                "sigma_minus": table.sigma_minus, "sigma_plus": table.sigma_plus,
                "intrusions": split.intrusions,
                "smallest_abs_eigenvalue": float(abs(split.eigenvalues).min()),
-               "eigenpairs": {"file": SPLIT_FILE, "layout": SPLIT_LAYOUT,
-                              "sha256": _sha256(out / SPLIT_FILE)}}
+               "eigenpairs": _split_record(out)}
     jsonio.dump(payload, out / "gap.json")
     return split
 
 
 def _load_artifact(path: Path, rerun: str, written_for: dict,
-                   ints: tuple[str, ...], reals: tuple[str, ...], build):
-    """`build(data)` of the JSON object in `path`, which must hold every key
-    of `written_for`, `ints` and `reals`: the values of `written_for`,
-    integers under `ints` and finite numbers under `reals`.  A file that
-    fails any of these, or whose data `build` refuses with
-    InvalidInputError, asks for `rerun`."""
+                   reals: tuple[str, ...], build):
+    """`build(data)` of the JSON object in `path`, which must hold the values
+    of `written_for`, each of the configured value's type, and finite
+    numbers under `reals`.  A file that fails any of these, or whose data
+    `build` refuses with InvalidInputError, asks for `rerun`."""
     def refused(problem):
         return CertificationMissingError(f"{path.name} {problem}; re-run {rerun}")
 
@@ -265,14 +251,15 @@ def _load_artifact(path: Path, rerun: str, written_for: dict,
         raise refused(f"is unreadable ({exc})") from exc
     if not isinstance(data, dict):
         raise refused("does not hold a JSON object")
-    missing = [key for key in (*written_for, *ints, *reals) if key not in data]
+    missing = [key for key in (*written_for, *reals) if key not in data]
     if missing:
         raise refused(f"lacks {', '.join(missing)}")
     other = [key for key, value in written_for.items() if data[key] != value]
     if other:
         raise refused(f"was written for another {', '.join(other)}")
     # type(), not isinstance(): bools are neither integers nor reals
-    wrong = [key for key in ints if type(data[key]) is not int]
+    wrong = [key for key, value in written_for.items()
+             if type(data[key]) is not type(value)]
     wrong += [key for key in reals if type(data[key]) not in (int, float)
               or not math.isfinite(data[key])]
     if wrong:
@@ -286,13 +273,11 @@ def _load_artifact(path: Path, rerun: str, written_for: dict,
 def _load_split_file(out: Path, recorded):
     """Sector eigenpairs from split.npy, once its layout and hash match the
     record in gap.json."""
-    path = out / SPLIT_FILE
     try:
-        if recorded != {"file": SPLIT_FILE, "layout": SPLIT_LAYOUT,
-                        "sha256": _sha256(path)}:
+        if recorded != _split_record(out):
             raise CertificationMissingError(
                 f"{SPLIT_FILE} does not match gap.json; re-run certify-gap")
-        return load_eigenpairs(path)
+        return load_eigenpairs(out / SPLIT_FILE)
     except (OSError, EOFError, ValueError) as exc:
         raise CertificationMissingError(
             f"unreadable {SPLIT_FILE} ({exc}); re-run certify-gap") from exc
@@ -310,8 +295,7 @@ def _ensure_split(cfg: RunConfig, out: Path):
                               (data["sigma_minus"], data["sigma_plus"]), eigenpairs)
 
     return _load_artifact(path, "certify-gap", _gap_written_for(cfg),
-                          ("box_radius", "grid"), ("sigma_minus", "sigma_plus"),
-                          build)
+                          ("sigma_minus", "sigma_plus"), build)
 
 
 def _ensure_constants(cfg: RunConfig, out: Path, load_split) -> InequalityConstants:
@@ -326,7 +310,7 @@ def _ensure_constants(cfg: RunConfig, out: Path, load_split) -> InequalityConsta
     path = out / "constants.json"
     if path.exists():
         return _load_artifact(
-            path, "constants", _constants_written_for(cfg), ("N", "R"),
+            path, "constants", _constants_written_for(cfg),
             ("kappa", "rho_plus", "rho_tilde_plus", "rho_max"),
             lambda data: InequalityConstants(
                 dimension=data["N"], radius=data["R"], kappa=data["kappa"],
@@ -364,7 +348,7 @@ def cmd_certify_gap(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_constants(cfg: RunConfig, out: Path) -> int:
-    _hardy_commands_need_n3(cfg)
+    _built("dimension", check_hardy_dimension, cfg.dimension)
     # a loader, not a split: no frame here keeps the split alive
     _ensure_constants(cfg, out, lambda: _ensure_split(cfg, out))
     return 0
@@ -383,7 +367,7 @@ def _record_line(record: dict) -> str:
 
 
 def cmd_solve(cfg: RunConfig, out: Path) -> int:
-    _hardy_commands_need_n3(cfg)
+    _built("dimension", check_hardy_dimension, cfg.dimension)
     if len(cfg.rho_values) != 1:
         raise ConfigError("solve needs exactly one rho value")
     split = _ensure_split(cfg, out)
@@ -414,15 +398,11 @@ def _write_sweep_csv(records: list[SweepRecord], path) -> None:
 
 
 def cmd_sweep(cfg: RunConfig, out: Path) -> int:
-    _hardy_commands_need_n3(cfg)
-    # fractions of rho_max > 0 keep the order and the trailing 0, so the
-    # configured list passes exactly when the resolved one does
+    _built("dimension", check_hardy_dimension, cfg.dimension)
+    # fractions of rho_max > 0 keep the order, the sign and the trailing 0,
+    # so the configured list passes exactly when the resolved one does
     _built("rho.values for sweep", SweepPlan, rho_values=cfg.rho_values)
-    positive = sum(r > 0 for r in cfg.rho_values)
-    if positive < MIN_POSITIVE_COUPLINGS:
-        raise ConfigError(
-            f"bad rho.values for sweep: the convergence report needs at least "
-            f"{MIN_POSITIVE_COUPLINGS} positive couplings, got {positive}")
+    _built("rho.values for sweep", check_report_couplings, cfg.rho_values)
     split = _ensure_split(cfg, out)
     rhos, constants = _resolve_rhos(cfg, out, split)
     plan = SweepPlan(rho_values=rhos)
@@ -467,7 +447,7 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
         return _COMMANDS[args.command](cfg, out)
-    except (ConfigError, HypothesisError) as exc:
+    except (ConfigError, HypothesisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LatticeGapError as exc:

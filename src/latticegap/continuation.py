@@ -33,6 +33,15 @@ REPORT_THRESHOLDS = {"gap_floor": 1e-12, "slope_flag": 0.5,
 MIN_POSITIVE_COUPLINGS = 3
 
 
+def check_report_couplings(rho_values) -> None:
+    """Refuse fewer positive couplings than `convergence_report` fits."""
+    positive = sum(r > 0 for r in rho_values)
+    if positive < MIN_POSITIVE_COUPLINGS:
+        raise InvalidInputError(
+            f"the convergence report needs at least {MIN_POSITIVE_COUPLINGS} "
+            f"positive couplings, got {positive}")
+
+
 def superquadratic_mass(model: Nonlinearity, u: LatticeField) -> float:
     """sum_x G(u(x)) with G = 1/2 f u - F; equals J_rho(u) - 1/2 <J'(u), u>."""
     vals = u.values
@@ -137,11 +146,8 @@ def convergence_report(records: list[SweepRecord], baseline: SweepRecord) -> dic
     final_gap_frac = 0.02 of c_0 and final_dist_frac = 0.05 of ||u_0||.
     """
     th = REPORT_THRESHOLDS
+    check_report_couplings([r.rho for r in records])
     positive = sorted((r for r in records if r.rho > 0), key=lambda r: -r.rho)
-    if len(positive) < MIN_POSITIVE_COUPLINGS:
-        raise InvalidInputError(
-            f"need at least {MIN_POSITIVE_COUPLINGS} positive-coupling records, "
-            f"got {len(positive)}")
     if baseline.rho != 0.0:
         raise InvalidInputError("baseline record must have rho = 0")
     c0 = baseline.c_rho

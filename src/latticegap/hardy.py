@@ -22,7 +22,7 @@ import scipy.sparse as sp
 
 from .errors import InvalidInputError, NumericalError
 from .lattice import BoxDomain, LatticeField, dirichlet_energy
-from .spectral import (DENSE_EIG_BUDGET, SpectralSplit, laplacian_matrix,
+from .spectral import (SpectralSplit, check_dense_budget, laplacian_matrix,
                        parity_sectors)
 
 
@@ -61,6 +61,13 @@ def weighted_mass(u: LatticeField, rho: float,
     return float(rho * np.sum(weight.on_box(u.box) * u.values ** 2))
 
 
+def check_hardy_dimension(dimension: int) -> None:
+    """Refuse a lattice without the Hardy inequality: N < 3."""
+    if dimension < 3:
+        raise InvalidInputError(
+            f"the Hardy terms need dimension >= 3 (N >= 3), got {dimension}")
+
+
 @dataclass(frozen=True)
 class HardyConstant:
     kappa: float
@@ -77,13 +84,9 @@ def best_hardy_constant(box: BoxDomain,
     simple and positive, so even under every reflection x_i -> -x_i, and the
     dense pencil is solved on the all-even sector: (R + 1)^N sites.
     """
-    if box.dimension < 3:
-        raise InvalidInputError("Hardy requires N >= 3")
+    check_hardy_dimension(box.dimension)
     even = parity_sectors(box, tuple(range(box.dimension)))[0]
-    if even.size > DENSE_EIG_BUDGET:
-        raise InvalidInputError(
-            f"the even sector has {even.size} sites, above the dense pencil "
-            f"budget of {DENSE_EIG_BUDGET}; use a smaller radius")
+    check_dense_budget("the even sector", even.size)
     w = weight.on_box(box)
     q = even.basis(box.site_count)
     vals, vecs = sla.eigh((q.T @ sp.diags(w) @ q).toarray(),

@@ -19,8 +19,8 @@ from pathlib import Path
 def atomic_open(path, mode: str = "w", **kwargs):
     """Open a temporary file beside `path`; rename it over `path` on success.
 
-    A reader never sees a partly written artifact, and a write that fails
-    leaves the previous file (if any) in place and no temporary behind.
+    A reader never sees a partly written artifact.  A failed write keeps the
+    previous file (if any), leaves no temporary and names `path` in its OSError.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -30,8 +30,10 @@ def atomic_open(path, mode: str = "w", **kwargs):
         with open(tmp, mode, **kwargs) as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, f"cannot write {path}: {exc.strerror}") from exc
         raise
 
 

@@ -108,11 +108,7 @@ class LatticeField:
 
     def at(self, site) -> float:
         """Value at a site, 0 outside the box."""
-        site = np.asarray(site, dtype=int)
-        if site.shape != (self.box.dimension,):
-            raise InvalidInputError(
-                f"site has shape {site.shape}, expected ({self.box.dimension},)")
-        if not np.all(np.abs(site) <= self.box.radius):
+        if not self.box.contains(site):
             return 0.0
         return float(self.values[self.box.index_of(site)])
 

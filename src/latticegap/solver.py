@@ -99,6 +99,14 @@ class SolverConfig:
             raise InvalidInputError("max_boundary_mass must be None or in (0, 1]")
 
 
+def check_boundary_layers(radius: int) -> None:
+    """Refuse a box radius not above the layers `max_boundary_mass` measures."""
+    if SolverConfig.boundary_layers >= radius:
+        raise InvalidInputError(
+            f"boundary_layers = {SolverConfig.boundary_layers} must be below "
+            f"the box radius, got {radius}")
+
+
 @dataclass
 class GroundStateResult:
     """Converged ground state with its level and exit diagnostics."""
@@ -161,7 +169,8 @@ class _Slab:
 
 def boundary_mass_fraction(box, values: np.ndarray) -> float:
     """Fraction of the squared mass sitting within `SolverConfig.boundary_layers`
-    of the box walls."""
+    of the box walls; `values` must make a `LatticeField` on `box`."""
+    values = LatticeField(box, values).values
     outer = np.max(np.abs(box.sites), axis=1) > box.radius - SolverConfig.boundary_layers
     total = float(np.sum(values ** 2))
     return float(np.sum(values[outer] ** 2)) / total if total > 0 else 0.0
@@ -666,10 +675,7 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
     elif rho > 0:
         raise InvalidInputError(
             f"rho = {rho} > 0 needs the box constants (compute_constants)")
-    if cfg.boundary_layers >= split.box.radius:
-        raise InvalidInputError(
-            f"boundary_layers = {cfg.boundary_layers} must be below the box "
-            f"radius {split.box.radius}")
+    check_boundary_layers(split.box.radius)
     report = validate_hypotheses(model)
     if not report.all_passed:
         raise ModelHypothesisError(

@@ -48,6 +48,14 @@ MIN_BLOCH_GRID = 8       # k-points per axis below which the band edges are too 
 MAX_BLOCH_ENTRIES = 2 ** 25  # bound on grid^N |cell|^2, the Bloch stack's entries
 
 
+def check_dense_budget(name: str, sites: int) -> None:
+    """Refuse a dense eigenproblem on more than `DENSE_EIG_BUDGET` sites."""
+    if sites > DENSE_EIG_BUDGET:
+        raise InvalidInputError(
+            f"{name} has {sites} sites, above the budget of {DENSE_EIG_BUDGET} "
+            f"for a dense eigenproblem; use a smaller radius")
+
+
 @dataclass(frozen=True)
 class PeriodicPotential:
     """T-periodic potential given by its values on the fundamental cell.
@@ -137,9 +145,6 @@ def assemble_operator(box: BoxDomain, potential: PeriodicPotential) -> sp.csr_ma
     Diagonal entries are 2N + V(x); off-diagonal entries are exactly -1 for
     neighbor pairs inside the box.
     """
-    if box.dimension != potential.dimension:
-        raise InvalidInputError(
-            f"potential dimension {potential.dimension} != box dimension {box.dimension}")
     return (laplacian_matrix(box) + sp.diags(potential.on_box(box))).tocsr()
 
 
@@ -180,7 +185,6 @@ class BlochBandTable:
     grid: int
     k_points: np.ndarray          # (n_k, N)
     bands: np.ndarray             # (n_k, cell_size), ascending per k
-    band_intervals: np.ndarray    # (cell_size, 2) min/max over the grid
     sigma_minus: float
     sigma_plus: float
 
@@ -230,23 +234,30 @@ def bloch_matrix(potential: PeriodicPotential, k) -> np.ndarray:
     return mats
 
 
+def check_bloch_grid(potential: PeriodicPotential, grid: int) -> None:
+    """Refuse a k-grid coarser than `MIN_BLOCH_GRID` per axis, or one whose
+    stack of grid^N cell matrices has more than `MAX_BLOCH_ENTRIES` entries."""
+    if grid < MIN_BLOCH_GRID:
+        raise InvalidInputError(
+            f"grid resolution must be >= {MIN_BLOCH_GRID} per axis, got {grid}")
+    n, cell = potential.dimension, potential.cell_size
+    if grid ** n * cell ** 2 > MAX_BLOCH_ENTRIES:
+        raise InvalidInputError(
+            f"grid^N |cell|^2 = {grid}^{n} x {cell}^2 exceeds the Bloch stack "
+            f"bound {MAX_BLOCH_ENTRIES}")
+
+
 def bloch_band_edges(potential: PeriodicPotential, grid: int = 8) -> BlochBandTable:
     """Sample the Bloch bands on a uniform k-grid and certify the gap at 0.
 
     All grid^N cell matrices are built as one stack and solved by one
-    batched `eigvalsh`.
+    batched `eigvalsh`, once `check_bloch_grid` admits the grid.
 
     Raises NoSpectralGapError when a band interval crosses (or touches) 0,
     or when the sampled spectrum does not straddle 0 at all.
     """
-    if grid < MIN_BLOCH_GRID:
-        raise InvalidInputError(
-            f"grid resolution must be >= {MIN_BLOCH_GRID} per axis, got {grid}")
+    check_bloch_grid(potential, grid)
     n = potential.dimension
-    if grid ** n * potential.cell_size ** 2 > MAX_BLOCH_ENTRIES:
-        raise InvalidInputError(
-            f"grid^N |cell|^2 = {grid}^{n} x {potential.cell_size}^2 exceeds "
-            f"the Bloch stack bound {MAX_BLOCH_ENTRIES}")
     ticks = 2.0 * np.pi * np.arange(grid) / grid
     k_points = ticks[np.indices((grid,) * n).reshape(n, -1).T]
     mats = bloch_matrix(potential, k_points)
@@ -269,7 +280,6 @@ def bloch_band_edges(potential: PeriodicPotential, grid: int = 8) -> BlochBandTa
             "no spectral gap at 0: sampled spectrum does not straddle 0")
     return BlochBandTable(
         potential=potential, grid=grid, k_points=k_points, bands=bands,
-        band_intervals=intervals,
         sigma_minus=float(negative.max()), sigma_plus=float(positive.min()))
 
 
@@ -390,8 +400,8 @@ class SpectralSplit:
     alone (and `hardy.rho_plus` reads `plus_sectors`).  Module functions add
     the spectral projectors and the equivalent inner product (|A| u, v)_2.
     The certified `gap` must contain 0 (finite sigma_minus < 0 < sigma_plus),
-    the paper's standing hypothesis; a gap that does not, and a box above
-    `DENSE_EIG_BUDGET` sites, raise InvalidInputError before any work.
+    the paper's standing hypothesis; a gap that does not, and a box that
+    `check_dense_budget` refuses, raise InvalidInputError before any work.
 
     `eigenpairs`, one (eigenvalues, eigenvectors) pair per sector in
     `parity_sectors` order, skips the diagonalization for a decomposition
@@ -406,10 +416,7 @@ class SpectralSplit:
         if not -np.inf < gap[0] < 0.0 < gap[1] < np.inf:
             raise InvalidInputError(f"the gap {gap!r} does not contain 0")
         n = box.site_count
-        if n > DENSE_EIG_BUDGET:
-            raise InvalidInputError(
-                f"box has {n} sites, above the dense eigendecomposition "
-                f"budget of {DENSE_EIG_BUDGET}; use a smaller radius")
+        check_dense_budget("the box", n)
         if operator.shape != (n, n):
             raise InvalidInputError(
                 f"operator shape {operator.shape} does not match box with "

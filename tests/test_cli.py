@@ -1,6 +1,8 @@
+import contextlib
 import dataclasses
 import gc
 import hashlib
+import io
 import json
 import multiprocessing
 import shutil
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import latticegap as lg
 from latticegap import cli, jsonio, solver
@@ -307,6 +311,14 @@ class TestCorruptArtifacts:
         self._run_constants(tmp_path, capsys, self._drop(key),
                             "gap.json", "certify-gap")
 
+    def test_missing_keys_named_once(self, tmp_path, capsys):
+        def damage(path):
+            self._drop("box_radius")(path)
+            self._drop("grid")(path)
+        err = self._run_constants(tmp_path, capsys, damage, "gap.json",
+                                  "certify-gap")
+        assert "gap.json lacks box_radius, grid; re-run certify-gap" in err
+
     @pytest.mark.parametrize("key, value", [
         ("kappa", "0.5"), ("rho_plus", True), ("rho_tilde_plus", None),
         ("rho_max", [0.1]), ("kappa", float("inf")), ("rho_max", 123.0),
@@ -456,6 +468,40 @@ class TestCorruptArtifacts:
         err = capsys.readouterr().err
         assert "re-run certify-gap" in err
         assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def constants_out(tmp_path_factory):
+    """(config, output directory) after `constants` at R = 2."""
+    tmp = tmp_path_factory.mktemp("constants")
+    cfg = write_config(tmp)
+    assert main(["constants", "--config", str(cfg), "--out", str(tmp / "out")]) == 0
+    return cfg, tmp / "out"
+
+
+class TestDamagedArtifactProperty:
+    """`constants` over a copy of a certified directory in which gap.json or
+    constants.json is cut at any offset, or has one byte overwritten,
+    reuses it (exit 0) or asks for a re-run (exit 2), and never raises."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(["gap.json", "constants.json"]),
+           at=st.floats(0.0, 1.0, exclude_max=True),
+           byte=st.none() | st.integers(0, 255))
+    def test_exits_zero_or_two(self, tmp_path_factory, constants_out, name,
+                               at, byte):
+        cfg, certified = constants_out
+        out = tmp_path_factory.mktemp("damaged") / "out"
+        shutil.copytree(certified, out)
+        data = (out / name).read_bytes()
+        cut = int(at * len(data))
+        tail = b"" if byte is None else bytes([byte]) + data[cut + 1:]
+        (out / name).write_bytes(data[:cut] + tail)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            status = main(["constants", "--config", str(cfg), "--out", str(out)])
+        assert status in (0, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 class TestPersistedSplit:
@@ -672,6 +718,21 @@ class TestRareExits:
             summary = json.loads((out / "solve_summary.json").read_text())
             assert summary["rho"] == rho
 
+    @pytest.mark.parametrize("command, name", [("certify-gap", "bands.csv"),
+                                               ("solve", "solution.field")])
+    def test_artifact_write_failure(self, tmp_path, capsys, command, name):
+        # the artifact's path is taken by a directory
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert main([command, "--config", str(write_config(tmp_path)),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {out / name}: " in err
+        assert "Traceback" not in err
+        assert not list(out.glob(".*.tmp"))
+        # bands.csv is written first; solve certifies inline before solving
+        assert (out / "gap.json").exists() == (command == "solve")
+
 
 class TestBadSettings:
     """Non-finite settings and bad coupling lists exit 2 before any work."""
@@ -721,19 +782,21 @@ class TestBadSettings:
         err = self._refused(tmp_path, capsys, "solve", *flags, **overrides)
         assert name in err and "seed must be >= 0" in err
 
-    @pytest.mark.parametrize("key, value", [("dimension", "40"),
-                                            ("dimension", "0"),
-                                            ("bloch.grid", "4"),
-                                            ("bloch.grid", "100")])
+    @pytest.mark.parametrize("key, value, rule", [
+        ("dimension", "40", "dimension must be in"),
+        ("dimension", "0", "dimension must be in"),
+        ("bloch.grid", "4", "grid resolution must be >= 8"),
+        ("bloch.grid", "100", "exceeds the Bloch stack bound")],
+        ids=["dimension-40", "dimension-0", "bloch.grid-4", "bloch.grid-100"])
     def test_geometry_key_out_of_range_rejected(self, tmp_path, capsys,
-                                                monkeypatch, key, value):
+                                                monkeypatch, key, value, rule):
         # a configuration error (exit 2) named by its key, before Bloch work
         def bloch_band_edges(*args, **kwargs):
             raise AssertionError("Bloch bands computed before the check")
 
         monkeypatch.setattr(cli, "bloch_band_edges", bloch_band_edges)
         err = self._refused(tmp_path, capsys, "certify-gap", **{key: value})
-        assert f"{key} must be" in err
+        assert f"bad {key}: " in err and rule in err
 
     @pytest.mark.parametrize("command", ["solve", "validate"])
     @pytest.mark.parametrize("key, value", [("nonlinearity.p", "1.5"),
@@ -752,7 +815,7 @@ class TestBadSettings:
 
     @pytest.mark.parametrize("overrides, message", [
         ({"dimension": "6"}, "above the budget"),
-        ({"box.radius": "1"}, "box.radius must be")], ids=["budget", "radius"])
+        ({"box.radius": "1"}, "bad box.radius:")], ids=["budget", "radius"])
     def test_validate_checks_the_box(self, tmp_path, capsys, overrides, message):
         # every rule is checked while the config is parsed, so a command
         # that never builds a split refuses a bad box too

@@ -315,3 +315,19 @@ class TestFieldIO:
             assert isinstance(lg.read_field(path), lg.LatticeField)
         except InvalidInputError:
             pass
+
+    @settings(max_examples=30, deadline=None)
+    @given(at=st.floats(0.0, 1.0, exclude_max=True), byte=st.integers(0, 255))
+    def test_one_overwritten_byte_read_or_rejected(self, tmp_path_factory, at,
+                                                   byte):
+        # a written field file with one byte replaced anywhere
+        path = tmp_path_factory.getbasetemp() / "overwritten.field"
+        lg.write_field(random_field(lg.BoxDomain(3, 1), np.random.default_rng(4)),
+                       path)
+        data = bytearray(path.read_bytes())
+        data[int(at * len(data))] = byte
+        path.write_bytes(bytes(data))
+        try:
+            assert isinstance(lg.read_field(path), lg.LatticeField)
+        except InvalidInputError:
+            pass

@@ -20,8 +20,13 @@ coupling is compared only in its sign check.  `solver` takes only the
 Hardy weight from `hardy`; the box constants come from its caller.
 Each input rule has one owner that states it: the coupling's sign
 (`SiteTerms`, and `weighted_mass`, which builds no terms), a field on the
-split's box, the dimension range, p > 2, the Hardy metrics and the
-checkerboard's default shift.
+split's box, the dimension range, p > 2, the Hardy metrics, the
+checkerboard's default shift, the dense site budget, the Bloch grid's
+minimum and stack bound, the boundary layers below the radius, the
+report's positive couplings, a site's shape, the potential's dimension and
+the Hardy commands' N >= 3.  The CLI states none of these limits: it loads
+neither their constants nor `SolverConfig.boundary_layers`, and calls the
+owners instead; `hardy` leaves the dense budget to `spectral` too.
 Every name the package exports has a caller outside the tests, except the
 few library-only names listed with their reasons."""
 
@@ -262,6 +267,14 @@ RULE_OWNERS = {
     "dimension must be in": {"lattice.BoxDomain.__post_init__"},
     "p > 2": {"nonlinearity.PowerNonlinearity.__post_init__"},
     "metric must be": {"hardy.HardyWeight.__post_init__"},
+    "above the budget": {"spectral.check_dense_budget"},
+    "grid resolution must be": {"spectral.check_bloch_grid"},
+    "Bloch stack bound": {"spectral.check_bloch_grid"},
+    "below the box radius": {"solver.check_boundary_layers"},
+    "positive couplings": {"continuation.check_report_couplings"},
+    "site has shape": {"lattice.BoxDomain.contains"},
+    "potential dimension": {"spectral.PeriodicPotential.on_box"},
+    "N >= 3": {"hardy.check_hardy_dimension"},
 }
 
 
@@ -273,6 +286,26 @@ def test_input_rule_refused_only_by_its_owner(fragment):
             and fragment in part.value for part in ast.walk(node.exc))
 
     assert _owners(refuses) == RULE_OWNERS[fragment]
+
+
+def _read_names(tree) -> set[str]:
+    """Every name a module imports, reads or reads as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def test_limits_are_read_only_by_their_owners():
+    limits = {"DENSE_EIG_BUDGET", "MIN_BLOCH_GRID", "MAX_BLOCH_ENTRIES",
+              "MIN_POSITIVE_COUPLINGS", "boundary_layers"}
+    assert not _read_names(TREES["cli"]) & limits
+    assert "DENSE_EIG_BUDGET" not in _read_names(TREES["hardy"])
 
 
 def test_metric_list_and_default_shift_written_once():

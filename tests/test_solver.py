@@ -462,6 +462,16 @@ class TestSolverConfig:
         with pytest.raises(TypeError, match=name):
             lg.SolverConfig(**{name: value})
 
+    @pytest.mark.parametrize("values", [np.zeros(7), np.full(27, np.nan),
+                                        np.ones(7)], ids=["zero", "nan", "short"])
+    def test_boundary_mass_needs_a_field_on_the_box(self, values):
+        # one finite value per site of the R = 1 box, whose 27 sites are
+        # all but the origin in its one boundary layer
+        box = lg.BoxDomain(3, 1)
+        with pytest.raises(InvalidInputError, match="values"):
+            lg.boundary_mass_fraction(box, values)
+        assert lg.boundary_mass_fraction(box, np.ones(27)) == 26 / 27
+
     def test_boundary_layers_below_radius(self, potential, band_table, model):
         box = lg.BoxDomain(3, lg.SolverConfig.boundary_layers)
         split = lg.spectral_split(box, lg.assemble_operator(box, potential),

@@ -16,18 +16,23 @@ a fixed seed reproduces them byte for byte.  Every artifact is written to
 a temporary file and renamed into place; a failed write exits 2.
 
 The splitting of the box operator is computed once per output directory:
-certify-gap (or the first stage that certifies inline) writes each parity
-sector's eigenpairs to split.npy and `_split_record` (layout and SHA-256)
-to gap.json.  Later stages reuse gap.json and constants.json by one rule:
+certify-gap (or the first stage that certifies inline, which then loads
+split.npy back like every later stage) writes each parity sector's
+eigenpairs to split.npy as they are computed, hashing the bytes as it
+writes them, and `_split_record` (layout and SHA-256) to gap.json.  Later stages reuse gap.json and constants.json by one rule:
 the file holds a JSON object written for this configuration (potential,
 box radius and Bloch grid; fingerprint, N, R and Hardy metric), each value
 of the configured type, and finite reals, from which the split (with the
 split.npy of the record) or the constants build.  Anything else asks for
 the stage that wrote the file to be re-run.
 
-The constants stage holds one dense eigenproblem at a time: it loads and
-checks the split, solves the rho_plus sector pencils, drops the split,
-solves the kappa pencil, and writes the witnesses and constants.json.
+Neither set-up stage holds the whole split, only one parity sector of it
+at a time: certify-gap writes each sector as it is diagonalized, and
+constants checks gap.json and the hash of split.npy, solves the kappa
+pencil, and then streams the sectors of split.npy through their checks and
+the rho_plus reduction before it writes the witnesses and constants.json.
+A re-run next to a matching constants.json streams the same checks without
+the pencils.
 
 Exit status: 0 on success, 2 when the configured problem violates a
 structural hypothesis (no spectral gap at 0, coupling out of range, model
@@ -57,10 +62,11 @@ from .jsonio import atomic_open
 from .lattice import BoxDomain, write_field
 from .nonlinearity import PowerNonlinearity, validate_hypotheses
 from .solver import SolverConfig, check_boundary_layers, solve_ground_state
-from .spectral import (SPLIT_LAYOUT, PeriodicPotential, assemble_operator,
-                       bloch_band_edges, check_bloch_grid, check_dense_budget,
-                       checkerboard_potential, checkerboard_shift,
-                       load_eigenpairs, save_eigenpairs, spectral_split)
+from .spectral import (SPLIT_LAYOUT, PeriodicPotential, SectorStream,
+                       assemble_operator, bloch_band_edges, check_bloch_grid,
+                       check_dense_budget, checkerboard_potential,
+                       checkerboard_shift, gap_intrusions, read_eigenpairs,
+                       spectral_split, write_split)
 
 SPLIT_FILE = "split.npy"
 
@@ -197,13 +203,9 @@ def parse_config(path) -> RunConfig:
         bloch_grid=grid, out_dir=setting("output.dir"))
 
 
-def _split_record(out: Path) -> dict:
-    """What gap.json records of split.npy in `out`: name, layout and SHA-256."""
-    digest = hashlib.sha256()
-    with open(out / SPLIT_FILE, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return {"file": SPLIT_FILE, "layout": SPLIT_LAYOUT, "sha256": digest.hexdigest()}
+def _split_record(sha256: str) -> dict:
+    """What gap.json records of split.npy: name, layout and SHA-256."""
+    return {"file": SPLIT_FILE, "layout": SPLIT_LAYOUT, "sha256": sha256}
 
 
 def _gap_written_for(cfg: RunConfig) -> dict:
@@ -218,22 +220,20 @@ def _constants_written_for(cfg: RunConfig) -> dict:
             "N": cfg.dimension, "R": cfg.radius, "metric": metric}
 
 
-def _certify(cfg: RunConfig, out: Path, write_bands: bool):
-    """The certified box split; writes split.npy and then gap.json, which
-    holds split.npy's hash (and bands.csv for certify-gap)."""
+def _certify(cfg: RunConfig, out: Path, write_bands: bool) -> None:
+    """Certify the gap, write split.npy one sector at a time and then
+    gap.json, which holds split.npy's hash (and bands.csv for certify-gap)."""
     table = bloch_band_edges(cfg.potential, grid=cfg.bloch_grid)
     operator = assemble_operator(cfg.box, cfg.potential)
-    split = spectral_split(cfg.box, operator, table.gap)
+    eigenvalues, sha256 = write_split(cfg.box, operator, out / SPLIT_FILE)
     if write_bands:
         table.to_csv(out / "bands.csv")
-    save_eigenpairs(split, out / SPLIT_FILE)
     payload = {**_gap_written_for(cfg),
                "sigma_minus": table.sigma_minus, "sigma_plus": table.sigma_plus,
-               "intrusions": split.intrusions,
-               "smallest_abs_eigenvalue": float(abs(split.eigenvalues).min()),
-               "eigenpairs": _split_record(out)}
+               "intrusions": gap_intrusions(eigenvalues, table.gap),
+               "smallest_abs_eigenvalue": float(abs(eigenvalues).min()),
+               "eigenpairs": _split_record(sha256)}
     jsonio.dump(payload, out / "gap.json")
-    return split
 
 
 def _load_artifact(path: Path, rerun: str, written_for: dict,
@@ -271,44 +271,86 @@ def _load_artifact(path: Path, rerun: str, written_for: dict,
 
 
 def _load_split_file(out: Path, recorded):
-    """Sector eigenpairs from split.npy, once its layout and hash match the
-    record in gap.json."""
+    """The sector eigenpairs of split.npy, once its layout and hash match
+    `recorded`, the record in gap.json.  They are read lazily, and a record
+    that cannot be read asks for certify-gap when it is reached."""
+    path = out / SPLIT_FILE
+
+    def unreadable(exc):
+        return CertificationMissingError(
+            f"unreadable {SPLIT_FILE} ({exc}); re-run certify-gap")
+
+    digest = hashlib.sha256()
     try:
-        if recorded != _split_record(out):
-            raise CertificationMissingError(
-                f"{SPLIT_FILE} does not match gap.json; re-run certify-gap")
-        return load_eigenpairs(out / SPLIT_FILE)
-    except (OSError, EOFError, ValueError) as exc:
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(chunk)
+    except OSError as exc:
+        raise unreadable(exc) from exc
+    if recorded != _split_record(digest.hexdigest()):
         raise CertificationMissingError(
-            f"unreadable {SPLIT_FILE} ({exc}); re-run certify-gap") from exc
+            f"{SPLIT_FILE} does not match gap.json; re-run certify-gap")
+
+    def read():
+        try:
+            yield from read_eigenpairs(path)
+        except (OSError, EOFError, ValueError) as exc:
+            raise unreadable(exc) from exc
+
+    return read()
 
 
-def _ensure_split(cfg: RunConfig, out: Path):
-    """Reuse gap.json and split.npy, or certify inline without gap.json."""
+def _read_split(cfg: RunConfig, out: Path, use):
+    """`use(gap, operator, eigenpairs)` of the gap in gap.json, the box
+    operator and split.npy's sector eigenpairs; without gap.json,
+    certify-gap runs inline first.  `use` runs inside the loader of
+    gap.json, so sectors that fail their checks when `use` reads them ask
+    for certify-gap too."""
     path = out / "gap.json"
     if not path.exists():
-        return _certify(cfg, out, write_bands=False)
+        _certify(cfg, out, write_bands=False)
 
     def build(data):
         eigenpairs = _load_split_file(out, data.get("eigenpairs"))
-        return spectral_split(cfg.box, assemble_operator(cfg.box, cfg.potential),
-                              (data["sigma_minus"], data["sigma_plus"]), eigenpairs)
+        operator = assemble_operator(cfg.box, cfg.potential)
+        return use((data["sigma_minus"], data["sigma_plus"]), operator, eigenpairs)
 
     return _load_artifact(path, "certify-gap", _gap_written_for(cfg),
                           ("sigma_minus", "sigma_plus"), build)
 
 
-def _ensure_constants(cfg: RunConfig, out: Path, load_split) -> InequalityConstants:
+def _ensure_split(cfg: RunConfig, out: Path):
+    """The split of gap.json and split.npy, certified inline if need be."""
+    return _read_split(cfg, out, lambda gap, operator, eigenpairs: spectral_split(
+        cfg.box, operator, gap, eigenpairs))
+
+
+def _stream_split(cfg: RunConfig, out: Path, use):
+    """`use(sectors)` of a `SectorStream` of split.npy, inside the loader of
+    gap.json; the sectors that `use` leaves unread still pass their checks."""
+    def streamed(gap, operator, eigenpairs):
+        sectors = SectorStream(cfg.box, operator, gap, eigenpairs)
+        result = use(sectors)
+        sectors.drain()
+        return result
+
+    return _read_split(cfg, out, streamed)
+
+
+def _ensure_constants(cfg: RunConfig, out: Path, with_split) -> InequalityConstants:
     """Reuse constants.json, or compute the constants and write it.
 
-    `load_split()` is called first either way, so reusing constants.json
-    still needs a valid gap.json and split.npy.  The split is dropped after
-    the rho_plus pencils, so unless a caller holds it, it is freed before
-    the kappa pencil, which does not read it.
+    `with_split(use)` returns `use(split)` for a split that `rho_plus` reads:
+    the `SpectralSplit` that solve and sweep go on to use, or, in the
+    `constants` stage, split.npy streamed one sector at a time
+    (`_stream_split`).  It is called on both paths, so reusing
+    constants.json still needs a valid gap.json and split.npy.  The kappa
+    pencil, which does not read the split, is solved before the rho_plus
+    reduction reads it.
     """
-    split = load_split()
     path = out / "constants.json"
     if path.exists():
+        with_split(lambda split: None)
         return _load_artifact(
             path, "constants", _constants_written_for(cfg),
             ("kappa", "rho_plus", "rho_tilde_plus", "rho_max"),
@@ -316,9 +358,8 @@ def _ensure_constants(cfg: RunConfig, out: Path, load_split) -> InequalityConsta
                 dimension=data["N"], radius=data["R"], kappa=data["kappa"],
                 rho_plus=data["rho_plus"], rho_tilde_plus=data["rho_tilde_plus"],
                 rho_max=data["rho_max"], metric=data["metric"]))
-    rp = rho_plus(split)
-    del split
-    hardy = best_hardy_constant(cfg.box, cfg.weight)
+    hardy, rp = with_split(lambda split: (
+        best_hardy_constant(cfg.box, cfg.weight), rho_plus(split)))
     constants = InequalityConstants(
         dimension=cfg.dimension, radius=cfg.radius, kappa=hardy.kappa,
         rho_plus=rp.value, metric=cfg.weight.metric)
@@ -336,7 +377,7 @@ def _resolve_rhos(cfg: RunConfig, out: Path, split):
     for fraction resolution and for the admissibility check."""
     if not any(r > 0 for r in cfg.rho_values):
         return cfg.rho_values, None
-    constants = _ensure_constants(cfg, out, lambda: split)
+    constants = _ensure_constants(cfg, out, lambda use: use(split))
     if cfg.rho_mode == "absolute":
         return cfg.rho_values, constants
     return tuple(f * constants.rho_max for f in cfg.rho_values), constants
@@ -349,8 +390,7 @@ def cmd_certify_gap(cfg: RunConfig, out: Path) -> int:
 
 def cmd_constants(cfg: RunConfig, out: Path) -> int:
     _built("dimension", check_hardy_dimension, cfg.dimension)
-    # a loader, not a split: no frame here keeps the split alive
-    _ensure_constants(cfg, out, lambda: _ensure_split(cfg, out))
+    _ensure_constants(cfg, out, lambda use: _stream_split(cfg, out, use))
     return 0
 
 

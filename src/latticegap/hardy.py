@@ -22,8 +22,8 @@ import scipy.sparse as sp
 
 from .errors import InvalidInputError, NumericalError
 from .lattice import BoxDomain, LatticeField, dirichlet_energy
-from .spectral import (SpectralSplit, check_dense_budget, laplacian_matrix,
-                       parity_sectors)
+from .spectral import (SectorStream, SpectralSplit, check_dense_budget,
+                       laplacian_matrix, parity_sectors)
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,10 @@ def best_hardy_constant(box: BoxDomain,
     check_dense_budget("the even sector", even.size)
     w = weight.on_box(box)
     q = even.basis(box.site_count)
-    vals, vecs = sla.eigh((q.T @ sp.diags(w) @ q).toarray(),
-                          (q.T @ laplacian_matrix(box) @ q).toarray())
+    # Fortran order lets LAPACK work in the two matrices instead of copies
+    vals, vecs = sla.eigh((q.T @ sp.diags(w) @ q).toarray(order="F"),
+                          (q.T @ laplacian_matrix(box) @ q).toarray(order="F"),
+                          overwrite_a=True, overwrite_b=True)
     kappa = float(vals[-1])
     vec = even.lift(vecs[:, -1:], box.site_count)[:, 0]
     vec = vec / np.linalg.norm(vec)
@@ -108,37 +110,27 @@ class RhoPlusConstant:
     witness: LatticeField
 
 
-def rho_plus(split: SpectralSplit) -> RhoPlusConstant:
+def rho_plus(split: SpectralSplit | SectorStream) -> RhoPlusConstant:
     """Largest M with (A u, u)_2 >= M * dirichlet_energy(u) for all u in X^+.
 
     Computed as the smallest eigenvalue of the pencil (diag(lambda^+), B^T L B)
     on the positive eigenbasis B.  L commutes with the reflections, so
     B^T L B has no entries between columns of different parity: the X^+
-    columns B_s = Q_s C_s of each sector s, taken from the split's blocks,
-    get the pencil (diag(lambda_s), C_s^T (Q_s^T L Q_s) C_s), and the first
-    smallest value over them wins.
+    columns B_s = Q_s C_s of each sector s, as `split.plus_sectors()` yields
+    them, get the pencil (diag(lambda_s), C_s^T (Q_s^T L Q_s) C_s), and the
+    first smallest value over them wins.  The reduction keeps only the best
+    value and its witness, so a `SectorStream` is read one sector at a time,
+    and it gives what the `SpectralSplit` of the same eigenpairs gives.
     """
-    if split.negative_count == split.size:
+    n, lap = split.box.site_count, laplacian_matrix(split.box)
+    # map lets go of each sector before the next one is read, and min keeps
+    # the first smallest value
+    best = min(map(lambda part: _pencil_minimum(lap, n, *part),
+                   split.plus_sectors()), key=lambda pair: pair[0], default=None)
+    if best is None:
         raise InvalidInputError(
             "rho_plus needs a nonempty X^+, but the operator has no positive "
             "eigenvalue on this box")
-    n, lap, best = split.size, laplacian_matrix(split.box), None
-    for sector, lam, coords in split.plus_sectors():
-        q = sector.basis(n)
-        gram = coords.T @ ((q.T @ lap @ q) @ coords)
-        gram = 0.5 * (gram + gram.T)
-        # cond(G) is a full SVD, so it is computed only for the error messages
-        try:
-            vals, vecs = sla.eigh(np.diag(lam), gram)
-        except sla.LinAlgError as exc:
-            raise NumericalError(
-                f"reduced pencil solve failed (cond(G) = {np.linalg.cond(gram):.3e}): "
-                f"{exc}") from exc
-        if not np.all(np.isfinite(vals)):
-            raise NumericalError(
-                f"reduced pencil numerically singular, cond(G) = {np.linalg.cond(gram):.3e}")
-        if best is None or vals[0] < best[0]:
-            best = (float(vals[0]), sector.lift(coords @ vecs[:, :1], n)[:, 0])
     value, vec = best
     vec = vec / np.linalg.norm(vec)
     witness = LatticeField(split.box, vec)
@@ -147,6 +139,26 @@ def rho_plus(split: SpectralSplit) -> RhoPlusConstant:
         raise NumericalError(
             f"rho_plus witness not tight: quotient {quotient!r} vs value {value!r}")
     return RhoPlusConstant(value=value, witness=witness)
+
+
+def _pencil_minimum(lap: sp.spmatrix, n: int, sector, lam: np.ndarray,
+                    coords: np.ndarray) -> tuple[float, np.ndarray]:
+    """The smallest eigenvalue of one sector's `rho_plus` pencil and its
+    eigenvector in site space."""
+    q = sector.basis(n)
+    gram = coords.T @ ((q.T @ lap @ q) @ coords)
+    gram = 0.5 * (gram + gram.T)
+    # cond(G) is a full SVD, so it is computed only for the error messages
+    try:
+        vals, vecs = sla.eigh(np.diag(lam), gram)
+    except sla.LinAlgError as exc:
+        raise NumericalError(
+            f"reduced pencil solve failed (cond(G) = {np.linalg.cond(gram):.3e}): "
+            f"{exc}") from exc
+    if not np.all(np.isfinite(vals)):
+        raise NumericalError(
+            f"reduced pencil numerically singular, cond(G) = {np.linalg.cond(gram):.3e}")
+    return float(vals[0]), sector.lift(coords @ vecs[:, :1], n)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -200,9 +212,10 @@ def compute_constants(split: SpectralSplit,
                       weight: HardyWeight = EUCLIDEAN_WEIGHT) -> InequalityConstants:
     """kappa and rho_plus on the split's box, bundled with the derived bound.
 
-    The caller's split stays alive across both pencils; the CLI's
-    `constants` stage instead drops it before the kappa pencil, which
-    does not read it."""
+    The caller holds the whole split across both pencils; the CLI's
+    `constants` stage never holds it: it solves the kappa pencil, which does
+    not read the split, and then streams split.npy through `rho_plus` one
+    sector at a time (a `SectorStream`)."""
     return InequalityConstants(
         dimension=split.box.dimension, radius=split.box.radius,
         kappa=best_hardy_constant(split.box, weight).kappa,

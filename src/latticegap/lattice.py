@@ -153,10 +153,10 @@ def lp_norm(u: LatticeField, p: float) -> float:
 
 def write_field(u: LatticeField, path) -> None:
     """Dump one line per site: "x_1 ... x_N value" in enumeration order."""
+    # Python ints and floats from tolist() format faster than numpy scalars
     with atomic_open(path) as fh:
-        for site, value in zip(u.box.sites, u.values):
-            coords = " ".join(str(int(c)) for c in site)
-            fh.write(f"{coords} {value:.17g}\n")
+        for site, value in zip(u.box.sites.tolist(), u.values.tolist()):
+            fh.write(" ".join(map(str, site)) + f" {value:.17g}\n")
 
 
 def read_field(path) -> LatticeField:

@@ -24,14 +24,22 @@ sense of Fassler & Stiefel, Group Theoretical Methods and Their
 Applications, 1992).  The split keeps the eigenvectors in these blocks,
 and its products with eigencoordinates run sector by sector.  Only the
 linear algebra is blocked: the eigenvectors together span the whole box,
-and the solution is not restricted to a sector.
+and the solution is not restricted to a sector.  Every split's eigenpairs,
+computed or read back from a file, come from one generator,
+`split_sectors`, one checked sector at a time: `SpectralSplit` keeps them
+all, and `SectorStream` and the file writer `write_split` hold one at a
+time.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import itertools
+import tokenize
+from collections import deque
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg as sla
@@ -197,9 +205,11 @@ class BlochBandTable:
         with atomic_open(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow([f"k{i + 1}" for i in range(n)] + ["band_index", "lambda"])
-            for k, lams in zip(self.k_points, self.bands):
+            # Python floats from tolist() format faster than numpy scalars
+            for k, lams in zip(self.k_points.tolist(), self.bands.tolist()):
+                prefix = [f"{ki:.17g}" for ki in k]
                 for j, lam in enumerate(lams):
-                    writer.writerow([f"{ki:.17g}" for ki in k] + [str(j), f"{lam:.17g}"])
+                    writer.writerow(prefix + [str(j), f"{lam:.17g}"])
 
 
 def bloch_matrix(potential: PeriodicPotential, k) -> np.ndarray:
@@ -366,27 +376,116 @@ def parity_sectors(box: BoxDomain, axes: tuple[int, ...]) -> list[ParitySector]:
     return sectors
 
 
+def split_sectors(box: BoxDomain, operator: sp.spmatrix, eigenpairs=None):
+    """The one way to a split's eigenpairs, computed or supplied: for each
+    sector s of `parity_sectors`, over the axes where the operator equals
+    its mirror image, yields (sector, ascending eigenvalues, eigenvectors
+    V_s in the sector basis) of the block Q_s^T A Q_s, making only that
+    sector's block and eigenpairs.  The block is diagonalized by LAPACK's
+    divide-and-conquer `dsyevd` (Gu & Eisenstat, SIAM J. Matrix Anal. Appl.
+    16, 1995), unless `eigenpairs` supplies one (eigenvalues, eigenvectors)
+    pair per sector in `parity_sectors` order, as `read_eigenpairs` reads
+    them lazily.
+
+    A box that `check_dense_budget` refuses and an operator of another shape
+    raise InvalidInputError before any work; a supplied pair of the wrong
+    shape, a missing or extra one, or non-finite or unsorted values raise it
+    when their sector is reached.  Every sector is then checked for an
+    eigenvalue at 0 (ZeroEigenvalueError) and for its eigenpair residuals
+    (NumericalError), in column blocks so that their temporaries stay
+    small.  Orthonormality is exact up to LAPACK and not checked: supplied
+    eigenpairs must come from this function, and the CLI checks the hash of
+    the file it loads them from.
+    """
+    n = box.site_count
+    check_dense_budget("the box", n)
+    if operator.shape != (n, n):
+        raise InvalidInputError(
+            f"operator shape {operator.shape} does not match box with "
+            f"{n} sites")
+    operator = operator.tocsr()
+    sectors = parity_sectors(box, reflection_axes(box, operator))
+    mismatch = (f"eigenpairs do not match the {len(sectors)} parity sectors "
+                f"of a box with {n} sites")
+    supplied = None if eigenpairs is None else iter(eigenpairs)
+    for sector in sectors:
+        q = sector.basis(n)
+        # a helper makes the eigenpairs, so this frame holds none of them
+        # while the next sector is made or read
+        yield (sector, *_sector_eigenpairs(q.T @ operator @ q, supplied, mismatch))
+    if supplied is not None and next(supplied, None) is not None:
+        raise InvalidInputError(mismatch)
+
+
+def _sector_eigenpairs(block: sp.spmatrix, supplied, mismatch: str):
+    """The checked (eigenvalues, eigenvectors) of one sector's block for
+    `split_sectors`: computed, or the next pair of `supplied`."""
+    size = block.shape[0]
+    if supplied is None:
+        values, vectors = sla.eigh(block.toarray(order="F"), overwrite_a=True,
+                                   driver="evd")
+    else:
+        pair = next(supplied, None)
+        if pair is None or tuple(np.shape(a) for a in pair) != ((size,), (size, size)):
+            raise InvalidInputError(mismatch)
+        # Fortran order keeps the sector's X^- / X^+ columns contiguous
+        values = np.asarray(pair[0], dtype=float)
+        vectors = np.asfortranarray(pair[1], dtype=float)
+        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(vectors))):
+            raise InvalidInputError("sector eigenpairs are not finite")
+        if np.any(np.diff(values) < 0):
+            raise InvalidInputError("sector eigenvalues are not ascending")
+    if np.min(np.abs(values)) < 1e-10:
+        raise ZeroEigenvalueError(
+            "operator has an eigenvalue at 0 (within 1e-10); "
+            "positive/negative splitting is undefined")
+    bad = 0
+    for lo in range(0, size, RESIDUAL_BLOCK):
+        vecs = vectors[:, lo:lo + RESIDUAL_BLOCK]
+        vals = values[lo:lo + RESIDUAL_BLOCK]
+        residual = np.linalg.norm(block @ vecs - vecs * vals, axis=0)
+        # NaN fails "<=", so a non-finite residual counts as bad
+        bad += int(np.sum(~(residual <= 1e-9 * (1.0 + np.abs(vals)))))
+    if bad:
+        raise NumericalError(f"{bad} eigenpairs exceed the residual tolerance")
+    return values, vectors
+
+
+def check_gap(gap) -> tuple[float, float]:
+    """The certified gap as floats, once it contains 0 (finite sigma_minus <
+    0 < sigma_plus), the paper's standing hypothesis."""
+    gap = (float(gap[0]), float(gap[1]))
+    if not -np.inf < gap[0] < 0.0 < gap[1] < np.inf:
+        raise InvalidInputError(f"the gap {gap!r} does not contain 0")
+    return gap
+
+
+def gap_intrusions(eigenvalues: np.ndarray, gap: tuple[float, float]) -> list[float]:
+    """The ascending box `eigenvalues` inside the infinite-lattice `gap` by
+    more than 1e-9 (1 + the larger |edge|): Dirichlet truncation parks them
+    there, and they are reported, never dropped."""
+    edge = 1e-9 * (1.0 + max(abs(gap[0]), abs(gap[1])))
+    inside = (eigenvalues > gap[0] + edge) & (eigenvalues < gap[1] - edge)
+    return [float(v) for v in eigenvalues[inside]]
+
+
 class SpectralSplit:
     """Full eigendecomposition of the box operator, split at 0 and kept one
     reflection-parity sector at a time.
 
-    Each sector s of `parity_sectors`, over the axes where the operator
-    equals its mirror image, holds the eigenpairs of its block Q_s^T A Q_s:
-    ascending eigenvalues and the eigenvectors V_s in the sector basis, so
-    the box eigenvectors are the columns of Q_s V_s.  The blocks between
-    sectors vanish in exact arithmetic and are never formed, and neither is
-    an n x n eigenvector matrix.  Without a symmetric axis there is one
-    sector with Q = I, and V is exactly
-    `scipy.linalg.eigh(operator.toarray(), driver="evd")`.
+    The split holds every sector that `split_sectors` yields: the ascending
+    eigenvalues of the block Q_s^T A Q_s and its eigenvectors V_s in the
+    sector basis.  The blocks between sectors vanish in exact arithmetic
+    and are never formed, and neither is an n x n eigenvector matrix.
+    Without a symmetric axis there is one sector with Q = I, and V is
+    exactly `scipy.linalg.eigh(operator.toarray(), driver="evd")`.
 
-    Each block is diagonalized by LAPACK's divide-and-conquer `dsyevd`
-    (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995).  The box
-    spectrum has large clusters (at R = 6 the eigenvalue +1 is 19-fold),
-    on which scipy's default MRRR driver `evr` is about six times slower
-    and loses orthogonality to 2e-13; `evd` keeps it to 4e-15.  Inside a
-    degenerate eigenspace the basis is whichever one LAPACK returns; the
-    solver draws its random starts in site space so that they do not
-    depend on it.
+    The `evd` driver is chosen because the box spectrum has large clusters
+    (at R = 6 the eigenvalue +1 is 19-fold), on which scipy's default MRRR
+    driver `evr` is about six times slower and loses orthogonality to
+    2e-13; `evd` keeps it to 4e-15.  Inside a degenerate eigenspace the
+    basis is whichever one LAPACK returns; the solver draws its random
+    starts in site space so that they do not depend on it.
 
     Eigencoordinate i belongs to the i-th eigenvalue in the stable ascending
     order of the sectors' concatenated eigenvalues, so the first
@@ -399,57 +498,24 @@ class SpectralSplit:
     values sector by sector, for all coordinates or for the X^- or X^+ ones
     alone (and `hardy.rho_plus` reads `plus_sectors`).  Module functions add
     the spectral projectors and the equivalent inner product (|A| u, v)_2.
-    The certified `gap` must contain 0 (finite sigma_minus < 0 < sigma_plus),
-    the paper's standing hypothesis; a gap that does not, and a box that
-    `check_dense_budget` refuses, raise InvalidInputError before any work.
+    A `gap` that `check_gap` refuses raises InvalidInputError before any
+    work, and so does every refusal of `split_sectors` that needs no
+    eigenpairs.
 
     `eigenpairs`, one (eigenvalues, eigenvectors) pair per sector in
     `parity_sectors` order, skips the diagonalization for a decomposition
-    computed earlier (see `load_eigenpairs`).  Non-finite or unsorted
-    supplied eigenpairs raise InvalidInputError, and the zero eigenvalue and
-    residual checks run on them all the same.
+    computed earlier (see `read_eigenpairs`); `split_sectors` checks them
+    as it checks its own.
     """
 
     def __init__(self, box: BoxDomain, operator: sp.spmatrix,
                  gap: tuple[float, float], eigenpairs=None):
-        gap = (float(gap[0]), float(gap[1]))
-        if not -np.inf < gap[0] < 0.0 < gap[1] < np.inf:
-            raise InvalidInputError(f"the gap {gap!r} does not contain 0")
-        n = box.site_count
-        check_dense_budget("the box", n)
-        if operator.shape != (n, n):
-            raise InvalidInputError(
-                f"operator shape {operator.shape} does not match box with "
-                f"{n} sites")
         self.box = box
         self.operator = operator.tocsr()
-        self.gap = gap
-        sectors = parity_sectors(box, reflection_axes(box, self.operator))
-        bases = [sector.basis(n) for sector in sectors]
-        blocks = [q.T @ self.operator @ q for q in bases]
-        if eigenpairs is None:
-            eigenpairs = [sla.eigh(block.toarray(), driver="evd")
-                          for block in blocks]
-        else:
-            # Fortran order keeps each sector's X^- / X^+ columns contiguous
-            shapes = [tuple(np.shape(a) for a in pair) for pair in eigenpairs]
-            if shapes != [((s.size,), (s.size, s.size)) for s in sectors]:
-                raise InvalidInputError(
-                    f"eigenpairs do not match the {len(sectors)} parity "
-                    f"sectors of a box with {n} sites")
-            eigenpairs = [(np.asarray(values, dtype=float),
-                           np.asfortranarray(vectors, dtype=float))
-                          for values, vectors in eigenpairs]
-            if not all(np.all(np.isfinite(array))
-                       for pair in eigenpairs for array in pair):
-                raise InvalidInputError("sector eigenpairs are not finite")
-            if any(np.any(np.diff(values) < 0) for values, _ in eigenpairs):
-                raise InvalidInputError("sector eigenvalues are not ascending")
-        eigenvalues = np.concatenate([values for values, _ in eigenpairs])
-        if np.min(np.abs(eigenvalues)) < 1e-10:
-            raise ZeroEigenvalueError(
-                "operator has an eigenvalue at 0 (within 1e-10); "
-                "positive/negative splitting is undefined")
+        self.gap = gap = check_gap(gap)
+        sectors = list(split_sectors(box, self.operator, eigenpairs))
+        n = box.site_count
+        eigenvalues = np.concatenate([values for _, values, _ in sectors])
         order = np.argsort(eigenvalues, kind="stable")
         index = np.empty(n, dtype=np.intp)  # coordinate of each sector column
         index[order] = np.arange(n)
@@ -457,33 +523,16 @@ class SpectralSplit:
         self.negative_count = nneg = int(np.sum(eigenvalues < 0.0))
         self.minus = slice(0, nneg)
         self.plus = slice(nneg, n)
-        # eigenpair residual check per sector block, in column blocks so that
-        # its temporaries stay small.  Orthonormality is exact up to LAPACK
-        # and not checked: supplied eigenpairs must come from this class,
-        # and the CLI checks the hash of the file it loads them from.
-        bad = 0
-        for block, (values, vectors) in zip(blocks, eigenpairs):
-            for lo in range(0, values.size, RESIDUAL_BLOCK):
-                vecs = vectors[:, lo:lo + RESIDUAL_BLOCK]
-                vals = values[lo:lo + RESIDUAL_BLOCK]
-                residual = np.linalg.norm(block @ vecs - vecs * vals, axis=0)
-                # NaN fails "<=", so a non-finite residual counts as bad
-                bad += int(np.sum(~(residual <= 1e-9 * (1.0 + np.abs(vals)))))
-        if bad:
-            raise NumericalError(
-                f"{bad} eigenpairs exceed the residual tolerance")
-        edge = 1e-9 * (1.0 + max(abs(self.gap[0]), abs(self.gap[1])))
-        inside = (self.eigenvalues > self.gap[0] + edge) \
-            & (self.eigenvalues < self.gap[1] - edge)
-        self.intrusions = [float(v) for v in self.eigenvalues[inside]]
+        self.intrusions = gap_intrusions(self.eigenvalues, gap)
         # Q, one column block per sector, and for each part of the
         # coordinates its nonempty sectors as (sector, their columns of Q,
         # V_s columns, the coordinates of those within the part)
-        self._basis = sp.hstack(bases, format="csr")
+        self._basis = sp.hstack([sector.basis(n) for sector, _, _ in sectors],
+                                format="csr")
         self._basis_t = self._basis.T.tocsr()
         self._blocks = {"all": [], "minus": [], "plus": []}
         lo = 0
-        for sector, (values, vectors) in zip(sectors, eigenpairs):
+        for sector, values, vectors in sectors:
             rows = slice(lo, lo + sector.size)
             coords, k = index[rows], int(np.sum(values < 0.0))
             lo += sector.size
@@ -529,6 +578,32 @@ class SpectralSplit:
             yield sector, lam[index], vectors
 
 
+class SectorStream:
+    """A split read in one pass, one parity sector at a time: it takes and
+    checks what a `SpectralSplit` does, and has what `hardy.rho_plus` reads
+    of one (`box`, `operator`, `plus_sectors`), straight from
+    `split_sectors`.  `drain` checks the sectors not yet read."""
+
+    def __init__(self, box: BoxDomain, operator: sp.spmatrix,
+                 gap: tuple[float, float], eigenpairs=None):
+        check_gap(gap)
+        self.box = box
+        self.operator = operator.tocsr()
+        self._sectors = split_sectors(box, self.operator, eigenpairs)
+
+    def plus_sectors(self):
+        """As `SpectralSplit.plus_sectors`: the X^+ columns of each sector
+        that has some, which follow its X^- columns."""
+        for sector, values, vectors in self._sectors:
+            k = int(np.sum(values < 0.0))
+            if k < values.size:
+                yield sector, values[k:], vectors[:, k:]
+            del values, vectors  # not held while the next sector is read
+
+    def drain(self) -> None:
+        deque(self._sectors, maxlen=0)
+
+
 def spectral_split(box: BoxDomain, operator: sp.spmatrix,
                    gap: tuple[float, float], eigenpairs=None) -> SpectralSplit:
     """Full eigendecomposition split at 0, dense per parity sector (desk
@@ -543,25 +618,61 @@ def save_eigenpairs(split: SpectralSplit, path) -> None:
     """Write each parity sector's eigenvalues, then its eigenvectors in the
     sector basis, as .npy records in one file, sectors in `parity_sectors`
     order.  np.save keeps the matrices' Fortran order, and the bytes depend
-    only on the arrays (no timestamps, unlike .npz)."""
+    only on the arrays (no timestamps, unlike .npz).  This writes a whole
+    split held in memory; `write_split` writes the same bytes one sector
+    at a time."""
     with atomic_open(path, "wb") as fh:
         for _, _, vectors, index in split._blocks["all"]:
             np.save(fh, split.eigenvalues[index])
             np.save(fh, vectors)
 
 
-def load_eigenpairs(path) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Read back what `save_eigenpairs` wrote: one (eigenvalues,
-    eigenvectors) pair per sector.  Whether they fit a box is checked by
-    `SpectralSplit`."""
-    records = []
+def write_split(box: BoxDomain, operator: sp.spmatrix, path) -> tuple[np.ndarray, str]:
+    """Diagonalize the box operator and write the file that `save_eigenpairs`
+    writes for its split, byte for byte, one sector at a time as
+    `split_sectors` yields it.  Returns the ascending eigenvalues and the
+    SHA-256 of the bytes written, hashed as they are written."""
+    digest = hashlib.sha256()
+    eigenvalues = []
+    with atomic_open(path, "wb") as fh:
+        def write(data):
+            digest.update(data)
+            return fh.write(data)
+
+        hashed = SimpleNamespace(write=write)
+        for _, values, vectors in split_sectors(box, operator):
+            np.save(hashed, values)
+            np.save(hashed, vectors)
+            eigenvalues.append(values)
+            del vectors  # not held while the next sector is diagonalized
+    return np.sort(np.concatenate(eigenvalues), kind="stable"), digest.hexdigest()
+
+
+def read_eigenpairs(path):
+    """Read back what `save_eigenpairs` wrote, lazily: one (eigenvalues,
+    eigenvectors) pair per sector, each read when it is reached.  A record
+    that is not a float64 array, or whose header numpy cannot parse, raises
+    InvalidInputError; whether the pairs fit a box is checked by
+    `split_sectors`."""
     with open(path, "rb") as fh:
         while fh.peek(1):
-            records.append(np.load(fh))
-    if len(records) % 2:
-        raise InvalidInputError(
-            f"{len(records)} records: a sector's eigenvectors are missing")
-    return list(zip(records[::2], records[1::2]))
+            yield _read_record(fh), _read_record(fh)
+
+
+def _read_record(fh) -> np.ndarray:
+    try:
+        array = np.load(fh)
+    except (SyntaxError, tokenize.TokenError) as exc:
+        # numpy's fallback parser of old-style headers raises these
+        raise InvalidInputError(f"unparsable record header: {exc}") from exc
+    if array.dtype != np.float64:
+        raise InvalidInputError("split records are not float64 arrays")
+    return array
+
+
+def load_eigenpairs(path) -> list[tuple[np.ndarray, np.ndarray]]:
+    """All of `read_eigenpairs(path)` at once."""
+    return list(read_eigenpairs(path))
 
 
 def check_on_box(split: SpectralSplit, *fields: LatticeField) -> None:

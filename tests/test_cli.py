@@ -1,12 +1,12 @@
 import contextlib
 import dataclasses
-import gc
 import hashlib
 import io
 import json
 import multiprocessing
 import shutil
-import weakref
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -214,10 +214,11 @@ class TestConstants:
 
     @pytest.mark.parametrize("certify_first", [True, False],
                              ids=["certified", "inline"])
-    def test_split_released_before_kappa_pencil(self, tmp_path, monkeypatch,
-                                                certify_first):
-        # the kappa pencil never reads the split, so a fresh `constants`
-        # holds no reference to it while that pencil is solved
+    def test_constants_builds_no_split(self, tmp_path, monkeypatch,
+                                       certify_first):
+        # a fresh `constants` never holds the whole split: it solves the
+        # kappa pencil, then reads split.npy's sectors one at a time inside
+        # the rho_plus reduction
         cfg = write_config(tmp_path, **{"box.radius": "3"})
         plain, wrapped = tmp_path / "plain", tmp_path / "wrapped"
         if certify_first:
@@ -225,24 +226,34 @@ class TestConstants:
                 assert main(["certify-gap", "--config", str(cfg),
                              "--out", str(out)]) == 0
         assert main(["constants", "--config", str(cfg), "--out", str(plain)]) == 0
-        splits, alive = [], []
-        spectral_split = cli.spectral_split
+        events = []
+        read_eigenpairs = cli.read_eigenpairs
         best_hardy_constant = cli.best_hardy_constant
+        rho_plus = cli.rho_plus
 
-        def tracked_split(*args, **kwargs):
-            split = spectral_split(*args, **kwargs)
-            splits.append(weakref.ref(split))
-            return split
+        def no_split(*args, **kwargs):
+            raise AssertionError("constants built a whole split")
 
-        def checked_kappa(*args, **kwargs):
-            gc.collect()
-            alive.append([ref() is not None for ref in splits])
+        def counted_pairs(path):
+            for pair in read_eigenpairs(path):
+                events.append("pair")
+                yield pair
+
+        def kappa(*args, **kwargs):
+            events.append("kappa")
             return best_hardy_constant(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "spectral_split", tracked_split)
-        monkeypatch.setattr(cli, "best_hardy_constant", checked_kappa)
+        def streamed_rho_plus(split):
+            assert isinstance(split, lg.spectral.SectorStream)
+            events.append("rho_plus")
+            return rho_plus(split)
+
+        monkeypatch.setattr(cli, "spectral_split", no_split)
+        monkeypatch.setattr(cli, "read_eigenpairs", counted_pairs)
+        monkeypatch.setattr(cli, "best_hardy_constant", kappa)
+        monkeypatch.setattr(cli, "rho_plus", streamed_rho_plus)
         assert main(["constants", "--config", str(cfg), "--out", str(wrapped)]) == 0
-        assert alive == [[False]]
+        assert events == ["kappa", "rho_plus"] + ["pair"] * 8
         names = sorted(path.name for path in plain.iterdir())
         assert names == sorted(path.name for path in wrapped.iterdir())
         for name in names:
@@ -504,6 +515,131 @@ class TestDamagedArtifactProperty:
         assert "Traceback" not in err.getvalue()
 
 
+@pytest.fixture(scope="module")
+def certified_out(tmp_path_factory):
+    """(config, output directory after certify-gap, the constants that
+    `constants` computes there) at R = 2."""
+    tmp = tmp_path_factory.mktemp("certified")
+    cfg, out = write_config(tmp), tmp / "out"
+    assert main(["certify-gap", "--config", str(cfg), "--out", str(out)]) == 0
+    reference = tmp / "reference"
+    shutil.copytree(out, reference)
+    assert main(["constants", "--config", str(cfg), "--out", str(reference)]) == 0
+    return cfg, out, json.loads((reference / "constants.json").read_text())
+
+
+def _run_on_split(tmp_path_factory, certified_out, data, command, before=()):
+    """In a copy of the certified directory, run the commands `before`, then
+    write `data` as split.npy, with its SHA-256 in gap.json so that the
+    sector checks decide, not the hash; run `command` there and return its
+    status, stderr and directory.  Warnings are not raised as errors here,
+    as they are not outside the tests."""
+    cfg, certified, _ = certified_out
+    out = tmp_path_factory.mktemp("damaged") / "out"
+    shutil.copytree(certified, out)
+    for first in before:
+        assert main([first, "--config", str(cfg), "--out", str(out)]) == 0
+    (out / "split.npy").write_bytes(data)
+    gap = json.loads((out / "gap.json").read_text())
+    gap["eigenpairs"]["sha256"] = hashlib.sha256(data).hexdigest()
+    (out / "gap.json").write_text(json.dumps(gap))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        status = main([command, "--config", str(cfg), "--out", str(out)])
+    assert "Traceback" not in err.getvalue()
+    return status, err.getvalue(), out
+
+
+def _split_records(path):
+    """The byte offset at which each record of split.npy ends."""
+    ends = []
+    with open(path, "rb") as fh:
+        while fh.peek(1):
+            np.load(fh)
+            ends.append(fh.tell())
+    return ends
+
+
+class TestDamagedSplitProperty:
+    """`constants` and `solve` over a split.npy that is cut at any offset or
+    has one byte overwritten, and whose damaged hash gap.json records: a
+    cut file always exits 1 or 2.  An overwritten byte may escape every
+    check (the same byte, a low mantissa byte, a blank in a record header);
+    then the split is still the certified one to the residual tolerance,
+    and `constants` gives the certified constants."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(command=st.sampled_from(["constants", "solve"]),
+           header=st.none() | st.integers(0, 15),
+           at=st.floats(0.0, 1.0, exclude_max=True),
+           byte=st.none() | st.integers(0, 255))
+    def test_refused_or_harmless(self, tmp_path_factory, certified_out,
+                                 command, header, at, byte):
+        # with `header`, the damage falls in that record's 128-byte header
+        path = certified_out[1] / "split.npy"
+        data = path.read_bytes()
+        if header is None:
+            cut = int(at * len(data))
+        else:
+            cut = ([0] + _split_records(path))[header] + int(at * 128)
+        tail = b"" if byte is None else bytes([byte]) + data[cut + 1:]
+        status, err, out = _run_on_split(tmp_path_factory, certified_out,
+                                         data[:cut] + tail, command)
+        if status == 0:
+            assert byte is not None, "a cut split.npy was accepted"
+            if command == "constants":
+                written = json.loads((out / "constants.json").read_text())
+                reference = certified_out[2]
+                assert written["kappa"] == reference["kappa"]
+                assert written["rho_plus"] == pytest.approx(
+                    reference["rho_plus"], rel=1e-7)
+        else:
+            assert status in (1, 2), err
+            assert status == 1 or "re-run certify-gap" in err, err
+
+    @pytest.mark.parametrize("command", ["constants", "constants-again", "solve"])
+    @pytest.mark.parametrize("damage", ["extra-pair", "cut-after-sector-5"])
+    def test_damage_found_after_earlier_sectors(self, tmp_path_factory,
+                                                certified_out, damage, command):
+        # a streaming reader meets these only after five or all eight
+        # sectors have passed their checks
+        path = certified_out[1] / "split.npy"
+        data, ends = path.read_bytes(), _split_records(path)
+        assert len(ends) == 16
+        if damage == "extra-pair":
+            data += data[ends[1]:ends[3]]
+        else:
+            data = data[:ends[9]]
+        # a re-run next to a matching constants.json checks the split too
+        before = ("constants",) if command == "constants-again" else ()
+        status, err, out = _run_on_split(tmp_path_factory, certified_out, data,
+                                         command.removesuffix("-again"), before)
+        assert status == 2, err
+        assert "re-run certify-gap" in err and "Traceback" not in err
+        if command == "constants":
+            assert not (out / "constants.json").exists()
+
+
+class TestSetupMemory:
+    """Set-up memory follows the largest parity sector, not the whole split."""
+
+    def test_traced_peak_below_split_size(self, tmp_path):
+        # at R = 6 split.npy holds 4.93 MB; each stage once held all of it
+        cfg = write_config(tmp_path, **{"box.radius": "6"})
+        out = tmp_path / "out"
+        peaks = {}
+        for stage in ("certify-gap", "constants"):
+            tracemalloc.start()
+            try:
+                assert main([stage, "--config", str(cfg), "--out", str(out)]) == 0
+                peaks[stage] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        size = (out / "split.npy").stat().st_size
+        assert all(peak < size for peak in peaks.values()), (peaks, size)
+
+
 class TestPersistedSplit:
     def test_inline_certify_matches_certify_first(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -517,6 +653,25 @@ class TestPersistedSplit:
         gap = json.loads((first / "gap.json").read_text())
         assert gap["eigenpairs"]["file"] == "split.npy"
         assert gap["eigenpairs"]["layout"] == "parity-sectors"
+
+    @pytest.mark.parametrize("radius", [2, 3, 4, 5])
+    def test_streamed_writer_matches_in_memory_split(self, tmp_path, radius):
+        # certify-gap writes split.npy one sector at a time and hashes it
+        # as it writes; save_eigenpairs writes a whole SpectralSplit
+        cfg = write_config(tmp_path, **{"box.radius": str(radius)})
+        out = tmp_path / "out"
+        assert main(["certify-gap", "--config", str(cfg), "--out", str(out)]) == 0
+        gap = json.loads((out / "gap.json").read_text())
+        box = lg.BoxDomain(3, radius)
+        split = lg.spectral_split(
+            box, lg.assemble_operator(box, lg.checkerboard_potential(3, 1.0)),
+            (gap["sigma_minus"], gap["sigma_plus"]))
+        lg.spectral.save_eigenpairs(split, tmp_path / "in_memory.npy")
+        data = (out / "split.npy").read_bytes()
+        assert data == (tmp_path / "in_memory.npy").read_bytes()
+        assert gap["eigenpairs"]["sha256"] == hashlib.sha256(data).hexdigest()
+        assert gap["intrusions"] == split.intrusions
+        assert gap["smallest_abs_eigenvalue"] == float(abs(split.eigenvalues).min())
 
 
 class TestAtomicWrites:

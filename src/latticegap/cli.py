@@ -18,21 +18,22 @@ a temporary file and renamed into place; a failed write exits 2.
 The splitting of the box operator is computed once per output directory:
 certify-gap (or the first stage that certifies inline, which then loads
 split.npy back like every later stage) writes each parity sector's
-eigenpairs to split.npy as they are computed, hashing the bytes as it
-writes them, and `_split_record` (layout and SHA-256) to gap.json.  Later stages reuse gap.json and constants.json by one rule:
-the file holds a JSON object written for this configuration (potential,
-box radius and Bloch grid; fingerprint, N, R and Hardy metric), each value
-of the configured type, and finite reals, from which the split (with the
-split.npy of the record) or the constants build.  Anything else asks for
-the stage that wrote the file to be re-run.
+eigenpairs to split.npy as they are computed (`spectral.write_split`),
+hashing the bytes as it writes them, and `_split_record` (layout and
+SHA-256) to gap.json.  Later stages reuse gap.json and constants.json by
+one rule: the file holds a JSON object written for this configuration
+(potential, box radius and Bloch grid; fingerprint, N, R and Hardy
+metric), each value of the configured type, and finite reals, from which
+the split (with the split.npy of the record) or the constants build.
+Anything else asks for the stage that wrote the file to be re-run.
 
 Neither set-up stage holds the whole split, only one parity sector of it
-at a time: certify-gap writes each sector as it is diagonalized, and
-constants checks gap.json and the hash of split.npy, solves the kappa
-pencil, and then streams the sectors of split.npy through their checks and
-the rho_plus reduction before it writes the witnesses and constants.json.
-A re-run next to a matching constants.json streams the same checks without
-the pencils.
+at a time.  constants reads split.npy (`spectral.read_eigenpairs`) inside
+the loader of gap.json, so that a sector that fails its checks asks for
+certify-gap: it solves the kappa pencil, streams the sectors through their
+checks and the rho_plus reduction, and writes the witnesses and
+constants.json.  A re-run next to a matching constants.json streams the
+same checks without the pencils.
 
 Exit status: 0 on success, 2 when the configured problem violates a
 structural hypothesis (no spectral gap at 0, coupling out of range, model
@@ -325,41 +326,22 @@ def _ensure_split(cfg: RunConfig, out: Path):
         cfg.box, operator, gap, eigenpairs))
 
 
-def _stream_split(cfg: RunConfig, out: Path, use):
-    """`use(sectors)` of a `SectorStream` of split.npy, inside the loader of
-    gap.json; the sectors that `use` leaves unread still pass their checks."""
-    def streamed(gap, operator, eigenpairs):
-        sectors = SectorStream(cfg.box, operator, gap, eigenpairs)
-        result = use(sectors)
-        sectors.drain()
-        return result
+def _load_constants(cfg: RunConfig, out: Path) -> InequalityConstants:
+    """The constants of constants.json."""
+    return _load_artifact(
+        out / "constants.json", "constants", _constants_written_for(cfg),
+        ("kappa", "rho_plus", "rho_tilde_plus", "rho_max"),
+        lambda data: InequalityConstants(
+            dimension=data["N"], radius=data["R"], kappa=data["kappa"],
+            rho_plus=data["rho_plus"], rho_tilde_plus=data["rho_tilde_plus"],
+            rho_max=data["rho_max"], metric=data["metric"]))
 
-    return _read_split(cfg, out, streamed)
 
-
-def _ensure_constants(cfg: RunConfig, out: Path, with_split) -> InequalityConstants:
-    """Reuse constants.json, or compute the constants and write it.
-
-    `with_split(use)` returns `use(split)` for a split that `rho_plus` reads:
-    the `SpectralSplit` that solve and sweep go on to use, or, in the
-    `constants` stage, split.npy streamed one sector at a time
-    (`_stream_split`).  It is called on both paths, so reusing
-    constants.json still needs a valid gap.json and split.npy.  The kappa
-    pencil, which does not read the split, is solved before the rho_plus
-    reduction reads it.
-    """
-    path = out / "constants.json"
-    if path.exists():
-        with_split(lambda split: None)
-        return _load_artifact(
-            path, "constants", _constants_written_for(cfg),
-            ("kappa", "rho_plus", "rho_tilde_plus", "rho_max"),
-            lambda data: InequalityConstants(
-                dimension=data["N"], radius=data["R"], kappa=data["kappa"],
-                rho_plus=data["rho_plus"], rho_tilde_plus=data["rho_tilde_plus"],
-                rho_max=data["rho_max"], metric=data["metric"]))
-    hardy, rp = with_split(lambda split: (
-        best_hardy_constant(cfg.box, cfg.weight), rho_plus(split)))
+def _write_constants(cfg: RunConfig, out: Path, split) -> InequalityConstants:
+    """Solve the kappa pencil, then `rho_plus(split)`, and write the
+    witnesses and constants.json."""
+    hardy = best_hardy_constant(cfg.box, cfg.weight)
+    rp = rho_plus(split)
     constants = InequalityConstants(
         dimension=cfg.dimension, radius=cfg.radius, kappa=hardy.kappa,
         rho_plus=rp.value, metric=cfg.weight.metric)
@@ -377,7 +359,10 @@ def _resolve_rhos(cfg: RunConfig, out: Path, split):
     for fraction resolution and for the admissibility check."""
     if not any(r > 0 for r in cfg.rho_values):
         return cfg.rho_values, None
-    constants = _ensure_constants(cfg, out, lambda use: use(split))
+    if (out / "constants.json").exists():
+        constants = _load_constants(cfg, out)
+    else:
+        constants = _write_constants(cfg, out, split)
     if cfg.rho_mode == "absolute":
         return cfg.rho_values, constants
     return tuple(f * constants.rho_max for f in cfg.rho_values), constants
@@ -390,7 +375,17 @@ def cmd_certify_gap(cfg: RunConfig, out: Path) -> int:
 
 def cmd_constants(cfg: RunConfig, out: Path) -> int:
     _built("dimension", check_hardy_dimension, cfg.dimension)
-    _ensure_constants(cfg, out, lambda use: _stream_split(cfg, out, use))
+    reuse = (out / "constants.json").exists()
+
+    def use(gap, operator, eigenpairs):
+        sectors = SectorStream(cfg.box, operator, gap, eigenpairs)
+        if not reuse:
+            _write_constants(cfg, out, sectors)
+        sectors.drain()
+
+    _read_split(cfg, out, use)
+    if reuse:
+        _load_constants(cfg, out)
     return 0
 
 
@@ -472,7 +467,9 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to the run config")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=None)
+    parser.add_argument("--threads", type=int, default=None,
+                        help="accepted and ignored; kept because the "
+                             "benchmark passes it")
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
     try:

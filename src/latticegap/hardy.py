@@ -212,10 +212,9 @@ def compute_constants(split: SpectralSplit,
                       weight: HardyWeight = EUCLIDEAN_WEIGHT) -> InequalityConstants:
     """kappa and rho_plus on the split's box, bundled with the derived bound.
 
-    The caller holds the whole split across both pencils; the CLI's
-    `constants` stage never holds it: it solves the kappa pencil, which does
-    not read the split, and then streams split.npy through `rho_plus` one
-    sector at a time (a `SectorStream`)."""
+    The caller holds the whole split across both pencils.  The CLI's
+    `constants` stage solves the same pencils in the same order without
+    holding it: `rho_plus` reads a `SectorStream` of split.npy."""
     return InequalityConstants(
         dimension=split.box.dimension, radius=split.box.radius,
         kappa=best_hardy_constant(split.box, weight).kappa,

@@ -260,8 +260,11 @@ def check_bloch_grid(potential: PeriodicPotential, grid: int) -> None:
 def bloch_band_edges(potential: PeriodicPotential, grid: int = 8) -> BlochBandTable:
     """Sample the Bloch bands on a uniform k-grid and certify the gap at 0.
 
-    All grid^N cell matrices are built as one stack and solved by one
-    batched `eigvalsh`, once `check_bloch_grid` admits the grid.
+    All grid^N cell matrices, k_i = 2 pi j / grid for j < grid on each
+    axis, are built as one stack and solved by one batched `eigvalsh`, once
+    `check_bloch_grid` admits the grid.  k_i enters only through the phase
+    k_i T_i (T_i the cell period), so only grid / gcd(grid, T_i) phases per
+    axis are distinct: 64 of the 512 k-points for the checkerboard at 8.
 
     Raises NoSpectralGapError when a band interval crosses (or touches) 0,
     or when the sampled spectrum does not straddle 0 at all.
@@ -611,27 +614,15 @@ def spectral_split(box: BoxDomain, operator: sp.spmatrix,
     return SpectralSplit(box, operator, gap, eigenpairs)
 
 
-SPLIT_LAYOUT = "parity-sectors"  # the name of what save_eigenpairs writes
-
-
-def save_eigenpairs(split: SpectralSplit, path) -> None:
-    """Write each parity sector's eigenvalues, then its eigenvectors in the
-    sector basis, as .npy records in one file, sectors in `parity_sectors`
-    order.  np.save keeps the matrices' Fortran order, and the bytes depend
-    only on the arrays (no timestamps, unlike .npz).  This writes a whole
-    split held in memory; `write_split` writes the same bytes one sector
-    at a time."""
-    with atomic_open(path, "wb") as fh:
-        for _, _, vectors, index in split._blocks["all"]:
-            np.save(fh, split.eigenvalues[index])
-            np.save(fh, vectors)
+SPLIT_LAYOUT = "parity-sectors"  # the layout `write_split` gives split.npy
 
 
 def write_split(box: BoxDomain, operator: sp.spmatrix, path) -> tuple[np.ndarray, str]:
-    """Diagonalize the box operator and write the file that `save_eigenpairs`
-    writes for its split, byte for byte, one sector at a time as
-    `split_sectors` yields it.  Returns the ascending eigenvalues and the
-    SHA-256 of the bytes written, hashed as they are written."""
+    """Diagonalize the box operator and write split.npy one sector at a time,
+    as `split_sectors` yields it: .npy records of each sector's eigenvalues,
+    then its eigenvectors in the sector basis (np.save keeps their Fortran
+    order; no timestamps, unlike .npz).  Returns the ascending eigenvalues
+    and the SHA-256 of the bytes written, hashed as they are written."""
     digest = hashlib.sha256()
     eigenvalues = []
     with atomic_open(path, "wb") as fh:
@@ -649,11 +640,10 @@ def write_split(box: BoxDomain, operator: sp.spmatrix, path) -> tuple[np.ndarray
 
 
 def read_eigenpairs(path):
-    """Read back what `save_eigenpairs` wrote, lazily: one (eigenvalues,
-    eigenvectors) pair per sector, each read when it is reached.  A record
-    that is not a float64 array, or whose header numpy cannot parse, raises
-    InvalidInputError; whether the pairs fit a box is checked by
-    `split_sectors`."""
+    """Lazily, the (eigenvalues, eigenvectors) pair of each sector in the
+    file `write_split` wrote.  A record that is not a float64 array, or whose
+    header numpy cannot parse, raises InvalidInputError; whether the pairs
+    fit a box is checked by `split_sectors`."""
     with open(path, "rb") as fh:
         while fh.peek(1):
             yield _read_record(fh), _read_record(fh)
@@ -668,11 +658,6 @@ def _read_record(fh) -> np.ndarray:
     if array.dtype != np.float64:
         raise InvalidInputError("split records are not float64 arrays")
     return array
-
-
-def load_eigenpairs(path) -> list[tuple[np.ndarray, np.ndarray]]:
-    """All of `read_eigenpairs(path)` at once."""
-    return list(read_eigenpairs(path))
 
 
 def check_on_box(split: SpectralSplit, *fields: LatticeField) -> None:

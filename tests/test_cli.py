@@ -18,7 +18,7 @@ import latticegap as lg
 from latticegap import cli, jsonio, solver
 from latticegap.cli import main, parse_config
 from latticegap.errors import ConfigError
-from latticegap.spectral import load_eigenpairs
+from latticegap.spectral import read_eigenpairs, split_sectors
 
 from conftest import exit_in_worker_at, use_cores
 
@@ -212,20 +212,20 @@ class TestConstants:
         data = json.loads((out / "constants.json").read_text())
         assert data["metric"] == "graph"
 
-    @pytest.mark.parametrize("certify_first", [True, False],
-                             ids=["certified", "inline"])
-    def test_constants_builds_no_split(self, tmp_path, monkeypatch,
-                                       certify_first):
+    @pytest.mark.parametrize("case", ["certified", "inline", "rerun"])
+    def test_constants_builds_no_split(self, tmp_path, monkeypatch, case):
         # a fresh `constants` never holds the whole split: it solves the
         # kappa pencil, then reads split.npy's sectors one at a time inside
-        # the rho_plus reduction
+        # the rho_plus reduction; a re-run next to a matching constants.json
+        # reads every sector through its checks and solves no pencil
         cfg = write_config(tmp_path, **{"box.radius": "3"})
         plain, wrapped = tmp_path / "plain", tmp_path / "wrapped"
-        if certify_first:
+        if case != "inline":
             for out in (plain, wrapped):
                 assert main(["certify-gap", "--config", str(cfg),
                              "--out", str(out)]) == 0
-        assert main(["constants", "--config", str(cfg), "--out", str(plain)]) == 0
+        for out in (plain, wrapped) if case == "rerun" else (plain,):
+            assert main(["constants", "--config", str(cfg), "--out", str(out)]) == 0
         events = []
         read_eigenpairs = cli.read_eigenpairs
         best_hardy_constant = cli.best_hardy_constant
@@ -253,7 +253,8 @@ class TestConstants:
         monkeypatch.setattr(cli, "best_hardy_constant", kappa)
         monkeypatch.setattr(cli, "rho_plus", streamed_rho_plus)
         assert main(["constants", "--config", str(cfg), "--out", str(wrapped)]) == 0
-        assert events == ["kappa", "rho_plus"] + ["pair"] * 8
+        pencils = [] if case == "rerun" else ["kappa", "rho_plus"]
+        assert events == pencils + ["pair"] * 8
         names = sorted(path.name for path in plain.iterdir())
         assert names == sorted(path.name for path in wrapped.iterdir())
         for name in names:
@@ -455,7 +456,7 @@ class TestCorruptArtifacts:
         # a NaN passes "<" and ">" comparisons; the hash in gap.json is
         # that of the damaged file
         def poisoned(out):
-            eigenpairs = load_eigenpairs(out / "split.npy")
+            eigenpairs = list(read_eigenpairs(out / "split.npy"))
             # sector 0's lowest eigenvalue, or the first entry of its
             # eigenvector, an X^- column
             eigenpairs[0][record].flat[0] = np.nan
@@ -657,18 +658,25 @@ class TestPersistedSplit:
     @pytest.mark.parametrize("radius", [2, 3, 4, 5])
     def test_streamed_writer_matches_in_memory_split(self, tmp_path, radius):
         # certify-gap writes split.npy one sector at a time and hashes it
-        # as it writes; save_eigenpairs writes a whole SpectralSplit
+        # as it writes; each record holds the bytes of the pair that
+        # split_sectors computes in memory
         cfg = write_config(tmp_path, **{"box.radius": str(radius)})
         out = tmp_path / "out"
         assert main(["certify-gap", "--config", str(cfg), "--out", str(out)]) == 0
         gap = json.loads((out / "gap.json").read_text())
         box = lg.BoxDomain(3, radius)
-        split = lg.spectral_split(
-            box, lg.assemble_operator(box, lg.checkerboard_potential(3, 1.0)),
-            (gap["sigma_minus"], gap["sigma_plus"]))
-        lg.spectral.save_eigenpairs(split, tmp_path / "in_memory.npy")
+        operator = lg.assemble_operator(box, lg.checkerboard_potential(3, 1.0))
+        written = list(read_eigenpairs(out / "split.npy"))
+        computed = [pair for _, *pair in split_sectors(box, operator)]
+        assert len(written) == len(computed) == 8
+        for pair, in_memory in zip(written, computed):
+            for record, array in zip(pair, in_memory):
+                assert record.shape == array.shape
+                assert record.flags.f_contiguous == array.flags.f_contiguous
+                assert record.tobytes(order="A") == array.tobytes(order="A")
+        split = lg.spectral_split(box, operator,
+                                  (gap["sigma_minus"], gap["sigma_plus"]), written)
         data = (out / "split.npy").read_bytes()
-        assert data == (tmp_path / "in_memory.npy").read_bytes()
         assert gap["eigenpairs"]["sha256"] == hashlib.sha256(data).hexdigest()
         assert gap["intrusions"] == split.intrusions
         assert gap["smallest_abs_eigenvalue"] == float(abs(split.eigenvalues).min())

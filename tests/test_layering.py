@@ -13,6 +13,8 @@ deterministic.
 The models are functions of u alone: every call of a model's f, F or df
 passes the value array and nothing else.
 Every function the benchmark tracer wraps exists under its wrapped name.
+split.npy's records have one writer, `spectral.write_split` (the one
+`np.save`), and one reader, `spectral._read_record` (the one `np.load`).
 In `cli`, a stale artifact is refused only by the loader of gap.json and
 constants.json and by the reader of split.npy.
 `energy.SiteTerms` states each term of J_rho once for every coupling: the
@@ -230,6 +232,15 @@ def test_tracer_wraps_resolve():
     missing = [f"{owner.__name__}.{attr}"
                for owner, attr, _ in tracer.WRAPS if not hasattr(owner, attr)]
     assert tracer.WRAPS and not missing, f"tracer wraps missing names: {missing}"
+
+
+def test_split_records_have_one_writer_and_one_reader():
+    def calls(attr):
+        return lambda node: isinstance(node, ast.Call) and \
+            ast.unparse(node.func) in (f"np.{attr}", f"numpy.{attr}")
+
+    assert _owners(calls("save")) == {"spectral.write_split"}
+    assert _owners(calls("load")) == {"spectral._read_record"}
 
 
 def test_certification_missing_raised_only_by_the_loaders():

@@ -28,9 +28,11 @@ the split (with the split.npy of the record) or the constants build.
 Anything else asks for the stage that wrote the file to be re-run.
 
 Neither set-up stage holds the whole split, only one parity sector of it
-at a time.  constants reads split.npy (`spectral.read_eigenpairs`) inside
-the loader of gap.json, so that a sector that fails its checks asks for
-certify-gap: it solves the kappa pencil, streams the sectors through their
+at a time.  Every stage that loads split.npy reads its sectors through a
+`spectral.SectorStream` (a `SpectralSplit` for solve and sweep) inside the
+loader of gap.json, so that a record that cannot be read or a sector that
+fails its checks, both an InvalidInputError, asks for certify-gap.
+constants solves the kappa pencil, streams the sectors through their
 checks and the rho_plus reduction, and writes the witnesses and
 constants.json.  A re-run next to a matching constants.json streams the
 same checks without the pencils.
@@ -88,14 +90,6 @@ class RunConfig:
     rho_values: tuple[float, ...]
     bloch_grid: int
     out_dir: str
-
-    @property
-    def dimension(self) -> int:
-        return self.box.dimension
-
-    @property
-    def radius(self) -> int:
-        return self.box.radius
 
 
 def _finite_float(raw: str) -> float:
@@ -210,15 +204,15 @@ def _split_record(sha256: str) -> dict:
 
 
 def _gap_written_for(cfg: RunConfig) -> dict:
-    return {"potential": cfg.potential_fingerprint, "box_radius": cfg.radius,
+    return {"potential": cfg.potential_fingerprint, "box_radius": cfg.box.radius,
             "grid": cfg.bloch_grid}
 
 
 def _constants_written_for(cfg: RunConfig) -> dict:
     metric = cfg.weight.metric
     return {"fingerprint": {"potential": cfg.potential_fingerprint,
-                            "R": cfg.radius, "metric": metric},
-            "N": cfg.dimension, "R": cfg.radius, "metric": metric}
+                            "R": cfg.box.radius, "metric": metric},
+            "N": cfg.box.dimension, "R": cfg.box.radius, "metric": metric}
 
 
 def _certify(cfg: RunConfig, out: Path, write_bands: bool) -> None:
@@ -273,32 +267,22 @@ def _load_artifact(path: Path, rerun: str, written_for: dict,
 
 def _load_split_file(out: Path, recorded):
     """The sector eigenpairs of split.npy, once its layout and hash match
-    `recorded`, the record in gap.json.  They are read lazily, and a record
-    that cannot be read asks for certify-gap when it is reached."""
+    `recorded`, the record in gap.json.  They are read lazily, inside the
+    loader of gap.json, which asks for certify-gap when a record cannot be
+    read."""
     path = out / SPLIT_FILE
-
-    def unreadable(exc):
-        return CertificationMissingError(
-            f"unreadable {SPLIT_FILE} ({exc}); re-run certify-gap")
-
     digest = hashlib.sha256()
     try:
         with open(path, "rb") as fh:
             for chunk in iter(lambda: fh.read(1 << 20), b""):
                 digest.update(chunk)
     except OSError as exc:
-        raise unreadable(exc) from exc
+        raise CertificationMissingError(
+            f"unreadable {SPLIT_FILE} ({exc}); re-run certify-gap") from exc
     if recorded != _split_record(digest.hexdigest()):
         raise CertificationMissingError(
             f"{SPLIT_FILE} does not match gap.json; re-run certify-gap")
-
-    def read():
-        try:
-            yield from read_eigenpairs(path)
-        except (OSError, EOFError, ValueError) as exc:
-            raise unreadable(exc) from exc
-
-    return read()
+    return read_eigenpairs(path)
 
 
 def _read_split(cfg: RunConfig, out: Path, use):
@@ -327,14 +311,19 @@ def _ensure_split(cfg: RunConfig, out: Path):
 
 
 def _load_constants(cfg: RunConfig, out: Path) -> InequalityConstants:
-    """The constants of constants.json."""
+    """The constants of constants.json, rebuilt from kappa and rho_plus; the
+    recorded bounds derived from them must be the rebuilt ones."""
+    def build(data):
+        constants = InequalityConstants(
+            dimension=data["N"], radius=data["R"], kappa=data["kappa"],
+            rho_plus=data["rho_plus"], metric=data["metric"])
+        if any(data[key] != value for key, value in constants.to_dict().items()):
+            raise InvalidInputError("recorded bounds differ from the derived ones")
+        return constants
+
     return _load_artifact(
         out / "constants.json", "constants", _constants_written_for(cfg),
-        ("kappa", "rho_plus", "rho_tilde_plus", "rho_max"),
-        lambda data: InequalityConstants(
-            dimension=data["N"], radius=data["R"], kappa=data["kappa"],
-            rho_plus=data["rho_plus"], rho_tilde_plus=data["rho_tilde_plus"],
-            rho_max=data["rho_max"], metric=data["metric"]))
+        ("kappa", "rho_plus", "rho_tilde_plus", "rho_max"), build)
 
 
 def _write_constants(cfg: RunConfig, out: Path, split) -> InequalityConstants:
@@ -343,7 +332,7 @@ def _write_constants(cfg: RunConfig, out: Path, split) -> InequalityConstants:
     hardy = best_hardy_constant(cfg.box, cfg.weight)
     rp = rho_plus(split)
     constants = InequalityConstants(
-        dimension=cfg.dimension, radius=cfg.radius, kappa=hardy.kappa,
+        dimension=cfg.box.dimension, radius=cfg.box.radius, kappa=hardy.kappa,
         rho_plus=rp.value, metric=cfg.weight.metric)
     write_field(hardy.witness, out / "kappa_witness.field")
     write_field(rp.witness, out / "rho_plus_witness.field")
@@ -374,7 +363,7 @@ def cmd_certify_gap(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_constants(cfg: RunConfig, out: Path) -> int:
-    _built("dimension", check_hardy_dimension, cfg.dimension)
+    _built("dimension", check_hardy_dimension, cfg.box.dimension)
     reuse = (out / "constants.json").exists()
 
     def use(gap, operator, eigenpairs):
@@ -402,7 +391,7 @@ def _record_line(record: dict) -> str:
 
 
 def cmd_solve(cfg: RunConfig, out: Path) -> int:
-    _built("dimension", check_hardy_dimension, cfg.dimension)
+    _built("dimension", check_hardy_dimension, cfg.box.dimension)
     if len(cfg.rho_values) != 1:
         raise ConfigError("solve needs exactly one rho value")
     split = _ensure_split(cfg, out)
@@ -433,7 +422,7 @@ def _write_sweep_csv(records: list[SweepRecord], path) -> None:
 
 
 def cmd_sweep(cfg: RunConfig, out: Path) -> int:
-    _built("dimension", check_hardy_dimension, cfg.dimension)
+    _built("dimension", check_hardy_dimension, cfg.box.dimension)
     # fractions of rho_max > 0 keep the order, the sign and the trailing 0,
     # so the configured list passes exactly when the resolved one does
     _built("rho.values for sweep", SweepPlan, rho_values=cfg.rho_values)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, RhoOutOfRangeError
-from .hardy import EUCLIDEAN_WEIGHT, HardyWeight, InequalityConstants, weighted_mass
+from .hardy import (EUCLIDEAN_WEIGHT, HardyWeight, InequalityConstants,
+                    check_coupling, weighted_mass)
 from .lattice import LatticeField
 from .nonlinearity import Nonlinearity
 from .spectral import SpectralSplit, check_on_box, split_inner
@@ -48,9 +49,9 @@ class SiteTerms:
     """Site-space terms of J_rho, J' and J'' on site-value arrays, with the
     split they act on.
 
-    The one owner of the coupling's sign: a rho that is not >= 0 (NaN
-    included) is refused here, so every solver and energy entry point,
-    which builds its terms first, refuses it before any work.
+    A rho that `hardy.check_coupling` refuses (not >= 0, NaN included) is
+    refused here, so every solver and energy entry point, which builds its
+    terms first, refuses it before any work.
     With w the Hardy weight (evaluated once, for every rho; at rho = 0 each
     Hardy term is a signed zero that leaves the sum it joins unchanged):
     energy = nonlinear + hardy = sum F + 1/2 rho sum w u^2,
@@ -62,8 +63,7 @@ class SiteTerms:
 
     def __init__(self, split: SpectralSplit, model: Nonlinearity, rho: float,
                  weight: HardyWeight = EUCLIDEAN_WEIGHT):
-        if not rho >= 0:
-            raise InvalidInputError(f"rho must be >= 0, got {rho}")
+        check_coupling(rho)
         self.split = split
         self.operator = split.operator
         self.model = model

@@ -9,7 +9,8 @@ to min(rho_plus, 1) / kappa keep the positive part of the quadratic form
 coercive.  Both constants are computed per box; no infinite-lattice value
 is claimed.  Both are generalized eigenproblems, solved one reflection-
 parity sector at a time (`spectral.parity_sectors`): kappa on the all-even
-sector, rho_plus on each sector of the split that holds X^+ eigenvectors.
+sector, rho_plus on each sector of the split that holds X^+ eigenvectors,
+as its `spectral.SectorStream` reads them.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import scipy.sparse as sp
 
 from .errors import InvalidInputError, NumericalError
 from .lattice import BoxDomain, LatticeField, dirichlet_energy
-from .spectral import (SectorStream, SpectralSplit, check_dense_budget,
-                       laplacian_matrix, parity_sectors)
+from .spectral import (SectorStream, check_dense_budget, laplacian_matrix,
+                       parity_sectors)
 
 
 @dataclass(frozen=True)
@@ -53,11 +54,17 @@ EUCLIDEAN_WEIGHT = HardyWeight("euclidean")
 GRAPH_WEIGHT = HardyWeight("graph")
 
 
+def check_coupling(rho: float) -> None:
+    """Refuse a Hardy coupling that is not >= 0, NaN included: the one
+    owner of the coupling's sign."""
+    if not rho >= 0:
+        raise InvalidInputError(f"rho must be >= 0, got {rho}")
+
+
 def weighted_mass(u: LatticeField, rho: float,
                   weight: HardyWeight = EUCLIDEAN_WEIGHT) -> float:
     """rho * sum_x w(x) u(x)^2."""
-    if not rho >= 0:
-        raise InvalidInputError(f"rho must be >= 0, got {rho}")
+    check_coupling(rho)
     return float(rho * np.sum(weight.on_box(u.box) * u.values ** 2))
 
 
@@ -110,7 +117,7 @@ class RhoPlusConstant:
     witness: LatticeField
 
 
-def rho_plus(split: SpectralSplit | SectorStream) -> RhoPlusConstant:
+def rho_plus(split: SectorStream) -> RhoPlusConstant:
     """Largest M with (A u, u)_2 >= M * dirichlet_energy(u) for all u in X^+.
 
     Computed as the smallest eigenvalue of the pencil (diag(lambda^+), B^T L B)
@@ -119,8 +126,8 @@ def rho_plus(split: SpectralSplit | SectorStream) -> RhoPlusConstant:
     columns B_s = Q_s C_s of each sector s, as `split.plus_sectors()` yields
     them, get the pencil (diag(lambda_s), C_s^T (Q_s^T L Q_s) C_s), and the
     first smallest value over them wins.  The reduction keeps only the best
-    value and its witness, so a `SectorStream` is read one sector at a time,
-    and it gives what the `SpectralSplit` of the same eigenpairs gives.
+    value and its witness, so a `SectorStream` is read one sector at a time;
+    a `SpectralSplit` is one that has read them all.
     """
     n, lap = split.box.site_count, laplacian_matrix(split.box)
     # map lets go of each sector before the next one is read, and min keeps
@@ -165,8 +172,8 @@ def _pencil_minimum(lap: sp.spmatrix, n: int, sector, lam: np.ndarray,
 class InequalityConstants:
     """Box constants controlling the admissible Hardy coupling.
 
-    rho_tilde_plus = min(rho_plus, 1) and rho_max = rho_tilde_plus / kappa
-    are derived when omitted; explicitly supplied values must match exactly.
+    kappa and rho_plus are what the pencils measure; rho_tilde_plus =
+    min(rho_plus, 1) and rho_max = rho_tilde_plus / kappa derive from them.
     The constants record the box and the weight's metric they were computed
     for, but not the potential, so `check_fits` cannot tell constants of
     another potential on the same box.
@@ -176,23 +183,20 @@ class InequalityConstants:
     radius: int
     kappa: float
     rho_plus: float
-    rho_tilde_plus: float | None = None
-    rho_max: float | None = None
     metric: str = "euclidean"
 
     def __post_init__(self):
         for name in ("kappa", "rho_plus"):
             if not getattr(self, name) > 0:
                 raise InvalidInputError(f"{name} must be > 0, got {getattr(self, name)}")
-        tilde = min(self.rho_plus, 1.0)
-        if self.rho_tilde_plus is None:
-            object.__setattr__(self, "rho_tilde_plus", tilde)
-        elif self.rho_tilde_plus != tilde:
-            raise InvalidInputError("rho_tilde_plus must equal min(rho_plus, 1)")
-        if self.rho_max is None:
-            object.__setattr__(self, "rho_max", self.rho_tilde_plus / self.kappa)
-        elif self.rho_max != self.rho_tilde_plus / self.kappa:
-            raise InvalidInputError("rho_max must equal rho_tilde_plus / kappa")
+
+    @property
+    def rho_tilde_plus(self) -> float:
+        return min(self.rho_plus, 1.0)
+
+    @property
+    def rho_max(self) -> float:
+        return self.rho_tilde_plus / self.kappa
 
     def check_fits(self, box: BoxDomain, weight: HardyWeight) -> None:
         """Refuse a box or Hardy metric other than the recorded ones."""
@@ -208,13 +212,13 @@ class InequalityConstants:
                 "rho_max": self.rho_max, "metric": self.metric}
 
 
-def compute_constants(split: SpectralSplit,
+def compute_constants(split: SectorStream,
                       weight: HardyWeight = EUCLIDEAN_WEIGHT) -> InequalityConstants:
-    """kappa and rho_plus on the split's box, bundled with the derived bound.
+    """kappa and rho_plus on the split's box, bundled with the derived bounds.
 
-    The caller holds the whole split across both pencils.  The CLI's
-    `constants` stage solves the same pencils in the same order without
-    holding it: `rho_plus` reads a `SectorStream` of split.npy."""
+    `split` is a `SpectralSplit` or a `SectorStream` not yet read.  The
+    CLI's `constants` stage solves the same pencils in the same order on a
+    `SectorStream` of split.npy, and also writes their witnesses."""
     return InequalityConstants(
         dimension=split.box.dimension, radius=split.box.radius,
         kappa=best_hardy_constant(split.box, weight).kappa,

@@ -693,9 +693,8 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
     l2 = float(np.linalg.norm(u.values))
     plus_norm = _plus_norm(split, split.coords_of(u.values, "plus"))
 
+    # the polish has already refused a full residual above its tolerance
     problems = []
-    if polished.residual_full > cfg.polish_tol * (1.0 + l2):
-        problems.append(f"full residual {polished.residual_full:.3e}")
     if abs(polished.residual_along_u) > cfg.polish_tol * (1.0 + l2 ** 2):
         problems.append(f"residual along u {polished.residual_along_u:.3e}")
     if polished.residual_along_minus > cfg.polish_tol:

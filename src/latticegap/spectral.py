@@ -26,9 +26,9 @@ and its products with eigencoordinates run sector by sector.  Only the
 linear algebra is blocked: the eigenvectors together span the whole box,
 and the solution is not restricted to a sector.  Every split's eigenpairs,
 computed or read back from a file, come from one generator,
-`split_sectors`, one checked sector at a time: `SpectralSplit` keeps them
-all, and `SectorStream` and the file writer `write_split` hold one at a
-time.
+`split_sectors`, one checked sector at a time.  `SectorStream`, the one
+reader of them, and the file writer `write_split` hold one sector at a
+time; `SpectralSplit` is a stream that keeps every sector it reads.
 """
 
 from __future__ import annotations
@@ -472,16 +472,44 @@ def gap_intrusions(eigenvalues: np.ndarray, gap: tuple[float, float]) -> list[fl
     return [float(v) for v in eigenvalues[inside]]
 
 
-class SpectralSplit:
+class SectorStream:
+    """A split read in one pass, one parity sector at a time, straight from
+    `split_sectors`: the one reader of a split's sectors.  It has what
+    `hardy.rho_plus` reads of a split (`box`, `operator`, `plus_sectors`);
+    a `gap` that `check_gap` refuses raises InvalidInputError before any
+    work.  `drain` checks the sectors not yet read."""
+
+    def __init__(self, box: BoxDomain, operator: sp.spmatrix,
+                 gap: tuple[float, float], eigenpairs=None):
+        self.gap = check_gap(gap)
+        self.box = box
+        self.operator = operator.tocsr()
+        self._sectors = split_sectors(box, self.operator, eigenpairs)
+
+    def plus_sectors(self):
+        """(sector, X^+ eigenvalues, X^+ eigenvectors C_s in the sector
+        basis) for each sector that holds X^+ columns, which follow its X^-
+        columns; Q_s C_s are those columns of E_+, in coordinate order."""
+        for sector, values, vectors in self._sectors:
+            k = int(np.sum(values < 0.0))
+            if k < values.size:
+                yield sector, values[k:], vectors[:, k:]
+            del values, vectors  # not held while the next sector is read
+
+    def drain(self) -> None:
+        deque(self._sectors, maxlen=0)
+
+
+class SpectralSplit(SectorStream):
     """Full eigendecomposition of the box operator, split at 0 and kept one
     reflection-parity sector at a time.
 
-    The split holds every sector that `split_sectors` yields: the ascending
-    eigenvalues of the block Q_s^T A Q_s and its eigenvectors V_s in the
-    sector basis.  The blocks between sectors vanish in exact arithmetic
-    and are never formed, and neither is an n x n eigenvector matrix.
-    Without a symmetric axis there is one sector with Q = I, and V is
-    exactly `scipy.linalg.eigh(operator.toarray(), driver="evd")`.
+    The split reads every sector of its `SectorStream` and keeps them: the
+    ascending eigenvalues of the block Q_s^T A Q_s and its eigenvectors V_s
+    in the sector basis.  The blocks between sectors vanish in exact
+    arithmetic and are never formed, and neither is an n x n eigenvector
+    matrix.  Without a symmetric axis there is one sector with Q = I, and V
+    is exactly `scipy.linalg.eigh(operator.toarray(), driver="evd")`.
 
     The `evd` driver is chosen because the box spectrum has large clusters
     (at R = 6 the eigenvalue +1 is 19-fold), on which scipy's default MRRR
@@ -499,11 +527,10 @@ class SpectralSplit:
     `size`, `negative_count`, the slices `minus`/`plus`, `intrusions`, and
     `values_of`/`coords_of`, which map between eigencoordinates and site
     values sector by sector, for all coordinates or for the X^- or X^+ ones
-    alone (and `hardy.rho_plus` reads `plus_sectors`).  Module functions add
-    the spectral projectors and the equivalent inner product (|A| u, v)_2.
-    A `gap` that `check_gap` refuses raises InvalidInputError before any
-    work, and so does every refusal of `split_sectors` that needs no
-    eigenpairs.
+    alone (and `hardy.rho_plus` reads the inherited `plus_sectors`).  Module
+    functions add the spectral projectors and the equivalent inner product
+    (|A| u, v)_2.  Every refusal of `split_sectors` that needs no
+    eigenpairs raises InvalidInputError before any work.
 
     `eigenpairs`, one (eigenvalues, eigenvectors) pair per sector in
     `parity_sectors` order, skips the diagonalization for a decomposition
@@ -513,10 +540,8 @@ class SpectralSplit:
 
     def __init__(self, box: BoxDomain, operator: sp.spmatrix,
                  gap: tuple[float, float], eigenpairs=None):
-        self.box = box
-        self.operator = operator.tocsr()
-        self.gap = gap = check_gap(gap)
-        sectors = list(split_sectors(box, self.operator, eigenpairs))
+        super().__init__(box, operator, gap, eigenpairs)
+        self._sectors = sectors = list(self._sectors)
         n = box.site_count
         eigenvalues = np.concatenate([values for _, values, _ in sectors])
         order = np.argsort(eigenvalues, kind="stable")
@@ -526,7 +551,7 @@ class SpectralSplit:
         self.negative_count = nneg = int(np.sum(eigenvalues < 0.0))
         self.minus = slice(0, nneg)
         self.plus = slice(nneg, n)
-        self.intrusions = gap_intrusions(self.eigenvalues, gap)
+        self.intrusions = gap_intrusions(self.eigenvalues, self.gap)
         # Q, one column block per sector, and for each part of the
         # coordinates its nonempty sectors as (sector, their columns of Q,
         # V_s columns, the coordinates of those within the part)
@@ -572,40 +597,6 @@ class SpectralSplit:
             out[index] = vectors.T @ w[rows]
         return out
 
-    def plus_sectors(self):
-        """(sector, X^+ eigenvalues, X^+ eigenvectors C_s in the sector
-        basis) for each sector that holds X^+ columns; Q_s C_s are those
-        columns of E_+, in coordinate order."""
-        lam = self.eigenvalues[self.plus]
-        for sector, _, vectors, index in self._blocks["plus"]:
-            yield sector, lam[index], vectors
-
-
-class SectorStream:
-    """A split read in one pass, one parity sector at a time: it takes and
-    checks what a `SpectralSplit` does, and has what `hardy.rho_plus` reads
-    of one (`box`, `operator`, `plus_sectors`), straight from
-    `split_sectors`.  `drain` checks the sectors not yet read."""
-
-    def __init__(self, box: BoxDomain, operator: sp.spmatrix,
-                 gap: tuple[float, float], eigenpairs=None):
-        check_gap(gap)
-        self.box = box
-        self.operator = operator.tocsr()
-        self._sectors = split_sectors(box, self.operator, eigenpairs)
-
-    def plus_sectors(self):
-        """As `SpectralSplit.plus_sectors`: the X^+ columns of each sector
-        that has some, which follow its X^- columns."""
-        for sector, values, vectors in self._sectors:
-            k = int(np.sum(values < 0.0))
-            if k < values.size:
-                yield sector, values[k:], vectors[:, k:]
-            del values, vectors  # not held while the next sector is read
-
-    def drain(self) -> None:
-        deque(self._sectors, maxlen=0)
-
 
 def spectral_split(box: BoxDomain, operator: sp.spmatrix,
                    gap: tuple[float, float], eigenpairs=None) -> SpectralSplit:
@@ -641,9 +632,9 @@ def write_split(box: BoxDomain, operator: sp.spmatrix, path) -> tuple[np.ndarray
 
 def read_eigenpairs(path):
     """Lazily, the (eigenvalues, eigenvectors) pair of each sector in the
-    file `write_split` wrote.  A record that is not a float64 array, or whose
-    header numpy cannot parse, raises InvalidInputError; whether the pairs
-    fit a box is checked by `split_sectors`."""
+    file `write_split` wrote.  A record that cannot be read, is cut short or
+    is not a float64 array raises InvalidInputError; whether the pairs fit
+    a box is checked by `split_sectors`."""
     with open(path, "rb") as fh:
         while fh.peek(1):
             yield _read_record(fh), _read_record(fh)
@@ -652,9 +643,10 @@ def read_eigenpairs(path):
 def _read_record(fh) -> np.ndarray:
     try:
         array = np.load(fh)
-    except (SyntaxError, tokenize.TokenError) as exc:
-        # numpy's fallback parser of old-style headers raises these
-        raise InvalidInputError(f"unparsable record header: {exc}") from exc
+    except (OSError, EOFError, ValueError, SyntaxError,
+            tokenize.TokenError) as exc:
+        # the last two come from numpy's fallback parser of old-style headers
+        raise InvalidInputError(f"unreadable split record: {exc}") from exc
     if array.dtype != np.float64:
         raise InvalidInputError("split records are not float64 arrays")
     return array

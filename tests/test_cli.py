@@ -50,7 +50,7 @@ def write_config(tmp_path, name="run.cfg", drop=(), **overrides):
 class TestParseConfig:
     def test_round_trip_of_basics(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
-        assert cfg.dimension == 3 and cfg.radius == 2
+        assert cfg.box.dimension == 3 and cfg.box.radius == 2
         assert cfg.rho_values == (0.0,)
         assert cfg.solver.multistart == 3
         assert cfg.solver.seed == 11
@@ -90,7 +90,7 @@ class TestParseConfig:
         path = tmp_path / "readme.cfg"
         path.write_text(block, encoding="utf-8")
         cfg = parse_config(path)
-        assert cfg.radius == 6 and cfg.rho_values == (0.4, 0.2, 0.1, 0.05, 0.0)
+        assert cfg.box.radius == 6 and cfg.rho_values == (0.4, 0.2, 0.1, 0.05, 0.0)
         assert cfg.solver == lg.SolverConfig(seed=7, multistart=5,
                                              max_boundary_mass=0.25)
 
@@ -334,6 +334,7 @@ class TestCorruptArtifacts:
     @pytest.mark.parametrize("key, value", [
         ("kappa", "0.5"), ("rho_plus", True), ("rho_tilde_plus", None),
         ("rho_max", [0.1]), ("kappa", float("inf")), ("rho_max", 123.0),
+        ("rho_tilde_plus", 0.5),
         ("N", 3.0), ("R", "2"), ("N", False), ("metric", "graph"),
         ("metric", 3), ("N", 4), ("R", 5)])
     def test_wrongly_typed_constants(self, tmp_path, capsys, key, value):
@@ -469,6 +470,22 @@ class TestCorruptArtifacts:
         self._run_constants(tmp_path, capsys,
                             self._replace_split(poisoned, "parity-sectors"),
                             "gap.json", "certify-gap", command)
+
+    @pytest.mark.parametrize("command", ["constants", "solve"])
+    def test_float32_split_file(self, tmp_path, capsys, command):
+        # every record cast to float32; the hash in gap.json is that of the
+        # cast file
+        def cast(out):
+            path = out / "float32.npy"
+            with open(path, "wb") as fh:
+                for pair in read_eigenpairs(out / "split.npy"):
+                    for array in pair:
+                        np.save(fh, array.astype(np.float32))
+            return path.read_bytes()
+        err = self._run_constants(tmp_path, capsys,
+                                  self._replace_split(cast, "parity-sectors"),
+                                  "gap.json", "certify-gap", command)
+        assert "not float64" in err
 
     def test_changed_bloch_grid_rejected(self, tmp_path, capsys):
         out = tmp_path / "out"

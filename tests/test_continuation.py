@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,7 @@ class TestSweepPlan:
         (0.4, 0.2),           # does not end at 0
         (0.4, -0.1, 0.0),     # negative
         (float("nan"), 0.0),  # not a number
+        (),                   # empty
     ])
     def test_invalid_plans_rejected(self, values):
         with pytest.raises(InvalidInputError):
@@ -104,6 +107,12 @@ class TestConvergenceReport:
         records, baseline = synthetic_records(2.0, [0.1 * r ** 0.2 for r in rhos], rhos)
         report = lg.convergence_report(records, baseline)
         assert report["flags"]["slope_suspicious"]
+
+    def test_baseline_must_be_uncoupled(self):
+        rhos = (0.4, 0.2, 0.1)
+        records, baseline = synthetic_records(2.0, [0.3, 0.2, 0.1], rhos)
+        with pytest.raises(InvalidInputError, match="baseline record must have rho = 0"):
+            lg.convergence_report(records, dataclasses.replace(baseline, rho=0.05))
 
     def test_needs_three_records(self):
         rhos = (0.4, 0.2)

@@ -174,11 +174,6 @@ class TestInequalityConstants:
         assert c.rho_tilde_plus == 0.3
         assert abs(c.rho_max - 1.5) < 1e-15
 
-    def test_inconsistent_fields_rejected(self):
-        with pytest.raises(InvalidInputError):
-            lg.InequalityConstants(dimension=3, radius=4, kappa=0.5, rho_plus=2.0,
-                                   rho_tilde_plus=2.0, rho_max=4.0)
-
     @pytest.mark.parametrize("name", ["kappa", "rho_plus"])
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
     def test_non_positive_constant_rejected(self, name, value):

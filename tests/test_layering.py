@@ -5,7 +5,9 @@ eigenbasis are known only to `spectral`: no other module reads them, and
 its one dense single-matrix `eigh` is the only place that picks a LAPACK
 driver.  Other modules read a split only through its contract (box,
 operator, gap, eigenvalues, size, negative_count, the slices minus/plus,
-intrusions, values_of and coords_of), plus `plus_sectors` in `hardy`.
+intrusions, values_of and coords_of), plus `plus_sectors` in `hardy`;
+`plus_sectors` is defined once, by `SectorStream`, which `SpectralSplit`
+extends.
 Only `solver` starts processes, from one `ProcessPoolExecutor`.
 The solver draws random numbers in one place only, the multistart's random
 starts; every exit check, the maximality certificate included, is
@@ -16,19 +18,20 @@ Every function the benchmark tracer wraps exists under its wrapped name.
 split.npy's records have one writer, `spectral.write_split` (the one
 `np.save`), and one reader, `spectral._read_record` (the one `np.load`).
 In `cli`, a stale artifact is refused only by the loader of gap.json and
-constants.json and by the reader of split.npy.
-`energy.SiteTerms` states each term of J_rho once for every coupling: the
-coupling is compared only in its sign check.  `solver` takes only the
-Hardy weight from `hardy`; the box constants come from its caller.
+constants.json and by the reader of split.npy, and no function catches
+EOFError: `spectral` maps a split record it cannot read.
+`energy.SiteTerms` states each term of J_rho once for every coupling and
+never compares the coupling.  `solver` takes only the Hardy weight from
+`hardy`; the box constants come from its caller.
 Each input rule has one owner that states it: the coupling's sign
-(`SiteTerms`, and `weighted_mass`, which builds no terms), a field on the
-split's box, the dimension range, p > 2, the Hardy metrics, the
-checkerboard's default shift, the dense site budget, the Bloch grid's
-minimum and stack bound, the boundary layers below the radius, the
-report's positive couplings, a site's shape, the potential's dimension and
-the Hardy commands' N >= 3.  The CLI states none of these limits: it loads
-neither their constants nor `SolverConfig.boundary_layers`, and calls the
-owners instead; `hardy` leaves the dense budget to `spectral` too.
+(`hardy.check_coupling`), a field on the split's box, the dimension range,
+p > 2, the Hardy metrics, the checkerboard's default shift, the dense site
+budget, the Bloch grid's minimum and stack bound, the boundary layers
+below the radius, the report's positive couplings, a site's shape, the
+potential's dimension and the Hardy commands' N >= 3.  The CLI states none
+of these limits: it loads neither their constants nor
+`SolverConfig.boundary_layers`, and calls the owners instead; `hardy`
+leaves the dense budget to `spectral` too.
 Every name the package exports has a caller outside the tests, except the
 few library-only names listed with their reasons."""
 
@@ -143,6 +146,11 @@ def test_split_read_only_through_its_contract(module):
     assert not extra, f"{module}.py reads outside the split contract: {extra}"
 
 
+def test_plus_sectors_defined_once():
+    assert _owners(lambda node: isinstance(node, ast.FunctionDef)
+                   and node.name == "plus_sectors") == {"spectral.SectorStream"}
+
+
 def test_only_hardy_reads_plus_sectors():
     readers = sorted(name for name, tree in TREES.items() if name != "spectral"
                      and any(isinstance(node, ast.Attribute)
@@ -243,6 +251,14 @@ def test_split_records_have_one_writer_and_one_reader():
     assert _owners(calls("load")) == {"spectral._read_record"}
 
 
+def test_no_cli_function_catches_eof():
+    catchers = [node.lineno for node in ast.walk(TREES["cli"])
+                if isinstance(node, ast.ExceptHandler) and node.type is not None
+                and any(isinstance(name, ast.Name) and name.id == "EOFError"
+                        for name in ast.walk(node.type))]
+    assert not catchers, f"cli.py catches EOFError at lines {catchers}"
+
+
 def test_certification_missing_raised_only_by_the_loaders():
     raisers = {node.name for node in TREES["cli"].body
                if isinstance(node, ast.FunctionDef)
@@ -273,7 +289,7 @@ def _owners(match) -> set[str]:
 
 # a fragment of each input rule's refusal -> the functions that may raise it
 RULE_OWNERS = {
-    "rho must be >= 0": {"energy.SiteTerms.__init__", "hardy.weighted_mass"},
+    "rho must be >= 0": {"hardy.check_coupling"},
     "box does not match": {"spectral.check_on_box"},
     "dimension must be in": {"lattice.BoxDomain.__post_init__"},
     "p > 2": {"nonlinearity.PowerNonlinearity.__post_init__"},
@@ -369,7 +385,7 @@ def test_exports_have_callers_outside_tests():
     assert not stale, f"LIBRARY_ONLY lists used or unexported names: {stale}"
 
 
-def test_site_terms_compare_the_coupling_only_in_the_sign_check():
+def test_site_terms_never_compares_the_coupling():
     def names_rho(node):
         return any(isinstance(part, ast.Name) and part.id == "rho"
                    or isinstance(part, ast.Attribute) and part.attr == "rho"
@@ -381,7 +397,7 @@ def test_site_terms_compare_the_coupling_only_in_the_sign_check():
              for method in site_terms.body if isinstance(method, ast.FunctionDef)
              for node in ast.walk(method)
              if isinstance(node, ast.Compare) and names_rho(node)]
-    assert found == [("__init__", "rho >= 0")], found
+    assert not found, found
 
 
 def test_solver_takes_only_the_weight_from_hardy():

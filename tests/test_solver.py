@@ -194,6 +194,12 @@ class TestOuterMinimize:
         with pytest.raises(DegenerateProblemError, match="degenerate"):
             lg.outer_minimize(split_r2, lg.ZeroNonlinearity(), 0.0, cfg)
 
+    def test_warm_start_without_plus_part_refused(self, split_r2, model):
+        u = lg.project(split_r2, random_field(split_r2.box,
+                                              np.random.default_rng(6)), "minus")
+        with pytest.raises(InvalidInputError, match="no X\\^\\+ component"):
+            lg.outer_minimize(split_r2, model, 0.0, warm_start=u)
+
 
 class TestPolishNewton:
     def test_reaches_polish_tolerance(self, split_r2, model, rough_candidate, quick_config):
@@ -251,15 +257,14 @@ class TestSolveGroundState:
             lg.solve_ground_state(split_r2, model, 0.0, quick_config)
 
     @pytest.mark.parametrize("broken", [
-        "full residual", "residual along u", "residual along X^-",
+        "residual along u", "residual along X^-",
         "u has no X^+ component", "not positive", "boundary mass fraction"])
     def test_exit_check_refuses_a_state_that_breaks_it(
             self, monkeypatch, split_r2, model, ground_r2, broken):
         # the patched polish hands over a state that breaks one exit check
         # (with no X^+ part or no positive level it breaks the floor too)
         polish = solver.polish_newton
-        residuals = {"full residual": "residual_full",
-                     "residual along u": "residual_along_u",
+        residuals = {"residual along u": "residual_along_u",
                      "residual along X^-": "residual_along_minus"}
 
         def breaking(split, model, rho, u0, weight):
@@ -281,6 +286,14 @@ class TestSolveGroundState:
         config = lg.SolverConfig(seed=1, multistart=3, max_boundary_mass=0.5)
         with pytest.raises(lg.PostConditionError, match=re.escape(broken)):
             lg.solve_ground_state(split_r2, model, 0.0, config)
+
+    def test_polish_cap_reaches_the_caller(self, monkeypatch, split_r2, model,
+                                           quick_config):
+        # the polish alone decides the full residual: a polish that stops
+        # short of its tolerance is a ConvergenceError, not an exit check
+        monkeypatch.setattr(lg.SolverConfig, "max_polish", 0)
+        with pytest.raises(lg.ConvergenceError, match="Newton polish exceeded 0"):
+            lg.solve_ground_state(split_r2, model, 0.0, quick_config)
 
     def test_power_level_identity(self, ground_r2):
         # c = (1/2 - 1/p) ||u||_p^p at any critical point of the quartic model

@@ -505,6 +505,11 @@ class TestProjectors:
         assert np.linalg.norm(lg.project(split_r2, e, "plus").values - e.values) < 1e-10
         assert np.linalg.norm(lg.project(split_r2, e, "minus").values) < 1e-10
 
+    def test_unknown_sign_refused(self, split_r2):
+        u = random_field(split_r2.box, np.random.default_rng(3))
+        with pytest.raises(InvalidInputError, match="sign must be"):
+            lg.project(split_r2, u, "both")
+
     def test_l1_norm_stays_within_factor_two(self, potential, band_table,
                                              split_r2, split_r3, split_r4):
         # desk-scale proxy for l^p-boundedness of the spectral projector

@@ -23,9 +23,9 @@ result = lg.solve_ground_state(split, model, 0.0, config)
 
 print(f"ground state on the {box.side}^3 box")
 print(f"  level c_0            = {result.c_rho:.12f}")
-print(f"  gradient residual    = {result.residual_full:.2e}")
-print(f"  Nehari residuals     = ({result.residual_along_u:.2e}, "
-      f"{result.residual_along_minus:.2e})")
+print(f"  gradient residual    = {result.residual.full:.2e}")
+print(f"  Nehari residuals     = ({result.residual.along_u:.2e}, "
+      f"{result.residual.along_minus:.2e})")
 print(f"  winning start        = #{result.start_index}, "
       f"{result.outer_iterations} outer / {result.polish_iterations} polish steps")
 print(f"  boundary mass        = {result.diagnostics['boundary_mass']:.2e}")

@@ -403,10 +403,7 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
         for record in result.trace:
             fh.write(_record_line(record) + "\n")
     jsonio.dump({
-        "rho": rho, "c_rho": result.c_rho,
-        "residual_full": result.residual_full,
-        "residual_along_u": result.residual_along_u,
-        "residual_along_minus": result.residual_along_minus,
+        "rho": rho, "c_rho": result.c_rho, **result.residual.to_dict(),
         "outer_iterations": result.outer_iterations,
         "polish_iterations": result.polish_iterations,
         "start_index": result.start_index}, out / "solve_summary.json")
@@ -417,7 +414,7 @@ def _write_sweep_csv(records: list[SweepRecord], path) -> None:
     with atomic_open(path, newline="") as fh:
         fh.write("rho,c_rho,residual,d_to_baseline,sum_G\n")
         for r in records:
-            fh.write(f"{r.rho:.17g},{r.c_rho:.17g},{r.residual_full:.17g},"
+            fh.write(f"{r.rho:.17g},{r.c_rho:.17g},{r.residual.full:.17g},"
                      f"{r.d_to_baseline:.17g},{r.sum_G:.17g}\n")
 
 

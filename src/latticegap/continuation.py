@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .energy import NehariResidual
 from .errors import ConvergenceError, InvalidInputError, NumericalError
 from .hardy import EUCLIDEAN_WEIGHT, HardyWeight
 from .lattice import LatticeField
@@ -69,13 +70,12 @@ class SweepPlan:
 
 @dataclass
 class SweepRecord:
-    """One solved coupling: level, residuals and baseline distance."""
+    """One solved coupling: level, Nehari-Pankov residuals and baseline
+    distance."""
 
     rho: float
     c_rho: float
-    residual_full: float
-    residual_along_u: float
-    residual_along_minus: float
+    residual: NehariResidual
     sum_G: float
     u_norm: float                  # equivalent norm of the solution
     d_to_baseline: float = np.nan  # equivalent-norm distance to the baseline
@@ -83,10 +83,7 @@ class SweepRecord:
     field: LatticeField | None = None
 
     def to_dict(self) -> dict:
-        return {"rho": self.rho, "c_rho": self.c_rho,
-                "residual_full": self.residual_full,
-                "residual_along_u": self.residual_along_u,
-                "residual_along_minus": self.residual_along_minus,
+        return {"rho": self.rho, "c_rho": self.c_rho, **self.residual.to_dict(),
                 "sum_G": self.sum_G, "u_norm": self.u_norm,
                 "d_to_baseline": self.d_to_baseline, "d_l2": self.d_l2}
 
@@ -119,10 +116,7 @@ def sweep_rho(plan: SweepPlan, split: SpectralSplit, model: Nonlinearity,
             raise err from exc
         warm = result.u
         records.append(SweepRecord(
-            rho=rho, c_rho=result.c_rho,
-            residual_full=result.residual_full,
-            residual_along_u=result.residual_along_u,
-            residual_along_minus=result.residual_along_minus,
+            rho=rho, c_rho=result.c_rho, residual=result.residual,
             sum_G=superquadratic_mass(model, result.u),
             u_norm=split_norm(split, result.u),
             field=result.u))

@@ -38,11 +38,16 @@ class EnergyReport:
 
 @dataclass(frozen=True)
 class NehariResidual:
-    """Sizes of the constraint violations defining the Nehari-Pankov set."""
+    """Sizes of the constraint violations defining the Nehari-Pankov set;
+    `to_dict` names them in every artifact that records them."""
 
     along_u: float      # <J'(u), u>
     along_minus: float  # || P J'(u) ||_2, X^- component of the gradient
     full: float         # || J'(u) ||_2
+
+    def to_dict(self) -> dict:
+        return {"residual_full": self.full, "residual_along_u": self.along_u,
+                "residual_along_minus": self.along_minus}
 
 
 class SiteTerms:

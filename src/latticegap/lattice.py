@@ -79,7 +79,8 @@ class BoxDomain:
         """Enumeration index of an in-box site."""
         site = np.asarray(site, dtype=int)
         if not self.contains(site):
-            raise InvalidInputError(f"site {tuple(site)} outside box of radius {self.radius}")
+            raise InvalidInputError(
+                f"site {tuple(site.tolist())} outside box of radius {self.radius}")
         return int(np.ravel_multi_index(tuple(site + self.radius), self.shape))
 
 

@@ -51,7 +51,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .energy import SiteTerms, evaluate_energy, nehari_residual
+from .energy import NehariResidual, SiteTerms, evaluate_energy, nehari_residual
 from .errors import (ConvergenceError, DegenerateProblemError,
                      InvalidInputError, ModelHypothesisError, NumericalError,
                      PostConditionError, RhoOutOfRangeError,
@@ -109,17 +109,17 @@ def check_boundary_layers(radius: int) -> None:
 
 @dataclass
 class GroundStateResult:
-    """Converged ground state with its level and exit diagnostics."""
+    """Converged ground state with its level, its Nehari-Pankov residuals
+    and exit diagnostics.  A stage that did not run leaves its iteration
+    count at 0, and a result that no multistart chose has start_index -1."""
 
     u: LatticeField
     c_rho: float
-    residual_full: float
-    residual_along_u: float
-    residual_along_minus: float
-    outer_iterations: int
-    inner_iterations: int
-    polish_iterations: int
-    start_index: int
+    residual: NehariResidual
+    outer_iterations: int = 0
+    inner_iterations: int = 0
+    polish_iterations: int = 0
+    start_index: int = -1
     trace: list[dict] = dataclass_field(default_factory=list)
     polish_residuals: list[float] = dataclass_field(default_factory=list)
     diagnostics: dict = dataclass_field(default_factory=dict)
@@ -293,7 +293,7 @@ class _StartResult:
     value: float = np.inf
     values: np.ndarray | None = None  # site values of the last iterate
     coords_norm: float = np.inf       # l2 norm of its eigencoordinates
-    residuals: dict = dataclass_field(default_factory=dict)  # of its J'
+    residual: NehariResidual | None = None  # of its J' at the last iterate
     outer_iterations: int = 0
     inner_iterations: int = 0
     line_search_trials: int = 0  # inner solves of the line search
@@ -333,9 +333,8 @@ def _outer_single(terms: SiteTerms, wp0: np.ndarray, index: int,
         out.outer_iterations = it
         out.value, out.values = val, u
         out.coords_norm = float(np.linalg.norm(coords))
-        out.residuals = {"residual_full": res_full,
-                         "residual_along_u": float(g @ coords),
-                         "residual_along_minus": res_minus}
+        out.residual = NehariResidual(along_u=float(g @ coords),
+                                      along_minus=res_minus, full=res_full)
         if res_full <= SolverConfig.outer_tol * (1.0 + out.coords_norm):
             out.status = "converged"
             return out
@@ -520,10 +519,10 @@ def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
     distinct = bool(levels and (levels[-1] - levels[0]) >
                     1e-6 * max(1.0, abs(levels[0])))
     return GroundStateResult(
-        u=LatticeField(split.box, best.values), c_rho=best.value, **best.residuals,
-        outer_iterations=best.outer_iterations,
-        inner_iterations=best.inner_iterations,
-        polish_iterations=0, start_index=best.index, trace=best.trace,
+        u=LatticeField(split.box, best.values), c_rho=best.value,
+        residual=best.residual, outer_iterations=best.outer_iterations,
+        inner_iterations=best.inner_iterations, start_index=best.index,
+        trace=best.trace,
         diagnostics={
             "start_levels": [None if r.status not in ("converged", "stalled")
                              else r.value for r in results],
@@ -595,11 +594,7 @@ def polish_newton(split: SpectralSplit, model: Nonlinearity, rho: float,
     res = nehari_residual(split, model, u, rho, weight)
     return GroundStateResult(
         u=u, c_rho=evaluate_energy(split, model, u, rho, weight).value,
-        residual_full=res.full,
-        residual_along_u=res.along_u,
-        residual_along_minus=res.along_minus,
-        outer_iterations=0, inner_iterations=0, polish_iterations=iters,
-        start_index=-1, polish_residuals=history)
+        residual=res, polish_iterations=iters, polish_residuals=history)
 
 
 def maximality_certificate(split: SpectralSplit, model: Nonlinearity,
@@ -695,10 +690,10 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
 
     # the polish has already refused a full residual above its tolerance
     problems = []
-    if abs(polished.residual_along_u) > cfg.polish_tol * (1.0 + l2 ** 2):
-        problems.append(f"residual along u {polished.residual_along_u:.3e}")
-    if polished.residual_along_minus > cfg.polish_tol:
-        problems.append(f"residual along X^- {polished.residual_along_minus:.3e}")
+    if abs(polished.residual.along_u) > cfg.polish_tol * (1.0 + l2 ** 2):
+        problems.append(f"residual along u {polished.residual.along_u:.3e}")
+    if polished.residual.along_minus > cfg.polish_tol:
+        problems.append(f"residual along X^- {polished.residual.along_minus:.3e}")
     if plus_norm <= 1e-8:
         problems.append("u has no X^+ component")
     if not level > 0.0:

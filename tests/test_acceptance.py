@@ -101,10 +101,10 @@ def test_criterion_3_constants(split_r3):
 def test_criterion_4_ground_state(split_r6, model, ground_r6, split_r2):
     started = time.perf_counter()
     l2 = lg.lp_norm(ground_r6.u, 2)
-    assert ground_r6.residual_full <= 1e-8 * (1 + l2)
+    assert ground_r6.residual.full <= 1e-8 * (1 + l2)
     assert ground_r6.c_rho > 0
-    assert abs(ground_r6.residual_along_u) <= 1e-8 * (1 + l2 ** 2)
-    assert ground_r6.residual_along_minus <= 1e-8
+    assert abs(ground_r6.residual.along_u) <= 1e-8 * (1 + l2 ** 2)
+    assert ground_r6.residual.along_minus <= 1e-8
     identity = 0.25 * lg.lp_norm(ground_r6.u, 4) ** 4
     assert abs(ground_r6.c_rho - identity) <= 1e-8 * max(1.0, identity)
     # regression pin: value frozen from the first converged run
@@ -120,7 +120,7 @@ def test_criterion_4_ground_state(split_r6, model, ground_r6, split_r2):
     assert abs(min(oracle) - small.c_rho) <= 1e-8
     report(4, 600.0, ["split_r6", "ground_r6", "split_r2"], started,
            f"c_0 = {ground_r6.c_rho:.12f} at residual "
-           f"{ground_r6.residual_full:.2e}; 5^3 level matches brute force")
+           f"{ground_r6.residual.full:.2e}; 5^3 level matches brute force")
 
 
 def test_criterion_5_level_ordering(sweep_r6):

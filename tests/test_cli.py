@@ -829,6 +829,12 @@ def _config_setting(**overrides):
     return setup
 
 
+def _solve_setting(**overrides):
+    def setup(tmp_path, out):
+        return ["solve", "--config", str(write_config(tmp_path, **overrides))], None
+    return setup
+
+
 def _config_line(line):
     def setup(tmp_path, out):
         path = write_config(tmp_path)
@@ -879,9 +885,12 @@ class TestRareExits:
          "gap.json does not hold a JSON object; re-run certify-gap"),
         (_out_at("out"), 2, "cannot create output directory"),
         (_out_at("out/sub"), 2, "cannot create output directory"),
+        (_solve_setting(**{"solver.max_boundary_mass": "1e-300"}), 1,
+         "every candidate is boundary-localized"),
     ], ids=["absolute", "absolute-above-cap", "unknown-rho-mode",
             "line-without-equals", "unreadable-config", "non-utf8-config",
-            "gap-json-array", "out-is-a-file", "out-under-a-file"])
+            "gap-json-array", "out-is-a-file", "out-under-a-file",
+            "all-boundary-localized"])
     def test_exit_status_and_message(self, tmp_path, capsys, setup, status,
                                      message):
         out = tmp_path / "out"
@@ -1105,3 +1114,16 @@ class TestFloatFormatting:
         text = jsonio.dumps({"x": value})
         assert "0.33333333333333331" in text
         assert json.loads(text)["x"] == value
+
+
+class TestJsonDumps:
+    def test_empty_object(self):
+        assert jsonio.dumps({}) == "{}\n"
+
+    def test_non_string_key_refused(self):
+        with pytest.raises(TypeError, match="keys must be strings"):
+            jsonio.dumps({1: 2})
+
+    def test_unsupported_value_refused(self):
+        with pytest.raises(TypeError, match="unsupported JSON value: object"):
+            jsonio.dumps({"x": object()})

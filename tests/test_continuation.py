@@ -6,6 +6,7 @@ import pytest
 import latticegap as lg
 from latticegap import continuation, solver
 from latticegap.continuation import SweepRecord, superquadratic_mass
+from latticegap.energy import NehariResidual
 from latticegap.errors import InvalidInputError, RhoOutOfRangeError
 
 from conftest import random_field
@@ -74,13 +75,12 @@ def synthetic_records(c0, gaps, rhos, d=0.01, u_norm=3.0):
     records = []
     for rho, gap in zip(rhos, gaps):
         records.append(SweepRecord(
-            rho=rho, c_rho=c0 - gap, residual_full=1e-10,
-            residual_along_u=0.0, residual_along_minus=0.0,
+            rho=rho, c_rho=c0 - gap, residual=NehariResidual(0.0, 0.0, 1e-10),
             sum_G=c0 - gap, u_norm=u_norm,
             d_to_baseline=d * gap / scale, d_l2=d))
     baseline = SweepRecord(
-        rho=0.0, c_rho=c0, residual_full=1e-10, residual_along_u=0.0,
-        residual_along_minus=0.0, sum_G=c0, u_norm=u_norm,
+        rho=0.0, c_rho=c0, residual=NehariResidual(0.0, 0.0, 1e-10),
+        sum_G=c0, u_norm=u_norm,
         d_to_baseline=0.0, d_l2=0.0)
     return records, baseline
 
@@ -137,7 +137,7 @@ class TestSweep:
                                                   reverse=True)
         assert records[-1].rho == 0.0
         for rec in records:
-            assert rec.residual_full <= 1e-8 * (1 + np.sqrt(rec.u_norm))
+            assert rec.residual.full <= 1e-8 * (1 + np.sqrt(rec.u_norm))
             assert np.isfinite(rec.d_to_baseline)
 
     def test_level_ordering_against_baseline(self, small_sweep):

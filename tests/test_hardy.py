@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import latticegap as lg
-from latticegap.errors import InvalidInputError, RhoOutOfRangeError
+from latticegap import hardy
+from latticegap.errors import InvalidInputError, NumericalError, RhoOutOfRangeError
 
 from conftest import random_field
 from oracle_constants import kappa_lanczos, rho_plus_descent
@@ -102,6 +103,12 @@ class TestBestHardyConstant:
             / lg.dirichlet_energy(result.witness)
         assert abs(ratio - result.kappa) <= 1e-9 * result.kappa
 
+    def test_loose_witness_refused(self, monkeypatch):
+        energy = lg.dirichlet_energy
+        monkeypatch.setattr(hardy, "dirichlet_energy", lambda u: 2.0 * energy(u))
+        with pytest.raises(NumericalError, match="Hardy witness not tight"):
+            lg.best_hardy_constant(lg.BoxDomain(3, 1))
+
     def test_dense_and_lanczos_paths_agree(self):
         # the dense even-sector pencil against Lanczos on the whole box
         box = lg.BoxDomain(3, 3)
@@ -141,6 +148,12 @@ class TestRhoPlus:
         quotient = float(result.witness.values @ (split_r3.operator @ result.witness.values)) \
             / lg.dirichlet_energy(result.witness)
         assert abs(quotient - result.value) <= 1e-9 * result.value
+
+    def test_loose_witness_refused(self, monkeypatch, split_r2):
+        energy = lg.dirichlet_energy
+        monkeypatch.setattr(hardy, "dirichlet_energy", lambda u: 2.0 * energy(u))
+        with pytest.raises(NumericalError, match="rho_plus witness not tight"):
+            lg.rho_plus(split_r2)
 
     def test_two_methods_agree(self, split_r3):
         pencil = lg.rho_plus(split_r3).value

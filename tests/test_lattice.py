@@ -40,6 +40,11 @@ class TestBoxDomain:
         with pytest.raises(InvalidInputError):
             box.contains((0, 0))
 
+    def test_outside_site_named_as_integers(self, box):
+        with pytest.raises(InvalidInputError,
+                           match=r"^site \(3, 0, 0\) outside box of radius 2$"):
+            lg.delta_field(box, np.array([3, 0, 0]))
+
     def test_rejects_bad_geometry(self):
         with pytest.raises(InvalidInputError):
             lg.BoxDomain(0, 2)
@@ -163,6 +168,10 @@ class TestDirichletEnergy:
             right = -inner_l2(u, laplacian_apply(v))
             assert abs(form - left) <= 1e-12 * max(1.0, abs(form))
             assert abs(form - right) <= 1e-12 * max(1.0, abs(form))
+
+    def test_form_refuses_fields_on_different_boxes(self, box):
+        with pytest.raises(InvalidInputError, match="different boxes"):
+            lg.dirichlet_form(lg.delta_field(box), lg.delta_field(lg.BoxDomain(3, 1)))
 
     def test_gamma_sums_to_energy(self, box):
         # sum over the enlarged box of Gamma(u) is the edge-sum energy;

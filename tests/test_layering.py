@@ -33,7 +33,9 @@ of these limits: it loads neither their constants nor
 `SolverConfig.boundary_layers`, and calls the owners instead; `hardy`
 leaves the dense budget to `spectral` too.
 Every name the package exports has a caller outside the tests, except the
-few library-only names listed with their reasons."""
+few library-only names listed with their reasons.
+The artifact fields of the Nehari-Pankov residuals are named once, by
+`energy.NehariResidual.to_dict`."""
 
 import ast
 import importlib.util
@@ -405,3 +407,12 @@ def test_solver_takes_only_the_weight_from_hardy():
              if isinstance(node, ast.ImportFrom) and node.module == "hardy"
              for alias in node.names}
     assert names == {"EUCLIDEAN_WEIGHT", "HardyWeight"}
+
+
+@pytest.mark.parametrize("field", ["residual_along_u", "residual_along_minus"])
+def test_residual_fields_named_once(field):
+    def names(node):
+        return isinstance(node, ast.Constant) and isinstance(node.value, str) \
+            and field in node.value
+
+    assert _owners(names) == {"energy.NehariResidual.to_dict"}

@@ -166,7 +166,7 @@ class TestOuterMinimize:
         result = lg.outer_minimize(split_r3, model, 0.0, quick_config)
         levels = [rec["level"] for rec in result.trace]
         assert all(b <= a + 1e-12 for a, b in zip(levels, levels[1:]))
-        assert result.residual_full <= quick_config.outer_tol * (
+        assert result.residual.full <= quick_config.outer_tol * (
             1 + lg.lp_norm(result.u, 2))
 
     def test_level_agreement_or_flag(self, split_r3, model):
@@ -194,6 +194,26 @@ class TestOuterMinimize:
         with pytest.raises(DegenerateProblemError, match="degenerate"):
             lg.outer_minimize(split_r2, lg.ZeroNonlinearity(), 0.0, cfg)
 
+    def test_every_candidate_boundary_localized_raises(self, split_r2, model):
+        # every state has boundary mass above 1e-300, so the filter keeps none
+        cfg = lg.SolverConfig(seed=1, multistart=3, max_boundary_mass=1e-300)
+        with pytest.raises(ConvergenceError,
+                           match="every candidate is boundary-localized"):
+            lg.outer_minimize(split_r2, model, 0.0, cfg)
+
+    def test_no_start_converged_lists_the_reasons(self, monkeypatch, split_r2,
+                                                  model, quick_config):
+        def failed(terms, starts):
+            return [solver._StartResult(index=i, status="failed",
+                                        reason=f"reason {i}")
+                    for i in range(len(starts))]
+
+        monkeypatch.setattr(solver, "_run_starts", failed)
+        reasons = "; ".join(f"reason {i}" for i in range(quick_config.multistart))
+        with pytest.raises(ConvergenceError,
+                           match=f"^no start converged: {reasons}$"):
+            lg.outer_minimize(split_r2, model, 0.0, quick_config)
+
     def test_warm_start_without_plus_part_refused(self, split_r2, model):
         u = lg.project(split_r2, random_field(split_r2.box,
                                               np.random.default_rng(6)), "minus")
@@ -204,7 +224,7 @@ class TestOuterMinimize:
 class TestPolishNewton:
     def test_reaches_polish_tolerance(self, split_r2, model, rough_candidate, quick_config):
         result = lg.polish_newton(split_r2, model, 0.0, rough_candidate)
-        assert result.residual_full <= quick_config.polish_tol * (
+        assert result.residual.full <= quick_config.polish_tol * (
             1 + lg.lp_norm(result.u, 2))
 
     def test_exact_start_returns_unchanged(self, split_r2, model, rough_candidate):
@@ -231,11 +251,11 @@ class TestPolishNewton:
 class TestSolveGroundState:
     def test_exit_residuals(self, split_r2, model, ground_r2):
         l2 = lg.lp_norm(ground_r2.u, 2)
-        assert ground_r2.residual_full <= 1e-8 * (1 + l2)
-        assert abs(ground_r2.residual_along_u) <= 1e-8 * (1 + l2 ** 2)
-        assert ground_r2.residual_along_minus <= 1e-8
+        assert ground_r2.residual.full <= 1e-8 * (1 + l2)
+        assert abs(ground_r2.residual.along_u) <= 1e-8 * (1 + l2 ** 2)
+        assert ground_r2.residual.along_minus <= 1e-8
         res = lg.nehari_residual(split_r2, model, ground_r2.u, 0.0)
-        assert res.full == ground_r2.residual_full
+        assert res.full == ground_r2.residual.full
 
     def test_positive_level_above_sphere_floor(self, ground_r2):
         assert ground_r2.c_rho > 0
@@ -264,13 +284,14 @@ class TestSolveGroundState:
         # the patched polish hands over a state that breaks one exit check
         # (with no X^+ part or no positive level it breaks the floor too)
         polish = solver.polish_newton
-        residuals = {"residual along u": "residual_along_u",
-                     "residual along X^-": "residual_along_minus"}
+        residuals = {"residual along u": "along_u",
+                     "residual along X^-": "along_minus"}
 
         def breaking(split, model, rho, u0, weight):
             result = polish(split, model, rho, u0, weight)
             if broken in residuals:
-                return dataclasses.replace(result, **{residuals[broken]: 1.0})
+                return dataclasses.replace(result, residual=dataclasses.replace(
+                    result.residual, **{residuals[broken]: 1.0}))
             if broken == "not positive":
                 return dataclasses.replace(result, c_rho=0.0)
             if broken == "boundary mass fraction":  # the corner ground state

@@ -40,6 +40,14 @@ class TestPeriodicPotential:
         with pytest.raises(InvalidInputError):
             lg.PeriodicPotential((2, 2), np.zeros((2, 3)))
 
+    def test_zero_period_rejected(self):
+        with pytest.raises(InvalidInputError, match="period entries must be >= 1"):
+            lg.PeriodicPotential((0, 2), np.zeros((0, 2)))
+
+    def test_non_finite_cell_rejected(self):
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            lg.PeriodicPotential((2, 2), np.array([[0.0, np.nan], [1.0, 2.0]]))
+
 
 class TestAssembleOperator:
     def test_delta_interior(self):
@@ -104,6 +112,11 @@ class TestBlochBands:
         # spectrum [-2N-1, 2N-1] straddles 0 inside one band
         with pytest.raises(NoSpectralGapError):
             lg.bloch_band_edges(lg.constant_potential(3, -7.0))
+
+    def test_positive_spectrum_does_not_straddle_zero(self):
+        # spectrum [5, 4N + 5] lies above 0, so no band touches it
+        with pytest.raises(NoSpectralGapError, match="does not straddle 0"):
+            lg.bloch_band_edges(lg.constant_potential(3, 5.0))
 
     def test_grid_resolution_enforced(self, potential):
         with pytest.raises(InvalidInputError):

@@ -11,7 +11,7 @@ owners of the limits: `solver.check_boundary_layers` and
 (bloch.grid), and for the commands that need them
 `hardy.check_hardy_dimension` and `continuation.check_report_couplings`.
 Each refusal exits 2 naming the key; the CLI restates none of their rules.
-All outputs are plain files with floats printed at 17 significant digits;
+All outputs are plain files whose reals `jsonio.real` prints (17 digits);
 a fixed seed reproduces them byte for byte.  Every artifact is written to
 a temporary file and renamed into place; a failed write exits 2.
 
@@ -55,8 +55,8 @@ from pathlib import Path
 
 
 from . import jsonio
-from .continuation import (SweepPlan, SweepRecord, check_report_couplings,
-                           convergence_report, sweep_rho)
+from .continuation import (SweepPlan, check_report_couplings, convergence_report,
+                           sweep_rho)
 from .errors import (CertificationMissingError, ConfigError, HypothesisError,
                      InvalidInputError, LatticeGapError)
 from .hardy import (HardyWeight, InequalityConstants, best_hardy_constant,
@@ -384,12 +384,6 @@ def cmd_validate(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _record_line(record: dict) -> str:
-    parts = [f'"{k}": ' + (f"{v:.17g}" if isinstance(v, float) else str(v))
-             for k, v in record.items()]
-    return "{" + ", ".join(parts) + "}"
-
-
 def cmd_solve(cfg: RunConfig, out: Path) -> int:
     _built("dimension", check_hardy_dimension, cfg.box.dimension)
     if len(cfg.rho_values) != 1:
@@ -400,22 +394,13 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
                                 weight=cfg.weight, constants=constants)
     write_field(result.u, out / "solution.field")
     with atomic_open(out / "run_log.jsonl") as fh:
-        for record in result.trace:
-            fh.write(_record_line(record) + "\n")
+        fh.writelines(jsonio.record(record) + "\n" for record in result.trace)
     jsonio.dump({
         "rho": rho, "c_rho": result.c_rho, **result.residual.to_dict(),
         "outer_iterations": result.outer_iterations,
         "polish_iterations": result.polish_iterations,
         "start_index": result.start_index}, out / "solve_summary.json")
     return 0
-
-
-def _write_sweep_csv(records: list[SweepRecord], path) -> None:
-    with atomic_open(path, newline="") as fh:
-        fh.write("rho,c_rho,residual,d_to_baseline,sum_G\n")
-        for r in records:
-            fh.write(f"{r.rho:.17g},{r.c_rho:.17g},{r.residual.full:.17g},"
-                     f"{r.d_to_baseline:.17g},{r.sum_G:.17g}\n")
 
 
 def cmd_sweep(cfg: RunConfig, out: Path) -> int:
@@ -429,7 +414,11 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     plan = SweepPlan(rho_values=rhos)
     records = sweep_rho(plan, split, cfg.model, cfg.solver,
                         weight=cfg.weight, constants=constants)
-    _write_sweep_csv(records, out / "sweep.csv")
+    with atomic_open(out / "sweep.csv", newline="") as fh:
+        fh.write("rho,c_rho,residual,d_to_baseline,sum_G\n")
+        fh.writelines(",".join(map(jsonio.real, (
+            r.rho, r.c_rho, r.residual.full, r.d_to_baseline, r.sum_G))) + "\n"
+            for r in records)
     write_field(records[-1].field, out / "baseline.field")
     report = convergence_report(records[:-1], records[-1])
     jsonio.dump(report, out / "report.json")

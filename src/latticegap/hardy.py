@@ -102,13 +102,8 @@ def best_hardy_constant(box: BoxDomain,
                           overwrite_a=True, overwrite_b=True)
     kappa = float(vals[-1])
     vec = even.lift(vecs[:, -1:], box.site_count)[:, 0]
-    vec = vec / np.linalg.norm(vec)
-    witness = LatticeField(box, vec)
-    ratio = float(np.sum(w * vec ** 2)) / dirichlet_energy(witness)
-    if abs(ratio - kappa) > 1e-9 * max(1.0, kappa):
-        raise NumericalError(
-            f"Hardy witness not tight: ratio {ratio!r} vs kappa {kappa!r}")
-    return HardyConstant(kappa=kappa, witness=witness)
+    return HardyConstant(kappa, _tight_witness(
+        "Hardy", box, vec, lambda vec: np.sum(w * vec ** 2), kappa))
 
 
 @dataclass(frozen=True)
@@ -139,13 +134,19 @@ def rho_plus(split: SectorStream) -> RhoPlusConstant:
             "rho_plus needs a nonempty X^+, but the operator has no positive "
             "eigenvalue on this box")
     value, vec = best
-    vec = vec / np.linalg.norm(vec)
-    witness = LatticeField(split.box, vec)
-    quotient = float(vec @ (split.operator @ vec)) / dirichlet_energy(witness)
+    return RhoPlusConstant(value, _tight_witness(
+        "rho_plus", split.box, vec, lambda vec: vec @ (split.operator @ vec), value))
+
+
+def _tight_witness(name: str, box: BoxDomain, vec, numerator, value: float):
+    """The field of the unit vector along `vec`; its Rayleigh quotient
+    numerator / dirichlet_energy must be `value` within 1e-9 max(1, |value|)."""
+    witness = LatticeField(box, vec / np.linalg.norm(vec))
+    quotient = float(numerator(witness.values)) / dirichlet_energy(witness)
     if abs(quotient - value) > 1e-9 * max(1.0, abs(value)):
         raise NumericalError(
-            f"rho_plus witness not tight: quotient {quotient!r} vs value {value!r}")
-    return RhoPlusConstant(value=value, witness=witness)
+            f"{name} witness not tight: quotient {quotient!r} vs value {value!r}")
+    return witness
 
 
 def _pencil_minimum(lap: sp.spmatrix, n: int, sector, lam: np.ndarray,

@@ -1,5 +1,6 @@
-"""Deterministic JSON output (sorted keys, two-space indent, floats at 17
-significant digits), and atomic artifact writes.
+"""The text of every artifact: `real`, the one format of a real number (17
+significant digits, nothing non-finite), JSON documents (`dumps`: sorted
+keys, two-space indent) and one-line records (`record`), and atomic writes.
 
 The stdlib encoder prints shortest round-trip floats; artifact files pin
 the full 17 significant digits instead so that independently produced
@@ -37,34 +38,46 @@ def atomic_open(path, mode: str = "w", **kwargs):
         raise
 
 
-def _render(obj, level: int) -> str:
-    pad = "  " * level
-    inner = "  " * (level + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            items.append(f"{inner}{json.dumps(key)}: {_render(obj[key], level + 1)}")
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{inner}{_render(v, level + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
+def real(x: float) -> str:
+    """A real number as every artifact prints it: 17 significant digits,
+    which read back to the same double.  Non-finite values are refused."""
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite float in artifact output: {x}")
+    return format(x, ".17g")
+
+
+def _key(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"JSON object keys must be strings, got {key!r}")
+    return json.dumps(key)
+
+
+def _scalar(obj) -> str:
     if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(f"non-finite float in JSON output: {obj}")
-        return format(obj, ".17g")
-    if isinstance(obj, str):
+        return real(obj)
+    if isinstance(obj, (int, str)) or obj is None:  # bools are ints
         return json.dumps(obj)
     raise TypeError(f"unsupported JSON value: {type(obj).__name__}")
+
+
+def _render(obj, level: int) -> str:
+    if isinstance(obj, dict):
+        items = [f"{_key(key)}: {_render(obj[key], level + 1)}" for key in sorted(obj)]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        items, brackets = [_render(v, level + 1) for v in obj], "[]"
+    else:
+        return _scalar(obj)
+    if not items:
+        return brackets
+    pad = "\n" + "  " * level
+    inner = pad + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+
+
+def record(mapping: dict) -> str:
+    """One JSON object of scalars on one line, keys in the order given."""
+    return "{" + ", ".join(f"{_key(k)}: {_scalar(v)}" for k, v in mapping.items()) + "}"
 
 
 def dumps(obj) -> str:

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInputError
-from .jsonio import atomic_open
+from .jsonio import atomic_open, real
 
 MAX_DIMENSION = 32  # site arrays have one axis per dimension; numpy 1.x allows 32
 
@@ -157,7 +157,7 @@ def write_field(u: LatticeField, path) -> None:
     # Python ints and floats from tolist() format faster than numpy scalars
     with atomic_open(path) as fh:
         for site, value in zip(u.box.sites.tolist(), u.values.tolist()):
-            fh.write(" ".join(map(str, site)) + f" {value:.17g}\n")
+            fh.write(" ".join(map(str, site)) + f" {real(value)}\n")
 
 
 def read_field(path) -> LatticeField:

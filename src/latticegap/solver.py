@@ -250,17 +250,10 @@ def _inner_newton_step(slab: _Slab, u, gt, gv, res):
     def neg_hess(svec):
         st, sv = float(svec[0]), svec[1:]
         ht, hv = slab.restrict(st, sv, d_site * slab.site_values(st, sv))
-        out = np.empty(svec.size)
-        out[0] = -ht
-        out[1:] = -hv
-        return out
+        return -np.concatenate(([ht], hv))
 
-    r = np.empty(1 + slab.split.negative_count)
-    r[0] = gt
-    r[1:] = gv
-    precond = np.empty_like(r)
-    precond[0] = 1.0
-    precond[1:] = -slab.lam_minus
+    r = np.concatenate(([gt], gv))
+    precond = np.concatenate(([1.0], -slab.lam_minus))
     s = np.zeros_like(r)
     resid = r.copy()
     z = resid / precond

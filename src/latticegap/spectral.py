@@ -47,7 +47,7 @@ import scipy.sparse as sp
 
 from .errors import (InvalidInputError, NoSpectralGapError, NumericalError,
                      ZeroEigenvalueError)
-from .jsonio import atomic_open
+from .jsonio import atomic_open, real
 from .lattice import BoxDomain, LatticeField
 
 DENSE_EIG_BUDGET = 5000  # refuse dense full decompositions above this size
@@ -207,9 +207,9 @@ class BlochBandTable:
             writer.writerow([f"k{i + 1}" for i in range(n)] + ["band_index", "lambda"])
             # Python floats from tolist() format faster than numpy scalars
             for k, lams in zip(self.k_points.tolist(), self.bands.tolist()):
-                prefix = [f"{ki:.17g}" for ki in k]
-                for j, lam in enumerate(lams):
-                    writer.writerow(prefix + [str(j), f"{lam:.17g}"])
+                prefix = [real(ki) for ki in k]
+                writer.writerows(prefix + [str(j), real(lam)]
+                                 for j, lam in enumerate(lams))
 
 
 def bloch_matrix(potential: PeriodicPotential, k) -> np.ndarray:
@@ -593,7 +593,8 @@ class SpectralSplit(SectorStream):
                  "plus": self.size - self.negative_count}[part]
         w = self._basis_t @ values
         out = np.empty((count,) + values.shape[1:])
-        for _, rows, vectors, index in self._blocks[part]:
+        # the reverse of values_of's order: after one, start on the blocks in cache
+        for _, rows, vectors, index in reversed(self._blocks[part]):
             out[index] = vectors.T @ w[rows]
         return out
 

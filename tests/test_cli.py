@@ -5,13 +5,15 @@ import io
 import json
 import multiprocessing
 import shutil
+import struct
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import latticegap as lg
@@ -738,6 +740,24 @@ class TestSolve:
             assert set(record) == {"iter", "level", "residual_full",
                                    "residual_minus", "t"}
 
+    def test_run_log_record_of_any_scalar_is_json(self, tmp_path, monkeypatch):
+        # a trace record holding a status, a flag or no value reads back
+        extra = {"iter": -1, "ok": True, "note": None, "status": "stalled"}
+        solve = cli.solve_ground_state
+
+        def solve_with_extra_record(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            result.trace.append(extra)
+            return result
+
+        monkeypatch.setattr(cli, "solve_ground_state", solve_with_extra_record)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(write_config(tmp_path)),
+                     "--out", str(out)]) == 0
+        lines = (out / "run_log.jsonl").read_text().splitlines()
+        assert json.loads(lines[-1]) == extra
+        assert all(isinstance(json.loads(line), dict) for line in lines)
+
     @pytest.mark.parametrize("mode", ["absolute", "fraction"])
     def test_negative_zero_rho_written_as_zero(self, tmp_path, mode):
         summaries = []
@@ -1115,6 +1135,25 @@ class TestFloatFormatting:
         assert "0.33333333333333331" in text
         assert json.loads(text)["x"] == value
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(0.0)
+    @example(-0.0)
+    @example(5e-324)  # the least subnormal
+    @example(2.2250738585072009e-308)  # the largest subnormal
+    @example(1e16)
+    @example(100.0)
+    @example(sys.float_info.max)
+    @example(-sys.float_info.max)
+    def test_real_round_trips_every_finite_double(self, x):
+        # bit for bit, so -0.0 must read back as -0.0
+        assert struct.pack("<d", float(jsonio.real(x))) == struct.pack("<d", x)
+
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+    def test_real_refuses_non_finite(self, x):
+        with pytest.raises(ValueError, match="non-finite"):
+            jsonio.real(x)
+
 
 class TestJsonDumps:
     def test_empty_object(self):
@@ -1127,3 +1166,27 @@ class TestJsonDumps:
     def test_unsupported_value_refused(self):
         with pytest.raises(TypeError, match="unsupported JSON value: object"):
             jsonio.dumps({"x": object()})
+
+
+class TestJsonRecord:
+    def test_one_line_in_the_given_order(self):
+        text = jsonio.record({"z": 1, "a": 0.1, "m": -0.0})
+        assert text == '{"z": 1, "a": 0.10000000000000001, "m": -0}'
+
+    def test_bool_none_and_string_are_json(self):
+        # the run_log writer before jsonio.record printed True and None as is
+        mapping = {"ok": True, "bad": False, "note": None, "status": 'say "hi"'}
+        assert json.loads(jsonio.record(mapping)) == mapping
+
+    def test_non_finite_refused(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            jsonio.record({"level": float("inf")})
+
+    @pytest.mark.parametrize("value", [[1.0], {"a": 1}, object()])
+    def test_non_scalar_refused(self, value):
+        with pytest.raises(TypeError, match="unsupported JSON value"):
+            jsonio.record({"x": value})
+
+    def test_non_string_key_refused(self):
+        with pytest.raises(TypeError, match="keys must be strings"):
+            jsonio.record({1: 2})

@@ -35,10 +35,14 @@ leaves the dense budget to `spectral` too.
 Every name the package exports has a caller outside the tests, except the
 few library-only names listed with their reasons.
 The artifact fields of the Nehari-Pankov residuals are named once, by
-`energy.NehariResidual.to_dict`."""
+`energy.NehariResidual.to_dict`.
+Only `jsonio` formats a real for an artifact: no other module writes a
+format spec of 15 or more digits (`.17g`, say); they print reals through
+`jsonio.real`."""
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -416,3 +420,22 @@ def test_residual_fields_named_once(field):
             and field in node.value
 
     assert _owners(names) == {"energy.NehariResidual.to_dict"}
+
+
+# a precision of 15 or more digits in a format spec (".17g", "{:.16e}",
+# "%.17g"): the round-trip formats, which only `jsonio.real` may use
+ROUND_TRIP_SPEC = re.compile(r"\.(1[5-9]|[2-9][0-9])[eEfFgG%]")
+
+
+@pytest.mark.parametrize("module", sorted(set(MODULES) - {"jsonio"}))
+def test_only_jsonio_formats_reals(module):
+    specs = [f"line {node.lineno}: {node.value!r}" for node in ast.walk(TREES[module])
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and ROUND_TRIP_SPEC.search(node.value)]
+    assert not specs, f"{module}.py formats reals itself: {specs}"
+
+
+def test_jsonio_real_owns_the_round_trip_format():
+    assert _owners(lambda node: isinstance(node, ast.Constant)
+                   and isinstance(node.value, str)
+                   and ROUND_TRIP_SPEC.search(node.value)) == {"jsonio.real"}

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import latticegap as lg
-from latticegap import solver
+from latticegap import jsonio, solver
 from latticegap.errors import (ConvergenceError, DegenerateProblemError,
                                InvalidInputError, NumericalError,
                                RhoOutOfRangeError)
@@ -440,6 +440,16 @@ class TestSolveGroundState:
         for record in ground_r2.trace:
             assert set(record) == {"iter", "level", "residual_full",
                                    "residual_minus", "t"}
+
+    def test_run_log_records_keep_their_bytes(self, ground_r2):
+        # the run_log line format before jsonio.record, kept as the oracle
+        def old_record_line(record):
+            parts = [f'"{k}": ' + (f"{v:.17g}" if isinstance(v, float) else str(v))
+                     for k, v in record.items()]
+            return "{" + ", ".join(parts) + "}"
+
+        assert [jsonio.record(r) for r in ground_r2.trace] == \
+            [old_record_line(r) for r in ground_r2.trace]
 
 
 class TestSolverConfig:

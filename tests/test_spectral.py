@@ -608,6 +608,24 @@ class TestBlockedProducts:
             assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
 
     @pytest.mark.parametrize("columns", [None, 3], ids=["1d", "2d"])
+    @pytest.mark.parametrize("part", ["all", "minus", "plus"])
+    def test_coords_of_matches_forward_sector_order(self, split_r3, part, columns):
+        # coords_of walks the sectors in reverse; each sector writes its own
+        # coordinates, so the bytes are those of the forward walk
+        split = split_r3
+        blocks = split._blocks[part]
+        assert len(blocks) > 1
+        count = {"all": split.size, "minus": split.negative_count,
+                 "plus": split.size - split.negative_count}[part]
+        shape = (split.size,) if columns is None else (split.size, columns)
+        values = np.random.default_rng(17).standard_normal(shape)
+        w = split._basis_t @ values
+        want = np.empty((count,) + shape[1:])
+        for _, rows, vectors, index in blocks:
+            want[index] = vectors.T @ w[rows]
+        assert split.coords_of(values, part).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("columns", [None, 3], ids=["1d", "2d"])
     def test_no_symmetric_axis_is_the_plain_eigh_product(self, columns):
         # a period-3 cell: one block with Q = I, bytes of the plain products
         rng = np.random.default_rng(13)

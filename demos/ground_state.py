@@ -39,8 +39,9 @@ print("\nprofile along the x-axis:")
 for x in range(0, box.radius + 1):
     print(f"  u({x},0,0) = {result.u.at((x, 0, 0)):+.6f}")
 
-# certificate: u maximizes the energy over its own slab R+ u (+) X^-
-ok, bound = lg.maximality_certificate(split, model, result.u, 0.0)
+# certificate: u maximizes the energy J_0, one SiteTerms, over its own slab
+# R+ u (+) X^-
+ok, bound = lg.maximality_certificate(lg.SiteTerms(split, model, 0.0), result.u)
 print(f"\nmaximality certificate: J(t u + v) - J(u) <= {bound:.2e} for t in [0, 3], "
       f"v in X^- ({'holds' if ok else 'fails'})")
 

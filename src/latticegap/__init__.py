@@ -19,8 +19,8 @@ from .hardy import (EUCLIDEAN_WEIGHT, GRAPH_WEIGHT, HardyWeight,
                     compute_constants, rho_plus, weighted_mass)
 from .nonlinearity import (CustomNonlinearity, Nonlinearity, PowerNonlinearity,
                            ZeroNonlinearity, validate_hypotheses)
-from .energy import (NehariResidual, evaluate_energy, gradient, nehari_residual,
-                     rho_norm_plus)
+from .energy import (NehariResidual, SiteTerms, evaluate_energy, gradient,
+                     nehari_residual, rho_norm_plus)
 from .solver import (GroundStateResult, SolverConfig, boundary_mass_fraction,
                      maximality_certificate, outer_minimize, polish_newton,
                      solve_ground_state)

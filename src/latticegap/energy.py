@@ -8,8 +8,9 @@ primitive of the nonlinearity,
 where ||.|| is the equivalent norm (|A| u, u)_2.  The Gateaux derivative is
 represented in l2 by  A u - rho w u - f(u).  A field belongs to the
 Nehari-Pankov set when its gradient vanishes along u itself and along all
-of X^-; ground states minimize J_rho there.  `SiteTerms` defines the
-site-space parts of J_rho, J' and J'' once, for these functions and the solver.
+of X^-; ground states minimize J_rho there.  One `SiteTerms` is J_rho: it
+defines the site-space parts of J_rho, J' and J'' once, and these functions
+and the solver take it in place of (split, model, rho, weight).
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ class SiteTerms:
     split they act on.
 
     A rho that `hardy.check_coupling` refuses (not >= 0, NaN included) is
-    refused here, so every solver and energy entry point, which builds its
-    terms first, refuses it before any work.
+    refused here, when the functional is built; `solver.solve_ground_state`
+    builds its one `SiteTerms` first, so it refuses such a rho before any work.
     With w the Hardy weight (evaluated once, for every rho; at rho = 0 each
     Hardy term is a signed zero that leaves the sum it joins unchanged):
     energy = nonlinear + hardy = sum F + 1/2 rho sum w u^2,
@@ -94,32 +95,28 @@ class SiteTerms:
         return self.operator @ u - self.model.f(u) - self.rho * self.w * u
 
 
-def evaluate_energy(split: SpectralSplit, model: Nonlinearity, u: LatticeField,
-                    rho: float, weight: HardyWeight = EUCLIDEAN_WEIGHT) -> EnergyReport:
-    check_on_box(split, u)
-    terms = SiteTerms(split, model, rho, weight)
-    coords = split.coords_of(u.values)
-    quadratic = 0.5 * float(np.sum(split.eigenvalues * coords ** 2))
+def evaluate_energy(terms: SiteTerms, u: LatticeField) -> EnergyReport:
+    check_on_box(terms.split, u)
+    coords = terms.split.coords_of(u.values)
+    quadratic = 0.5 * float(np.sum(terms.split.eigenvalues * coords ** 2))
     hardy = float(terms.hardy(u.values))
     nonlinear = float(terms.nonlinear(u.values))
     return EnergyReport(value=quadratic - hardy - nonlinear,
                         quadratic=quadratic, hardy=hardy, nonlinear=nonlinear)
 
 
-def gradient(split: SpectralSplit, model: Nonlinearity, u: LatticeField,
-             rho: float, weight: HardyWeight = EUCLIDEAN_WEIGHT) -> LatticeField:
+def gradient(terms: SiteTerms, u: LatticeField) -> LatticeField:
     """l2 representative of the Gateaux derivative: A u - rho w u - f(u)."""
-    check_on_box(split, u)
-    return LatticeField(split.box, SiteTerms(split, model, rho, weight).gradient(u.values))
+    check_on_box(terms.split, u)
+    return LatticeField(terms.split.box, terms.gradient(u.values))
 
 
-def nehari_residual(split: SpectralSplit, model: Nonlinearity, u: LatticeField,
-                    rho: float, weight: HardyWeight = EUCLIDEAN_WEIGHT) -> NehariResidual:
-    grad = gradient(split, model, u, rho, weight)
-    coords = split.coords_of(grad.values)
+def nehari_residual(terms: SiteTerms, u: LatticeField) -> NehariResidual:
+    grad = gradient(terms, u)
+    coords = terms.split.coords_of(grad.values)
     return NehariResidual(
         along_u=float(grad.values @ u.values),
-        along_minus=float(np.linalg.norm(coords[split.minus])),
+        along_minus=float(np.linalg.norm(coords[terms.split.minus])),
         full=float(np.linalg.norm(grad.values)))
 
 

@@ -21,8 +21,9 @@ positive/negative projections are the split's index slices `minus` and
 and the X^- eigencoordinates.  With E_+ w computed once
 per inner solve, each of its evaluations multiplies by the X^- columns
 only, one parity sector at a time (`SpectralSplit.values_of`).
-The site-space terms of J, J' and J'' come from `energy.SiteTerms`, which
-also carries the split; this module adds only the quadratic parts.
+The functional J_rho is one `energy.SiteTerms`, which carries the split and
+the site-space terms of J, J' and J''; this module adds only the quadratic
+parts.  `solve_ground_state` builds it once and hands it to every stage.
 The multistart's starts are independent, so on Linux they run in up to
 min(starts, cores) worker processes forked from the caller, which inherit
 the split and the starts without pickling them.  Results and the first
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import multiprocessing
 import multiprocessing.connection
+import numbers
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -91,12 +93,17 @@ class SolverConfig:
     t_cap: ClassVar[float] = 1e6  # scalar growth beyond this flags a degenerate direction
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
-        if self.multistart < 1:
-            raise InvalidInputError("multistart must be >= 1")
-        if self.max_boundary_mass is not None and not 0.0 < self.max_boundary_mass <= 1.0:
-            raise InvalidInputError("max_boundary_mass must be None or in (0, 1]")
+        # a bool is refused as a number here, as the CLI's artifact loader refuses it
+        for name, least in (("seed", 0), ("multistart", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise InvalidInputError(f"{name} must be >= {least}, got {value}")
+        mass = self.max_boundary_mass
+        if mass is not None and (isinstance(mass, bool) or not isinstance(mass, numbers.Real)
+                                 or not 0.0 < mass <= 1.0):
+            raise InvalidInputError("max_boundary_mass must be None or a real in (0, 1]")
 
 
 def check_boundary_layers(radius: int) -> None:
@@ -435,15 +442,15 @@ def _run_starts(terms: SiteTerms, starts: list) -> list[_StartResult]:
         pool.shutdown(cancel_futures=True)
 
 
-def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
-                   config: SolverConfig | None = None,
-                   weight: HardyWeight = EUCLIDEAN_WEIGHT,
+def outer_minimize(terms: SiteTerms, config: SolverConfig | None = None,
                    warm_start: LatticeField | None = None) -> GroundStateResult:
     """Minimize the reduced functional over unit X^+ directions (multistart).
 
-    Returns the least-level candidate before Newton polishing.  Ties within
-    1e-10 are broken by the smaller l2 norm.  With no converged or stalled
-    start it raises DegenerateProblemError when every start collapsed and
+    Returns the least-level candidate before Newton polishing: the start
+    of least key (round(level / 1e-10), l2 norm).  Levels in one bucket of
+    width 1e-10 tie and the smaller norm wins; levels in adjacent buckets
+    do not tie, however close.  With no converged or stalled start it
+    raises DegenerateProblemError when every start collapsed and
     ConvergenceError otherwise; the interior filter then sees only usable
     starts and raises ConvergenceError when it keeps none.  The diagnostics
     list each start's level, status, outer and inner iterations and
@@ -456,7 +463,7 @@ def outer_minimize(split: SpectralSplit, model: Nonlinearity, rho: float,
     another; after a failure the starts not yet begun are cancelled.
     """
     cfg = config or SolverConfig()
-    terms = SiteTerms(split, model, rho, weight)
+    split = terms.split
     starts: list[tuple[np.ndarray, tuple | None]] = []
     if warm_start is not None:
         check_on_box(split, warm_start)
@@ -570,9 +577,7 @@ def _polish_core(terms: SiteTerms, values: np.ndarray):
                            f"iterations (residual {rn:.3e})")
 
 
-def polish_newton(split: SpectralSplit, model: Nonlinearity, rho: float,
-                  u0: LatticeField,
-                  weight: HardyWeight = EUCLIDEAN_WEIGHT) -> GroundStateResult:
+def polish_newton(terms: SiteTerms, u0: LatticeField) -> GroundStateResult:
     """Damped Newton on the full gradient from a near-critical start.
 
     The Jacobian is A - rho W - diag(df(u)); steps are damped by halving
@@ -580,19 +585,15 @@ def polish_newton(split: SpectralSplit, model: Nonlinearity, rho: float,
     input unchanged after zero iterations; a start whose residual is above
     `SolverConfig.polish_entry` is a ConvergenceError, as is a stalled polish.
     """
-    check_on_box(split, u0)
-    values, history, iters = _polish_core(SiteTerms(split, model, rho, weight),
-                                          u0.values)
-    u = LatticeField(split.box, values)
-    res = nehari_residual(split, model, u, rho, weight)
-    return GroundStateResult(
-        u=u, c_rho=evaluate_energy(split, model, u, rho, weight).value,
-        residual=res, polish_iterations=iters, polish_residuals=history)
+    check_on_box(terms.split, u0)
+    values, history, iters = _polish_core(terms, u0.values)
+    u = LatticeField(terms.split.box, values)
+    return GroundStateResult(u=u, residual=nehari_residual(terms, u),
+                             c_rho=evaluate_energy(terms, u).value,
+                             polish_iterations=iters, polish_residuals=history)
 
 
-def maximality_certificate(split: SpectralSplit, model: Nonlinearity,
-                           u: LatticeField, rho: float,
-                           weight: HardyWeight = EUCLIDEAN_WEIGHT):
+def maximality_certificate(terms: SiteTerms, u: LatticeField):
     """Closed-form bound on J(t u + v) - J(u) over t in [0, 3] and all v in X^-.
 
     Returns (ok, bound), ok when bound <= `SolverConfig.certificate_tol`.
@@ -608,9 +609,9 @@ def maximality_certificate(split: SpectralSplit, model: Nonlinearity,
     maximality only under the monotone slope, so a model whose
     `validate_hypotheses` report fails it is a ModelHypothesisError.
     """
-    terms = SiteTerms(split, model, rho, weight)
+    split = terms.split
     check_on_box(split, u)
-    if not validate_hypotheses(model).checks["monotone_slope"].passed:
+    if not validate_hypotheses(terms.model).checks["monotone_slope"].passed:
         raise ModelHypothesisError(
             "the maximality certificate needs the monotone slope f(u)/|u|")
     r = terms.gradient(u.values)
@@ -620,7 +621,7 @@ def maximality_certificate(split: SpectralSplit, model: Nonlinearity,
     return bound <= SolverConfig.certificate_tol, bound
 
 
-def _sphere_floor(split: SpectralSplit, model: Nonlinearity, alpha: float) -> float:
+def _sphere_floor(terms: SiteTerms, alpha: float) -> float:
     """Closed-form lower bound on every Nehari-Pankov level, clipped at 0.
 
     A Nehari-Pankov point maximizes J on its slab, which holds the X^+ field
@@ -634,8 +635,8 @@ def _sphere_floor(split: SpectralSplit, model: Nonlinearity, alpha: float) -> fl
     # 253 log steps of 0.055: the best grid point loses at most a fraction
     # p * 0.00075 of the optimal bound
     d = U_MAX * np.geomspace(1e-6, 1.0, 254)
-    top = model.F(np.concatenate([d, -d])).reshape(2, d.size).max(axis=0)
-    bound = 0.5 * alpha * split.eigenvalues[split.plus][0] * d * d - top
+    top = terms.model.F(np.concatenate([d, -d])).reshape(2, d.size).max(axis=0)
+    bound = 0.5 * alpha * terms.split.eigenvalues[terms.split.plus][0] * d * d - top
     return max(0.0, float(bound.max()))
 
 
@@ -647,8 +648,9 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
     """Full pipeline: outer min-max, one Newton polish, exit checks.
 
     A coupling rho > 0 needs the box `constants` (`compute_constants`),
-    which must fit the split's box and `weight`; a coupling that is not
-    >= 0 is refused by `SiteTerms`.  Both are refused before the multistart.
+    which must fit the split's box and `weight`.  The solve builds its one
+    `SiteTerms` first, which refuses a coupling that is not >= 0 before any
+    work, and hands it to the multistart, the polish and the exit checks.
     Every outcome of the search that is not an input error (a stalled or
     degenerate search, a polish that cannot start or converge, a failed
     exit check) is a NumericalError.
@@ -657,6 +659,7 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
     (`_sphere_floor`), and the closed-form maximality certificate, whose
     bound the diagnostics report as `certificate_bound`.
     """
+    terms = SiteTerms(split, model, rho, weight)
     cfg = config or SolverConfig()
     if constants is not None:
         constants.check_fits(split.box, weight)
@@ -674,9 +677,9 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
             raise RhoOutOfRangeError(
                 f"rho = {rho} exceeds 0.9 * rho_max = {cap}")
 
-    candidate = outer_minimize(split, model, rho, cfg, weight, warm_start)
+    candidate = outer_minimize(terms, cfg, warm_start)
     # the polish has already evaluated its level and residuals
-    polished = polish_newton(split, model, rho, candidate.u, weight)
+    polished = polish_newton(terms, candidate.u)
     u, level = polished.u, polished.c_rho
     l2 = float(np.linalg.norm(u.values))
     plus_norm = _plus_norm(split, split.coords_of(u.values, "plus"))
@@ -695,11 +698,10 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
     if cfg.max_boundary_mass is not None and bmass > cfg.max_boundary_mass:
         problems.append(
             f"boundary mass fraction {bmass:.3e} above {cfg.max_boundary_mass}")
-    floor = _sphere_floor(split, model,
-                          1.0 - rho / constants.rho_max if rho > 0 else 1.0)
+    floor = _sphere_floor(terms, 1.0 - rho / constants.rho_max if rho > 0 else 1.0)
     if level < floor:
         problems.append(f"level {level:.6e} below the sphere floor {floor:.6e}")
-    certified, bound = maximality_certificate(split, model, u, rho, weight)
+    certified, bound = maximality_certificate(terms, u)
     if not certified:
         problems.append(f"maximality certificate bound {bound:.3e} above "
                         f"{cfg.certificate_tol}")

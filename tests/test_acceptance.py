@@ -63,13 +63,14 @@ def test_criterion_2_calculus_suite(split_r2, model):
     # gradient versus central finite differences
     h = 1e-5
     u = random_field(box, rng)
-    g = lg.gradient(split_r2, model, u, 0.05)
+    terms = lg.SiteTerms(split_r2, model, 0.05)
+    g = lg.gradient(terms, u)
     for _ in range(20):
         phi = random_field(box, rng)
         up = lg.LatticeField(box, u.values + h * phi.values)
         um = lg.LatticeField(box, u.values - h * phi.values)
-        fd = (lg.evaluate_energy(split_r2, model, up, 0.05).value
-              - lg.evaluate_energy(split_r2, model, um, 0.05).value) / (2 * h)
+        fd = (lg.evaluate_energy(terms, up).value
+              - lg.evaluate_energy(terms, um).value) / (2 * h)
         assert abs(inner_l2(g, phi) - fd) <= 1e-6 * (1 + lg.lp_norm(phi, 2))
     # interpolation inequality on 100 random fields
     for i in range(100):
@@ -153,7 +154,7 @@ def test_criterion_7_maximality_certificates(split_r6, model, ground_r6, sweep_r
     started = time.perf_counter()
     bounds = []
     for rho, field in [(0.0, ground_r6.u)] + [(r.rho, r.field) for r in sweep_r6]:
-        ok, bound = lg.maximality_certificate(split_r6, model, field, rho)
+        ok, bound = lg.maximality_certificate(lg.SiteTerms(split_r6, model, rho), field)
         assert ok and bound <= 1e-9, f"certificate bound {bound:.3e} at rho={rho}"
         bounds.append(bound)
     report(7, 600.0, [], started,

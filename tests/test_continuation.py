@@ -189,10 +189,10 @@ class TestSweep:
         constants = lg.compute_constants(split_r3)
         outer = solver.outer_minimize
 
-        def off_at_zero(split, model, rho, *args, **kwargs):
-            result = outer(split, model, rho, *args, **kwargs)
-            if rho == 0.0:
-                result.u = lg.LatticeField(split.box, 1.5 * result.u.values)
+        def off_at_zero(terms, *args, **kwargs):
+            result = outer(terms, *args, **kwargs)
+            if terms.rho == 0.0:
+                result.u = lg.LatticeField(terms.split.box, 1.5 * result.u.values)
             return result
 
         monkeypatch.setattr(solver, "outer_minimize", off_at_zero)

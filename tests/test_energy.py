@@ -4,7 +4,6 @@ import pytest
 import latticegap as lg
 from latticegap.continuation import superquadratic_mass
 from latticegap.errors import InvalidInputError
-from latticegap.energy import SiteTerms
 from latticegap.solver import _coords_grad, _Slab
 
 from conftest import eigenvector_matrix, random_field
@@ -17,21 +16,22 @@ def eigvec_field(split, index):
 
 class TestEvaluateEnergy:
     def test_zero_field(self, split_r2, model):
-        report = lg.evaluate_energy(split_r2, model, lg.zero_field(split_r2.box), 0.0)
+        report = lg.evaluate_energy(lg.SiteTerms(split_r2, model, 0.0),
+                                    lg.zero_field(split_r2.box))
         assert report.value == 0.0
 
     def test_positive_eigenvector_quadratic_only(self, split_r2):
         i = split_r2.negative_count
         lam = split_r2.eigenvalues[i]
-        report = lg.evaluate_energy(split_r2, lg.ZeroNonlinearity(),
-                                    eigvec_field(split_r2, i), 0.0)
+        report = lg.evaluate_energy(lg.SiteTerms(split_r2, lg.ZeroNonlinearity(), 0.0),
+                                    eigvec_field(split_r2, i))
         assert abs(report.value - lam / 2.0) < 1e-12
 
     def test_parts_identity(self, split_r2, model):
         rng = np.random.default_rng(0)
         for rho in (0.0, 0.05):
             u = random_field(split_r2.box, rng)
-            rep = lg.evaluate_energy(split_r2, model, u, rho)
+            rep = lg.evaluate_energy(lg.SiteTerms(split_r2, model, rho), u)
             assert abs(rep.value - (rep.quadratic - rep.hardy - rep.nonlinear)) \
                 <= 1e-12 * max(1.0, abs(rep.value))
 
@@ -39,55 +39,59 @@ class TestEvaluateEnergy:
         # independent evaluation: 1/2 (Au, u)_2 via the sparse matrix
         rng = np.random.default_rng(1)
         A = split_r2.operator
+        terms = lg.SiteTerms(split_r2, model, 0.05)
         for _ in range(10):
             u = random_field(split_r2.box, rng)
-            rep = lg.evaluate_energy(split_r2, model, u, 0.05)
+            rep = lg.evaluate_energy(terms, u)
             quad = 0.5 * float(u.values @ (A @ u.values))
             direct = quad - rep.hardy - rep.nonlinear
             assert abs(rep.value - direct) <= 1e-10 * max(1.0, abs(rep.value))
 
     def test_box_mismatch(self, split_r2, model):
         with pytest.raises(InvalidInputError):
-            lg.evaluate_energy(split_r2, model, lg.delta_field(lg.BoxDomain(3, 1)), 0.0)
+            lg.evaluate_energy(lg.SiteTerms(split_r2, model, 0.0),
+                               lg.delta_field(lg.BoxDomain(3, 1)))
 
     @pytest.mark.parametrize("rho", [float("nan"), -0.1])
     def test_bad_rho_rejected(self, split_r2, model, rho):
-        # a NaN coupling must not be read as rho = 0 (no Hardy term)
-        u = random_field(split_r2.box, np.random.default_rng(5))
-        for fn in (lg.evaluate_energy, lg.gradient, lg.nehari_residual):
-            with pytest.raises(InvalidInputError, match="rho"):
-                fn(split_r2, model, u, rho)
+        # the functional these functions take refuses the coupling when it
+        # is built: a NaN coupling must not be read as rho = 0 (no Hardy term)
+        with pytest.raises(InvalidInputError, match="rho must be >= 0"):
+            lg.SiteTerms(split_r2, model, rho)
 
 
 class TestGradient:
     def test_zero_field(self, split_r2, model):
-        g = lg.gradient(split_r2, model, lg.zero_field(split_r2.box), 0.3)
+        g = lg.gradient(lg.SiteTerms(split_r2, model, 0.3),
+                        lg.zero_field(split_r2.box))
         assert np.all(g.values == 0.0)
 
     def test_linear_case_is_operator(self, split_r2):
         u = random_field(split_r2.box, np.random.default_rng(2))
-        g = lg.gradient(split_r2, lg.ZeroNonlinearity(), u, 0.0)
+        g = lg.gradient(lg.SiteTerms(split_r2, lg.ZeroNonlinearity(), 0.0), u)
         np.testing.assert_array_equal(g.values, split_r2.operator @ u.values)
 
     @pytest.mark.parametrize("rho", [0.0, 0.08])
     def test_finite_difference_check(self, split_r2, model, rho):
         rng = np.random.default_rng(3)
         u = random_field(split_r2.box, rng)
-        g = lg.gradient(split_r2, model, u, rho)
+        terms = lg.SiteTerms(split_r2, model, rho)
+        g = lg.gradient(terms, u)
         h = 1e-5
         for _ in range(20):
             phi = random_field(split_r2.box, rng)
             plus = lg.evaluate_energy(
-                split_r2, model, lg.LatticeField(u.box, u.values + h * phi.values), rho).value
+                terms, lg.LatticeField(u.box, u.values + h * phi.values)).value
             minus = lg.evaluate_energy(
-                split_r2, model, lg.LatticeField(u.box, u.values - h * phi.values), rho).value
+                terms, lg.LatticeField(u.box, u.values - h * phi.values)).value
             fd = (plus - minus) / (2 * h)
             assert abs(inner_l2(g, phi) - fd) <= 1e-6 * (1 + lg.lp_norm(phi, 2))
 
 
 class TestNehariResidual:
     def test_zero_field(self, split_r2, model):
-        res = lg.nehari_residual(split_r2, model, lg.zero_field(split_r2.box), 0.0)
+        res = lg.nehari_residual(lg.SiteTerms(split_r2, model, 0.0),
+                                 lg.zero_field(split_r2.box))
         assert res.along_u == res.along_minus == res.full == 0.0
 
     def test_scalar_root_on_positive_eigenvector(self, split_r2, model):
@@ -97,18 +101,20 @@ class TestNehariResidual:
         e = eigenvector_matrix(split_r2)[:, i]
         t_star = np.sqrt(lam / np.sum(e ** 4))
         u = lg.LatticeField(split_r2.box, t_star * e)
-        res = lg.nehari_residual(split_r2, model, u, 0.0)
+        terms = lg.SiteTerms(split_r2, model, 0.0)
+        res = lg.nehari_residual(terms, u)
         assert abs(res.along_u) <= 1e-10 * (1 + t_star ** 2)
         # and the scalar profile really crosses zero there
         for t in (0.5 * t_star, 2.0 * t_star):
             u_t = lg.LatticeField(split_r2.box, t * e)
-            assert lg.nehari_residual(split_r2, model, u_t, 0.0).along_u != 0.0
+            assert lg.nehari_residual(terms, u_t).along_u != 0.0
 
     def test_components_consistent_with_gradient(self, split_r2, model):
         rng = np.random.default_rng(4)
         u = random_field(split_r2.box, rng)
-        res = lg.nehari_residual(split_r2, model, u, 0.05)
-        g = lg.gradient(split_r2, model, u, 0.05)
+        terms = lg.SiteTerms(split_r2, model, 0.05)
+        res = lg.nehari_residual(terms, u)
+        g = lg.gradient(terms, u)
         assert abs(res.along_u - inner_l2(g, u)) < 1e-12 * (1 + abs(res.along_u))
         pg = lg.project(split_r2, g, "minus")
         assert abs(res.along_minus - lg.lp_norm(pg, 2)) < 1e-10
@@ -121,10 +127,11 @@ class TestSuperquadraticIdentity:
         # for arbitrary fields and any admissible rho
         rng = np.random.default_rng(5)
         for rho in (0.0, 0.07):
+            terms = lg.SiteTerms(split_r2, model, rho)
             for _ in range(10):
                 u = random_field(split_r2.box, rng)
-                J = lg.evaluate_energy(split_r2, model, u, rho).value
-                pairing = lg.nehari_residual(split_r2, model, u, rho).along_u
+                J = lg.evaluate_energy(terms, u).value
+                pairing = lg.nehari_residual(terms, u).along_u
                 lhs = J - 0.5 * pairing
                 rhs = superquadratic_mass(model, u)
                 assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
@@ -155,16 +162,16 @@ class TestSolverAgreement:
 
     @pytest.mark.parametrize("rho", [0.0, 0.05])
     def test_energy_and_gradient_match_solver(self, split_r2, model, rho):
-        terms = SiteTerms(split_r2, model, rho, lg.EUCLIDEAN_WEIGHT)
+        terms = lg.SiteTerms(split_r2, model, rho)
         nneg = split_r2.negative_count
         rng = np.random.default_rng(11)
         for _ in range(5):
             u = random_field(split_r2.box, rng)
             c = split_r2.coords_of(u.values)
-            value = lg.evaluate_energy(split_r2, model, u, rho).value
+            value = lg.evaluate_energy(terms, u).value
             slab_value = _Slab(terms, c[nneg:]).value(1.0, c[:nneg], u.values)
             assert abs(value - slab_value) <= 1e-12 * abs(value)
-            g = lg.gradient(split_r2, model, u, rho).values
+            g = lg.gradient(terms, u).values
             g_solver = eigenvector_matrix(split_r2) @ _coords_grad(
                 terms, c, split_r2.values_of(c))
             assert np.linalg.norm(g - g_solver) <= 1e-12 * np.linalg.norm(g)

@@ -21,8 +21,9 @@ In `cli`, a stale artifact is refused only by the loader of gap.json and
 constants.json and by the reader of split.npy, and no function catches
 EOFError: `spectral` maps a split record it cannot read.
 `energy.SiteTerms` states each term of J_rho once for every coupling and
-never compares the coupling.  `solver` takes only the Hardy weight from
-`hardy`; the box constants come from its caller.
+never compares the coupling; only `solver.solve_ground_state` builds one,
+and every other function takes it built.  `solver` takes only the Hardy
+weight from `hardy`; the box constants come from its caller.
 Each input rule has one owner that states it: the coupling's sign
 (`hardy.check_coupling`), a field on the split's box, the dimension range,
 p > 2, the Hardy metrics, the checkerboard's default shift, the dense site
@@ -404,6 +405,12 @@ def test_site_terms_never_compares_the_coupling():
              for node in ast.walk(method)
              if isinstance(node, ast.Compare) and names_rho(node)]
     assert not found, found
+
+
+def test_site_terms_built_only_by_the_solve():
+    assert _owners(lambda node: isinstance(node, ast.Call) and getattr(
+        node.func, "attr", getattr(node.func, "id", None)) == "SiteTerms") \
+        == {"solver.solve_ground_state"}
 
 
 def test_solver_takes_only_the_weight_from_hardy():

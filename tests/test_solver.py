@@ -17,7 +17,6 @@ from latticegap.errors import (ConvergenceError, DegenerateProblemError,
                                InvalidInputError, NumericalError,
                                RhoOutOfRangeError)
 from latticegap.nonlinearity import CustomNonlinearity
-from latticegap.energy import SiteTerms
 from latticegap.solver import _inner_core, _Slab
 
 import oracle_certificate
@@ -34,10 +33,16 @@ def quick_config():
 
 
 @pytest.fixture(scope="module")
-def rough_candidate(split_r2, model):
+def terms_r2(split_r2, model):
+    """J_0 of the quartic model on the R = 2 box."""
+    return lg.SiteTerms(split_r2, model, 0.0)
+
+
+@pytest.fixture(scope="module")
+def rough_candidate(split_r2, terms_r2):
     """A converged candidate moved off to a residual near 1e-3, inside the
     polisher's entry threshold `polish_entry`."""
-    base = lg.outer_minimize(split_r2, model, 0.0,
+    base = lg.outer_minimize(terms_r2,
                              lg.SolverConfig(seed=1, multistart=3)).u.values
     direction = random_field(split_r2.box, np.random.default_rng(3)).values
 
@@ -45,9 +50,9 @@ def rough_candidate(split_r2, model):
         return lg.LatticeField(split_r2.box, base + step * direction)
 
     # the residual grows linearly in the step once it dominates J'(base)
-    step = 1e-3 * 1e-4 / lg.nehari_residual(split_r2, model, moved(1e-4), 0.0).full
+    step = 1e-3 * 1e-4 / lg.nehari_residual(terms_r2, moved(1e-4)).full
     start = moved(step)
-    assert 5e-4 <= lg.nehari_residual(split_r2, model, start, 0.0).full <= 2e-3
+    assert 5e-4 <= lg.nehari_residual(terms_r2, start).full <= 2e-3
     return start
 
 
@@ -67,7 +72,7 @@ def lowest_plus_direction(split):
 def inner_max(split, model, w, t=1.0, vm=None):
     """`_inner_core` on the slab over the unit X^+ field w, started at
     (t, vm); returns (t, vm, value, residual, iterations, reason)."""
-    terms = SiteTerms(split, model, 0.0, lg.EUCLIDEAN_WEIGHT)
+    terms = lg.SiteTerms(split, model, 0.0)
     if vm is None:
         vm = np.zeros(split.negative_count)
     return _inner_core(_Slab(terms, split.coords_of(w.values)[split.plus]), t, vm)
@@ -125,45 +130,23 @@ class TestInnerMaximize:
 # the box checks of the functions that map a field into eigencoordinates;
 # the field's box has the split's 125 sites, so only the check refuses it
 @pytest.mark.parametrize("call", [
-    lambda split, model, u: lg.project(split, u, "plus"),
-    lambda split, model, u: lg.split_inner(split, lg.zero_field(split.box), u),
-    lambda split, model, u: lg.outer_minimize(split, model, 0.0, warm_start=u),
-    lambda split, model, u: lg.polish_newton(split, model, 0.0, u),
-    lambda split, model, u: lg.maximality_certificate(split, model, u, 0.0),
+    lambda terms, u: lg.project(terms.split, u, "plus"),
+    lambda terms, u: lg.split_inner(terms.split, lg.zero_field(terms.split.box), u),
+    lambda terms, u: lg.outer_minimize(terms, warm_start=u),
+    lambda terms, u: lg.polish_newton(terms, u),
+    lambda terms, u: lg.maximality_certificate(terms, u),
 ], ids=["project", "split_inner", "outer_minimize", "polish_newton",
         "maximality_certificate"])
-def test_field_from_another_box_refused(split_r2, model, call):
+def test_field_from_another_box_refused(split_r2, terms_r2, call):
     other = lg.delta_field(lg.BoxDomain(1, 62))
     assert other.box.site_count == split_r2.size
     with pytest.raises(InvalidInputError, match="box does not match"):
-        call(split_r2, model, other)
-
-
-# the coupling's sign is checked once, by `SiteTerms`, which each entry
-# builds first; the hooks fail if any work starts before the refusal (the
-# certificate validates the model and evaluates J' after building its terms)
-@pytest.mark.parametrize("rho", [float("nan"), -0.1], ids=["nan", "negative"])
-@pytest.mark.parametrize("call", [
-    lambda split, model, u, rho: lg.outer_minimize(split, model, rho),
-    lambda split, model, u, rho: lg.polish_newton(split, model, rho, u),
-    lambda split, model, u, rho: lg.maximality_certificate(split, model, u, rho),
-], ids=["outer_minimize", "polish_newton", "maximality_certificate"])
-def test_bad_coupling_refused_before_any_work(monkeypatch, split_r2, model,
-                                              call, rho):
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started before the coupling was checked")
-
-    for name in ("_run_starts", "_polish_core", "validate_hypotheses"):
-        monkeypatch.setattr(solver, name, no_work)
-    monkeypatch.setattr(SiteTerms, "gradient", no_work)
-    u = random_field(split_r2.box, np.random.default_rng(5))
-    with pytest.raises(InvalidInputError, match="rho"):
-        call(split_r2, model, u, rho)
+        call(terms_r2, other)
 
 
 class TestOuterMinimize:
     def test_monotone_trace(self, split_r3, model, quick_config):
-        result = lg.outer_minimize(split_r3, model, 0.0, quick_config)
+        result = lg.outer_minimize(lg.SiteTerms(split_r3, model, 0.0), quick_config)
         levels = [rec["level"] for rec in result.trace]
         assert all(b <= a + 1e-12 for a, b in zip(levels, levels[1:]))
         assert result.residual.full <= quick_config.outer_tol * (
@@ -171,7 +154,7 @@ class TestOuterMinimize:
 
     def test_level_agreement_or_flag(self, split_r3, model):
         cfg = lg.SolverConfig(seed=2, multistart=5)
-        result = lg.outer_minimize(split_r3, model, 0.0, cfg)
+        result = lg.outer_minimize(lg.SiteTerms(split_r3, model, 0.0), cfg)
         levels = [l for l in result.diagnostics["start_levels"] if l is not None]
         spread = (max(levels) - min(levels)) / max(1.0, abs(min(levels)))
         if not result.diagnostics["distinct_levels_flag"]:
@@ -181,28 +164,29 @@ class TestOuterMinimize:
 
     def test_boundary_filter_selects_interior(self, split_r3, model):
         cfg = lg.SolverConfig(seed=2, multistart=5, max_boundary_mass=0.25)
-        result = lg.outer_minimize(split_r3, model, 0.0, cfg)
+        result = lg.outer_minimize(lg.SiteTerms(split_r3, model, 0.0), cfg)
         assert lg.boundary_mass_fraction(split_r3.box, result.u.values) <= 0.25
 
     def test_all_degenerate_raises(self, split_r2, quick_config):
         with pytest.raises(DegenerateProblemError):
-            lg.outer_minimize(split_r2, lg.ZeroNonlinearity(), 0.0, quick_config)
+            lg.outer_minimize(lg.SiteTerms(split_r2, lg.ZeroNonlinearity(), 0.0),
+                              quick_config)
 
     def test_all_degenerate_raises_before_the_interior_filter(self, split_r2):
         # with no usable start there is no candidate for the filter to judge
         cfg = lg.SolverConfig(seed=1, multistart=3, max_boundary_mass=0.25)
         with pytest.raises(DegenerateProblemError, match="degenerate"):
-            lg.outer_minimize(split_r2, lg.ZeroNonlinearity(), 0.0, cfg)
+            lg.outer_minimize(lg.SiteTerms(split_r2, lg.ZeroNonlinearity(), 0.0), cfg)
 
-    def test_every_candidate_boundary_localized_raises(self, split_r2, model):
+    def test_every_candidate_boundary_localized_raises(self, terms_r2):
         # every state has boundary mass above 1e-300, so the filter keeps none
         cfg = lg.SolverConfig(seed=1, multistart=3, max_boundary_mass=1e-300)
         with pytest.raises(ConvergenceError,
                            match="every candidate is boundary-localized"):
-            lg.outer_minimize(split_r2, model, 0.0, cfg)
+            lg.outer_minimize(terms_r2, cfg)
 
-    def test_no_start_converged_lists_the_reasons(self, monkeypatch, split_r2,
-                                                  model, quick_config):
+    def test_no_start_converged_lists_the_reasons(self, monkeypatch, terms_r2,
+                                                  quick_config):
         def failed(terms, starts):
             return [solver._StartResult(index=i, status="failed",
                                         reason=f"reason {i}")
@@ -212,49 +196,73 @@ class TestOuterMinimize:
         reasons = "; ".join(f"reason {i}" for i in range(quick_config.multistart))
         with pytest.raises(ConvergenceError,
                            match=f"^no start converged: {reasons}$"):
-            lg.outer_minimize(split_r2, model, 0.0, quick_config)
+            lg.outer_minimize(terms_r2, quick_config)
 
-    def test_warm_start_without_plus_part_refused(self, split_r2, model):
+    # the candidate has the least (round(level / 1e-10), coords_norm): start
+    # 0 has the lower level and start 1 the smaller norm, so start 1 wins in
+    # one bucket and start 0 across a bucket boundary, however close
+    @pytest.mark.parametrize("levels, winner", [
+        ((1.0, 1.0 + 3e-11), 1),
+        ((18320084103.5e-10 - 1e-15, 18320084103.5e-10 + 1e-15), 0),
+    ], ids=["one-bucket", "adjacent-buckets"])
+    def test_tie_break(self, monkeypatch, split_r2, terms_r2, levels, winner):
+        def run_starts(terms, starts):
+            return [solver._StartResult(
+                index=i, status="converged", value=level,
+                values=np.full(split_r2.size, i + 1.0), coords_norm=2.0 - i,
+                residual=lg.NehariResidual(along_u=0.0, along_minus=0.0, full=0.0))
+                for i, level in enumerate(levels)]
+
+        assert levels[0] < levels[1] < levels[0] + 1e-10
+        same_bucket = round(levels[0] / 1e-10) == round(levels[1] / 1e-10)
+        assert same_bucket == (winner == 1)
+        monkeypatch.setattr(solver, "_run_starts", run_starts)
+        result = lg.outer_minimize(terms_r2, lg.SolverConfig(multistart=2))
+        assert result.start_index == winner
+        assert result.c_rho == levels[winner]
+        assert np.all(result.u.values == winner + 1.0)
+
+    def test_warm_start_without_plus_part_refused(self, split_r2, terms_r2):
         u = lg.project(split_r2, random_field(split_r2.box,
                                               np.random.default_rng(6)), "minus")
         with pytest.raises(InvalidInputError, match="no X\\^\\+ component"):
-            lg.outer_minimize(split_r2, model, 0.0, warm_start=u)
+            lg.outer_minimize(terms_r2, warm_start=u)
 
 
 class TestPolishNewton:
-    def test_reaches_polish_tolerance(self, split_r2, model, rough_candidate, quick_config):
-        result = lg.polish_newton(split_r2, model, 0.0, rough_candidate)
+    def test_reaches_polish_tolerance(self, terms_r2, rough_candidate, quick_config):
+        result = lg.polish_newton(terms_r2, rough_candidate)
         assert result.residual.full <= quick_config.polish_tol * (
             1 + lg.lp_norm(result.u, 2))
 
-    def test_exact_start_returns_unchanged(self, split_r2, model, rough_candidate):
-        polished = lg.polish_newton(split_r2, model, 0.0, rough_candidate)
-        again = lg.polish_newton(split_r2, model, 0.0, polished.u)
+    def test_exact_start_returns_unchanged(self, terms_r2, rough_candidate):
+        polished = lg.polish_newton(terms_r2, rough_candidate)
+        again = lg.polish_newton(terms_r2, polished.u)
         assert again.polish_iterations == 0
         np.testing.assert_array_equal(again.u.values, polished.u.values)
 
-    def test_quadratic_contraction(self, split_r2, model, rough_candidate):
+    def test_quadratic_contraction(self, terms_r2, rough_candidate):
         # r_{k+1} <= C r_k^2 along the tail of the iteration, ignoring the
         # floor where rounding dominates
-        result = lg.polish_newton(split_r2, model, 0.0, rough_candidate)
+        result = lg.polish_newton(terms_r2, rough_candidate)
         history = [r for r in result.polish_residuals if r > 1e-13]
         assert len(history) >= 2
         ratios = [b / a ** 2 for a, b in zip(history, history[1:])]
         assert max(ratios[-3:]) <= 50.0
 
-    def test_entry_threshold_enforced(self, split_r2, model):
+    def test_entry_threshold_enforced(self, split_r2, terms_r2):
         far = random_field(split_r2.box, np.random.default_rng(7))
         with pytest.raises(ConvergenceError, match="too large for local Newton"):
-            lg.polish_newton(split_r2, model, 0.0, far)
+            lg.polish_newton(terms_r2, far)
 
 
 class TestSolveGroundState:
-    def test_exit_residuals(self, split_r2, model, ground_r2):
+    def test_exit_residuals(self, terms_r2, ground_r2):
         l2 = lg.lp_norm(ground_r2.u, 2)
         assert ground_r2.residual.full <= 1e-8 * (1 + l2)
         assert abs(ground_r2.residual.along_u) <= 1e-8 * (1 + l2 ** 2)
         assert ground_r2.residual.along_minus <= 1e-8
-        res = lg.nehari_residual(split_r2, model, ground_r2.u, 0.0)
+        res = lg.nehari_residual(terms_r2, ground_r2.u)
         assert res.full == ground_r2.residual.full
 
     def test_positive_level_above_sphere_floor(self, ground_r2):
@@ -262,14 +270,14 @@ class TestSolveGroundState:
         assert ground_r2.c_rho >= ground_r2.diagnostics["sphere_floor"] > 0
 
     def test_state_below_sphere_floor_refused(self, monkeypatch, split_r2,
-                                              model, quick_config):
+                                              model, terms_r2, quick_config):
         # the polish returns 0.05 u: its residuals pass, its level does not
         polish = solver.polish_newton
 
         def shrunk(*args, **kwargs):
             result = polish(*args, **kwargs)
             u = lg.LatticeField(split_r2.box, 0.05 * result.u.values)
-            level = lg.evaluate_energy(split_r2, model, u, 0.0).value
+            level = lg.evaluate_energy(terms_r2, u).value
             return dataclasses.replace(result, u=u, c_rho=level)
 
         monkeypatch.setattr(solver, "polish_newton", shrunk)
@@ -287,19 +295,20 @@ class TestSolveGroundState:
         residuals = {"residual along u": "along_u",
                      "residual along X^-": "along_minus"}
 
-        def breaking(split, model, rho, u0, weight):
-            result = polish(split, model, rho, u0, weight)
+        def breaking(terms, u0):
+            result = polish(terms, u0)
             if broken in residuals:
                 return dataclasses.replace(result, residual=dataclasses.replace(
                     result.residual, **{residuals[broken]: 1.0}))
             if broken == "not positive":
                 return dataclasses.replace(result, c_rho=0.0)
             if broken == "boundary mass fraction":  # the corner ground state
-                return polish(split, model, rho, ground_r2.u, weight)
+                return polish(terms, ground_r2.u)
+            split = terms.split
             coords = split.coords_of(result.u.values)
             u = lg.LatticeField(split.box, split.values_of(coords[split.minus], "minus"))
             return dataclasses.replace(
-                result, u=u, c_rho=lg.evaluate_energy(split, model, u, rho).value)
+                result, u=u, c_rho=lg.evaluate_energy(terms, u).value)
 
         monkeypatch.setattr(solver, "polish_newton", breaking)
         # the filter admits the centred candidate (boundary mass 0.27) and
@@ -328,8 +337,8 @@ class TestSolveGroundState:
         assert levels, "oracle found no nontrivial critical points"
         assert abs(min(levels) - ground_r2.c_rho) <= 1e-8
 
-    def test_maximality_certificate_holds(self, split_r2, model, ground_r2):
-        ok, bound = lg.maximality_certificate(split_r2, model, ground_r2.u, 0.0)
+    def test_maximality_certificate_holds(self, terms_r2, ground_r2):
+        ok, bound = lg.maximality_certificate(terms_r2, ground_r2.u)
         assert ok, f"certificate bound {bound}"
         assert ground_r2.diagnostics["certificate_bound"] == bound
 
@@ -342,12 +351,12 @@ class TestSolveGroundState:
             df_fn=lambda u: (3.0 - 2.0 * u * u) * u * u * np.exp(-u * u))
         assert "monotone_slope" in lg.validate_hypotheses(model).failed_names()
         with pytest.raises(lg.ModelHypothesisError, match="monotone slope"):
-            lg.maximality_certificate(split_r2, model, ground_r2.u, 0.0)
+            lg.maximality_certificate(lg.SiteTerms(split_r2, model, 0.0), ground_r2.u)
         # a model failing only another check is certified as usual
         power = lg.PowerNonlinearity(2.5)
         assert lg.validate_hypotheses(power).failed_names() == ["vanishing_at_zero"]
-        assert np.isfinite(lg.maximality_certificate(split_r2, power,
-                                                     ground_r2.u, 0.0)[1])
+        assert np.isfinite(lg.maximality_certificate(
+            lg.SiteTerms(split_r2, power, 0.0), ground_r2.u)[1])
 
     def test_invalid_model_rejected_upfront(self, split_r2):
         with pytest.raises(lg.ModelHypothesisError):
@@ -365,9 +374,35 @@ class TestSolveGroundState:
                                   lg.SolverConfig(seed=1, multistart=1))
 
     @pytest.mark.parametrize("rho", [float("nan"), -0.1])
-    def test_bad_rho_rejected(self, split_r2, model, rho):
-        with pytest.raises(InvalidInputError, match="rho"):
-            lg.solve_ground_state(split_r2, model, rho)
+    def test_bad_rho_rejected(self, monkeypatch, split_r2, model, rho):
+        # the solve builds its one SiteTerms first, which refuses the
+        # coupling; the hooks fail if any work starts before that
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the coupling was checked")
+
+        constants = lg.compute_constants(split_r2)
+        monkeypatch.setattr(lg.InequalityConstants, "check_fits", no_work)
+        for name in ("validate_hypotheses", "_run_starts"):
+            monkeypatch.setattr(solver, name, no_work)
+        with pytest.raises(InvalidInputError, match="rho must be >= 0"):
+            lg.solve_ground_state(split_r2, model, rho, constants=constants)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_one_site_terms_per_solve(self, monkeypatch, split_r2, model,
+                                      quick_config, cores):
+        # J_rho is built once and handed to the multistart, the polish and
+        # every exit check, whether the starts run in-process or in workers
+        built = []
+        init = lg.SiteTerms.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        use_cores(monkeypatch, cores)
+        monkeypatch.setattr(lg.SiteTerms, "__init__", counted)
+        lg.solve_ground_state(split_r2, model, 0.0, quick_config)
+        assert len(built) == 1
 
     def test_positive_rho_without_constants_refused(self, monkeypatch,
                                                      split_r2, model):
@@ -414,7 +449,7 @@ class TestSolveGroundState:
         assert np.linalg.norm(warm.u.values - ground_r2.u.values) <= 1e-6
 
     def test_polishes_the_candidate_once(self, monkeypatch, split_r2, model,
-                                         quick_config):
+                                         terms_r2, quick_config):
         # box-global at R = 2 this seed ends at a corner state, peaked off
         # the origin; the state is the polish of the outer candidate as is
         calls = []
@@ -428,8 +463,8 @@ class TestSolveGroundState:
         result = lg.solve_ground_state(split_r2, model, 0.0, quick_config)
         assert len(calls) == 1
         assert result.c_rho == 1.046757506819635
-        candidate = lg.outer_minimize(split_r2, model, 0.0, quick_config)
-        expected = polish(split_r2, model, 0.0, candidate.u)
+        candidate = lg.outer_minimize(terms_r2, quick_config)
+        expected = polish(terms_r2, candidate.u)
         assert result.u.values.tobytes() == expected.u.values.tobytes()
         assert result.c_rho == expected.c_rho
         assert result.polish_iterations == expected.polish_iterations
@@ -457,6 +492,20 @@ class TestSolverConfig:
     def test_max_boundary_mass_range(self, value):
         with pytest.raises(InvalidInputError, match="max_boundary_mass"):
             lg.SolverConfig(max_boundary_mass=value)
+
+    # a bool is not a number of starts or a seed, as in the CLI's loader
+    @pytest.mark.parametrize("name, value", [
+        ("seed", 1.5), ("seed", True), ("seed", "7"),
+        ("multistart", 2.5), ("multistart", False), ("multistart", np.float64(3.0)),
+        ("max_boundary_mass", "0.25"), ("max_boundary_mass", True)])
+    def test_mistyped_field_refused(self, name, value):
+        with pytest.raises(InvalidInputError, match=name):
+            lg.SolverConfig(**{name: value})
+
+    def test_numpy_numbers_accepted(self):
+        cfg = lg.SolverConfig(seed=np.int64(3), multistart=np.int32(2),
+                              max_boundary_mass=np.float64(0.5))
+        assert (cfg.seed, cfg.multistart, cfg.max_boundary_mass) == (3, 2, 0.5)
 
     def test_max_boundary_mass_edges_accepted(self):
         assert lg.SolverConfig(max_boundary_mass=None).max_boundary_mass is None
@@ -581,7 +630,7 @@ class TestStartLoop:
 
         monkeypatch.setattr(solver, "_outer_single", failing)
         with pytest.raises(NumericalError, match="start 1 failed"):
-            lg.outer_minimize(split_r3, model, 0.0, _interior_config(7))
+            lg.outer_minimize(lg.SiteTerms(split_r3, model, 0.0), _interior_config(7))
         assert marker.exists()
         assert multiprocessing.active_children() == []
 
@@ -595,7 +644,7 @@ class TestStartLoop:
         for cores in (2, 1):
             use_cores(monkeypatch, cores)
             results[cores] = (
-                lg.outer_minimize(split_r3, model, rho, cfg),
+                lg.outer_minimize(lg.SiteTerms(split_r3, model, rho), cfg),
                 lg.solve_ground_state(split_r3, model, rho, cfg,
                                       constants=constants_r3))
             assert multiprocessing.active_children() == []
@@ -603,7 +652,7 @@ class TestStartLoop:
             _fields_equal(pooled, in_process)
         # the per-start work counts, in start order, repeat on a rerun
         use_cores(monkeypatch, 2)
-        rerun = lg.outer_minimize(split_r3, model, rho, cfg)
+        rerun = lg.outer_minimize(lg.SiteTerms(split_r3, model, rho), cfg)
         for key in ("start_outer_iterations", "start_inner_iterations",
                     "start_line_search_trials"):
             counts = results[2][0].diagnostics[key]
@@ -617,7 +666,7 @@ class TestStartLoop:
         monkeypatch.setattr(solver, "_outer_single", exit_in_worker_at(2))
         with pytest.raises(NumericalError, match="start [0-2]: a multistart "
                                                  "worker process died"):
-            lg.outer_minimize(split_r3, model, 0.0, _interior_config(7))
+            lg.outer_minimize(lg.SiteTerms(split_r3, model, 0.0), _interior_config(7))
         assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -640,7 +689,7 @@ class TestStartLoop:
                 lg.bloch_band_edges(potential, grid=8).gap)
             solver._outer_single = stuck
             os.sched_getaffinity = lambda pid: {0, 1}
-            lg.outer_minimize(split, lg.PowerNonlinearity(4.0), 0.0,
+            lg.outer_minimize(lg.SiteTerms(split, lg.PowerNonlinearity(4.0), 0.0),
                               lg.SolverConfig(multistart=3))
         """)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -706,7 +755,8 @@ class TestCertificateOracle:
         for radius in range(2, 7):
             split, rho, ground = slab_states[radius, frac]
             u = lg.LatticeField(split.box, scale * ground.values)
-            ok, bound = lg.maximality_certificate(split, model, u, rho)
+            terms = lg.SiteTerms(split, model, rho)
+            ok, bound = lg.maximality_certificate(terms, u)
             _, worst = oracle_certificate.maximality_certificate(
                 split, model, u, rho, 200, 3578, 1e-6, lg.EUCLIDEAN_WEIGHT)
             assert bound >= worst, f"R = {radius}"
@@ -716,8 +766,8 @@ class TestCertificateOracle:
             # t = 1 / scale maps u back onto the ground state: at half of it
             # t = 2 wins, and 1.1 u, which the sampled points miss, is off
             # the Nehari set as well
-            excess = (lg.evaluate_energy(split, model, ground, rho).value
-                      - lg.evaluate_energy(split, model, u, rho).value)
+            excess = (lg.evaluate_energy(terms, ground).value
+                      - lg.evaluate_energy(terms, u).value)
             assert not ok and bound >= excess > 0.0, f"R = {radius}"
 
 
@@ -730,7 +780,8 @@ class TestSphereFloor:
     def test_power_model_near_optimum(self, split_r3, p, alpha):
         # lambda_1^+ = |c| = 1 on the checkerboard; the bound
         # alpha d^2 / 2 - d^p / p peaks at d^(p-2) = alpha
-        floor = solver._sphere_floor(split_r3, lg.PowerNonlinearity(p), alpha)
+        floor = solver._sphere_floor(
+            lg.SiteTerms(split_r3, lg.PowerNonlinearity(p), 0.0), alpha)
         optimum = alpha * (p - 2.0) / (2.0 * p) * alpha ** (2.0 / (p - 2.0))
         assert 0.99 * optimum <= floor <= optimum
 
@@ -739,14 +790,14 @@ class TestSphereFloor:
     def test_below_energy_on_the_sphere(self, problems_r34, model, radius, frac):
         split, constants = problems_r34[radius]
         alpha = 1.0 - frac
-        floor = solver._sphere_floor(split, model, alpha)
+        terms = lg.SiteTerms(split, model, frac * constants.rho_max)
+        floor = solver._sphere_floor(terms, alpha)
         # p = 4: the optimal d^2 is alpha lambda_1^+, at the X^+ norm d sqrt(lambda_1^+)
         lam = split.eigenvalues[split.plus][0]
         norm = np.sqrt(alpha) * lam
         rng = np.random.default_rng(radius)
         coords = split.coords_of(rng.standard_normal((split.size, 400)), "plus")
         coords *= norm / np.sqrt(split.eigenvalues[split.plus] @ coords ** 2)
-        terms = SiteTerms(split, model, frac * constants.rho_max, lg.EUCLIDEAN_WEIGHT)
         levels = [0.5 * norm ** 2 - terms.energy(v)
                   for v in split.values_of(coords, "plus").T]
         assert floor > 0.0
@@ -792,7 +843,7 @@ class TestBasisIndependence:
             sector_eigenpairs(split_r3.box, split_r3.operator, "evd"),
             np.random.default_rng(5))
         config = lg.SolverConfig(seed=7, multistart=5)
-        got, want = (lg.outer_minimize(split, model, 0.0, config)
+        got, want = (lg.outer_minimize(lg.SiteTerms(split, model, 0.0), config)
                      for split in (split_r3, _split_from(split_r3, eigenpairs)))
         assert np.allclose(got.diagnostics["start_levels"][1:],
                            want.diagnostics["start_levels"][1:],
@@ -809,7 +860,7 @@ class TestBasisIndependence:
         rho = frac * constants_r3.rho_max
         u = lg.LatticeField(split_r3.box, scale * ground_r3[frac].u.values)
         (ok, bound), (want_ok, want) = (
-            lg.maximality_certificate(split, model, u, rho)
+            lg.maximality_certificate(lg.SiteTerms(split, model, rho), u)
             for split in (split_r3, rotated))
         assert ok == want_ok == (scale == 1.0)
         assert abs(bound - want) <= 1e-12 * abs(want)

@@ -60,7 +60,7 @@ from .continuation import (SweepPlan, check_report_couplings, convergence_report
 from .errors import (CertificationMissingError, ConfigError, HypothesisError,
                      InvalidInputError, LatticeGapError)
 from .hardy import (HardyWeight, InequalityConstants, best_hardy_constant,
-                    check_hardy_dimension, rho_plus)
+                    check_coupling, check_hardy_dimension, rho_plus)
 from .jsonio import atomic_open
 from .lattice import BoxDomain, write_field
 from .nonlinearity import PowerNonlinearity, validate_hypotheses
@@ -181,10 +181,10 @@ def parse_config(path) -> RunConfig:
     rho_mode, rho_values = setting("rho.mode"), setting("rho.values")
     if rho_mode not in ("fraction", "absolute"):
         raise ConfigError(f"rho.mode must be fraction or absolute, got {rho_mode!r}")
-    if not rho_values or min(rho_values) < 0:
-        raise ConfigError(
-            f"rho.values must be a non-empty list of couplings >= 0, "
-            f"got {rho_values}")
+    if not rho_values:
+        raise ConfigError("rho.values must be a non-empty list of couplings")
+    for rho in rho_values:
+        _built("rho.values", check_coupling, rho)
     return RunConfig(
         box=box, potential=potential, potential_fingerprint=fingerprint,
         model=_built("nonlinearity.p", PowerNonlinearity, setting("nonlinearity.p")),
@@ -316,7 +316,7 @@ def _load_constants(cfg: RunConfig, out: Path) -> InequalityConstants:
     def build(data):
         constants = InequalityConstants(
             dimension=data["N"], radius=data["R"], kappa=data["kappa"],
-            rho_plus=data["rho_plus"], metric=data["metric"])
+            rho_plus=data["rho_plus"], weight=cfg.weight)
         if any(data[key] != value for key, value in constants.to_dict().items()):
             raise InvalidInputError("recorded bounds differ from the derived ones")
         return constants
@@ -333,7 +333,7 @@ def _write_constants(cfg: RunConfig, out: Path, split) -> InequalityConstants:
     rp = rho_plus(split)
     constants = InequalityConstants(
         dimension=cfg.box.dimension, radius=cfg.box.radius, kappa=hardy.kappa,
-        rho_plus=rp.value, metric=cfg.weight.metric)
+        rho_plus=rp.value, weight=cfg.weight)
     write_field(hardy.witness, out / "kappa_witness.field")
     write_field(rp.witness, out / "rho_plus_witness.field")
     payload = {**constants.to_dict(), **_constants_written_for(cfg),
@@ -391,7 +391,7 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
     split = _ensure_split(cfg, out)
     (rho,), constants = _resolve_rhos(cfg, out, split)
     result = solve_ground_state(split, cfg.model, rho, cfg.solver,
-                                weight=cfg.weight, constants=constants)
+                                constants=constants)
     write_field(result.u, out / "solution.field")
     with atomic_open(out / "run_log.jsonl") as fh:
         fh.writelines(jsonio.record(record) + "\n" for record in result.trace)
@@ -412,8 +412,7 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     split = _ensure_split(cfg, out)
     rhos, constants = _resolve_rhos(cfg, out, split)
     plan = SweepPlan(rho_values=rhos)
-    records = sweep_rho(plan, split, cfg.model, cfg.solver,
-                        weight=cfg.weight, constants=constants)
+    records = sweep_rho(plan, split, cfg.model, cfg.solver, constants=constants)
     with atomic_open(out / "sweep.csv", newline="") as fh:
         fh.write("rho,c_rho,residual,d_to_baseline,sum_G\n")
         fh.writelines(",".join(map(jsonio.real, (

@@ -19,7 +19,7 @@ import numpy as np
 
 from .energy import NehariResidual
 from .errors import ConvergenceError, InvalidInputError, NumericalError
-from .hardy import EUCLIDEAN_WEIGHT, HardyWeight
+from .hardy import check_coupling
 from .lattice import LatticeField
 from .nonlinearity import Nonlinearity
 from .solver import SolverConfig, solve_ground_state
@@ -59,8 +59,8 @@ class SweepPlan:
         values = tuple(float(r) for r in self.rho_values)
         if len(values) < 1:
             raise InvalidInputError("sweep plan needs at least one coupling")
-        if not all(0 <= r < np.inf for r in values):
-            raise InvalidInputError("couplings must be finite and >= 0")
+        for r in values:
+            check_coupling(r)
         if values[-1] != 0.0:
             raise InvalidInputError("sweep plan must end at rho = 0")
         if any(a <= b for a, b in zip(values, values[1:])):
@@ -90,17 +90,17 @@ class SweepRecord:
 
 def sweep_rho(plan: SweepPlan, split: SpectralSplit, model: Nonlinearity,
               config: SolverConfig | None = None,
-              weight: HardyWeight = EUCLIDEAN_WEIGHT,
               constants=None) -> list[SweepRecord]:
     """Solve along the plan, warm-starting each coupling from the previous one.
 
-    The final (rho = 0) record is the baseline; distances to it are filled in
-    a second pass once it is known.  A numerical failure aborts the sweep
+    Every solve takes `constants` and so their Hardy weight.  The final
+    (rho = 0) record is the baseline; distances to it are filled in a
+    second pass once it is known.  A numerical failure aborts the sweep
     as a ConvergenceError with the partial records attached; any other
     error propagates as is: a hypothesis violation (a coupling beyond the
-    admissible bound, say) and an input error (`constants` of another box
-    or metric, a box no wider than the boundary layers), which the first
-    solve refuses before any work.
+    admissible bound, say) and an input error (`constants` of another box,
+    a box no wider than the boundary layers), which the first solve
+    refuses before any work.
     """
     config = config or SolverConfig()
     records: list[SweepRecord] = []
@@ -108,8 +108,7 @@ def sweep_rho(plan: SweepPlan, split: SpectralSplit, model: Nonlinearity,
     for rho in plan.rho_values:
         try:
             result = solve_ground_state(
-                split, model, rho, config, weight=weight, constants=constants,
-                warm_start=warm)
+                split, model, rho, config, constants=constants, warm_start=warm)
         except NumericalError as exc:
             err = ConvergenceError(f"sweep aborted at rho = {rho}: {exc}")
             err.partial_records = records

@@ -121,19 +121,20 @@ def nehari_residual(terms: SiteTerms, u: LatticeField) -> NehariResidual:
 
 
 def rho_norm_plus(split: SpectralSplit, u_plus: LatticeField, rho: float,
-                  constants: InequalityConstants | None = None,
-                  weight: HardyWeight = EUCLIDEAN_WEIGHT) -> float:
+                  constants: InequalityConstants | None = None) -> float:
     """Squared rho-modified norm  ||u||^2 - rho sum w u^2  on X^+.
 
+    w is the weight of the box constants, the euclidean one without them.
     The input must lie in X^+ (projection residual below 1e-10).  When the
-    box constants are supplied they must fit the split's box and the weight
+    box constants are supplied they must fit the split's box
     (`InequalityConstants.check_fits`), and the admissibility bound
     rho < rho_plus/kappa is enforced; the norm is then positive definite.
     """
     check_on_box(split, u_plus)
     if constants is not None:
-        constants.check_fits(split.box, weight)
-    hardy = weighted_mass(u_plus, rho, weight)
+        constants.check_fits(split.box)
+    hardy = weighted_mass(u_plus, rho,
+                          EUCLIDEAN_WEIGHT if constants is None else constants.weight)
     coords = split.coords_of(u_plus.values)
     minus_part = float(np.linalg.norm(coords[split.minus]))
     if minus_part > 1e-10 * (1.0 + float(np.linalg.norm(u_plus.values))):

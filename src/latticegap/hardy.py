@@ -55,10 +55,10 @@ GRAPH_WEIGHT = HardyWeight("graph")
 
 
 def check_coupling(rho: float) -> None:
-    """Refuse a Hardy coupling that is not >= 0, NaN included: the one
-    owner of the coupling's sign."""
-    if not rho >= 0:
-        raise InvalidInputError(f"rho must be >= 0, got {rho}")
+    """Refuse a Hardy coupling outside [0, inf), NaN included: the one
+    owner of the coupling's range."""
+    if not 0 <= rho < np.inf:
+        raise InvalidInputError(f"rho must be >= 0 and finite, got {rho}")
 
 
 def weighted_mass(u: LatticeField, rho: float,
@@ -175,16 +175,17 @@ class InequalityConstants:
 
     kappa and rho_plus are what the pencils measure; rho_tilde_plus =
     min(rho_plus, 1) and rho_max = rho_tilde_plus / kappa derive from them.
-    The constants record the box and the weight's metric they were computed
-    for, but not the potential, so `check_fits` cannot tell constants of
-    another potential on the same box.
+    kappa is the Hardy constant of `weight`, so the constants carry the
+    weight, and the solves that take them use it.  They record the box, but
+    not the potential, so `check_fits` cannot tell constants of another
+    potential on the same box.
     """
 
     dimension: int
     radius: int
     kappa: float
     rho_plus: float
-    metric: str = "euclidean"
+    weight: HardyWeight = EUCLIDEAN_WEIGHT
 
     def __post_init__(self):
         for name in ("kappa", "rho_plus"):
@@ -199,18 +200,16 @@ class InequalityConstants:
     def rho_max(self) -> float:
         return self.rho_tilde_plus / self.kappa
 
-    def check_fits(self, box: BoxDomain, weight: HardyWeight) -> None:
-        """Refuse a box or Hardy metric other than the recorded ones."""
-        ours = (self.dimension, self.radius, self.metric)
-        theirs = (box.dimension, box.radius, weight.metric)
+    def check_fits(self, box: BoxDomain) -> None:
+        """Refuse a box other than the recorded one."""
+        ours, theirs = (self.dimension, self.radius), (box.dimension, box.radius)
         if ours != theirs:
-            raise InvalidInputError(
-                f"constants for (N, R, metric) = {ours} do not fit {theirs}")
+            raise InvalidInputError(f"constants for (N, R) = {ours} do not fit {theirs}")
 
     def to_dict(self) -> dict:
         return {"N": self.dimension, "R": self.radius, "kappa": self.kappa,
                 "rho_plus": self.rho_plus, "rho_tilde_plus": self.rho_tilde_plus,
-                "rho_max": self.rho_max, "metric": self.metric}
+                "rho_max": self.rho_max, "metric": self.weight.metric}
 
 
 def compute_constants(split: SectorStream,
@@ -223,4 +222,4 @@ def compute_constants(split: SectorStream,
     return InequalityConstants(
         dimension=split.box.dimension, radius=split.box.radius,
         kappa=best_hardy_constant(split.box, weight).kappa,
-        rho_plus=rho_plus(split).value, metric=weight.metric)
+        rho_plus=rho_plus(split).value, weight=weight)

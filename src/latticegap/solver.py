@@ -58,7 +58,7 @@ from .errors import (ConvergenceError, DegenerateProblemError,
                      InvalidInputError, ModelHypothesisError, NumericalError,
                      PostConditionError, RhoOutOfRangeError,
                      SingularJacobianError)
-from .hardy import EUCLIDEAN_WEIGHT, HardyWeight
+from .hardy import EUCLIDEAN_WEIGHT
 from .lattice import LatticeField
 from .nonlinearity import U_MAX, Nonlinearity, validate_hypotheses
 from .spectral import SpectralSplit, check_on_box
@@ -318,6 +318,7 @@ def _outer_single(terms: SiteTerms, wp0: np.ndarray, index: int,
         out.status, out.reason = "degenerate", reason
         return out
 
+    out.status = "stalled"  # until the residual test passes
     alpha = 1.0
     last = None  # (wp, d) at the previous accepted iterate
     for it in range(SolverConfig.max_outer):
@@ -344,7 +345,6 @@ def _outer_single(terms: SiteTerms, wp0: np.ndarray, index: int,
         d -= float(np.sum(lam_pos * d * wp)) * wp
         dnorm2 = float(np.sum(lam_pos * d ** 2))
         if dnorm2 <= (1e-14 * max(1.0, abs(val))) ** 2:
-            out.status = "stalled"
             return out
         # Barzilai-Borwein step <s, s> / <s, y> in the same metric, from the
         # last accepted step; the previous alpha where <s, y> <= 0
@@ -380,9 +380,7 @@ def _outer_single(terms: SiteTerms, wp0: np.ndarray, index: int,
                 break
             alpha *= SolverConfig.backtrack_shrink
         if not accepted:
-            out.status = "stalled"
             return out
-    out.status = "stalled"
     return out
 
 
@@ -535,8 +533,16 @@ def outer_minimize(terms: SiteTerms, config: SolverConfig | None = None,
         })
 
 
-def _polish_core(terms: SiteTerms, values: np.ndarray):
-    u = values.copy()
+def polish_newton(terms: SiteTerms, u0: LatticeField) -> GroundStateResult:
+    """Damped Newton on the full gradient from a near-critical start.
+
+    The Jacobian is A - rho W - diag(df(u)); steps are damped by halving
+    until the residual decreases.  Starting at an exact solution returns the
+    input unchanged after zero iterations; a start whose residual is above
+    `SolverConfig.polish_entry` is a ConvergenceError, as is a stalled polish.
+    """
+    check_on_box(terms.split, u0)
+    u = u0.values
     r = terms.gradient(u)
     rn = float(np.linalg.norm(r))
     if rn > SolverConfig.polish_entry * (1.0 + float(np.linalg.norm(u))):
@@ -544,9 +550,12 @@ def _polish_core(terms: SiteTerms, values: np.ndarray):
             f"residual {rn:.3e} too large for local Newton polishing")
     history = [rn]
     fails = 0
-    for it in range(SolverConfig.max_polish):
+    for it in range(SolverConfig.max_polish + 1):
         if rn <= SolverConfig.polish_tol * (1.0 + float(np.linalg.norm(u))):
-            return u, history, it
+            break
+        if it == SolverConfig.max_polish:
+            raise ConvergenceError(f"Newton polish exceeded {SolverConfig.max_polish} "
+                                   f"iterations (residual {rn:.3e})")
         jac = (terms.operator - sp.diags(terms.hess_diag(u))).tocsc()
         try:
             delta = spla.splu(jac).solve(-r)
@@ -571,26 +580,10 @@ def _polish_core(terms: SiteTerms, values: np.ndarray):
             fails = 0
         rn, u, r = best
         history.append(rn)
-    if rn <= SolverConfig.polish_tol * (1.0 + float(np.linalg.norm(u))):
-        return u, history, SolverConfig.max_polish
-    raise ConvergenceError(f"Newton polish exceeded {SolverConfig.max_polish} "
-                           f"iterations (residual {rn:.3e})")
-
-
-def polish_newton(terms: SiteTerms, u0: LatticeField) -> GroundStateResult:
-    """Damped Newton on the full gradient from a near-critical start.
-
-    The Jacobian is A - rho W - diag(df(u)); steps are damped by halving
-    until the residual decreases.  Starting at an exact solution returns the
-    input unchanged after zero iterations; a start whose residual is above
-    `SolverConfig.polish_entry` is a ConvergenceError, as is a stalled polish.
-    """
-    check_on_box(terms.split, u0)
-    values, history, iters = _polish_core(terms, u0.values)
-    u = LatticeField(terms.split.box, values)
+    u = LatticeField(terms.split.box, u)
     return GroundStateResult(u=u, residual=nehari_residual(terms, u),
                              c_rho=evaluate_energy(terms, u).value,
-                             polish_iterations=iters, polish_residuals=history)
+                             polish_iterations=it, polish_residuals=history)
 
 
 def maximality_certificate(terms: SiteTerms, u: LatticeField):
@@ -641,16 +634,15 @@ def _sphere_floor(terms: SiteTerms, alpha: float) -> float:
 
 
 def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
-                       config: SolverConfig | None = None,
-                       weight: HardyWeight = EUCLIDEAN_WEIGHT,
-                       constants=None,
+                       config: SolverConfig | None = None, constants=None,
                        warm_start: LatticeField | None = None) -> GroundStateResult:
     """Full pipeline: outer min-max, one Newton polish, exit checks.
 
     A coupling rho > 0 needs the box `constants` (`compute_constants`),
-    which must fit the split's box and `weight`.  The solve builds its one
-    `SiteTerms` first, which refuses a coupling that is not >= 0 before any
-    work, and hands it to the multistart, the polish and the exit checks.
+    which must fit the split's box; the Hardy weight is theirs, the
+    euclidean one without them.  The solve builds its one `SiteTerms`
+    first, which refuses a coupling outside [0, inf) before any work, and
+    hands it to the multistart, the polish and the exit checks.
     Every outcome of the search that is not an input error (a stalled or
     degenerate search, a polish that cannot start or converge, a failed
     exit check) is a NumericalError.
@@ -659,10 +651,11 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
     (`_sphere_floor`), and the closed-form maximality certificate, whose
     bound the diagnostics report as `certificate_bound`.
     """
-    terms = SiteTerms(split, model, rho, weight)
+    terms = SiteTerms(split, model, rho,
+                      EUCLIDEAN_WEIGHT if constants is None else constants.weight)
     cfg = config or SolverConfig()
     if constants is not None:
-        constants.check_fits(split.box, weight)
+        constants.check_fits(split.box)
     elif rho > 0:
         raise InvalidInputError(
             f"rho = {rho} > 0 needs the box constants (compute_constants)")

@@ -63,6 +63,7 @@ class TestSweepPlan:
         (0.4, 0.2),           # does not end at 0
         (0.4, -0.1, 0.0),     # negative
         (float("nan"), 0.0),  # not a number
+        (float("inf"), 0.0),  # infinite
         (),                   # empty
     ])
     def test_invalid_plans_rejected(self, values):

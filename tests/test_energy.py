@@ -52,7 +52,7 @@ class TestEvaluateEnergy:
             lg.evaluate_energy(lg.SiteTerms(split_r2, model, 0.0),
                                lg.delta_field(lg.BoxDomain(3, 1)))
 
-    @pytest.mark.parametrize("rho", [float("nan"), -0.1])
+    @pytest.mark.parametrize("rho", [float("nan"), -0.1, float("inf")])
     def test_bad_rho_rejected(self, split_r2, model, rho):
         # the functional these functions take refuses the coupling when it
         # is built: a NaN coupling must not be read as rho = 0 (no Hardy term)

@@ -46,7 +46,7 @@ class TestWeightedMass:
 
     def test_negative_rho_rejected(self):
         box = lg.BoxDomain(3, 1)
-        for rho in (-0.5, float("nan")):
+        for rho in (-0.5, float("nan"), float("inf")):
             with pytest.raises(InvalidInputError):
                 lg.weighted_mass(lg.delta_field(box), rho)
 

@@ -417,7 +417,28 @@ def test_solver_takes_only_the_weight_from_hardy():
     names = {alias.name for node in TREES["solver"].body
              if isinstance(node, ast.ImportFrom) and node.module == "hardy"
              for alias in node.names}
-    assert names == {"EUCLIDEAN_WEIGHT", "HardyWeight"}
+    assert names == {"EUCLIDEAN_WEIGHT"}
+
+
+def test_no_function_takes_both_constants_and_weight():
+    # the constants carry their Hardy weight, so a second one could only
+    # disagree with it
+    both = [node.name for tree in TREES.values() for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and {"constants", "weight"} <= {
+                arg.arg for arg in (*node.args.posonlyargs, *node.args.args,
+                                    *node.args.kwonlyargs)}]
+    assert not both, both
+
+
+def test_coupling_range_checked_through_its_owner():
+    def checks(node):
+        return isinstance(node, ast.Call) and any(
+            getattr(part, "id", None) == "check_coupling"
+            for part in (node.func, *node.args))
+
+    assert _owners(checks) == {"energy.SiteTerms.__init__", "hardy.weighted_mass",
+                               "continuation.SweepPlan.__post_init__",
+                               "cli.parse_config"}
 
 
 @pytest.mark.parametrize("field", ["residual_along_u", "residual_along_minus"])

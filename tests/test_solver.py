@@ -255,6 +255,33 @@ class TestPolishNewton:
         with pytest.raises(ConvergenceError, match="too large for local Newton"):
             lg.polish_newton(terms_r2, far)
 
+    def test_singular_jacobian_refused(self, monkeypatch, terms_r2, rough_candidate):
+        def raising(jac):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(solver.spla, "splu", raising)
+        with pytest.raises(lg.SingularJacobianError, match="polish Jacobian singular"):
+            lg.polish_newton(terms_r2, rough_candidate)
+
+    def test_ten_steps_without_descent_diverge(self, monkeypatch, terms_r2,
+                                               rough_candidate):
+        # a zero Newton step leaves the residual where it is at every
+        # damping, so each step counts towards the divergence refusal
+        solves = []
+
+        class ZeroStep:
+            def __init__(self, jac):
+                pass
+
+            def solve(self, rhs):
+                solves.append(rhs)
+                return np.zeros_like(rhs)
+
+        monkeypatch.setattr(solver.spla, "splu", ZeroStep)
+        with pytest.raises(ConvergenceError, match="Newton polish diverged"):
+            lg.polish_newton(terms_r2, rough_candidate)
+        assert len(solves) == 10
+
 
 class TestSolveGroundState:
     def test_exit_residuals(self, terms_r2, ground_r2):
@@ -373,7 +400,7 @@ class TestSolveGroundState:
             lg.solve_ground_state(split_r2, model, 0.0,
                                   lg.SolverConfig(seed=1, multistart=1))
 
-    @pytest.mark.parametrize("rho", [float("nan"), -0.1])
+    @pytest.mark.parametrize("rho", [float("nan"), -0.1, float("inf")])
     def test_bad_rho_rejected(self, monkeypatch, split_r2, model, rho):
         # the solve builds its one SiteTerms first, which refuses the
         # coupling; the hooks fail if any work starts before that
@@ -421,13 +448,14 @@ class TestSolveGroundState:
             lg.solve_ground_state(split_r3, model, constants.rho_max,
                                   lg.SolverConfig(seed=1), constants=constants)
 
-    @pytest.mark.parametrize("other", ["radius", "metric"])
+    # only the box can disagree: the constants carry their Hardy weight
+    # (see test_graph_constants_bring_the_graph_weight)
+    @pytest.mark.parametrize("other", ["radius"])
     def test_constants_of_another_box_or_metric_refused(self, split_r2, model,
                                                         constants_r3, other):
-        # constants record N, R and the metric; with another box's rho_max
-        # the coupling cap would be that box's
-        constants = constants_r3 if other == "radius" \
-            else lg.compute_constants(split_r2, lg.GRAPH_WEIGHT)
+        # constants record N and R; with another box's rho_max the coupling
+        # cap would be that box's
+        constants = constants_r3
         rho = 0.5 * constants.rho_max
         u = lg.project(split_r2, random_field(split_r2.box,
                                               np.random.default_rng(5)), "plus")
@@ -440,6 +468,35 @@ class TestSolveGroundState:
         for call in calls:
             with pytest.raises(InvalidInputError, match="do not fit"):
                 call()
+
+    def test_graph_constants_bring_the_graph_weight(self, split_r2, model,
+                                                    quick_config):
+        # kappa is the graph weight's constant, so every solve that takes
+        # these constants uses the graph weight
+        graph = lg.compute_constants(split_r2, lg.GRAPH_WEIGHT)
+        rho = 0.5 * graph.rho_max
+
+        def level(weight, coupling, u):
+            terms = lg.SiteTerms(split_r2, model, coupling, weight)
+            return lg.evaluate_energy(terms, u).value
+
+        result = lg.solve_ground_state(split_r2, model, rho, quick_config,
+                                       constants=graph)
+        assert result.c_rho == level(lg.GRAPH_WEIGHT, rho, result.u)
+        assert result.c_rho != level(lg.EUCLIDEAN_WEIGHT, rho, result.u)
+        records = lg.sweep_rho(lg.SweepPlan((rho, 0.0)), split_r2, model,
+                               quick_config, constants=graph)
+        assert [r.c_rho for r in records] == [
+            level(lg.GRAPH_WEIGHT, r.rho, r.field) for r in records]
+        u = lg.project(split_r2, random_field(split_r2.box,
+                                              np.random.default_rng(5)), "plus")
+        assert lg.rho_norm_plus(split_r2, u, rho, constants=graph) == (
+            lg.split_inner(split_r2, u, u) - lg.weighted_mass(u, rho, lg.GRAPH_WEIGHT))
+        # at rho = 0 no Hardy term is left for the weight to change
+        fields = [lg.solve_ground_state(split_r2, model, 0.0, quick_config,
+                                        constants=constants).u.values.tobytes()
+                  for constants in (graph, None)]
+        assert fields[0] == fields[1]
 
     def test_warm_start_reproduces_solution(self, split_r2, model, ground_r2):
         cfg = lg.SolverConfig(seed=9, multistart=1)

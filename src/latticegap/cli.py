@@ -12,7 +12,9 @@ owners of the limits: `solver.check_boundary_layers` and
 `hardy.check_hardy_dimension` and `continuation.check_report_couplings`.
 Each refusal exits 2 naming the key; the CLI restates none of their rules.
 All outputs are plain files whose reals `jsonio.real` prints (17 digits);
-a fixed seed reproduces them byte for byte.  Every artifact is written to
+a fixed seed reproduces them byte for byte, whatever the BLAS thread count:
+`main` runs every command with both bundled OpenBLAS libraries (numpy's
+and scipy's) on one thread.  Every artifact is written to
 a temporary file and renamed into place; a failed write exits 2.
 
 The splitting of the box operator is computed once per output directory:
@@ -46,6 +48,8 @@ hypothesis failure, stale certification) or the configuration is invalid,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import hashlib
 import json
 import math
@@ -53,6 +57,8 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy
+import scipy
 
 from . import jsonio
 from .continuation import (SweepPlan, check_report_couplings, convergence_report,
@@ -424,6 +430,41 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
+# numpy and scipy each bundle an OpenBLAS, whose dense products sum in an
+# order that depends on its thread count: (package, library file pattern,
+# its thread-count functions with %s for get or set)
+_OPENBLAS = ((numpy, "libscipy_openblas64_-*.so", "scipy_openblas_%s_num_threads64_"),
+             (scipy, "libscipy_openblas-*.so", "scipy_openblas_%s_num_threads"))
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with each library of `_OPENBLAS` on one thread, and
+    restore its thread count after.  A library or symbol not found (another
+    BLAS build) is named in one line on stderr, and the run goes on."""
+    restore, missing = [], []
+    for package, pattern, symbol in _OPENBLAS:
+        folder = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
+        try:
+            lib = ctypes.CDLL(str(sorted(folder.glob(pattern))[0]))
+            get, put = getattr(lib, symbol % "get"), getattr(lib, symbol % "set")
+        except (IndexError, OSError, AttributeError):
+            missing.append(package.__name__)
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        restore.append((put, get()))
+        put(1)
+    if missing:
+        print(f"warning: the OpenBLAS of {' and '.join(missing)} was not found; "
+              "results may depend on the BLAS thread count", file=sys.stderr)
+    try:
+        yield
+    finally:
+        for put, count in restore:
+            put(count)
+
+
 _COMMANDS = {
     "certify-gap": cmd_certify_gap,
     "constants": cmd_constants,
@@ -442,8 +483,9 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the run config")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--threads", type=int, default=None,
-                        help="accepted and ignored; kept because the "
-                             "benchmark passes it")
+                        help="accepted and ignored: every command runs its "
+                             "BLAS on one thread; kept because the benchmark "
+                             "passes it")
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
     try:
@@ -457,7 +499,8 @@ def main(argv=None) -> int:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
-        return _COMMANDS[args.command](cfg, out)
+        with _one_blas_thread():
+            return _COMMANDS[args.command](cfg, out)
     except (ConfigError, HypothesisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

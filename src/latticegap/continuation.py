@@ -23,7 +23,7 @@ from .hardy import check_coupling
 from .lattice import LatticeField
 from .nonlinearity import Nonlinearity
 from .solver import SolverConfig, solve_ground_state
-from .spectral import SpectralSplit, split_norm
+from .spectral import SpectralSplit, coords_inner, split_norm
 
 
 # Decision thresholds of `convergence_report`, written to report.json as is.
@@ -113,12 +113,16 @@ def sweep_rho(plan: SweepPlan, split: SpectralSplit, model: Nonlinearity,
             err = ConvergenceError(f"sweep aborted at rho = {rho}: {exc}")
             err.partial_records = records
             raise err from exc
-        warm = result.u
+        state = result.u  # the polish's `StateRecord`, with u's eigencoordinates
         records.append(SweepRecord(
             rho=rho, c_rho=result.c_rho, residual=result.residual,
-            sum_G=superquadratic_mass(model, result.u),
-            u_norm=split_norm(split, result.u),
-            field=result.u))
+            sum_G=superquadratic_mass(model, state),
+            u_norm=float(np.sqrt(coords_inner(split, state.coords, state.coords))),
+            field=LatticeField(split.box, state.values)))
+        # the next solve starts from the field alone, so the record's arrays
+        # and terms are not held through it
+        warm = records[-1].field
+        del result, state
     baseline = records[-1]
     for rec in records:
         diff = LatticeField(split.box, rec.field.values - baseline.field.values)

@@ -10,7 +10,8 @@ represented in l2 by  A u - rho w u - f(u).  A field belongs to the
 Nehari-Pankov set when its gradient vanishes along u itself and along all
 of X^-; ground states minimize J_rho there.  One `SiteTerms` is J_rho: it
 defines the site-space parts of J_rho, J' and J'' once, and these functions
-and the solver take it in place of (split, model, rho, weight).
+and the solver take it in place of (split, model, rho, weight); what they
+read at a field u, they read from its one `StateRecord`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .hardy import (EUCLIDEAN_WEIGHT, HardyWeight, InequalityConstants,
                     check_coupling, weighted_mass)
 from .lattice import LatticeField
 from .nonlinearity import Nonlinearity
-from .spectral import SpectralSplit, check_on_box, split_inner
+from .spectral import SpectralSplit, check_on_box, coords_inner
 
 
 @dataclass(frozen=True)
@@ -95,12 +96,33 @@ class SiteTerms:
         return self.operator @ u - self.model.f(u) - self.rho * self.w * u
 
 
-def evaluate_energy(terms: SiteTerms, u: LatticeField) -> EnergyReport:
+@dataclass(frozen=True, eq=False)
+class StateRecord(LatticeField):
+    """A field u under one `SiteTerms`, with E^T u, r = J'(u) and E^T r."""
+
+    terms: SiteTerms
+    coords: np.ndarray
+    gradient: np.ndarray
+    gradient_coords: np.ndarray
+
+
+def state_record(terms: SiteTerms, u: LatticeField,
+                 r: np.ndarray | None = None) -> StateRecord:
+    """u itself when it is a record under `terms`, else its record: one full
+    `coords_of` of u and of r, with r = J'(u) unless the caller has it."""
+    if isinstance(u, StateRecord) and u.terms is terms:
+        return u
     check_on_box(terms.split, u)
-    coords = terms.split.coords_of(u.values)
-    quadratic = 0.5 * float(np.sum(terms.split.eigenvalues * coords ** 2))
-    hardy = float(terms.hardy(u.values))
-    nonlinear = float(terms.nonlinear(u.values))
+    r = terms.gradient(u.values) if r is None else r
+    coords_of = terms.split.coords_of
+    return StateRecord(u.box, u.values, terms, coords_of(u.values), r, coords_of(r))
+
+
+def evaluate_energy(terms: SiteTerms, u: LatticeField) -> EnergyReport:
+    state = state_record(terms, u)
+    quadratic = 0.5 * float(np.sum(terms.split.eigenvalues * state.coords ** 2))
+    hardy = float(terms.hardy(state.values))
+    nonlinear = float(terms.nonlinear(state.values))
     return EnergyReport(value=quadratic - hardy - nonlinear,
                         quadratic=quadratic, hardy=hardy, nonlinear=nonlinear)
 
@@ -112,12 +134,11 @@ def gradient(terms: SiteTerms, u: LatticeField) -> LatticeField:
 
 
 def nehari_residual(terms: SiteTerms, u: LatticeField) -> NehariResidual:
-    grad = gradient(terms, u)
-    coords = terms.split.coords_of(grad.values)
+    state = state_record(terms, u)
     return NehariResidual(
-        along_u=float(grad.values @ u.values),
-        along_minus=float(np.linalg.norm(coords[terms.split.minus])),
-        full=float(np.linalg.norm(grad.values)))
+        along_u=float(state.gradient @ state.values),
+        along_minus=float(np.linalg.norm(state.gradient_coords[terms.split.minus])),
+        full=float(np.linalg.norm(state.gradient)))
 
 
 def rho_norm_plus(split: SpectralSplit, u_plus: LatticeField, rho: float,
@@ -143,4 +164,4 @@ def rho_norm_plus(split: SpectralSplit, u_plus: LatticeField, rho: float,
     if constants is not None and rho >= constants.rho_plus / constants.kappa:
         raise RhoOutOfRangeError(
             f"rho = {rho} >= rho_plus/kappa = {constants.rho_plus / constants.kappa}")
-    return split_inner(split, u_plus, u_plus) - hardy
+    return coords_inner(split, coords, coords) - hardy

@@ -1,40 +1,31 @@
 """Ground-state computation by the reduced min-max.
 
 For each unit direction w in X^+ the energy is maximized over the slab
-R+ w (+) X^- (the inner problem); the resulting reduced value is then
-minimized over the unit sphere of X^+ (the outer problem); a damped Newton
-iteration on the full gradient polishes the incumbent to the final
-residual.  The inner maximizer is not assumed unique: a closed-form
-maximality certificate bounds J on the final state's slab instead.
+R+ w (+) X^- (the inner problem, in the coordinates (t, vm) of `_Slab`);
+the resulting reduced value is then minimized over the unit sphere of X^+
+(the outer problem); a damped Newton iteration on the full gradient
+polishes the incumbent to the final residual.  The inner maximizer is not
+assumed unique: a closed-form maximality certificate bounds J on the
+final state's slab instead.
 
 The inner loop tries Newton-CG at every iterate, with a metric-scaled
 Armijo ascent step as fallback; under the monotone-slope hypothesis
 (always validated) the slab's only critical point with t > 0 is its
 maximum (Szulkin & Weth 2009).  Each outer line search starts at the
 Barzilai-Borwein length of the last accepted step in the X^+ metric and
-halves it until the Armijo test holds.
+halves it until the Armijo test holds.  The outer problem works in
+eigencoordinates of the split, where the equivalent norm is diagonal
+(||u||^2 = sum |lambda_i| c_i^2) and the positive/negative projections
+are the split's index slices `minus` and `plus`.
 
-The outer problem works in eigencoordinates of the split, where the
-equivalent norm is diagonal (||u||^2 = sum |lambda_i| c_i^2) and the
-positive/negative projections are the split's index slices `minus` and
-`plus`.  The inner problem runs in slab coordinates (t, vm): the scalar along w
-and the X^- eigencoordinates.  With E_+ w computed once
-per inner solve, each of its evaluations multiplies by the X^- columns
-only, one parity sector at a time (`SpectralSplit.values_of`).
 The functional J_rho is one `energy.SiteTerms`, which carries the split and
 the site-space terms of J, J' and J''; this module adds only the quadratic
 parts.  `solve_ground_state` builds it once and hands it to every stage.
-The multistart's starts are independent, so on Linux they run in up to
-min(starts, cores) worker processes forked from the caller, which inherit
-the split and the starts without pickling them.  Results and the first
-exception are taken in start order, so they are those of running the
-starts one after another in-process, which is what a warm start, a
-single start, a single core or a platform without fork does.  No setting
-chooses the worker count; the CLI's `--threads` is still ignored.
-`SolverConfig` holds only the study's parameters (seed, multistart,
-interior filter); the tolerances (the certificate's among them) and
-iteration caps are its class constants, and the model hypotheses are
-always validated.
+The polish ends with one `energy.StateRecord` of its last iterate, which
+the level, the residuals, the exit checks and the certificate read.  The
+multistart's starts are independent, so they run as `_run_starts` runs
+them, in forked worker processes that inherit the split and the starts
+without pickling them; no setting chooses the worker count.
 """
 
 from __future__ import annotations
@@ -53,7 +44,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .energy import NehariResidual, SiteTerms, evaluate_energy, nehari_residual
+from .energy import (NehariResidual, SiteTerms, evaluate_energy, nehari_residual,
+                     state_record)
 from .errors import (ConvergenceError, DegenerateProblemError,
                      InvalidInputError, ModelHypothesisError, NumericalError,
                      PostConditionError, RhoOutOfRangeError,
@@ -412,8 +404,10 @@ def _run_starts(terms: SiteTerms, starts: list) -> list[_StartResult]:
     """`_outer_single` over the starts, in min(starts, cores) forked worker
     processes, or in-process where that is one or the platform cannot fork
     or tell its cores.  Results and the first exception are taken in start
-    order; a worker that dies is a NumericalError naming the first start it
-    left unfinished."""
+    order, so they are those of running the starts one after another
+    in-process, as a warm start, a single start or a single core does; a
+    worker that dies is a NumericalError naming the first start it left
+    unfinished."""
     workers = 1
     if ("fork" in multiprocessing.get_all_start_methods()
             and hasattr(os, "sched_getaffinity")):
@@ -452,13 +446,9 @@ def outer_minimize(terms: SiteTerms, config: SolverConfig | None = None,
     ConvergenceError otherwise; the interior filter then sees only usable
     starts and raises ConvergenceError when it keeps none.  The diagnostics
     list each start's level, status, outer and inner iterations and
-    line-search trials in start order.
-
-    The starts (one for a warm start) run in up to min(starts, cores)
-    forked worker processes where the platform can fork, and in-process
-    otherwise.  Results, and the first exception a start raises, are taken
-    in start order, so every result is that of running the starts one after
-    another; after a failure the starts not yet begun are cancelled.
+    line-search trials in start order.  The starts (one for a warm start)
+    run as `_run_starts` runs them, so every result is that of running them
+    one after another.
     """
     cfg = config or SolverConfig()
     split = terms.split
@@ -540,6 +530,7 @@ def polish_newton(terms: SiteTerms, u0: LatticeField) -> GroundStateResult:
     until the residual decreases.  Starting at an exact solution returns the
     input unchanged after zero iterations; a start whose residual is above
     `SolverConfig.polish_entry` is a ConvergenceError, as is a stalled polish.
+    The result's u is the `StateRecord` of the last iterate and its J'.
     """
     check_on_box(terms.split, u0)
     u = u0.values
@@ -580,7 +571,7 @@ def polish_newton(terms: SiteTerms, u0: LatticeField) -> GroundStateResult:
             fails = 0
         rn, u, r = best
         history.append(rn)
-    u = LatticeField(terms.split.box, u)
+    u = state_record(terms, LatticeField(terms.split.box, u), r)
     return GroundStateResult(u=u, residual=nehari_residual(terms, u),
                              c_rho=evaluate_energy(terms, u).value,
                              polish_iterations=it, polish_residuals=history)
@@ -598,18 +589,18 @@ def maximality_certificate(terms: SiteTerms, u: LatticeField):
     where g <= 0 at every site under the monotone slope (Szulkin & Weth
     2009) and (A v, v) = -||v||^2.  Maximizing over t in [0, 3] and v gives
     bound = 4 |r.u| + 9/2 sum c_j(r)^2 / |lambda_j| over the X^- coordinates
-    of r, which does not depend on the eigenbasis.  The bound proves
-    maximality only under the monotone slope, so a model whose
-    `validate_hypotheses` report fails it is a ModelHypothesisError.
+    of r (read from u's `StateRecord`), which does not depend on the
+    eigenbasis.  The bound proves maximality only under the monotone slope,
+    so a model whose `validate_hypotheses` report fails it is a
+    ModelHypothesisError.
     """
     split = terms.split
-    check_on_box(split, u)
+    state = state_record(terms, u)
     if not validate_hypotheses(terms.model).checks["monotone_slope"].passed:
         raise ModelHypothesisError(
             "the maximality certificate needs the monotone slope f(u)/|u|")
-    r = terms.gradient(u.values)
-    rm = split.coords_of(r, "minus")
-    bound = (4.0 * abs(float(r @ u.values))
+    rm = state.gradient_coords[split.minus]
+    bound = (4.0 * abs(float(state.gradient @ state.values))
              + 4.5 * float(np.sum(rm ** 2 / -split.eigenvalues[split.minus])))
     return bound <= SolverConfig.certificate_tol, bound
 
@@ -641,15 +632,15 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
     A coupling rho > 0 needs the box `constants` (`compute_constants`),
     which must fit the split's box; the Hardy weight is theirs, the
     euclidean one without them.  The solve builds its one `SiteTerms`
-    first, which refuses a coupling outside [0, inf) before any work, and
-    hands it to the multistart, the polish and the exit checks.
+    first, which refuses a coupling outside [0, inf) before any work.
     Every outcome of the search that is not an input error (a stalled or
     degenerate search, a polish that cannot start or converge, a failed
     exit check) is a NumericalError.
     Post-conditions enforced on the returned state: both Nehari residuals at
     the polish tolerance, positive level above the closed-form sphere floor
     (`_sphere_floor`), and the closed-form maximality certificate, whose
-    bound the diagnostics report as `certificate_bound`.
+    bound the diagnostics report as `certificate_bound`.  Each reads the
+    polish's `StateRecord`, which the result returns as its u.
     """
     terms = SiteTerms(split, model, rho,
                       EUCLIDEAN_WEIGHT if constants is None else constants.weight)
@@ -671,11 +662,10 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
                 f"rho = {rho} exceeds 0.9 * rho_max = {cap}")
 
     candidate = outer_minimize(terms, cfg, warm_start)
-    # the polish has already evaluated its level and residuals
     polished = polish_newton(terms, candidate.u)
-    u, level = polished.u, polished.c_rho
+    # the polish's record; a state of other origin gets its own
+    u, level = state_record(terms, polished.u), polished.c_rho
     l2 = float(np.linalg.norm(u.values))
-    plus_norm = _plus_norm(split, split.coords_of(u.values, "plus"))
 
     # the polish has already refused a full residual above its tolerance
     problems = []
@@ -683,7 +673,7 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
         problems.append(f"residual along u {polished.residual.along_u:.3e}")
     if polished.residual.along_minus > cfg.polish_tol:
         problems.append(f"residual along X^- {polished.residual.along_minus:.3e}")
-    if plus_norm <= 1e-8:
+    if _plus_norm(split, u.coords[split.plus]) <= 1e-8:
         problems.append("u has no X^+ component")
     if not level > 0.0:
         problems.append(f"level {level!r} not positive")
@@ -702,7 +692,7 @@ def solve_ground_state(split: SpectralSplit, model: Nonlinearity, rho: float,
         raise PostConditionError("not a Nehari point: " + "; ".join(problems))
 
     return replace(
-        polished, outer_iterations=candidate.outer_iterations,
+        polished, u=u, outer_iterations=candidate.outer_iterations,
         inner_iterations=candidate.inner_iterations,
         start_index=candidate.start_index, trace=candidate.trace,
         diagnostics={**candidate.diagnostics, "sphere_floor": floor,

@@ -672,9 +672,15 @@ def project(split: SpectralSplit, u: LatticeField, sign: str) -> LatticeField:
 def split_inner(split: SpectralSplit, u: LatticeField, v: LatticeField) -> float:
     """Equivalent inner product (u, v) = (A u^+, v^+)_2 - (A u^-, v^-)_2."""
     check_on_box(split, u, v)
-    cu, cv = split.coords_of(u.values), split.coords_of(v.values)
+    return coords_inner(split, split.coords_of(u.values), split.coords_of(v.values))
+
+
+def coords_inner(split: SpectralSplit, cu: np.ndarray, cv: np.ndarray) -> float:
+    """(u, v) from the eigencoordinates cu = E^T u and cv = E^T v."""
     return float(np.sum(np.abs(split.eigenvalues) * cu * cv))
 
 
 def split_norm(split: SpectralSplit, u: LatticeField) -> float:
-    return float(np.sqrt(max(split_inner(split, u, u), 0.0)))
+    check_on_box(split, u)
+    coords = split.coords_of(u.values)
+    return float(np.sqrt(coords_inner(split, coords, coords)))

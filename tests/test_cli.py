@@ -1,11 +1,14 @@
 import contextlib
+import ctypes
 import dataclasses
 import hashlib
 import io
 import json
 import multiprocessing
+import os
 import shutil
 import struct
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -678,7 +681,7 @@ class TestPersistedSplit:
     def test_streamed_writer_matches_in_memory_split(self, tmp_path, radius):
         # certify-gap writes split.npy one sector at a time and hashes it
         # as it writes; each record holds the bytes of the pair that
-        # split_sectors computes in memory
+        # split_sectors computes in memory on the CLI's one BLAS thread
         cfg = write_config(tmp_path, **{"box.radius": str(radius)})
         out = tmp_path / "out"
         assert main(["certify-gap", "--config", str(cfg), "--out", str(out)]) == 0
@@ -686,7 +689,8 @@ class TestPersistedSplit:
         box = lg.BoxDomain(3, radius)
         operator = lg.assemble_operator(box, lg.checkerboard_potential(3, 1.0))
         written = list(read_eigenpairs(out / "split.npy"))
-        computed = [pair for _, *pair in split_sectors(box, operator)]
+        with cli._one_blas_thread():
+            computed = [pair for _, *pair in split_sectors(box, operator)]
         assert len(written) == len(computed) == 8
         for pair, in_memory in zip(written, computed):
             for record, array in zip(pair, in_memory):
@@ -1125,6 +1129,68 @@ class TestRepeatedPipeline:
         assert "constants.json" in names and "report.json" in names
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def _blas_thread_counts():
+    """The thread count of each bundled OpenBLAS library that `cli` pins."""
+    counts = []
+    for package, pattern, symbol in cli._OPENBLAS:
+        folder = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
+        get = getattr(ctypes.CDLL(str(sorted(folder.glob(pattern))[0])), symbol % "get")
+        get.restype = ctypes.c_int
+        counts.append(get())
+    return counts
+
+
+class TestBlasThreads:
+    def test_artifacts_do_not_depend_on_the_thread_count(self, tmp_path):
+        # dense products sum in an order set by the OpenBLAS thread count;
+        # each stage pins both bundled libraries to one thread, so runs
+        # started with one and with two threads write the same bytes
+        cfg = write_config(tmp_path, **{
+            "box.radius": "5", "rho.mode": "fraction", "rho.values": "0.4",
+            "solver.multistart": "5", "solver.max_boundary_mass": "0.25"})
+        root = Path(__file__).resolve().parent.parent
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(root / "src"),
+                       PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            out = tmp_path / f"threads{threads}"
+            for command in ("certify-gap", "constants", "solve"):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "latticegap", command, "--config",
+                     str(cfg), "--out", str(out), "--seed", "7"],
+                    env=env, capture_output=True, text=True, timeout=300)
+                assert proc.returncode == 0, proc.stderr
+                assert proc.stderr == ""
+            outs.append(out)
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        assert "split.npy" in names and "solve_summary.json" in names
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    def test_one_thread_during_the_command_and_restored_after(
+            self, tmp_path, monkeypatch):
+        before = _blas_thread_counts()
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, "validate",
+                            lambda cfg, out: seen.append(_blas_thread_counts()) or 0)
+        assert main(["validate", "--config", str(write_config(tmp_path)),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert seen == [[1] * len(cli._OPENBLAS)]
+        assert _blas_thread_counts() == before
+
+    def test_missing_library_is_one_line_and_the_run_goes_on(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_OPENBLAS", tuple(
+            (package, "no-such-library-*.so", symbol)
+            for package, _, symbol in cli._OPENBLAS))
+        assert main(["certify-gap", "--config", str(write_config(tmp_path)),
+                     "--out", str(tmp_path / "out")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "OpenBLAS of numpy and scipy was not found" in err[0]
 
 
 class TestFloatFormatting:

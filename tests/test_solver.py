@@ -527,6 +527,39 @@ class TestSolveGroundState:
         assert result.polish_iterations == expected.polish_iterations
         assert result.polish_residuals == expected.polish_residuals
 
+    def test_polished_state_is_derived_once(self, monkeypatch, split_r4, model):
+        # the level, the residuals, the X^+ check and the certificate read
+        # the polish's record: J' is evaluated once at the returned state's
+        # bytes, at the polish's last iterate, and after the multistart only
+        # the record maps to eigencoordinates, u and J'(u) once each
+        constants = lg.compute_constants(split_r4)
+        gradient, coords_of = lg.SiteTerms.gradient, lg.SpectralSplit.coords_of
+        outer = solver.outer_minimize
+        evaluated, maps, outer_done = [], [], []
+
+        def counted_gradient(terms, u):
+            evaluated.append(u.tobytes())
+            return gradient(terms, u)
+
+        def counted_coords_of(split, values, part="all"):
+            if outer_done:
+                maps.append(part)
+            return coords_of(split, values, part)
+
+        def marked_outer(*args, **kwargs):
+            result = outer(*args, **kwargs)
+            outer_done.append(True)
+            return result
+
+        monkeypatch.setattr(lg.SiteTerms, "gradient", counted_gradient)
+        monkeypatch.setattr(lg.SpectralSplit, "coords_of", counted_coords_of)
+        monkeypatch.setattr(solver, "outer_minimize", marked_outer)
+        config = lg.SolverConfig(seed=7, multistart=5, max_boundary_mass=0.25)
+        result = lg.solve_ground_state(split_r4, model, 0.4 * constants.rho_max,
+                                       config, constants=constants)
+        assert evaluated.count(result.u.values.tobytes()) == 1
+        assert maps == ["all", "all"]
+
     def test_run_log_schema(self, ground_r2):
         assert ground_r2.trace, "no outer trace recorded"
         for record in ground_r2.trace:

@@ -552,6 +552,26 @@ class TestSplitInner:
             assert abs(quad - lg.split_inner(split_r2, up, up)
                        + lg.split_inner(split_r2, um, um)) <= 1e-10 * (1 + abs(quad))
 
+    def test_norms_map_the_field_once(self, monkeypatch, split_r2):
+        # (|lambda| c) c has the bits of (|lambda| cu) cv when cu and cv
+        # are the same bytes, so one map gives the two-map values exactly
+        u = lg.project(split_r2, random_field(split_r2.box, np.random.default_rng(8)),
+                       "plus")
+        norm2 = lg.split_inner(split_r2, u, u)
+        want_norm = float(np.sqrt(max(norm2, 0.0)))
+        want_rho = norm2 - lg.weighted_mass(u, 0.01, lg.EUCLIDEAN_WEIGHT)
+        coords_of, calls = lg.SpectralSplit.coords_of, []
+
+        def counted(split, values, part="all"):
+            calls.append(part)
+            return coords_of(split, values, part)
+
+        monkeypatch.setattr(lg.SpectralSplit, "coords_of", counted)
+        assert lg.split_norm(split_r2, u) == want_norm
+        assert calls == ["all"]
+        assert lg.rho_norm_plus(split_r2, u, 0.01) == want_rho
+        assert calls == ["all", "all"]
+
     def test_symmetric_bilinear(self, split_r2):
         rng = np.random.default_rng(5)
         u, v = random_field(split_r2.box, rng), random_field(split_r2.box, rng)

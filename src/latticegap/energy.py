@@ -119,10 +119,15 @@ def state_record(terms: SiteTerms, u: LatticeField,
 
 
 def evaluate_energy(terms: SiteTerms, u: LatticeField) -> EnergyReport:
-    state = state_record(terms, u)
-    quadratic = 0.5 * float(np.sum(terms.split.eigenvalues * state.coords ** 2))
-    hardy = float(terms.hardy(state.values))
-    nonlinear = float(terms.nonlinear(state.values))
+    """J_rho(u) from E^T u: the record's, or one `coords_of` of a plain field."""
+    if isinstance(u, StateRecord) and u.terms is terms:
+        coords = u.coords
+    else:
+        check_on_box(terms.split, u)
+        coords = terms.split.coords_of(u.values)
+    quadratic = 0.5 * float(np.sum(terms.split.eigenvalues * coords ** 2))
+    hardy = float(terms.hardy(u.values))
+    nonlinear = float(terms.nonlinear(u.values))
     return EnergyReport(value=quadratic - hardy - nonlinear,
                         quadratic=quadratic, hardy=hardy, nonlinear=nonlinear)
 

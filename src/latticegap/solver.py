@@ -181,7 +181,10 @@ def _inner_residual(t, gt, gv):
 
 
 def _inner_core(slab: _Slab, t: float, vm: np.ndarray):
-    """Maximize value over (t >= 0, vm).  Returns (t, vm, value, res, iters, reason)."""
+    """Maximize value over (t >= 0, vm); raises nothing.  Every exit returns
+    (t, vm, value, res, steps taken, reason, status), status in a start's words:
+    "converged" (reason None), "degenerate" (unbounded ascent, t collapsed)
+    or "failed" (no ascent step, or `max_inner` steps)."""
     u = slab.site_values(t, vm)
     val = slab.value(t, vm, u)
     gt, gv = slab.grad(t, vm, u)
@@ -189,11 +192,13 @@ def _inner_core(slab: _Slab, t: float, vm: np.ndarray):
     for it in range(SolverConfig.max_inner):
         res = _inner_residual(t, gt, gv)
         if res <= SolverConfig.inner_tol:
-            return t, vm, val, res, it, None
+            return t, vm, val, res, it, None, "converged"
         if t > SolverConfig.t_cap or val > 1e12:
-            return t, vm, val, res, it, "unbounded ascent: no superquadratic confinement"
+            return (t, vm, val, res, it,
+                    "unbounded ascent: no superquadratic confinement", "degenerate")
         if t <= 1e-12 and gt <= 0.0 and np.linalg.norm(gv) <= SolverConfig.inner_tol:
-            return 0.0, vm, val, res, it, "t collapsed to zero: infeasible direction"
+            return (0.0, vm, val, res, it,
+                    "t collapsed to zero: infeasible direction", "degenerate")
 
         # Newton-CG first; the metric ascent step when CG finds no ascent
         # direction or no damped trial lowers the residual
@@ -230,10 +235,10 @@ def _inner_core(slab: _Slab, t: float, vm: np.ndarray):
                     break
                 alpha *= SolverConfig.backtrack_shrink
             if not stepped:
-                raise ConvergenceError(
-                    f"inner maximization stalled at residual {res:.3e}")
-    raise ConvergenceError(
-        f"inner maximization exceeded {SolverConfig.max_inner} iterations")
+                return (t, vm, val, res, it,
+                        f"inner maximization stalled at residual {res:.3e}", "failed")
+    return (t, vm, val, _inner_residual(t, gt, gv), SolverConfig.max_inner,
+            f"inner maximization exceeded {SolverConfig.max_inner} iterations", "failed")
 
 
 def _inner_newton_step(slab: _Slab, u, gt, gv, res):
@@ -298,19 +303,14 @@ def _outer_single(terms: SiteTerms, wp0: np.ndarray, index: int,
     split = terms.split
     lam_pos = split.eigenvalues[split.plus]
     wp = wp0.copy()
-    out = _StartResult(index=index, status="failed")
-    try:
-        t, vm = warm if warm is not None else (1.0, np.zeros(split.negative_count))
-        t, vm, val, _, its, reason = _inner_core(_Slab(terms, wp), t, vm)
-        out.inner_iterations += its
-    except ConvergenceError as exc:
-        out.reason = str(exc)
-        return out
-    if reason is not None:
-        out.status, out.reason = "degenerate", reason
+    out = _StartResult(index=index, status="stalled")  # until the residual test passes
+    t, vm = warm if warm is not None else (1.0, np.zeros(split.negative_count))
+    t, vm, val, _, out.inner_iterations, reason, status = _inner_core(
+        _Slab(terms, wp), t, vm)
+    if status != "converged":
+        out.status, out.reason = status, reason
         return out
 
-    out.status = "stalled"  # until the residual test passes
     alpha = 1.0
     last = None  # (wp, d) at the previous accepted iterate
     for it in range(SolverConfig.max_outer):
@@ -355,17 +355,11 @@ def _outer_single(terms: SiteTerms, wp0: np.ndarray, index: int,
                 continue
             wp_try /= norm
             out.line_search_trials += 1
-            try:
-                t2, vm2, val2, _, its, reason = _inner_core(
-                    _Slab(terms, wp_try), t, vm.copy())
-                out.inner_iterations += its
-            except ConvergenceError:
-                alpha *= SolverConfig.backtrack_shrink
-                continue
-            if reason is not None:
-                alpha *= SolverConfig.backtrack_shrink
-                continue
-            if val2 <= val - SolverConfig.armijo * alpha * dnorm2:
+            # a trial whose inner solve did not converge fails like an Armijo test
+            t2, vm2, val2, _, its, _, status = _inner_core(
+                _Slab(terms, wp_try), t, vm.copy())
+            out.inner_iterations += its
+            if status == "converged" and val2 <= val - SolverConfig.armijo * alpha * dnorm2:
                 last = (wp, d)
                 wp, t, vm, val = wp_try, t2, vm2, val2
                 accepted = True

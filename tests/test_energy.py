@@ -3,6 +3,7 @@ import pytest
 
 import latticegap as lg
 from latticegap.continuation import superquadratic_mass
+from latticegap.energy import state_record
 from latticegap.errors import InvalidInputError
 from latticegap.solver import _coords_grad, _Slab
 
@@ -46,6 +47,27 @@ class TestEvaluateEnergy:
             quad = 0.5 * float(u.values @ (A @ u.values))
             direct = quad - rep.hardy - rep.nonlinear
             assert abs(rep.value - direct) <= 1e-10 * max(1.0, abs(rep.value))
+
+    def test_plain_field_mapped_once_without_gradient(self, monkeypatch, split_r2,
+                                                      model):
+        terms = lg.SiteTerms(split_r2, model, 0.05)
+        u = random_field(split_r2.box, np.random.default_rng(4))
+        want = lg.evaluate_energy(terms, state_record(terms, u))
+        gradient, coords_of = lg.SiteTerms.gradient, lg.SpectralSplit.coords_of
+        calls = []
+
+        def counted_gradient(terms, values):
+            calls.append("gradient")
+            return gradient(terms, values)
+
+        def counted_coords_of(split, values, part="all"):
+            calls.append(part)
+            return coords_of(split, values, part)
+
+        monkeypatch.setattr(lg.SiteTerms, "gradient", counted_gradient)
+        monkeypatch.setattr(lg.SpectralSplit, "coords_of", counted_coords_of)
+        assert lg.evaluate_energy(terms, u) == want
+        assert calls == ["all"]
 
     def test_box_mismatch(self, split_r2, model):
         with pytest.raises(InvalidInputError):

@@ -12,6 +12,8 @@ Only `solver` starts processes, from one `ProcessPoolExecutor`.
 The solver draws random numbers in one place only, the multistart's random
 starts; every exit check, the maximality certificate included, is
 deterministic.
+The inner maximization reports every exit as a returned status: `_inner_core`
+raises nothing, and `_outer_single`, which reads that status, has no `try`.
 The models are functions of u alone: every call of a model's f, F or df
 passes the value array and nothing else.
 Every function the benchmark tracer wraps exists under its wrapped name.
@@ -222,6 +224,15 @@ def test_solver_draws_random_numbers_in_one_place():
 
     visit(TREES["solver"], None)
     assert found == ["outer_minimize"]
+
+
+@pytest.mark.parametrize("function, statement", [("_inner_core", ast.Raise),
+                                                 ("_outer_single", ast.Try)])
+def test_inner_exits_are_statuses(function, statement):
+    body = next(node for node in TREES["solver"].body
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    found = [node.lineno for node in ast.walk(body) if isinstance(node, statement)]
+    assert not found, f"{statement.__name__} in solver.{function} at lines {found}"
 
 
 MODEL_METHODS = ("f", "F", "df")

@@ -71,7 +71,7 @@ def lowest_plus_direction(split):
 
 def inner_max(split, model, w, t=1.0, vm=None):
     """`_inner_core` on the slab over the unit X^+ field w, started at
-    (t, vm); returns (t, vm, value, residual, iterations, reason)."""
+    (t, vm); returns (t, vm, value, residual, iterations, reason, status)."""
     terms = lg.SiteTerms(split, model, 0.0)
     if vm is None:
         vm = np.zeros(split.negative_count)
@@ -81,7 +81,7 @@ def inner_max(split, model, w, t=1.0, vm=None):
 class TestInnerMaximize:
     def test_converges_with_positive_t(self, split_r2, model, quick_config):
         w = lowest_plus_direction(split_r2)
-        t, _, value, res, _, reason = inner_max(split_r2, model, w)
+        t, _, value, res, _, reason, _ = inner_max(split_r2, model, w)
         assert reason is None
         assert t > 0
         assert res <= quick_config.inner_tol
@@ -99,8 +99,8 @@ class TestInnerMaximize:
     def test_warm_restart_is_fixed_point(self, split_r2, model):
         w = lowest_plus_direction(split_r2)
         t, vm, *_ = inner_max(split_r2, model, w)
-        t2, vm2, _, _, iterations, _ = inner_max(split_r2, model, w,
-                                                 t, vm.copy())
+        t2, vm2, _, _, iterations, _, _ = inner_max(split_r2, model, w,
+                                                    t, vm.copy())
         em = eigenvector_matrix(split_r2)[:, split_r2.minus]
         assert iterations <= 2
         assert abs(t2 - t) <= 1e-10
@@ -194,6 +194,26 @@ class TestOuterMinimize:
 
         monkeypatch.setattr(solver, "_run_starts", failed)
         reasons = "; ".join(f"reason {i}" for i in range(quick_config.multistart))
+        with pytest.raises(ConvergenceError,
+                           match=f"^no start converged: {reasons}$"):
+            lg.outer_minimize(terms_r2, quick_config)
+
+    def test_capped_inner_solve_fails_the_start_and_counts_its_step(
+            self, monkeypatch, split_r2, terms_r2):
+        monkeypatch.setattr(lg.SolverConfig, "max_inner", 1)
+        lam_pos = split_r2.eigenvalues[split_r2.plus]
+        wp = np.zeros(lam_pos.size)
+        wp[0] = 1.0 / np.sqrt(lam_pos[0])
+        out = solver._outer_single(terms_r2, wp, 0)
+        assert out.status == "failed"
+        assert out.reason == "inner maximization exceeded 1 iterations"
+        assert out.inner_iterations == 1
+
+    def test_capped_inner_solves_fail_the_multistart(self, monkeypatch, terms_r2,
+                                                     quick_config):
+        monkeypatch.setattr(lg.SolverConfig, "max_inner", 1)
+        reasons = "; ".join(["inner maximization exceeded 1 iterations"]
+                            * quick_config.multistart)
         with pytest.raises(ConvergenceError,
                            match=f"^no start converged: {reasons}$"):
             lg.outer_minimize(terms_r2, quick_config)

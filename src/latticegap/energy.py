@@ -11,12 +11,14 @@ Nehari-Pankov set when its gradient vanishes along u itself and along all
 of X^-; ground states minimize J_rho there.  One `SiteTerms` is J_rho: it
 defines the site-space parts of J_rho, J' and J'' once, and these functions
 and the solver take it in place of (split, model, rho, weight); what they
-read at a field u, they read from its one `StateRecord`.
+read at a field u, they read from its one `StateRecord`, which derives each
+member on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -98,33 +100,34 @@ class SiteTerms:
 
 @dataclass(frozen=True, eq=False)
 class StateRecord(LatticeField):
-    """A field u under one `SiteTerms`, with E^T u, r = J'(u) and E^T r."""
+    """A field u under one `SiteTerms`, with E^T u, r = J'(u) and E^T r, each
+    derived on first read (one `coords_of` or one J', or the r handed over)."""
 
     terms: SiteTerms
-    coords: np.ndarray
-    gradient: np.ndarray
-    gradient_coords: np.ndarray
+
+    coords = cached_property(lambda self: self.terms.split.coords_of(self.values))
+    gradient = cached_property(lambda self: self.terms.gradient(self.values))
+    gradient_coords = cached_property(lambda self: self.terms.split.coords_of(self.gradient))
 
 
 def state_record(terms: SiteTerms, u: LatticeField,
                  r: np.ndarray | None = None) -> StateRecord:
-    """u itself when it is a record under `terms`, else its record: one full
-    `coords_of` of u and of r, with r = J'(u) unless the caller has it."""
+    """u itself when it is a record under `terms`, else its record, holding
+    r as J'(u) when the caller has it; the one place that recognises a
+    record, so every reader of a state derives what it reads once."""
     if isinstance(u, StateRecord) and u.terms is terms:
         return u
     check_on_box(terms.split, u)
-    r = terms.gradient(u.values) if r is None else r
-    coords_of = terms.split.coords_of
-    return StateRecord(u.box, u.values, terms, coords_of(u.values), r, coords_of(r))
+    state = StateRecord(u.box, u.values, terms)
+    if r is not None:
+        state.__dict__["gradient"] = r  # where `cached_property` keeps a value read
+    return state
 
 
 def evaluate_energy(terms: SiteTerms, u: LatticeField) -> EnergyReport:
-    """J_rho(u) from E^T u: the record's, or one `coords_of` of a plain field."""
-    if isinstance(u, StateRecord) and u.terms is terms:
-        coords = u.coords
-    else:
-        check_on_box(terms.split, u)
-        coords = terms.split.coords_of(u.values)
+    """J_rho(u) from the E^T u of u's record: of a plain field, one
+    `coords_of` and no J'."""
+    coords = state_record(terms, u).coords
     quadratic = 0.5 * float(np.sum(terms.split.eigenvalues * coords ** 2))
     hardy = float(terms.hardy(u.values))
     nonlinear = float(terms.nonlinear(u.values))
@@ -139,6 +142,8 @@ def gradient(terms: SiteTerms, u: LatticeField) -> LatticeField:
 
 
 def nehari_residual(terms: SiteTerms, u: LatticeField) -> NehariResidual:
+    """The Nehari-Pankov residuals of u from the r = J'(u) and E^T r of its
+    record: of a plain field, one J' and one `coords_of`."""
     state = state_record(terms, u)
     return NehariResidual(
         along_u=float(state.gradient @ state.values),

@@ -48,27 +48,6 @@ class TestEvaluateEnergy:
             direct = quad - rep.hardy - rep.nonlinear
             assert abs(rep.value - direct) <= 1e-10 * max(1.0, abs(rep.value))
 
-    def test_plain_field_mapped_once_without_gradient(self, monkeypatch, split_r2,
-                                                      model):
-        terms = lg.SiteTerms(split_r2, model, 0.05)
-        u = random_field(split_r2.box, np.random.default_rng(4))
-        want = lg.evaluate_energy(terms, state_record(terms, u))
-        gradient, coords_of = lg.SiteTerms.gradient, lg.SpectralSplit.coords_of
-        calls = []
-
-        def counted_gradient(terms, values):
-            calls.append("gradient")
-            return gradient(terms, values)
-
-        def counted_coords_of(split, values, part="all"):
-            calls.append(part)
-            return coords_of(split, values, part)
-
-        monkeypatch.setattr(lg.SiteTerms, "gradient", counted_gradient)
-        monkeypatch.setattr(lg.SpectralSplit, "coords_of", counted_coords_of)
-        assert lg.evaluate_energy(terms, u) == want
-        assert calls == ["all"]
-
     def test_box_mismatch(self, split_r2, model):
         with pytest.raises(InvalidInputError):
             lg.evaluate_energy(lg.SiteTerms(split_r2, model, 0.0),
@@ -141,6 +120,78 @@ class TestNehariResidual:
         pg = lg.project(split_r2, g, "minus")
         assert abs(res.along_minus - lg.lp_norm(pg, 2)) < 1e-10
         assert abs(res.full - lg.lp_norm(g, 2)) < 1e-12 * (1 + res.full)
+
+
+def count_derivations(monkeypatch) -> list:
+    """Log every J' ("gradient") and every `coords_of` (its part) from now on."""
+    gradient, coords_of = lg.SiteTerms.gradient, lg.SpectralSplit.coords_of
+    calls = []
+
+    def counted_gradient(terms, values):
+        calls.append("gradient")
+        return gradient(terms, values)
+
+    def counted_coords_of(split, values, part="all"):
+        calls.append(part)
+        return coords_of(split, values, part)
+
+    monkeypatch.setattr(lg.SiteTerms, "gradient", counted_gradient)
+    monkeypatch.setattr(lg.SpectralSplit, "coords_of", counted_coords_of)
+    return calls
+
+
+# each reader of a state with what it derives from a plain field
+READERS = [(lg.evaluate_energy, ["all"]),
+           (lg.nehari_residual, ["gradient", "all"]),
+           (lg.maximality_certificate, ["gradient", "all"])]
+READER_IDS = [reader.__name__ for reader, _ in READERS]
+
+
+class TestOnePath:
+    """Every reader of a state goes through its `StateRecord`, which derives
+    E^T u, J'(u) and E^T r on first read and keeps them."""
+
+    @pytest.fixture
+    def terms(self, split_r2, model):
+        return lg.SiteTerms(split_r2, model, 0.05)
+
+    @pytest.fixture
+    def u(self, split_r2):
+        return random_field(split_r2.box, np.random.default_rng(4))
+
+    @pytest.mark.parametrize("reader, derived", READERS, ids=READER_IDS)
+    def test_plain_field_derives_only_what_is_read(self, monkeypatch, terms, u,
+                                                   reader, derived):
+        want = reader(terms, state_record(terms, u))
+        calls = count_derivations(monkeypatch)
+        assert reader(terms, u) == want
+        assert calls == derived
+
+    def test_record_derives_each_member_once(self, monkeypatch, terms, u):
+        state = state_record(terms, u)
+        calls = count_derivations(monkeypatch)
+        first = [reader(terms, state) for reader, _ in READERS]
+        assert calls == ["all", "gradient", "all"]
+        assert [reader(terms, state) for reader, _ in READERS] == first
+        assert calls == ["all", "gradient", "all"]
+        assert state_record(terms, state) is state
+
+    @pytest.mark.parametrize("reader, derived", READERS, ids=READER_IDS)
+    def test_record_under_other_terms_read_as_plain(self, monkeypatch, split_r2,
+                                                    model, terms, u, reader,
+                                                    derived):
+        other = state_record(lg.SiteTerms(split_r2, model, 0.0), u)
+        other.coords, other.gradient_coords  # derived under the other terms
+        want = reader(terms, u)
+        calls = count_derivations(monkeypatch)
+        assert reader(terms, other) == want
+        assert calls == derived
+
+    def test_handed_gradient_is_kept(self, monkeypatch, terms, u):
+        r = terms.gradient(u.values)
+        calls = count_derivations(monkeypatch)
+        assert state_record(terms, u, r).gradient is r
+        assert calls == []
 
 
 class TestSuperquadraticIdentity:

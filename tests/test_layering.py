@@ -39,6 +39,9 @@ Every name the package exports has a caller outside the tests, except the
 few library-only names listed with their reasons.
 The artifact fields of the Nehari-Pankov residuals are named once, by
 `energy.NehariResidual.to_dict`.
+A `StateRecord` is recognised in one place, `energy.state_record`: no other
+function asks `isinstance(u, StateRecord)`, so every reader of a state
+takes the one path that derives E^T u, J'(u) and E^T r once.
 Only `jsonio` formats a real for an artifact: no other module writes a
 format spec of 15 or more digits (`.17g`, say); they print reals through
 `jsonio.real`."""
@@ -303,6 +306,14 @@ def _owners(match) -> set[str]:
     for name, tree in TREES.items():
         visit(tree, [name])
     return found
+
+
+def test_state_records_have_one_recogniser():
+    def recognises(node):
+        return isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance" \
+            and re.search(r"\bStateRecord\b", ast.unparse(node.args[1])) is not None
+
+    assert _owners(recognises) == {"energy.state_record"}
 
 
 # a fragment of each input rule's refusal -> the functions that may raise it

@@ -5,10 +5,11 @@ solver relies on.
 Every model is autonomous (the same f at every site) and closed-form in u:
 f, F and df are vectorized functions of the value array alone.  A model
 must grow at most like a * (1 + |u|^(p-1)) with p > 2, vanish faster than
-linearly at 0, have a non-decreasing slope f(u)/|u| on each half-line, and
-satisfy f u >= 2F >= 0 and the gap bound f u - 2F >= b |u|^q with b > 0,
-2 < q <= p, which makes it superquadratic (F(u)/u^2 -> inf).  The
-validator samples all of this with one rule; it reports, it does not prove.
+linearly at 0 (|f(u)| <= a0 |u|^(1+e) at |u| <= 1, e > 0), have a
+non-decreasing slope f(u)/|u| on each half-line, and satisfy f u >= 2F >= 0
+and the gap bound f u - 2F >= b |u|^q with b > 0, 2 < q <= p, which makes
+it superquadratic (F(u)/u^2 -> inf).  The validator samples all of this
+against the constants the model declares; it reports, it does not prove.
 """
 
 from __future__ import annotations
@@ -24,12 +25,14 @@ from .errors import InvalidInputError
 class Nonlinearity:
     """Base interface: f, F and df, elementwise on an array of site values.
 
-    Growth parameters (a, p) and gap parameters (b, q) are exposed for the
-    validator.
+    Growth parameters (a, p), vanishing parameters (a0, e) and gap
+    parameters (b, q) are exposed for the validator.
     """
 
     growth_a: float | None = None
     growth_p: float | None = None
+    vanishing_a0: float | None = None
+    vanishing_e: float | None = None
     gap_b: float | None = None
     gap_q: float | None = None
 
@@ -48,22 +51,24 @@ class PowerNonlinearity(Nonlinearity):
     """Pure power model f(u) = |u|^(p-2) u with p > 2.
 
     F = |u|^p / p and f u - 2 F = (1 - 2/p) |u|^p, so the model satisfies
-    every hypothesis with a = 1, b = (p-2)/p, q = p.
+    every hypothesis with a = 1, a0 = 1, e = p - 2, b = (p-2)/p, q = p.
     """
 
     p: float = 4.0
+    growth_a = 1.0  # class constants, not fields: every power shares them
+    vanishing_a0 = 1.0
 
     def __post_init__(self):
         if not self.p > 2:
             raise InvalidInputError(f"power exponent must satisfy p > 2, got {self.p}")
 
     @property
-    def growth_a(self):
-        return 1.0
-
-    @property
     def growth_p(self):
         return self.p
+
+    @property
+    def vanishing_e(self):
+        return self.p - 2.0
 
     @property
     def gap_b(self):
@@ -102,13 +107,15 @@ class ZeroNonlinearity(Nonlinearity):
 
 @dataclass(frozen=True)
 class CustomNonlinearity(Nonlinearity):
-    """Wrap explicit callables for f, its primitive F and its derivative df."""
+    """Explicit callables for f, F and df, with the constants they declare."""
 
     f_fn: Callable = None
     F_fn: Callable = None
     df_fn: Callable = None
     growth_a: float | None = None
     growth_p: float | None = None
+    vanishing_a0: float | None = None
+    vanishing_e: float | None = None
     gap_b: float | None = None
     gap_q: float | None = None
 
@@ -160,11 +167,9 @@ class HypothesisReport:
                 "checks": {name: c.to_dict() for name, c in sorted(self.checks.items())}}
 
 
-# sample grid and near-zero heuristic of `validate_hypotheses`
+# sample grid of `validate_hypotheses`
 U_MAX = 10.0
 N_POINTS = 2000
-SLOPE_TOL = 1e-3
-SMALL_U = 1e-3
 
 
 def validate_hypotheses(model: Nonlinearity) -> HypothesisReport:
@@ -173,11 +178,12 @@ def validate_hypotheses(model: Nonlinearity) -> HypothesisReport:
     Each check has a margin per sample of N_POINTS in [-U_MAX, U_MAX], >= 0
     where it holds; it passes when no margin is below -1e-10 of the terms
     compared at its sample, and reports the least relative margin (capped
-    at 0) and its sample.  |f(u)/u| <= SLOPE_TOL for |u| <= SMALL_U is a
-    finite-sample heuristic.  Superquadratic growth is derived: for u > 0,
-    d/du (F/u^2) = (f u - 2F)/u^3 >= b u^(q-3), so F(u)/u^2 >= F(1) +
-    b (u^(q-2) - 1)/(q - 2) -> inf (u < 0 mirrors it).  A model that
-    overflows on the grid fails on NaN margins, without warnings.
+    at 0) and its sample.  Every bound is one the model declares; the
+    near-zero one is sampled at |u| <= 1.  Superquadratic growth is derived:
+    for u > 0, d/du (F/u^2) = (f u - 2F)/u^3 >= b u^(q-3), so F(u)/u^2 >=
+    F(1) + b (u^(q-2) - 1)/(q - 2) -> inf (u < 0 mirrors it).  A model that
+    overflows on the grid or declares no constant (or e <= 0) fails on NaN
+    margins, without warnings.
     """
     pos = np.geomspace(1e-8, U_MAX, N_POINTS // 2)
     us = np.concatenate([-pos[::-1], [0.0], pos])
@@ -199,12 +205,16 @@ def validate_hypotheses(model: Nonlinearity) -> HypothesisReport:
         check("growth_envelope", us, envelope - np.abs(fs), envelope + np.abs(fs),
               f"|f| <= a (1 + |u|^(p-1)) with a={a}, p={p}")
 
+        a0, e = model.vanishing_a0, model.vanishing_e
+        small = np.abs(us) <= 1.0
+        near, fn = us[small], np.abs(fs[small])
+        declared = a0 is not None and (e or 0.0) > 0.0
+        cap = a0 * np.abs(near) ** (1.0 + e) if declared else np.nan
+        check("vanishing_at_zero", near, cap - fn, cap + fn,
+              f"|f(u)| <= a0 |u|^(1+e) for |u| <= 1, e > 0, with a0={a0}, e={e}")
+
         at = us[us != 0.0]
         slopes = fs[us != 0.0] / np.abs(at)
-        small = np.abs(at) <= SMALL_U
-        ratios = np.abs(slopes[small])
-        check("vanishing_at_zero", at[small], SLOPE_TOL - ratios,
-              SLOPE_TOL + ratios, f"|f(u)/u| <= {SLOPE_TOL} for |u| <= {SMALL_U}")
 
         # each step within a half-line is judged against its two slopes
         half = np.diff(np.sign(at)) == 0.0

@@ -175,10 +175,15 @@ class TestValidate:
         report = json.loads((out / "hypothesis_report.json").read_text())
         assert report["all_passed"] is True
 
-    def test_cubic_power_validates_and_solves(self, tmp_path, capsys):
-        # p = 3 satisfies every hypothesis; the superquadratic growth follows
-        # from the gap bound, so no finite-sample threshold refuses it
-        cfg = write_config(tmp_path, **{"nonlinearity.p": "3.0", "box.radius": "3"})
+    @pytest.mark.parametrize("p, level", [
+        ("3.0", None), ("2.5", 1.7537948159872254), ("2.2", 1.6950606320458448)])
+    def test_cubic_power_validates_and_solves(self, tmp_path, capsys, p, level):
+        # every p > 2 satisfies every hypothesis: the superquadratic growth
+        # follows from the gap bound and the vanishing at 0 from the declared
+        # e = p - 2, so no finite-sample threshold refuses p < 3.  At p = 2.2
+        # the polish needs a step past its full-residual tolerance to bring
+        # the residual along X^- within its own.
+        cfg = write_config(tmp_path, **{"nonlinearity.p": p, "box.radius": "3"})
         out = tmp_path / "out"
         assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 0
         report = json.loads((out / "hypothesis_report.json").read_text())
@@ -187,6 +192,8 @@ class TestValidate:
             capsys.readouterr().err
         summary = json.loads((out / "solve_summary.json").read_text())
         assert summary["c_rho"] > 0
+        if level is not None:
+            assert abs(summary["c_rho"] - level) <= 1e-10 * level
 
 
 class TestConstants:

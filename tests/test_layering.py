@@ -38,7 +38,12 @@ leaves the dense budget to `spectral` too.
 Every name the package exports has a caller outside the tests, except the
 few library-only names listed with their reasons.
 The artifact fields of the Nehari-Pankov residuals are named once, by
-`energy.NehariResidual.to_dict`.
+`energy.NehariResidual.to_dict`, and the residuals are judged once, by
+`solver.polish_newton`: no other function compares one, and
+`solver.solve_ground_state` does not read them.
+`nonlinearity` holds no tuned threshold: its only module-level numbers are
+the validator's sample grid, and every bound it checks is one the model
+declares.
 A `StateRecord` is recognised in one place, `energy.state_record`: no other
 function asks `isinstance(u, StateRecord)`, so every reader of a state
 takes the one path that derives E^T u, J'(u) and E^T r once.
@@ -470,6 +475,35 @@ def test_residual_fields_named_once(field):
             and field in node.value
 
     assert _owners(names) == {"energy.NehariResidual.to_dict"}
+
+
+def test_residuals_judged_only_by_the_polish():
+    def judges(node):
+        return isinstance(node, ast.Compare) and any(
+            isinstance(part, ast.Attribute) and part.attr in ("along_u", "along_minus")
+            for part in ast.walk(node))
+
+    assert _owners(judges) == {"solver.polish_newton"}
+    solve = next(node for node in TREES["solver"].body
+                 if isinstance(node, ast.FunctionDef) and node.name == "solve_ground_state")
+    read = sorted({node.attr for node in ast.walk(solve) if isinstance(node, ast.Attribute)}
+                  & {"along_u", "along_minus"})
+    assert not read, f"solve_ground_state reads {read}"
+
+
+def test_nonlinearity_numbers_are_the_sample_grid():
+    def number(value):
+        if isinstance(value, ast.UnaryOp):
+            value = value.operand
+        return isinstance(value, ast.Constant) and isinstance(value.value, (int, float)) \
+            and not isinstance(value.value, bool)
+
+    names = {target.id for node in TREES["nonlinearity"].body
+             if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None
+             and number(node.value)
+             for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+             if isinstance(target, ast.Name)}
+    assert names == {"U_MAX", "N_POINTS"}
 
 
 # a precision of 15 or more digits in a format spec (".17g", "{:.16e}",

@@ -25,7 +25,8 @@ def saturating_model():
         f_fn=lambda u: u ** 3 / (1.0 + u ** 2),
         F_fn=lambda u: 0.5 * u ** 2 - 0.5 * np.log1p(u ** 2),
         df_fn=lambda u: (u ** 4 + 3.0 * u ** 2) / (1.0 + u ** 2) ** 2,
-        growth_a=1.0, growth_p=4.0, gap_b=None, gap_q=None)
+        growth_a=1.0, growth_p=4.0, vanishing_a0=1.0, vanishing_e=2.0,
+        gap_b=None, gap_q=None)
 
 
 class TestEvaluate:
@@ -118,7 +119,7 @@ class TestValidator:
         report = lg.validate_hypotheses(lg.PowerNonlinearity(p))
         assert report.all_passed, report.failed_names()
 
-    @pytest.mark.parametrize("p", [3.0, 3.2, 3.5, 4.0, 20.0, 300.0])
+    @pytest.mark.parametrize("p", [2.2, 2.5, 2.9, 3.0, 3.2, 3.5, 4.0, 20.0, 300.0])
     def test_passing_checks_report_relative_margins(self, p):
         # every check reports its least margin relative to the terms it
         # compares, capped at 0, so a passing one lies within the rounding
@@ -129,12 +130,11 @@ class TestValidator:
             assert -1e-10 <= check.worst_violation <= 0.0, check
 
     @pytest.mark.parametrize("p, failing", [
-        (2.5, "vanishing_at_zero"), (308.3, "superquadratic_gap"),
-        (400.0, "growth_envelope")])
+        (308.3, "superquadratic_gap"), (400.0, "growth_envelope")])
     def test_refused_exponents_raise_no_warning(self, p, failing):
-        # p = 2.5 misses the near-zero slope; from p = 308.3 on, U_MAX^p
-        # overflows and the NaN margins fail without a RuntimeWarning (the
-        # suite's filterwarnings = error would turn one into a failure)
+        # from p = 308.3 on, U_MAX^p overflows and the NaN margins fail
+        # without a RuntimeWarning (the suite's filterwarnings = error would
+        # turn one into a failure)
         report = lg.validate_hypotheses(lg.PowerNonlinearity(p))
         assert failing in report.failed_names()
 
@@ -154,15 +154,26 @@ class TestValidator:
 
     @pytest.mark.parametrize("undeclared, name, missing", [
         (("growth_a", "growth_p"), "growth_envelope", "a=None, p=None"),
-        (("gap_b", "gap_q"), "superquadratic_gap", "b=None, q=None")])
+        (("gap_b", "gap_q"), "superquadratic_gap", "b=None, q=None"),
+        (("vanishing_a0", "vanishing_e"), "vanishing_at_zero", "a0=None, e=None")])
     def test_missing_constants_fail_and_say_so(self, power4, undeclared, name,
                                                missing):
-        constants = dict(growth_a=1.0, growth_p=4.0, gap_b=0.5, gap_q=4.0)
+        constants = dict(growth_a=1.0, growth_p=4.0, vanishing_a0=1.0,
+                         vanishing_e=2.0, gap_b=0.5, gap_q=4.0)
         constants.update(dict.fromkeys(undeclared))
         model = CustomNonlinearity(f_fn=power4.f, F_fn=power4.F, df_fn=power4.df,
                                    **constants)
         check = lg.validate_hypotheses(model).checks[name]
         assert not check.passed and missing in check.detail
+
+    @pytest.mark.parametrize("e", [0.0, -0.5])
+    def test_vanishing_needs_a_positive_exponent(self, power4, e):
+        # |u|^3 <= |u|^(1+e) holds on |u| <= 1 for every e <= 2, but only
+        # e > 0 says that f vanishes faster than linearly
+        model = CustomNonlinearity(f_fn=power4.f, F_fn=power4.F, df_fn=power4.df,
+                                   growth_a=1.0, growth_p=4.0, vanishing_a0=1.0,
+                                   vanishing_e=e, gap_b=0.5, gap_q=4.0)
+        assert lg.validate_hypotheses(model).failed_names() == ["vanishing_at_zero"]
 
     @pytest.mark.parametrize("p", [4.0, 12.0, 20.0])
     def test_slope_dip_refused_at_any_exponent(self, p):

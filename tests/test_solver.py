@@ -302,6 +302,28 @@ class TestPolishNewton:
             lg.polish_newton(terms_r2, rough_candidate)
         assert len(solves) == 10
 
+    def test_stops_only_when_every_residual_meets_its_tolerance(self, split_r3):
+        # after one step this candidate's full residual (5.8e-8) is inside
+        # 1e-8 (1 + ||u||_2), but its residual along X^- (3.6e-8) is above
+        # 1e-8; one more step brings all three to the rounding floor
+        terms = lg.SiteTerms(split_r3, lg.PowerNonlinearity(2.2), 0.0)
+        candidate = lg.outer_minimize(terms, lg.SolverConfig(seed=11, multistart=3))
+        result = lg.polish_newton(terms, candidate.u)
+        assert result.polish_iterations == 2
+        residual = result.residual
+        assert max(abs(residual.along_u), residual.along_minus, residual.full) < 1e-13
+        assert residual == lg.nehari_residual(terms, result.u)
+
+    def test_residual_along_minus_out_of_reach_fails(self, monkeypatch, terms_r2,
+                                                     rough_candidate):
+        # a residual along X^- that no Newton step brings within tolerance
+        # ends the polish as a ConvergenceError, not as a returned state
+        nehari_residual = solver.nehari_residual
+        monkeypatch.setattr(solver, "nehari_residual", lambda terms, u: dataclasses.replace(
+            nehari_residual(terms, u), along_minus=1.0))
+        with pytest.raises(ConvergenceError, match="Newton polish (exceeded|diverged)"):
+            lg.polish_newton(terms_r2, rough_candidate)
+
 
 class TestSolveGroundState:
     def test_exit_residuals(self, terms_r2, ground_r2):
@@ -332,21 +354,16 @@ class TestSolveGroundState:
             lg.solve_ground_state(split_r2, model, 0.0, quick_config)
 
     @pytest.mark.parametrize("broken", [
-        "residual along u", "residual along X^-",
         "u has no X^+ component", "not positive", "boundary mass fraction"])
     def test_exit_check_refuses_a_state_that_breaks_it(
             self, monkeypatch, split_r2, model, ground_r2, broken):
         # the patched polish hands over a state that breaks one exit check
-        # (with no X^+ part or no positive level it breaks the floor too)
+        # (with no X^+ part or no positive level it breaks the floor too);
+        # the residuals are the polish's own verdict, so none is re-checked
         polish = solver.polish_newton
-        residuals = {"residual along u": "along_u",
-                     "residual along X^-": "along_minus"}
 
         def breaking(terms, u0):
             result = polish(terms, u0)
-            if broken in residuals:
-                return dataclasses.replace(result, residual=dataclasses.replace(
-                    result.residual, **{residuals[broken]: 1.0}))
             if broken == "not positive":
                 return dataclasses.replace(result, c_rho=0.0)
             if broken == "boundary mass fraction":  # the corner ground state
@@ -371,6 +388,28 @@ class TestSolveGroundState:
         monkeypatch.setattr(lg.SolverConfig, "max_polish", 0)
         with pytest.raises(lg.ConvergenceError, match="Newton polish exceeded 0"):
             lg.solve_ground_state(split_r2, model, 0.0, quick_config)
+
+    @pytest.mark.parametrize("radius, p, level, start", [
+        (4, 2.5, 3.595056178654472, 1), (4, 2.9, 2.580428551506664, 1),
+        (5, 2.5, 3.5258645390546164, 4)])
+    def test_powers_below_three_pass_every_exit_check(self, request, ground_config,
+                                                      radius, p, level, start):
+        # the validator admits every p > 2, and the interior solves below
+        # p = 3 pass the same exit checks as the quartic ones
+        split = request.getfixturevalue(f"split_r{radius}")
+        result = lg.solve_ground_state(split, lg.PowerNonlinearity(p), 0.0, ground_config)
+        assert result.start_index == start
+        assert abs(result.c_rho - level) <= 1e-10 * level
+
+    def test_power_2_2_is_boundary_localized_at_radius_4(self, split_r4, ground_config):
+        # p = 2.2 at R = 4 leaves no interior candidate; the box-global
+        # solve of the same starts passes every exit check
+        model = lg.PowerNonlinearity(2.2)
+        with pytest.raises(ConvergenceError, match="every candidate is boundary-localized"):
+            lg.solve_ground_state(split_r4, model, 0.0, ground_config)
+        result = lg.solve_ground_state(split_r4, model, 0.0, dataclasses.replace(
+            ground_config, max_boundary_mass=None))
+        assert abs(result.c_rho - 1.234407331455948) <= 1e-10 * 1.234407331455948
 
     def test_power_level_identity(self, ground_r2):
         # c = (1/2 - 1/p) ||u||_p^p at any critical point of the quartic model
@@ -399,8 +438,11 @@ class TestSolveGroundState:
         assert "monotone_slope" in lg.validate_hypotheses(model).failed_names()
         with pytest.raises(lg.ModelHypothesisError, match="monotone slope"):
             lg.maximality_certificate(lg.SiteTerms(split_r2, model, 0.0), ground_r2.u)
-        # a model failing only another check is certified as usual
-        power = lg.PowerNonlinearity(2.5)
+        # a model failing only another check is certified as usual: this
+        # quartic declares no near-zero envelope
+        power4 = lg.PowerNonlinearity(4.0)
+        power = CustomNonlinearity(f_fn=power4.f, F_fn=power4.F, df_fn=power4.df,
+                                   growth_a=1.0, growth_p=4.0, gap_b=0.5, gap_q=4.0)
         assert lg.validate_hypotheses(power).failed_names() == ["vanishing_at_zero"]
         assert np.isfinite(lg.maximality_certificate(
             lg.SiteTerms(split_r2, power, 0.0), ground_r2.u)[1])

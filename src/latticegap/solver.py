@@ -13,10 +13,23 @@ Armijo ascent step as fallback; under the monotone-slope hypothesis
 (always validated) the slab's only critical point with t > 0 is its
 maximum (Szulkin & Weth 2009).  Each outer line search starts at the
 Barzilai-Borwein length of the last accepted step in the X^+ metric and
-halves it until the Armijo test holds.  The outer problem works in
-eigencoordinates of the split, where the equivalent norm is diagonal
-(||u||^2 = sum |lambda_i| c_i^2) and the positive/negative projections
-are the split's index slices `minus` and `plus`.
+halves it until the Armijo test holds.  Each trial's inner solve serves
+only that test, so it is solved no more exactly than the test needs, as
+in inexact Newton methods (Dembo, Eisenstat & Steihaug 1982): it is
+rejected at the first iterate whose value exceeds the test's ceiling,
+since the slab maximum lies higher still, and it stops once its residual
+is within `eta` times the base iterate's full residual and the half
+Newton decrement s.r / 2 of its CG step is within `theta` times the
+Armijo margin (Boyd & Vandenberghe, Convex Optimization 9.5).  A start's
+first solve stops on the residual alone, `eta` times the start point's;
+the start keeps the half-decrement of its base solve as the base value's
+error bound and refines that solve in place before a trial whose bound
+is tighter.  With `theta` = `eta` = 0 every solve that is not rejected
+runs to `inner_tol`, and the path is that of solving every trial exactly.
+The outer problem works in eigencoordinates of the split, where the
+equivalent norm is diagonal (||u||^2 = sum |lambda_i| c_i^2) and the
+positive/negative projections are the split's index slices `minus` and
+`plus`.
 
 The functional J_rho is one `energy.SiteTerms`, which carries the split and
 the site-space terms of J, J' and J''; this module adds only the quadratic
@@ -83,6 +96,11 @@ class SolverConfig:
     backtrack_shrink: ClassVar[float] = 0.5
     max_backtracks: ClassVar[int] = 50
     t_cap: ClassVar[float] = 1e6  # scalar growth beyond this flags a degenerate direction
+    # an inner solve stops once its residual is within eta times its base
+    # iterate's full residual and its Newton half-decrement is within theta
+    # times the Armijo margin it serves (both 0 solve to inner_tol)
+    theta: ClassVar[float] = 0.1
+    eta: ClassVar[float] = 1e-2
 
     def __post_init__(self):
         # a bool is refused as a number here, as the CLI's artifact loader refuses it
@@ -180,32 +198,44 @@ def _inner_residual(t, gt, gv):
     return max(along_t, float(np.linalg.norm(gv)))
 
 
-def _inner_core(slab: _Slab, t: float, vm: np.ndarray):
+def _inner_core(slab: _Slab, t: float, vm: np.ndarray, ceiling: float = np.inf,
+                value_bound: float = np.inf, res_cap: float = 0.0):
     """Maximize value over (t >= 0, vm); raises nothing.  Every exit returns
-    (t, vm, value, res, steps taken, reason, status), status in a start's words:
-    "converged" (reason None), "degenerate" (unbounded ascent, t collapsed)
-    or "failed" (no ascent step, or `max_inner` steps)."""
+    (t, vm, value, res, steps taken, reason, status, bound), status in a
+    start's words, "converged" (reason None), "degenerate" (unbounded
+    ascent, t collapsed) or "failed" (no ascent step, or `max_inner`
+    steps), or for a line-search trial "rejected" (an iterate's value
+    above `ceiling`, so the slab maximum is too).  A solve converges at
+    `inner_tol`, with bound 0, or at the first iterate whose residual is
+    within `res_cap` and whose CG step has half-decrement s.r / 2 within
+    `value_bound`: the bound it returns on the maximum's excess over the
+    value.  Bound is inf at every other exit; the defaults solve to
+    `inner_tol`."""
     u = slab.site_values(t, vm)
     val = slab.value(t, vm, u)
     gt, gv = slab.grad(t, vm, u)
     alpha = 1.0
     for it in range(SolverConfig.max_inner):
         res = _inner_residual(t, gt, gv)
+        if val > ceiling:
+            return t, vm, val, res, it, "value above the ceiling", "rejected", np.inf
         if res <= SolverConfig.inner_tol:
-            return t, vm, val, res, it, None, "converged"
+            return t, vm, val, res, it, None, "converged", 0.0
         if t > SolverConfig.t_cap or val > 1e12:
             return (t, vm, val, res, it,
-                    "unbounded ascent: no superquadratic confinement", "degenerate")
+                    "unbounded ascent: no superquadratic confinement", "degenerate", np.inf)
         if t <= 1e-12 and gt <= 0.0 and np.linalg.norm(gv) <= SolverConfig.inner_tol:
             return (0.0, vm, val, res, it,
-                    "t collapsed to zero: infeasible direction", "degenerate")
+                    "t collapsed to zero: infeasible direction", "degenerate", np.inf)
 
         # Newton-CG first; the metric ascent step when CG finds no ascent
         # direction or no damped trial lowers the residual
         stepped = False
         s = _inner_newton_step(slab, u, gt, gv, res)
         if s is not None:
-            st, sv = s
+            st, sv, half_decrement = s
+            if res <= res_cap and half_decrement <= value_bound:
+                return t, vm, val, res, it, None, "converged", half_decrement
             for k in range(SolverConfig.max_backtracks):
                 damp = SolverConfig.backtrack_shrink ** k
                 t_try = max(t + damp * st, 0.0)
@@ -236,9 +266,10 @@ def _inner_core(slab: _Slab, t: float, vm: np.ndarray):
                 alpha *= SolverConfig.backtrack_shrink
             if not stepped:
                 return (t, vm, val, res, it,
-                        f"inner maximization stalled at residual {res:.3e}", "failed")
+                        f"inner maximization stalled at residual {res:.3e}", "failed", np.inf)
     return (t, vm, val, _inner_residual(t, gt, gv), SolverConfig.max_inner,
-            f"inner maximization exceeded {SolverConfig.max_inner} iterations", "failed")
+            f"inner maximization exceeded {SolverConfig.max_inner} iterations", "failed",
+            np.inf)
 
 
 def _inner_newton_step(slab: _Slab, u, gt, gv, res):
@@ -247,7 +278,8 @@ def _inner_newton_step(slab: _Slab, u, gt, gv, res):
     Solves (-H_red) s = r for r = (gt, gv); -H_red is positive definite near
     the maximizer for models with nonnegative df.  Returns None when the CG
     step is no ascent direction, as when CG hits non-positive curvature at
-    once, which can happen far from the maximizer.
+    once, which can happen far from the maximizer, and (st, sv, s.r / 2)
+    otherwise: the step and its half Newton decrement.
     """
     d_site = slab.terms.hess_diag(u)
 
@@ -278,9 +310,10 @@ def _inner_newton_step(slab: _Slab, u, gt, gv, res):
         rz_new = float(resid @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    if float(s @ r) <= 0.0:
+    sr = float(s @ r)
+    if sr <= 0.0:
         return None
-    return float(s[0]), s[1:]
+    return float(s[0]), s[1:], 0.5 * sr
 
 
 @dataclass
@@ -298,6 +331,17 @@ class _StartResult:
     reason: str | None = None
 
 
+def _slab_gradient(terms: SiteTerms, wp: np.ndarray, t: float, vm: np.ndarray):
+    """Eigencoordinates, site values and J' eigencoordinates of the slab
+    point (t, vm) over wp."""
+    split = terms.split
+    coords = np.empty(split.size)
+    coords[split.minus] = vm
+    coords[split.plus] = t * wp
+    u = split.values_of(coords)
+    return coords, u, _coords_grad(terms, coords, u)
+
+
 def _outer_single(terms: SiteTerms, wp0: np.ndarray, index: int,
                   warm=None) -> _StartResult:
     split = terms.split
@@ -305,8 +349,12 @@ def _outer_single(terms: SiteTerms, wp0: np.ndarray, index: int,
     wp = wp0.copy()
     out = _StartResult(index=index, status="stalled")  # until the residual test passes
     t, vm = warm if warm is not None else (1.0, np.zeros(split.negative_count))
-    t, vm, val, _, out.inner_iterations, reason, status = _inner_core(
-        _Slab(terms, wp), t, vm)
+    # every inner solve stops at `eta` times the full residual of its base
+    # iterate, here the start point; `err` bounds the base value's error
+    slab = _Slab(terms, wp)
+    res_full = float(np.linalg.norm(_slab_gradient(terms, wp, t, vm)[2]))
+    t, vm, val, _, out.inner_iterations, reason, status, err = _inner_core(
+        slab, t, vm, np.inf, np.inf, SolverConfig.eta * res_full)
     if status != "converged":
         out.status, out.reason = status, reason
         return out
@@ -314,11 +362,7 @@ def _outer_single(terms: SiteTerms, wp0: np.ndarray, index: int,
     alpha = 1.0
     last = None  # (wp, d) at the previous accepted iterate
     for it in range(SolverConfig.max_outer):
-        coords = np.empty(split.size)  # the slab point (t, vm) over wp
-        coords[split.minus] = vm
-        coords[split.plus] = t * wp
-        u = split.values_of(coords)
-        g = _coords_grad(terms, coords, u)
+        coords, u, g = _slab_gradient(terms, wp, t, vm)
         res_full = float(np.linalg.norm(g))
         res_minus = float(np.linalg.norm(g[split.minus]))
         out.trace.append({"iter": it, "level": val, "residual_full": res_full,
@@ -347,6 +391,7 @@ def _outer_single(terms: SiteTerms, wp0: np.ndarray, index: int,
                 alpha = min(max(float(np.sum(lam_pos * s * s)) / sy, 1e-3), 8.0)
 
         accepted = False
+        cap = SolverConfig.eta * res_full
         for _ in range(SolverConfig.max_backtracks):
             wp_try = wp - alpha * d
             norm = _plus_norm(split, wp_try)
@@ -354,14 +399,27 @@ def _outer_single(terms: SiteTerms, wp0: np.ndarray, index: int,
                 alpha *= SolverConfig.backtrack_shrink
                 continue
             wp_try /= norm
+            margin = SolverConfig.armijo * alpha * dnorm2
+            value_bound = SolverConfig.theta * margin
+            if err > value_bound:
+                # the base value must be as exact as the trial's
+                t, vm, val, _, its, reason, status, err = _inner_core(
+                    slab, t, vm, np.inf, value_bound, cap)
+                out.inner_iterations += its
+                if status != "converged":
+                    out.status, out.reason = status, reason
+                    return out
             out.line_search_trials += 1
-            # a trial whose inner solve did not converge fails like an Armijo test
-            t2, vm2, val2, _, its, _, status = _inner_core(
-                _Slab(terms, wp_try), t, vm.copy())
+            # a trial whose inner solve did not converge fails like an Armijo
+            # test; one whose iterate rises above the test's ceiling fails it
+            # at that iterate, since the slab maximum lies higher still
+            slab_try = _Slab(terms, wp_try)
+            t2, vm2, val2, _, its, _, status, err2 = _inner_core(
+                slab_try, t, vm.copy(), val - margin, value_bound, cap)
             out.inner_iterations += its
-            if status == "converged" and val2 <= val - SolverConfig.armijo * alpha * dnorm2:
+            if status == "converged" and val2 <= val - margin:
                 last = (wp, d)
-                wp, t, vm, val = wp_try, t2, vm2, val2
+                wp, slab, t, vm, val, err = wp_try, slab_try, t2, vm2, val2, err2
                 accepted = True
                 break
             alpha *= SolverConfig.backtrack_shrink
@@ -525,7 +583,9 @@ def polish_newton(terms: SiteTerms, u0: LatticeField) -> GroundStateResult:
     1 + ||u||_2, the one along u by 1 + ||u||_2^2 and the one along X^- as
     is (zero iterations from such a start); the result holds its
     `StateRecord`, with its J', and those residuals.  A start above
-    `polish_entry`, the `max_polish` cap and a stall are ConvergenceErrors.
+    `polish_entry`, the `max_polish` cap and a stall are ConvergenceErrors;
+    the last two name the first residual (full, along u, along X^-) that
+    missed its tolerance, with its value and that tolerance.
     """
     check_on_box(terms.split, u0)
     u = u0.values
@@ -539,14 +599,22 @@ def polish_newton(terms: SiteTerms, u0: LatticeField) -> GroundStateResult:
     tol = SolverConfig.polish_tol
     for it in range(SolverConfig.max_polish + 1):
         l2 = float(np.linalg.norm(u))
-        if rn <= tol * (1.0 + l2):
+        # the first residual (name, value, tolerance) that misses its tolerance
+        unmet = ("full residual", rn, tol * (1.0 + l2))
+        if rn <= unmet[2]:
             state = state_record(terms, LatticeField(terms.split.box, u), r)
             residual = nehari_residual(terms, state)
-            if abs(residual.along_u) <= tol * (1.0 + l2 ** 2) and residual.along_minus <= tol:
+            along_u_tol = tol * (1.0 + l2 ** 2)
+            if not abs(residual.along_u) <= along_u_tol:
+                unmet = ("residual along u", abs(residual.along_u), along_u_tol)
+            elif not residual.along_minus <= tol:
+                unmet = ("residual along X^-", residual.along_minus, tol)
+            else:
                 break
+        missed = f"{unmet[0]} {unmet[1]:.3e} above its tolerance {unmet[2]:.3e}"
         if it == SolverConfig.max_polish:
             raise ConvergenceError(f"Newton polish exceeded {SolverConfig.max_polish} "
-                                   f"iterations (residual {rn:.3e})")
+                                   f"iterations ({missed})")
         jac = (terms.operator - sp.diags(terms.hess_diag(u))).tocsc()
         try:
             delta = spla.splu(jac).solve(-r)
@@ -565,8 +633,7 @@ def polish_newton(terms: SiteTerms, u0: LatticeField) -> GroundStateResult:
         if best[0] >= rn:
             fails += 1
             if fails >= 10:
-                raise ConvergenceError(
-                    f"Newton polish diverged: residual stuck at {rn:.3e}")
+                raise ConvergenceError(f"Newton polish diverged: stuck with {missed}")
         else:
             fails = 0
         rn, u, r = best

@@ -3,8 +3,9 @@
 Every evaluation forms the complete coordinate vector c = (vm, t wp) and
 multiplies by the whole eigenvector matrix, as the solver did before its
 inner problem moved to slab coordinates.  The iteration (ascent, Newton-CG,
-backtracking, exit tests) mirrors the solver's step for step, so both paths
-must land on the same maximizer to rounding.  Shares no code with the
+backtracking, exit tests, the early rejection and the inexact stop) mirrors
+the solver's step for step, so both paths must land on the same maximizer
+to rounding.  Shares no code with the
 solver."""
 
 import numpy as np
@@ -47,8 +48,14 @@ class FullCoordinateInner:
         du = self.E @ dcoords
         return self.lam * dcoords - self.E.T @ (d_site * du)
 
-    def maximize(self, wp, t, vm, cfg):
-        """Returns (t, vm, value, residual, iterations, reason)."""
+    def maximize(self, wp, t, vm, cfg, ceiling=np.inf, value_bound=np.inf,
+                 res_cap=0.0):
+        """Returns (t, vm, value, residual, iterations, reason, bound).
+
+        Rejected ("rejected") at the first iterate whose value exceeds
+        `ceiling`; converged (reason None) at `inner_tol` with bound 0, or
+        where the residual is within `res_cap` and the CG step's half
+        Newton decrement, the returned bound, is within `value_bound`."""
         nneg = self.nneg
         coords = self.embed(t, wp, vm)
         u = self.E @ coords
@@ -59,17 +66,21 @@ class FullCoordinateInner:
             gt = float(g[nneg:] @ wp)
             gv = g[:nneg]
             res = _residual(t, gt, gv)
+            if val > ceiling:
+                return t, vm, val, res, it, "rejected", np.inf
             if res <= cfg.inner_tol:
-                return t, vm, val, res, it, None
+                return t, vm, val, res, it, None, 0.0
             if t > cfg.t_cap or val > 1e12:
-                return t, vm, val, res, it, "unbounded"
+                return t, vm, val, res, it, "unbounded", np.inf
             if t <= 1e-12 and gt <= 0.0 and np.linalg.norm(gv) <= cfg.inner_tol:
-                return 0.0, vm, val, res, it, "collapsed"
+                return 0.0, vm, val, res, it, "collapsed", np.inf
 
             stepped = False
             s = self.newton_step(wp, u, gt, gv, res)
             if s is not None:
-                st, sv = s
+                st, sv, half_decrement = s
+                if res <= res_cap and half_decrement <= value_bound:
+                    return t, vm, val, res, it, None, half_decrement
                 for k in range(cfg.max_backtracks):
                     damp = cfg.backtrack_shrink ** k
                     t_try = max(t + damp * st, 0.0)
@@ -139,9 +150,10 @@ class FullCoordinateInner:
             rz_new = float(resid @ z)
             p = z + (rz_new / rz) * p
             rz = rz_new
-        if float(s @ r) <= 0.0:
+        sr = float(s @ r)
+        if sr <= 0.0:
             return None
-        return float(s[0]), s[1:]
+        return float(s[0]), s[1:], 0.5 * sr
 
 
 def _residual(t, gt, gv):

@@ -1056,7 +1056,7 @@ class TestBadSettings:
         "solver.polish_entry", "solver.max_inner", "solver.max_outer",
         "solver.max_polish", "solver.newton_switch",
         "solver.certificate_samples", "solver.certificate_tol",
-        "solver.boundary_layers"])
+        "solver.boundary_layers", "solver.theta", "solver.eta"])
     def test_removed_solver_key_rejected(self, tmp_path, capsys, key):
         # the solver's tolerances, caps and certificate settings are constants
         err = self._refused(tmp_path, capsys, "solve", **{key: "1"})

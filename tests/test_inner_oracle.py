@@ -31,8 +31,12 @@ def _oracle(split, model, rho):
 
 
 def _with_status(result):
-    """The oracle's result with the status `_inner_core` gives its reason."""
-    return (*result, "converged" if result[5] is None else "degenerate")
+    """The oracle's result in `_inner_core`'s order, with the status
+    `_inner_core` gives its reason."""
+    *head, reason, bound = result
+    status = ("converged" if reason is None
+              else "rejected" if reason == "rejected" else "degenerate")
+    return (*head, reason, status, bound)
 
 
 def _close(a, b):
@@ -50,9 +54,9 @@ def test_slab_inner_matches_oracle(problems, model, radius, fraction):
         w = unit_plus_direction(split, random_field(split.box, rng))
         wp = split.coords_of(w.values)[split.plus]
         slab = solver._Slab(SiteTerms(split, model, rho, lg.EUCLIDEAN_WEIGHT), wp)
-        t_slab, vm_slab, value_slab, _, _, reason_slab, _ = solver._inner_core(
+        t_slab, vm_slab, value_slab, _, _, reason_slab, _, _ = solver._inner_core(
             slab, 1.0, np.zeros(split.negative_count))
-        t, vm, value, _, _, reason = oracle.maximize(
+        t, vm, value, _, _, reason, _ = oracle.maximize(
             wp, 1.0, np.zeros(split.negative_count), CONFIG)
         assert reason is None and reason_slab is None and t_slab > 1e-12
         assert _close(t_slab, t)
@@ -69,7 +73,9 @@ def test_solve_matches_oracle_inner(problems, model, monkeypatch, radius, fracti
 
     oracle = _oracle(split, model, rho)
     monkeypatch.setattr(solver, "_inner_core",
-                        lambda s, t, vm: _with_status(oracle.maximize(s.wp, t, vm, CONFIG)))
+                        lambda s, t, vm, ceiling, value_bound, res_cap: _with_status(
+                            oracle.maximize(s.wp, t, vm, CONFIG, ceiling, value_bound,
+                                            res_cap)))
     full = lg.solve_ground_state(split, model, rho, CONFIG, constants=constants)
 
     assert _close(slab.c_rho, full.c_rho)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import multiprocessing
 import os
 import re
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import latticegap as lg
-from latticegap import jsonio, solver
+from latticegap import cli, jsonio, solver
 from latticegap.errors import (ConvergenceError, DegenerateProblemError,
                                InvalidInputError, NumericalError,
                                RhoOutOfRangeError)
@@ -71,7 +72,8 @@ def lowest_plus_direction(split):
 
 def inner_max(split, model, w, t=1.0, vm=None):
     """`_inner_core` on the slab over the unit X^+ field w, started at
-    (t, vm); returns (t, vm, value, residual, iterations, reason, status)."""
+    (t, vm) and solved to `inner_tol`; returns (t, vm, value, residual,
+    iterations, reason, status, bound)."""
     terms = lg.SiteTerms(split, model, 0.0)
     if vm is None:
         vm = np.zeros(split.negative_count)
@@ -81,7 +83,7 @@ def inner_max(split, model, w, t=1.0, vm=None):
 class TestInnerMaximize:
     def test_converges_with_positive_t(self, split_r2, model, quick_config):
         w = lowest_plus_direction(split_r2)
-        t, _, value, res, _, reason, _ = inner_max(split_r2, model, w)
+        t, _, value, res, _, reason, _, _ = inner_max(split_r2, model, w)
         assert reason is None
         assert t > 0
         assert res <= quick_config.inner_tol
@@ -99,8 +101,8 @@ class TestInnerMaximize:
     def test_warm_restart_is_fixed_point(self, split_r2, model):
         w = lowest_plus_direction(split_r2)
         t, vm, *_ = inner_max(split_r2, model, w)
-        t2, vm2, _, _, iterations, _, _ = inner_max(split_r2, model, w,
-                                                    t, vm.copy())
+        t2, vm2, _, _, iterations, _, _, _ = inner_max(split_r2, model, w,
+                                                       t, vm.copy())
         em = eigenvector_matrix(split_r2)[:, split_r2.minus]
         assert iterations <= 2
         assert abs(t2 - t) <= 1e-10
@@ -119,6 +121,43 @@ class TestInnerMaximize:
                                   split_r2.coords_of(v0.values)[split_r2.minus])
             assert abs(t - t_ref) <= 1e-8
             assert np.linalg.norm(em @ vm - em @ vm_ref) <= 1e-8
+
+    def test_rejected_at_the_first_iterate_above_the_ceiling(self, split_r2, model):
+        # every iterate lies in the slab, so one above the ceiling shows the
+        # maximum above it too; the solve stops there and counts its steps
+        w = lowest_plus_direction(split_r2)
+        top = inner_max(split_r2, model, w)[2]
+        slab = _Slab(lg.SiteTerms(split_r2, model, 0.0),
+                     split_r2.coords_of(w.values)[split_r2.plus])
+        zero = np.zeros(split_r2.negative_count)
+        start = _inner_core(slab, 1.0, zero)
+        assert start[4] >= 2
+        _, _, value, _, steps, reason, status, bound = _inner_core(
+            slab, 1.0, zero, top - 1e-3)
+        assert (status, reason, bound) == ("rejected", "value above the ceiling", np.inf)
+        assert value > top - 1e-3 and 1 <= steps < start[4]
+        assert _inner_core(slab, 1.0, zero, -np.inf)[4:7] == (
+            0, "value above the ceiling", "rejected")
+
+    @pytest.mark.parametrize("value_bound, res_cap", [(1e-3, 1e-1), (1e-5, 1e-2),
+                                                      (1e-7, 1e-3)])
+    def test_inexact_stop_bounds_the_value_by_the_half_decrement(
+            self, split_r3, model, value_bound, res_cap):
+        # the half Newton decrement of the last CG step estimates how far
+        # the maximum lies above the returned value
+        terms = lg.SiteTerms(split_r3, model, 0.0)
+        zero = np.zeros(split_r3.negative_count)
+        rng = np.random.default_rng(1)
+        for _ in range(3):
+            w = unit_plus_direction(split_r3, random_field(split_r3.box, rng))
+            slab = _Slab(terms, split_r3.coords_of(w.values)[split_r3.plus])
+            exact = _inner_core(slab, 1.0, zero)
+            assert exact[6] == "converged" and exact[7] == 0.0
+            _, _, value, res, steps, reason, status, bound = _inner_core(
+                slab, 1.0, zero, np.inf, value_bound, res_cap)
+            assert (status, reason) == ("converged", None)
+            assert steps < exact[4] and res <= res_cap and 0.0 < bound <= value_bound
+            assert 0.0 < exact[2] - value <= 2.0 * bound
 
     def test_zero_nonlinearity_degenerate(self, split_r2):
         # indefinite quadratic alone admits no interior maximizer
@@ -322,6 +361,27 @@ class TestPolishNewton:
         monkeypatch.setattr(solver, "nehari_residual", lambda terms, u: dataclasses.replace(
             nehari_residual(terms, u), along_minus=1.0))
         with pytest.raises(ConvergenceError, match="Newton polish (exceeded|diverged)"):
+            lg.polish_newton(terms_r2, rough_candidate)
+
+    @pytest.mark.parametrize("member, name, tolerance", [
+        ("along_minus", "along X\\^-", "1.000e-08"),
+        ("along_u", "along u", r"\d\.\d{3}e-0[78]")])
+    def test_stuck_polish_names_the_residual_that_failed(
+            self, monkeypatch, split_r2, terms_r2, member, name, tolerance):
+        # the full residual of this candidate reaches the rounding floor, so
+        # only the patched residual keeps the polish going
+        candidate = lg.outer_minimize(terms_r2, lg.SolverConfig(seed=1, multistart=3))
+        nehari_residual = solver.nehari_residual
+        monkeypatch.setattr(solver, "nehari_residual", lambda terms, u: dataclasses.replace(
+            nehari_residual(terms, u), **{member: 1.0}))
+        with pytest.raises(ConvergenceError,
+                           match=f"residual {name} 1.000e\\+00 above its tolerance {tolerance}"):
+            lg.polish_newton(terms_r2, candidate.u)
+
+    def test_stuck_full_residual_is_named(self, monkeypatch, terms_r2, rough_candidate):
+        monkeypatch.setattr(lg.SolverConfig, "max_polish", 0)
+        with pytest.raises(ConvergenceError, match=r"Newton polish exceeded 0 iterations "
+                           r"\(full residual \d\.\d{3}e-0\d above its tolerance \d\.\d{3}e-08\)"):
             lg.polish_newton(terms_r2, rough_candidate)
 
 
@@ -698,6 +758,12 @@ class TestSolverConfig:
         with pytest.raises(TypeError, match=name):
             lg.SolverConfig(**{name: float("nan")})
 
+    @pytest.mark.parametrize("name", ["theta", "eta"])
+    def test_inexact_stop_constants_in_range(self, name):
+        assert 0.0 < getattr(lg.SolverConfig, name) < 1.0
+        with pytest.raises(TypeError, match=name):
+            lg.SolverConfig(**{name: 0.0})
+
     @pytest.mark.parametrize("name,zero_ok", [("certificate_tol", True),
                                               ("polish_entry", False)])
     @pytest.mark.parametrize("value", [float("nan"), -1.0])
@@ -1069,3 +1135,126 @@ def test_step_rule_reaches_the_same_states(problems_r34, model, radius, frac,
     assert abs(got.c_rho - level) <= 1e-12 * level
     if start is not None:
         assert got.start_index == start
+
+
+# The R = 4 interior solve (seed 0, 0.4 rho_max, filter 0.25) of the code
+# that solved every line-search trial to `inner_tol`, on one BLAS thread:
+# its level's bits, the sha256 of its field's bytes and its start
+EXACT_R4 = ("0x1.a175adcfb0e78p+0",
+            "c8aa1d1e82b1e62be9b7e62b80f96728780c2661b55468dd3844831589ce38fe", 1)
+
+
+def _solve_r4(problems_r34, model):
+    split, constants = problems_r34[4]
+    config = lg.SolverConfig(seed=0, multistart=5, max_boundary_mass=0.25)
+    with cli._one_blas_thread():
+        return lg.solve_ground_state(split, model, 0.4 * constants.rho_max, config,
+                                     constants=constants)
+
+
+def _solve_every_trial_to_inner_tol(monkeypatch):
+    monkeypatch.setattr(lg.SolverConfig, "theta", 0.0)
+    monkeypatch.setattr(lg.SolverConfig, "eta", 0.0)
+
+
+def _fingerprint(result):
+    return (result.c_rho.hex(), hashlib.sha256(result.u.values.tobytes()).hexdigest(),
+            result.start_index)
+
+
+def test_early_rejection_keeps_the_exact_path(monkeypatch, problems_r34, model):
+    _solve_every_trial_to_inner_tol(monkeypatch)
+    rejecting = _solve_r4(problems_r34, model)
+    assert _fingerprint(rejecting) == EXACT_R4
+    # solving each rejected trial to the end changes nothing but the count
+    core = solver._inner_core
+    monkeypatch.setattr(solver, "_inner_core", lambda slab, t, vm, ceiling, *stop: core(
+        slab, t, vm, np.inf, *stop))
+    exact = _solve_r4(problems_r34, model)
+    assert _fingerprint(exact) == EXACT_R4
+    assert exact.diagnostics["start_outer_iterations"] == rejecting.diagnostics[
+        "start_outer_iterations"]
+    assert sum(exact.diagnostics["start_inner_iterations"]) > sum(
+        rejecting.diagnostics["start_inner_iterations"])
+
+
+@pytest.mark.parametrize("radius, frac, max_boundary_mass, seed", list(SELECTED))
+def test_inexact_inner_solves_reach_the_tight_states(monkeypatch, problems_r34, model,
+                                                     radius, frac, max_boundary_mass,
+                                                     seed):
+    split, constants = problems_r34[radius]
+    config = lg.SolverConfig(seed=seed, multistart=5, max_boundary_mass=max_boundary_mass)
+
+    def solve():
+        return lg.solve_ground_state(split, model, frac * constants.rho_max, config,
+                                     constants=constants)
+
+    inexact = solve()
+    _solve_every_trial_to_inner_tol(monkeypatch)
+    tight = solve()
+    assert inexact.diagnostics["start_statuses"] == tight.diagnostics["start_statuses"]
+    assert abs(inexact.c_rho - tight.c_rho) <= 1e-13 * tight.c_rho
+    # the start is the same, or the two tie in one bucket of the selection
+    levels = inexact.diagnostics["start_levels"]
+    assert (inexact.start_index == tight.start_index
+            or round(levels[inexact.start_index] / 1e-10)
+            == round(levels[tight.start_index] / 1e-10))
+
+
+def test_inexact_inner_solves_cut_the_inner_iterations(monkeypatch, problems_r34, model):
+    inexact = sum(_solve_r4(problems_r34, model).diagnostics["start_inner_iterations"])
+    _solve_every_trial_to_inner_tol(monkeypatch)
+    tight = sum(_solve_r4(problems_r34, model).diagnostics["start_inner_iterations"])
+    assert inexact <= 0.7 * tight
+
+
+def test_every_inner_solve_counts_its_steps(monkeypatch, problems_r34, model):
+    # rejected trials and base refinements included
+    split, constants = problems_r34[3]
+    returned = []
+    core = solver._inner_core
+
+    def counted(*args):
+        returned.append(core(*args))
+        return returned[-1]
+
+    use_cores(monkeypatch, 1)
+    monkeypatch.setattr(solver, "_inner_core", counted)
+    result = lg.outer_minimize(
+        lg.SiteTerms(split, model, 0.4 * constants.rho_max, constants.weight),
+        lg.SolverConfig(seed=0, multistart=5))
+    statuses = {out[6] for out in returned}
+    assert {"converged", "rejected"} <= statuses
+    assert sum(result.diagnostics["start_inner_iterations"]) == sum(
+        out[4] for out in returned)
+
+
+def test_each_armijo_test_compares_values_exact_to_its_bound(monkeypatch, problems_r34,
+                                                             model):
+    # a solve that stops early is within its residual cap and value bound,
+    # and the base value a trial is tested against is as exact as the trial
+    split, constants = problems_r34[3]
+    core = solver._inner_core
+    base = []  # the error bound of the current base value
+    trials = []
+
+    def checked(slab, t, vm, ceiling, value_bound, res_cap):
+        out = core(slab, t, vm, ceiling, value_bound, res_cap)
+        _, _, value, res, _, _, status, bound = out
+        if status == "converged":
+            assert bound == 0.0 <= res <= lg.SolverConfig.inner_tol or (
+                res <= res_cap and 0.0 < bound <= value_bound)
+        if ceiling == np.inf:  # a start's first solve or a base refinement
+            base[:] = [bound]
+        else:
+            trials.append((base[0], value_bound))
+            if status == "converged" and value <= ceiling:
+                base[:] = [bound]
+        return out
+
+    use_cores(monkeypatch, 1)
+    monkeypatch.setattr(solver, "_inner_core", checked)
+    lg.outer_minimize(lg.SiteTerms(split, model, 0.4 * constants.rho_max, constants.weight),
+                      lg.SolverConfig(seed=0, multistart=5))
+    assert trials and all(bound <= value_bound for bound, value_bound in trials)
+    assert any(bound > 0.0 for bound, _ in trials)
